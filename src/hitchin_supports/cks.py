@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -37,6 +37,7 @@ from typing import Iterable, Mapping, Sequence
 from .homology import (
     IntEchelon,
     SparseRationalMatrix,
+    _sort_sign,
     coords_in_rref,
     exact_rank_int,
     normalize_int_vec,
@@ -78,6 +79,10 @@ class GradedH1Model:
     cycles: CycleSpaceBasis
     edge_vectors: Mapping[int, tuple[int, ...]]
     twists: tuple[int, int, int] = (0, 0, -1)
+    # nilpotent_columns per edge label, built on first use
+    _nilpotent: dict[int, dict[int, dict[int, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def delta(self) -> int:
@@ -132,7 +137,13 @@ def _model_from_graph(graph: Multigraph, genera: tuple[int, ...], partition) -> 
 
 
 def nilpotent_columns(model: GradedH1Model, label: int) -> dict[int, dict[int, int]]:
-    """Sparse column map of the edge operator on the model (integer entries)."""
+    """Sparse column map of the edge operator on the model (integer entries).
+
+    The map is cached on the model, so callers must not mutate it.
+    """
+    cached = model._nilpotent.get(label)
+    if cached is not None:
+        return cached
     vec = model.edge_vectors.get(label)
     if vec is None:
         raise GraphError(f"no such edge: {label}")
@@ -144,6 +155,7 @@ def nilpotent_columns(model: GradedH1Model, label: int) -> dict[int, dict[int, i
         col = {a: va * vb for a, va in enumerate(vec) if va}
         if col:
             cols[off + b] = col
+    model._nilpotent[label] = cols
     return cols
 
 
@@ -859,16 +871,6 @@ def _acc(store: dict, key, val) -> None:
         store[key] = s
     else:
         store.pop(key, None)
-
-
-def _sort_sign(values: Sequence[int]) -> int:
-    sign = 1
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                sign = -sign
-    return sign
 
 
 def _fractions_to_int(vec: Mapping[int, Fraction]) -> dict[int, int]:

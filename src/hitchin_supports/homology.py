@@ -1,28 +1,28 @@
 """Exact reduced simplicial homology over the rationals.
 
-Boundary matrices are sparse and exact.  Ranks go through a fraction-free
-(integer, content-normalized) sparse elimination with minimal-fill pivoting,
-double-checked by elimination modulo two random primes above 2**30; matrices
-with a side above 500 are handled modular-first, falling back to a full exact
-recomputation whenever the passes disagree.  Everything here is reduced
-homology: the empty face is a cell in dimension -1, so the empty complex has
-Betti number 1 there and nowhere else.
+Boundary matrices are sparse integer columns with entries +-1.  Every rank
+comes from one sparse elimination kernel with Markowitz pivoting, run either
+fraction-free over Z or over F_p.  A matrix with both sides at most 500 is
+eliminated over Z and checked against two random primes above 2**30; a larger
+one accepts two agreeing modular ranks.  Any disagreement escalates to another
+elimination over Z: below the limit on the transpose, which is a different
+elimination order, and above it on the matrix itself.  Everything here is
+reduced homology: the empty face is a cell in dimension -1, so the empty
+complex has Betti number 1 there and nowhere else.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .complexes import FaceComplex
 
-EXACT_SIDE_LIMIT = 500  # pure exact elimination below, modular-first above
-_DENSE_MOD_CELLS = 6_000_000  # switch to sparse modular elimination above this
+EXACT_SIDE_LIMIT = 500  # exact elimination checked by two primes below, two primes alone above
 
 
 class HomologyError(ValueError):
@@ -105,6 +105,29 @@ class SparseRationalMatrix:
     @staticmethod
     def identity(n: int) -> "SparseRationalMatrix":
         return SparseRationalMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+
+
+@dataclass(frozen=True)
+class SparseIntMatrix:
+    """Sparse integer matrix stored by columns, each ``{row: nonzero entry}``."""
+
+    rows: int
+    columns: tuple[dict[int, int], ...]
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+    @property
+    def nnz(self) -> int:
+        return sum(map(len, self.columns))
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(r, j): v for j, col in enumerate(self.columns) for r, v in col.items()}
+
+    def column(self, j: int) -> dict[int, int]:
+        return dict(self.columns[j])
 
 
 # ---------------------------------------------------------------------------
@@ -270,145 +293,100 @@ def random_prime_above_2_30(rng: random.Random) -> int:
             return candidate
 
 
-def _rank_mod_prime(cols: Sequence[dict[int, int]], n_rows: int, p: int) -> int:
-    live = [c for c in cols if c]
-    if not live or n_rows == 0:
-        return 0
-    if n_rows * len(live) <= _DENSE_MOD_CELLS:
-        return _rank_mod_dense(live, n_rows, p)
-    return _rank_mod_sparse(live, p)
+def _eliminate(vectors: Iterable[Mapping[int, int]], p: int | None = None) -> int:
+    """Rank of a list of sparse integer vectors, by Markowitz elimination.
 
-
-def _rank_mod_dense(cols: Sequence[dict[int, int]], n_rows: int, p: int) -> int:
-    a = np.zeros((n_rows, len(cols)), dtype=np.int64)
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            a[r, j] = v % p
-    rank = 0
-    n, m = a.shape
-    for j in range(m):
-        if rank == n:
-            break
-        nz = np.nonzero(a[rank:, j])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, j]), -1, p)
-        a[rank] = a[rank] * inv % p
-        below = a[rank + 1 :, j]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = hit + rank + 1
-            a[rows] = (a[rows] - np.outer(a[rows, j], a[rank])) % p
-        rank += 1
-    return rank
-
-
-def _rank_mod_sparse(cols: Sequence[dict[int, int]], p: int) -> int:
-    pivots: dict[int, dict[int, int]] = {}
-    for col in cols:
-        vec = {k: v % p for k, v in col.items() if v % p}
-        while vec:
-            lead = min(vec)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(vec[lead], -1, p)
-                pivots[lead] = {k: v * inv % p for k, v in vec.items()}
-                break
-            f = vec[lead]
-            vec = {
-                k: v
-                for k in set(vec) | set(pivot)
-                if (v := (vec.get(k, 0) - f * pivot.get(k, 0)) % p)
-            }
-    return len(pivots)
-
-
-def _rank_exact_sparse(cols: Sequence[dict[int, int]]) -> int:
-    """Fraction-free sparse elimination; pivots chosen to limit fill."""
+    With ``p`` None the elimination runs over Z, fraction-free, and an updated
+    vector is divided by its content whenever it was scaled; with a prime
+    ``p`` it runs over F_p.  Each step takes a shortest remaining vector
+    (lowest index among equals) and, within it, the coordinate held by the
+    fewest remaining vectors, then clears that coordinate from them.
+    """
     rows: dict[int, dict[int, int]] = {}
-    col_support: dict[int, set[int]] = {}
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            rows.setdefault(r, {})[j] = v
-            col_support.setdefault(j, set()).add(r)
+    holders: dict[int, set[int]] = {}  # coordinate -> remaining vectors holding it
+    for i, vec in enumerate(vectors):
+        row = {k: r for k, v in vec.items() if (r := v % p if p else v)}
+        if row:
+            rows[i] = row
+            for k in row:
+                holders.setdefault(k, set()).add(i)
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(queue)
     rank = 0
-    active = set(rows)
-    while active:
-        # minimal (row fill) x (column fill) estimate, ties by index
-        best = None
-        for r in active:
-            row = rows[r]
-            if not row:
-                continue
-            for j, _ in row.items():
-                score = (len(row) - 1) * (len(col_support[j]) - 1)
-                key = (score, r, j)
-                if best is None or key < best[0]:
-                    best = (key, r, j)
-        if best is None:
-            break
-        _, pr, pc = best
-        pivot_row = rows[pr]
-        pivot_val = pivot_row[pc]
+    while queue:
+        length, i = heapq.heappop(queue)
+        row = rows.get(i)
+        if row is None or len(row) != length:
+            continue  # stale entry: the vector was eliminated or changed since
+        del rows[i]
         rank += 1
-        active.discard(pr)
-        victims = [r for r in col_support[pc] if r != pr and r in active]
-        for r in victims:
-            row = rows[r]
-            val = row.get(pc)
-            if not val:
-                continue
-            g = gcd(val, pivot_val)
-            new_row = _combine(row, pivot_val // g, pivot_row, -(val // g))
-            new_row = normalize_int_vec(new_row)
-            for j in row:
-                col_support[j].discard(r)
-            for j in new_row:
-                col_support.setdefault(j, set()).add(r)
-            rows[r] = new_row
-            if not new_row:
-                active.discard(r)
-        for j in pivot_row:
-            col_support[j].discard(pr)
-    return rank
-
-
-def _rank_exact_dense(cols: Sequence[dict[int, int]], n_rows: int) -> int:
-    """Plain Gaussian elimination over Fraction; the escalation path."""
-    mat = [[Fraction(0)] * len(cols) for _ in range(n_rows)]
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            mat[r][j] = Fraction(v)
-    rank = 0
-    for j in range(len(cols)):
-        piv = next((i for i in range(rank, n_rows) if mat[i][j]), None)
-        if piv is None:
+        lead = min(row, key=lambda k: len(holders[k]))
+        for k in row:
+            holders[k].discard(i)
+        hits = holders.pop(lead)
+        if not hits:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][j]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(n_rows):
-            if i != rank and mat[i][j]:
-                f = mat[i][j]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
+        pivot = row.pop(lead)
+        if p:
+            inv = pow(pivot, -1, p)
+            row = {k: v * inv % p for k, v in row.items()}
+        elif pivot < 0:
+            pivot = -pivot
+            row = {k: -v for k, v in row.items()}
+        for h in hits:
+            target = rows[h]
+            f = target.pop(lead)
+            scale = 1
+            if not p:
+                g = gcd(f, pivot)
+                scale, f = pivot // g, f // g
+                if scale != 1:
+                    for k in target:
+                        target[k] *= scale
+            for k, v in row.items():
+                old = target.get(k)
+                if old is None:
+                    target[k] = -f * v % p if p else -f * v
+                    holders[k].add(h)
+                    continue
+                new = (old - f * v) % p if p else old - f * v
+                if new:
+                    target[k] = new
+                else:
+                    del target[k]
+                    holders[k].discard(h)
+            if not target:
+                del rows[h]
+                continue
+            if scale != 1:
+                content = gcd(*target.values())
+                if content != 1:
+                    for k in target:
+                        target[k] //= content
+            heapq.heappush(queue, (len(target), h))
     return rank
 
 
-def exact_rank(m: SparseRationalMatrix, rng: random.Random | None = None) -> int:
+def _transpose(vectors: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
+    out: dict[int, dict[int, int]] = {}
+    for j, vec in enumerate(vectors):
+        for k, v in vec.items():
+            out.setdefault(k, {})[j] = v
+    return list(out.values())
+
+
+def exact_rank(m: SparseIntMatrix | SparseRationalMatrix, rng: random.Random | None = None) -> int:
     """Rank over Q.
 
-    Matrices with both sides at most 500 run the fraction-free elimination and
-    the result must agree with elimination at two random primes > 2**30;
-    larger matrices accept two agreeing modular passes.  Any disagreement
-    escalates to a full exact recomputation.
+    Matrices with both sides at most 500 are eliminated over Z and the result
+    must agree with elimination at two random primes > 2**30; larger matrices
+    accept two agreeing modular passes.  Any disagreement escalates to another
+    elimination over Z: on the transpose below the limit, on the matrix itself
+    above it.
     """
-    if m.rows == 0 or m.cols == 0 or m.is_zero():
+    if not m.nnz:
         return 0
-    cols = to_int_columns(m)
+    cols = m.columns if isinstance(m, SparseIntMatrix) else to_int_columns(m)
     return exact_rank_int(cols, m.rows, rng=rng)
 
 
@@ -424,16 +402,17 @@ def exact_rank_int(
     p2 = random_prime_above_2_30(rng)
     while p2 == p1:
         p2 = random_prime_above_2_30(rng)
-    r1 = _rank_mod_prime(live, n_rows, p1)
-    r2 = _rank_mod_prime(live, n_rows, p2)
+    r1 = _eliminate(live, p1)
+    r2 = _eliminate(live, p2)
     if max(n_rows, len(live)) <= EXACT_SIDE_LIMIT:
-        r_exact = _rank_exact_sparse(live)
+        r_exact = _eliminate(live)
         if r1 == r2 == r_exact:
             return r_exact
-        return _rank_exact_dense(live, n_rows)
+        # a different elimination order over Z settles the disagreement
+        return _eliminate(_transpose(live))
     if r1 == r2:
         return r1
-    return _rank_exact_sparse(live)
+    return _eliminate(live)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +430,13 @@ class RationalChainComplex:
     """
 
     complex: FaceComplex
-    boundaries: tuple[SparseRationalMatrix, ...]
+    boundaries: tuple[SparseIntMatrix, ...]
 
     @property
     def top_dim(self) -> int:
         return len(self.boundaries) - 1
 
-    def boundary(self, d: int) -> SparseRationalMatrix | None:
+    def boundary(self, d: int) -> SparseIntMatrix | None:
         if 0 <= d < len(self.boundaries):
             return self.boundaries[d]
         return None
@@ -495,26 +474,23 @@ def boundary_complex(c: FaceComplex, verify_limit: int = 400, rng: random.Random
     The identity d(d(x)) = 0 is checked fully on small complexes and on sampled
     columns of larger ones.
     """
-    mats: list[SparseRationalMatrix] = []
+    mats: list[SparseIntMatrix] = []
     for d in range(len(c.faces_by_dim)):
         faces = c.faces_by_dim[d]
         if d == 0:
-            mats.append(
-                SparseRationalMatrix(
-                    1, len(faces), {(0, j): Fraction(1) for j in range(len(faces))}
-                )
-            )
+            mats.append(SparseIntMatrix(1, tuple({0: 1} for _ in faces)))
             continue
         prev_index = {f: i for i, f in enumerate(c.faces_by_dim[d - 1])}
-        entries: dict[tuple[int, int], Fraction] = {}
-        for j, face in enumerate(faces):
+        columns = []
+        for face in faces:
+            col = {}
             for pos in range(len(face)):
-                sub = face[:pos] + face[pos + 1 :]
-                i = prev_index.get(sub)
+                i = prev_index.get(face[:pos] + face[pos + 1 :])
                 if i is None:
                     raise HomologyError("complex is not downward closed")
-                entries[(i, j)] = Fraction(-1 if pos % 2 else 1)
-        mats.append(SparseRationalMatrix(len(c.faces_by_dim[d - 1]), len(faces), entries))
+                col[i] = -1 if pos % 2 else 1
+            columns.append(col)
+        mats.append(SparseIntMatrix(len(prev_index), tuple(columns)))
     cc = RationalChainComplex(c, tuple(mats))
     _verify_square_zero(cc, verify_limit, rng)
     return cc
@@ -523,19 +499,15 @@ def boundary_complex(c: FaceComplex, verify_limit: int = 400, rng: random.Random
 def _verify_square_zero(cc: RationalChainComplex, limit: int, rng: random.Random | None) -> None:
     rng = rng or random.Random(17)
     for d in range(1, cc.top_dim + 1):
-        upper = cc.boundaries[d]
-        lower = cc.boundaries[d - 1]
-        cols = upper.columns()
-        if upper.cols > limit:
-            sample = [cols[rng.randrange(upper.cols)] for _ in range(20)]
-        else:
-            sample = cols
-        lower_cols = lower.columns()
-        for col in sample:
-            acc: dict[int, Fraction] = {}
+        cols = cc.boundaries[d].columns
+        if len(cols) > limit:
+            cols = [cols[rng.randrange(len(cols))] for _ in range(20)]
+        lower = cc.boundaries[d - 1].columns
+        for col in cols:
+            acc: dict[int, int] = {}
             for r, v in col.items():
-                for rr, w in lower_cols[r].items():
-                    acc[rr] = acc.get(rr, Fraction(0)) + v * w
+                for rr, w in lower[r].items():
+                    acc[rr] = acc.get(rr, 0) + v * w
             if any(acc.values()):
                 raise HomologyError("boundary squared is nonzero")
 
@@ -584,15 +556,13 @@ def top_cycle_basis(cc: RationalChainComplex) -> list[dict[int, int]]:
     """
     if cc.top_dim < 0:
         return [{0: 1}]  # the empty complex: H_{-1} spanned by the empty face
-    boundary = cc.boundaries[cc.top_dim]
-    n = boundary.cols
-    cols = to_int_columns(boundary)
+    cols = cc.boundaries[cc.top_dim].columns
     kernel_ech = IntEchelon()
     # Column elimination with tracked combinations: columns that reduce to zero
     # hand their combination vector to the kernel.
     tracked: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    for j in range(n):
-        vec = dict(cols[j])
+    for j, col in enumerate(cols):
+        vec = dict(col)
         combo = {j: 1}
         while vec:
             lead = min(vec)

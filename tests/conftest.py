@@ -1,16 +1,7 @@
 import itertools
 
 from hitchin_supports.multigraph import Multigraph
-
-
-def complete_graph(r: int) -> Multigraph:
-    edges = []
-    label = 0
-    for i in range(r):
-        for j in range(i + 1, r):
-            edges.append((i, j, label))
-            label += 1
-    return Multigraph(r, tuple(edges))
+from hitchin_supports.symgroup import complete_graph  # noqa: F401  re-exported to the test modules
 
 
 def parallel_graph(m: int) -> Multigraph:

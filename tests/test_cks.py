@@ -119,6 +119,15 @@ def test_derivations_commute_on_wedge_two():
         assert ab == ba
 
 
+def test_nilpotent_columns_are_cached_and_build_cks_is_unchanged():
+    m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
+    first = nilpotent_columns(m, 0)
+    assert nilpotent_columns(m, 0) == first
+    instance = build_cks(m, 3)
+    assert {k: instance.term_dimension(k) for k in instance.terms} == {0: 1140, 1: 918, 2: 240, 3: 20}
+    assert build_cks(m, 3).terms == instance.terms
+
+
 # ---------------------------------------------------------------------------
 # images on exterior powers
 # ---------------------------------------------------------------------------

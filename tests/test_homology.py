@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hitchin_supports import homology
 from hitchin_supports.complexes import FaceComplex, cographic_complex
 from hitchin_supports.homology import (
     HomologyError,
@@ -112,6 +113,96 @@ def test_rank_random_matrices_match_dense_reference():
                     dense[r] = [x - f * y for x, y in zip(dense[r], dense[rank])]
             rank += 1
         assert exact_rank(m) == rank
+
+
+def dense_rank(rows: int, cols: int, entries) -> int:
+    """Plain Gaussian elimination over Fraction, the reference for the kernel."""
+    dense = [[Fraction(entries.get((r, c), 0)) for c in range(cols)] for r in range(rows)]
+    rank = 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if dense[r][c]), None)
+        if piv is None:
+            continue
+        dense[rank], dense[piv] = dense[piv], dense[rank]
+        for r in range(rank + 1, rows):
+            if dense[r][c]:
+                f = dense[r][c] / dense[rank][c]
+                dense[r] = [x - f * y for x, y in zip(dense[r], dense[rank])]
+        rank += 1
+    return rank
+
+
+def int_columns(cols: int, entries) -> list[dict[int, int]]:
+    out = [{} for _ in range(cols)]
+    for (r, c), v in entries.items():
+        out[c][r] = v
+    return out
+
+
+def test_kernel_matches_dense_reference_on_fill_heavy_matrices():
+    rng = random.Random(11)
+    p = 2**31 - 1
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 31), rng.randrange(1, 31)
+        density = rng.uniform(0.5, 1.0)
+        # a low-rank product makes most eliminations fill in and cancel
+        inner = rng.randrange(1, min(rows, cols) + 1)
+        a = [[rng.randrange(-3, 4) for _ in range(inner)] for _ in range(rows)]
+        b = [
+            [rng.randrange(-3, 4) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(inner)
+        ]
+        entries = {}
+        for r in range(rows):
+            for c in range(cols):
+                v = sum(a[r][k] * b[k][c] for k in range(inner))
+                if v:
+                    entries[(r, c)] = v
+        rank = dense_rank(rows, cols, entries)
+        columns = int_columns(cols, entries)
+        assert homology._eliminate(columns) == rank
+        assert homology._eliminate(homology._transpose(columns)) == rank
+        assert homology._eliminate(columns, p) == rank
+        assert homology.exact_rank_int(columns, rows, rng=random.Random(rows)) == rank
+
+
+def test_kernel_mod_p_drops_on_multiples_of_p():
+    rng = random.Random(13)
+    p = 2**31 - 1
+    for _ in range(20):
+        rows, cols = rng.randrange(2, 25), rng.randrange(2, 25)
+        # fewer columns survive mod p than the rank over Q of a random matrix
+        kept = set(rng.sample(range(cols), rng.randrange(0, min(rows, cols))))
+        entries = {}
+        for r in range(rows):
+            for c in range(cols):
+                v = rng.randrange(-5, 6)
+                if v:
+                    entries[(r, c)] = v if c in kept else p * v
+        columns = int_columns(cols, entries)
+        small = {(r, c): v for (r, c), v in entries.items() if c in kept}
+        rank, rank_mod_p = dense_rank(rows, cols, entries), dense_rank(rows, cols, small)
+        assert rank_mod_p < rank
+        assert homology._eliminate(columns) == rank
+        assert homology._eliminate(columns, p) == rank_mod_p
+
+
+@pytest.mark.parametrize("n", [40, 600])
+def test_modular_disagreement_escalates_to_an_exact_rank(monkeypatch, n):
+    # banded (2, -3) with one column repeated: rank n over Q and at every odd prime
+    columns = [{i: 2, i - 1: -3} if i else {0: 2} for i in range(n)] + [{0: 2}]
+    eliminate = homology._eliminate
+    fields = []
+
+    def first_prime_one_short(vectors, p=None):
+        fields.append(p)
+        rank = eliminate(vectors, p)
+        return rank - 1 if p is not None and p == fields[0] else rank
+
+    monkeypatch.setattr(homology, "_eliminate", first_prime_one_short)
+    assert homology.exact_rank_int(columns, n) == n
+    # below the side limit: exact pass, then its rerun on the transpose
+    assert fields.count(None) == (2 if n <= homology.EXACT_SIDE_LIMIT else 1)
 
 
 # ---------------------------------------------------------------------------
