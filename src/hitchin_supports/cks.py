@@ -38,9 +38,9 @@ from .homology import (
     IntEchelon,
     SparseRationalMatrix,
     _sort_sign,
+    clear_denominators,
     coords_in_rref,
     exact_rank_int,
-    normalize_int_vec,
 )
 from .multigraph import (
     CycleSpaceBasis,
@@ -50,6 +50,7 @@ from .multigraph import (
     build_dual_graph,
     cycle_space,
 )
+from .symgroup import inverse, signed_edge_action
 
 DEFAULT_WEDGE_LIMIT = 2_000_000
 
@@ -312,23 +313,39 @@ class CKSComplexInstance:
     def delta(self) -> int:
         return self.model.delta
 
-    @property
-    def top_degree(self) -> int:
-        return max(self.terms)
-
     def term_dimension(self, k: int) -> int:
         return sum(b.dim() for b in self.terms.get(k, ()))
-
-    def block(self, subset: Sequence[int]) -> CksBlock | None:
-        key = tuple(sorted(subset))
-        for blk in self.terms.get(len(key), ()):
-            if blk.subset == key:
-                return blk
-        return None
 
 
 def _insertion_sign(subset: tuple[int, ...], label: int) -> int:
     return -1 if bisect_left(subset, label) % 2 else 1
+
+
+def _acc(store: dict, key, val) -> None:
+    """Add ``val`` at ``key``, dropping the key when the sum is zero."""
+    s = store.get(key, 0) + val
+    if s:
+        store[key] = s
+    else:
+        store.pop(key, None)
+
+
+def _coboundary(model, wedges, labels, subset, vec, targets=None):
+    """The non-zero components of d on one vector of the block of ``subset``.
+
+    Yields ``(subset with r inserted, insertion sign, N_r vec)`` for each edge
+    r outside the subset, skipping targets missing from ``targets`` when it is
+    given.
+    """
+    for r in labels:
+        if r in subset:
+            continue
+        target = tuple(sorted(subset + (r,)))
+        if targets is not None and target not in targets:
+            continue
+        img = apply_derivation(wedges, nilpotent_columns(model, r), vec)
+        if img:
+            yield target, _insertion_sign(subset, r), img
 
 
 def build_cks(
@@ -403,32 +420,13 @@ def _verify_square_zero(instance: CKSComplexInstance, wedges: WedgeBasis, sample
 
 def _assert_d_squared_zero(model, wedges, subset, vec, labels) -> None:
     acc: dict[tuple[int, ...], dict[int, int]] = {}
-    for r in labels:
-        if r in subset:
-            continue
-        mid = tuple(sorted(subset + (r,)))
-        s1 = _insertion_sign(subset, r)
-        img1 = apply_derivation(wedges, nilpotent_columns(model, r), vec)
-        if not img1:
-            continue
-        for s in labels:
-            if s in mid:
-                continue
-            target = tuple(sorted(mid + (s,)))
-            s2 = _insertion_sign(mid, s)
-            img2 = apply_derivation(wedges, nilpotent_columns(model, s), img1)
-            if not img2:
-                continue
+    for mid, s1, img1 in _coboundary(model, wedges, labels, subset, vec):
+        for target, s2, img2 in _coboundary(model, wedges, labels, mid, img1):
             slot = acc.setdefault(target, {})
             for widx, val in img2.items():
-                t = slot.get(widx, 0) + s1 * s2 * val
-                if t:
-                    slot[widx] = t
-                else:
-                    slot.pop(widx, None)
-    for slot in acc.values():
-        if slot:
-            raise CksError("differential does not square to zero")
+                _acc(slot, widx, s1 * s2 * val)
+    if any(acc.values()):
+        raise CksError("differential does not square to zero")
 
 
 # ---------------------------------------------------------------------------
@@ -562,21 +560,9 @@ def _slice_differential_rank(
         for local in locals_:
             vec = {local: 1} if blk.basis is None else blk.basis[local]
             col: dict[int, int] = {}
-            for r in labels:
-                if r in blk.subset:
-                    continue
-                target = tuple(sorted(blk.subset + (r,)))
-                if target not in target_blocks:
-                    continue
-                sign = _insertion_sign(blk.subset, r)
-                img = apply_derivation(wedges, nilpotent_columns(model, r), vec)
+            for target, sign, img in _coboundary(model, wedges, labels, blk.subset, vec, target_blocks):
                 for widx, val in img.items():
-                    rid = row_of(target, widx)
-                    s = col.get(rid, 0) + sign * val
-                    if s:
-                        col[rid] = s
-                    else:
-                        col.pop(rid, None)
+                    _acc(col, row_of(target, widx), sign * val)
             columns.append(col)
     n_rows = len(row_index)
     if n_rows == 0:
@@ -587,28 +573,6 @@ def _slice_differential_rank(
 # ---------------------------------------------------------------------------
 # equivariance: graph automorphisms on the highest-weight cohomology
 # ---------------------------------------------------------------------------
-
-
-def signed_edge_action(perm: Sequence[int], graph: Multigraph) -> dict[int, tuple[int, int]]:
-    """Edge-label action of a vertex permutation with orientation signs.
-
-    Copies inside a parallel class are matched by position; the sign is -1
-    exactly when the permutation reverses the canonical orientation.
-    """
-    if sorted(perm) != list(range(graph.vertex_count)):
-        raise CksError("not a vertex permutation")
-    classes = graph.edge_classes()
-    out: dict[int, tuple[int, int]] = {}
-    for (u, v), labs in classes.items():
-        pu, pv = perm[u], perm[v]
-        key = (min(pu, pv), max(pu, pv))
-        target = classes.get(key)
-        if target is None or len(target) != len(labs):
-            raise CksError("vertex permutation breaks the multiplicity pattern")
-        sign = -1 if pu > pv else 1
-        for lab, tgt in zip(labs, target):
-            out[lab] = (tgt, sign)
-    return out
 
 
 def _cycle_action_matrix(model: GradedH1Model, perm: Sequence[int]) -> list[list[Fraction]]:
@@ -626,33 +590,12 @@ def _cycle_action_matrix(model: GradedH1Model, perm: Sequence[int]) -> list[list
         recon: dict[int, Fraction] = {}
         for coeff, basis_cycle in zip(coords, cycles.cycles):
             for lab, val in basis_cycle.items():
-                s = recon.get(lab, Fraction(0)) + coeff * val
-                if s:
-                    recon[lab] = s
-                else:
-                    recon.pop(lab, None)
-        if recon != {lab: Fraction(v) for lab, v in chain.items() if v}:
+                _acc(recon, lab, coeff * val)
+        if recon != {lab: v for lab, v in chain.items() if v}:
             raise CksError("edge action does not preserve the cycle space")
         cols.append(coords)
     n = len(cols)
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _invert_transpose(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [[mat[j][i] for j in range(n)] + [Fraction(int(i == c)) for c in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise CksError("cycle action is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def _wedge_multiplicative_image(
@@ -672,22 +615,12 @@ def _wedge_multiplicative_image(
                     if p < len(prefix) and prefix[p] == dst:
                         continue
                     sign = -1 if (len(prefix) - p) % 2 else 1
-                    key = prefix[:p] + (dst,) + prefix[p:]
-                    s_val = grown.get(key, Fraction(0)) + sign * c * val
-                    if s_val:
-                        grown[key] = s_val
-                    else:
-                        grown.pop(key, None)
+                    _acc(grown, prefix[:p] + (dst,) + prefix[p:], sign * c * val)
             partial = grown
             if not partial:
                 break
         for key, c in partial.items():
-            idx = wedges.index[key]
-            s_val = out.get(idx, Fraction(0)) + c
-            if s_val:
-                out[idx] = s_val
-            else:
-                out.pop(idx, None)
+            _acc(out, wedges.index[key], c)
     return out
 
 
@@ -698,53 +631,39 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     This is the geometric action: it moves cells of the cographic complex and
     simultaneously transports the cycle-space orientations, which is what the
     vertex swap of the two-component spectral curve acts on by the sign
-    character.
+    character.  The blocks are the highest-weight vectors of the images that
+    ``build_cks`` assembles on the model without its middle block, and the
+    differential is the one ``_coboundary`` gives the rest of this module.
     """
     delta = model.delta
     if delta < 1:
         raise CksError("the action needs delta >= 1")
-    # reduced model: drop the middle block, it contributes only wedge^0 here
-    reduced = _reduced_model(model)
-    s2 = _cycle_action_matrix(model, perm)
-    w0 = _invert_transpose(s2)
     action = signed_edge_action(perm, model.graph)
-
-    dim = 2 * delta
+    s2 = _cycle_action_matrix(model, perm)
+    # W0 is dual to Gr2, so it carries the inverse transpose of S(sigma),
+    # which is S(sigma^-1) transposed because S is a representation
+    s_inv = _cycle_action_matrix(model, inverse(perm))
     acols: dict[int, dict[int, Fraction]] = {}
     for a in range(delta):
-        acols[a] = {r: w0[r][a] for r in range(delta) if w0[r][a]}
+        acols[a] = {r: s_inv[a][r] for r in range(delta) if s_inv[a][r]}
     for b in range(delta):
         acols[delta + b] = {delta + r: s2[r][b] for r in range(delta) if s2[r][b]}
+    # reduced model: drop the middle block, it contributes only wedge^0 here
+    reduced = _reduced_model(model)
     _assert_equivariant(reduced, acols, action)
 
-    wedges = WedgeBasis(dim, delta)
+    wedges = WedgeBasis(reduced.dimension, delta)
     wedge_weights = wedges.weights(reduced.index_weights())
     labels = reduced.labels()
 
     # top-weight pieces of every image, indexed by subset
     tw_basis: dict[tuple[int, ...], tuple[dict[int, int], ...]] = {}
-    level: dict[tuple[int, ...], tuple[dict[int, int], ...] | None] = {(): None}
-    full_tw = [
-        {i: 1} for i, w in enumerate(wedge_weights) if w == 2 * delta
-    ]
-    tw_basis[()] = tuple(full_tw)
-    for k in range(1, delta + 1):
-        nxt: dict[tuple[int, ...], tuple[dict[int, int], ...]] = {}
-        for subset, basis in level.items():
-            start = labels.index(subset[-1]) + 1 if subset else 0
-            for lab in labels[start:]:
-                image = _push_image(reduced, wedges, basis, lab)
-                if image:
-                    nxt[subset + (lab,)] = image
-        if not nxt:
-            break
-        for subset, basis in nxt.items():
-            keep = tuple(
-                v for v in basis if wedge_weights[min(v)] == 2 * delta - 2 * len(subset)
-            )
+    for k, blocks in build_cks(reduced, delta).terms.items():
+        for blk in blocks:
+            basis = [{i: 1} for i in range(blk.dim())] if blk.basis is None else blk.basis
+            keep = tuple(v for v, w in zip(basis, blk.weights) if w == 2 * delta - 2 * k)
             if keep:
-                tw_basis[subset] = keep
-        level = dict(nxt)
+                tw_basis[blk.subset] = keep
 
     def coordinates(k: int) -> list[tuple[tuple[int, ...], int]]:
         return [
@@ -752,9 +671,6 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
             for subset in sorted(s for s in tw_basis if len(s) == k)
             for local in range(len(tw_basis[subset]))
         ]
-
-    def vector_of(subset: tuple[int, ...], local: int) -> dict[int, int]:
-        return tw_basis[subset][local]
 
     def chain_map(k: int) -> dict[tuple[tuple[int, ...], int], dict[int, Fraction]]:
         """sigma on the degree-k top-weight piece, target coords per block.
@@ -769,7 +685,7 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
             mapped = [action[lab][0] for lab in subset]
             tau = _sort_sign(mapped)
             image_subset = tuple(sorted(mapped))
-            img = _wedge_multiplicative_image(wedges, acols, vector_of(subset, local))
+            img = _wedge_multiplicative_image(wedges, acols, tw_basis[subset][local])
             coords = coords_in_rref(img, tw_basis[image_subset])
             out[(subset, local)] = {
                 (image_subset, j): tau * c for j, c in enumerate(coords) if c
@@ -777,34 +693,23 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
         return out
 
     def differential(k: int):
-        """d restricted to top weight, as columns over degree-(k+1) coords."""
+        """d restricted to top weight, as columns over degree-(k+1) coords.
+
+        A target without a highest-weight piece is skipped: the image of a
+        highest-weight vector lands exactly there.
+        """
+        want = 2 * delta - 2 * (k + 1)
         cols_out = {}
         for subset, local in coordinates(k):
             col: dict[tuple[tuple[int, ...], int], Fraction] = {}
-            vec = vector_of(subset, local)
-            for r in labels:
-                if r in subset:
-                    continue
-                target = tuple(sorted(subset + (r,)))
-                if target not in tw_basis:
-                    # the target's highest-weight piece is zero, and the image
-                    # of a highest-weight vector lands exactly there
-                    continue
-                img = apply_derivation(wedges, nilpotent_columns(reduced, r), vec)
-                keep = {
-                    i: v for i, v in img.items() if wedge_weights[i] == 2 * delta - 2 * len(target)
-                }
+            vec = tw_basis[subset][local]
+            for target, sign, img in _coboundary(reduced, wedges, labels, subset, vec, tw_basis):
+                keep = {i: v for i, v in img.items() if wedge_weights[i] == want}
                 if not keep:
                     continue
-                sign = _insertion_sign(subset, r)
                 for j, c in enumerate(coords_in_rref(keep, tw_basis[target])):
                     if c:
-                        key = (target, j)
-                        s_val = col.get(key, Fraction(0)) + sign * c
-                        if s_val:
-                            col[key] = s_val
-                        else:
-                            col.pop(key, None)
+                        _acc(col, (target, j), sign * c)
             cols_out[(subset, local)] = col
         return cols_out
 
@@ -815,7 +720,6 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     sigma_below = chain_map(delta - 1)
 
     # chain-map check: sigma d = d sigma on the degree below the top
-    d_again = differential(delta - 1)
     for key in below_coords:
         lhs: dict = {}
         for mid, c in d_below[key].items():
@@ -823,7 +727,7 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
                 _acc(lhs, tgt, c * c2)
         rhs: dict = {}
         for mid, c in sigma_below[key].items():
-            for tgt, c2 in d_again[mid].items():
+            for tgt, c2 in d_below[mid].items():
                 _acc(rhs, tgt, c * c2)
         if lhs != rhs:
             raise CksError("action does not commute with the differential")
@@ -834,7 +738,7 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     for key in below_coords:
         col = d_below[key]
         if col:
-            image_ech.insert(_fractions_to_int({coord_index[t]: v for t, v in col.items()}))
+            image_ech.insert(clear_denominators({coord_index[t]: v for t, v in col.items()}))
     image_basis = image_ech.rref_basis()
     pivots = {min(v) for v in image_basis}
     quotient_coords = [i for i in range(len(top_coords)) if i not in pivots]
@@ -848,38 +752,17 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
             if c:
                 f = Fraction(c, b[lead])
                 for kk, v in b.items():
-                    s_val = residual.get(kk, Fraction(0)) - f * v
-                    if s_val:
-                        residual[kk] = s_val
-                    else:
-                        residual.pop(kk, None)
+                    _acc(residual, kk, -f * v)
         return residual
 
     entries: dict[tuple[int, int], Fraction] = {}
-    for col_pos, key in enumerate(q for q in quotient_coords):
+    for col_pos, key in enumerate(quotient_coords):
         src = top_coords[key]
         img = {coord_index[t]: c for t, c in sigma_top[src].items()}
         for kk, v in project(img).items():
             entries[(pos_of[kk], col_pos)] = v
     n = len(quotient_coords)
     return SparseRationalMatrix(n, n, entries)
-
-
-def _acc(store: dict, key, val) -> None:
-    s = store.get(key, Fraction(0)) + val
-    if s:
-        store[key] = s
-    else:
-        store.pop(key, None)
-
-
-def _fractions_to_int(vec: Mapping[int, Fraction]) -> dict[int, int]:
-    from math import lcm
-
-    denom = 1
-    for v in vec.values():
-        denom = lcm(denom, Fraction(v).denominator)
-    return normalize_int_vec({k: int(Fraction(v) * denom) for k, v in vec.items()})
 
 
 def _reduced_model(model: GradedH1Model) -> GradedH1Model:

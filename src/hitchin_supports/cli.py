@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -61,7 +60,6 @@ class RunConfig:
     fmt: str = "json"
     verify: str = "formula"
     seed: int = 0
-    jobs: int = 1
     wedge_limit: int = 2_000_000
     homology_threshold: int = HOMOLOGY_EDGE_THRESHOLD
     degree: int | None = None
@@ -74,12 +72,12 @@ class RunConfig:
     output: str | None = None
 
 
-def _parse_partition(text: str) -> tuple[int, ...]:
+def _parse_int_list(name: str, text: str) -> tuple[int, ...]:
+    """Comma separated integers, in the given order."""
     try:
-        parts = tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError as exc:
-        raise GraphError(f"bad partition {text!r}") from exc
-    return tuple(sorted(parts, reverse=True))
+        raise GraphError(f"bad {name} {text!r}") from exc
 
 
 def _partition_from(cfg: RunConfig) -> HitchinPartition:
@@ -269,7 +267,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
     conf = SelftestConfig(
         seed=cfg.seed, max_edges=cfg.max_edges, count=cfg.count, r=cfg.r or 4
     )
-    doc = run_selftest(conf, only=cfg.only, jobs=cfg.jobs)
+    doc = run_selftest(conf, only=cfg.only)
     text = _render(cfg, "Selftest", doc)
     for result in doc["results"]:
         status = "PASS" if result["pass"] else "FAIL"
@@ -290,13 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    default_jobs = int(os.environ.get("HITCHIN_SUPPORTS_JOBS", "1"))
-
     def common(sp):
         sp.add_argument("--format", choices=("json", "md", "csv"), default="json")
         sp.add_argument("--output", default=None, help="write the document here instead of stdout")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=default_jobs)
         sp.add_argument("--anchors", default=None, help="JSON file of field -> note for md output")
 
     rp = sub.add_parser("report", help="stratum numerology report")
@@ -343,7 +338,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg.fmt = args.format
     cfg.output = args.output
     cfg.seed = args.seed
-    cfg.jobs = args.jobs
     if args.anchors:
         with open(args.anchors) as fh:
             cfg.anchors = json.load(fh)
@@ -363,9 +357,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "graph", None):
         cfg.graph_path = args.graph
     if getattr(args, "partition", None):
-        cfg.partition = _parse_partition(args.partition)
+        cfg.partition = tuple(sorted(_parse_int_list("partition", args.partition), reverse=True))
     if getattr(args, "alphas", None):
-        cfg.alphas = tuple(int(x) for x in args.alphas.split(","))
+        cfg.alphas = _parse_int_list("alphas", args.alphas)
     if getattr(args, "faces", False):
         cfg.dump_faces = True
     if hasattr(args, "wedge_limit"):

@@ -11,8 +11,6 @@ up (a k-simplex corresponds to a cardinality-(k+1) edge subset).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 from .multigraph import GraphError, Multigraph
 
 
@@ -23,29 +21,14 @@ class FaceComplex:
     ground_set: tuple
     faces_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
     provenance: str = "custom"
-    includes_empty_face: bool = True
 
     @property
     def dim(self) -> int:
         return len(self.faces_by_dim) - 1
 
-    def faces(self, d: int) -> tuple[tuple[int, ...], ...]:
-        if d == -1:
-            return ((),)
-        if 0 <= d < len(self.faces_by_dim):
-            return self.faces_by_dim[d]
-        return ()
-
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, starting with 1 for the empty face."""
         return (1,) + tuple(len(fs) for fs in self.faces_by_dim)
-
-    def is_face(self, cells: Iterable[int]) -> bool:
-        face = tuple(sorted(cells))
-        if not face:
-            return True
-        d = len(face) - 1
-        return d < len(self.faces_by_dim) and face in set(self.faces_by_dim[d])
 
     def verify_downward_closed(self) -> bool:
         for d in range(1, len(self.faces_by_dim)):
@@ -55,10 +38,6 @@ class FaceComplex:
                     if face[:i] + face[i + 1 :] not in below:
                         return False
         return True
-
-
-def complex_f_vector(c: FaceComplex) -> tuple[int, ...]:
-    return c.f_vector()
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,6 @@ class SparseRationalMatrix:
             cols[c][r] = v
         return cols
 
-    def transpose(self) -> "SparseRationalMatrix":
-        return SparseRationalMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.cols != other.rows:
             raise HomologyError("shape mismatch in matmul")
@@ -92,15 +87,6 @@ class SparseRationalMatrix:
                 if v:
                     out[(r, c)] = v
         return SparseRationalMatrix(self.rows, other.cols, out)
-
-    @staticmethod
-    def from_columns(rows: int, cols: Sequence[Mapping[int, Fraction]]) -> "SparseRationalMatrix":
-        entries = {}
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                if v:
-                    entries[(r, j)] = Fraction(v)
-        return SparseRationalMatrix(rows, len(cols), entries)
 
     @staticmethod
     def identity(n: int) -> "SparseRationalMatrix":
@@ -161,19 +147,17 @@ def _combine(target: dict[int, int], coeff_t: int, source: dict[int, int], coeff
     return out
 
 
+def clear_denominators(vec: Mapping[int, Fraction]) -> dict[int, int]:
+    """The primitive integer vector on the line of a rational vector."""
+    denom = 1
+    for v in vec.values():
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    return normalize_int_vec({k: int(v * denom) for k, v in vec.items()})
+
+
 def to_int_columns(matrix: SparseRationalMatrix) -> list[dict[int, int]]:
     """Columns scaled to primitive integer vectors (rank-preserving)."""
-    cols = matrix.columns()
-    out = []
-    for col in cols:
-        if not col:
-            out.append({})
-            continue
-        denom = 1
-        for v in col.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        out.append(normalize_int_vec({r: int(v * denom) for r, v in col.items()}))
-    return out
+    return [clear_denominators(col) for col in matrix.columns()]
 
 
 class IntEchelon:
@@ -224,17 +208,6 @@ class IntEchelon:
                 vec = _combine(vec, b // g, pivot, -(a // g))
             reduced[lead] = normalize_int_vec(vec)
         return [reduced[lead] for lead in order]
-
-    def contains(self, vec: dict[int, int]) -> bool:
-        return not self.reduce(vec)
-
-
-def rref_subspace(vectors: Iterable[dict[int, int]]) -> list[dict[int, int]]:
-    """Canonical reduced basis of the span of integer vectors."""
-    ech = IntEchelon()
-    for vec in vectors:
-        ech.insert(vec)
-    return ech.rref_basis()
 
 
 def coords_in_rref(vec: dict[int, Fraction], basis: Sequence[dict[int, int]]) -> list[Fraction]:

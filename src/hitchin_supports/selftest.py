@@ -32,7 +32,7 @@ from .multigraph import (
     double_edges,
 )
 from .numerology import delta_aff_formula, local_system_rank, normalized_h1_dim
-from .symgroup import complete_graph, edge_action
+from .symgroup import cell_permutation, complete_graph
 
 
 @dataclass
@@ -196,20 +196,11 @@ def prop_folkman(rng, cfg):
 
 def prop_representation_laws(rng, cfg):
     g = complete_graph(4)
-    labels = g.labels()
-    index_of = {lab: i for i, lab in enumerate(labels)}
     action = TopHomologyAction(cographic_complex(g))
-
-    def cell_perm(vperm):
-        mapping = edge_action(vperm, g)
-        out = [0] * len(labels)
-        for lab, tgt in mapping.items():
-            out[index_of[lab]] = index_of[tgt]
-        return tuple(out)
 
     from .homology import SparseRationalMatrix
 
-    identity = action.matrix(tuple(range(len(labels))))
+    identity = action.matrix(tuple(range(len(g.labels()))))
     if identity != SparseRationalMatrix.identity(action.rank):
         return False, "identity law fails"
     for _ in range(6):
@@ -217,7 +208,7 @@ def prop_representation_laws(rng, cfg):
         b = list(range(4))
         rng.shuffle(a)
         rng.shuffle(b)
-        pa, pb = cell_perm(tuple(a)), cell_perm(tuple(b))
+        pa, pb = cell_permutation(a, g), cell_permutation(b, g)
         composed = tuple(pa[pb[i]] for i in range(len(pb)))
         if action.matrix(pa).matmul(action.matrix(pb)) != action.matrix(composed):
             return False, f"composition law fails for {a}, {b}"
@@ -274,7 +265,7 @@ PROPERTIES = {
 }
 
 
-def run_selftest(cfg: SelftestConfig, only: str | None = None, jobs: int = 1) -> dict:
+def run_selftest(cfg: SelftestConfig, only: str | None = None) -> dict:
     names = sorted(PROPERTIES)
     if only is not None:
         if only not in PROPERTIES:
@@ -289,14 +280,7 @@ def run_selftest(cfg: SelftestConfig, only: str | None = None, jobs: int = 1) ->
             ok, detail = False, f"exception: {exc!r}"
         return {"name": name, "pass": bool(ok), "detail": detail}
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(name) for name in names]
-    results.sort(key=lambda r: r["name"])
+    results = [run_one(name) for name in names]
     return {
         "seed": cfg.seed,
         "max_edges": cfg.max_edges,

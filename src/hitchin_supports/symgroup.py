@@ -184,24 +184,42 @@ def character_inner_product(a, b) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def edge_action(perm: Sequence[int], graph: Multigraph) -> dict[int, int]:
-    """Edge-label permutation induced by a vertex permutation.
+def signed_edge_action(perm: Sequence[int], graph: Multigraph) -> dict[int, tuple[int, int]]:
+    """Edge-label action of a vertex permutation with orientation signs.
 
-    Parallel edges are matched by copy index inside their class, so the vertex
-    permutation must preserve the multiplicity pattern.
+    Copies inside a parallel class are matched by position, so the vertex
+    permutation must preserve the multiplicity pattern; the sign is -1
+    exactly when the permutation reverses the canonical orientation.
     """
     if sorted(perm) != list(range(graph.vertex_count)):
         raise SymgroupError("not a vertex permutation")
     classes = graph.edge_classes()
-    mapping: dict[int, int] = {}
+    out: dict[int, tuple[int, int]] = {}
     for (u, v), labels in classes.items():
         pu, pv = perm[u], perm[v]
         target = classes.get((min(pu, pv), max(pu, pv)))
         if target is None or len(target) != len(labels):
             raise SymgroupError("vertex permutation breaks the multiplicity pattern")
+        sign = -1 if pu > pv else 1
         for lab, tgt in zip(labels, target):
-            mapping[lab] = tgt
-    return mapping
+            out[lab] = (tgt, sign)
+    return out
+
+
+def edge_action(perm: Sequence[int], graph: Multigraph) -> dict[int, int]:
+    """Edge-label permutation induced by a vertex permutation."""
+    return {lab: tgt for lab, (tgt, _) in signed_edge_action(perm, graph).items()}
+
+
+def cell_permutation(perm: Sequence[int], graph: Multigraph) -> tuple[int, ...]:
+    """The edge action as a permutation of the cells of the graph's complexes,
+    which are indexed by position in ``graph.labels()``."""
+    labels = graph.labels()
+    index_of = {lab: i for i, lab in enumerate(labels)}
+    cells = [0] * len(labels)
+    for lab, tgt in edge_action(perm, graph).items():
+        cells[index_of[lab]] = index_of[tgt]
+    return tuple(cells)
 
 
 def complete_graph(r: int) -> Multigraph:
@@ -226,17 +244,11 @@ def top_homology_character(r: int, bound: int = 6) -> ClassFunction:
     if r == 2:
         return ClassFunction(2, {lam: Fraction(0) for lam in partitions_of(2)})
     graph = complete_graph(r)
-    labels = graph.labels()
-    index_of = {lab: i for i, lab in enumerate(labels)}
     action = TopHomologyAction(cographic_complex(graph))
-    values = {}
-    for lam in partitions_of(r):
-        vperm = canonical_permutation(lam)
-        mapping = edge_action(vperm, graph)
-        cell_perm = [0] * len(labels)
-        for lab, tgt in mapping.items():
-            cell_perm[index_of[lab]] = index_of[tgt]
-        values[lam] = action.trace(tuple(cell_perm))
+    values = {
+        lam: action.trace(cell_permutation(canonical_permutation(lam), graph))
+        for lam in partitions_of(r)
+    }
     return ClassFunction(r, values)
 
 

@@ -20,6 +20,7 @@ from hitchin_supports.cks import (
 )
 from hitchin_supports.homology import SparseRationalMatrix
 from hitchin_supports.multigraph import HitchinPartition, Multigraph
+from hitchin_supports.symgroup import compose
 
 from conftest import parallel_graph
 
@@ -252,13 +253,13 @@ def test_top_weight_slice_is_cographic_chain_complex_tensor_middle():
     from math import comb
 
     from hitchin_supports.cks import top_weight_dimensions
-    from hitchin_supports.complexes import cographic_complex, complex_f_vector
+    from hitchin_supports.complexes import cographic_complex
 
     m = build_graded_model(HitchinPartition(2, (1, 1)))
     for i in (1, 2, 3):
         inst = build_cks(m, i)
         dims = top_weight_dimensions(inst)
-        f_vec = complex_f_vector(cographic_complex(m.graph))
+        f_vec = cographic_complex(m.graph).f_vector()
         factor = comb(m.gr1_dim, i - m.delta)
         for k in range(m.delta + 1):
             f_count = f_vec[k] if k < len(f_vec) else 0
@@ -311,3 +312,11 @@ def test_three_cycle_top_weight_action_has_finite_order():
     mat = top_weight_action(m, (1, 2, 0))
     cubed = mat.matmul(mat).matmul(mat)
     assert cubed == SparseRationalMatrix.identity(mat.rows)
+
+
+def test_top_weight_action_composes_as_a_representation():
+    m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
+    perms = list(itertools.permutations(range(3)))
+    mats = {p: top_weight_action(m, p) for p in perms}
+    for sigma, tau in itertools.product(perms, repeat=2):
+        assert mats[sigma].matmul(mats[tau]) == mats[compose(sigma, tau)], (sigma, tau)

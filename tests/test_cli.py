@@ -138,6 +138,15 @@ def test_character_r_out_of_bounds(capsys):
     assert code == 2
 
 
+def test_character_bad_alphas_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "character", "--r", "4", "--alphas", "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # cks
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from hitchin_supports.complexes import (
     cographic_complex,
-    complex_f_vector,
     nonspanning_complex,
     partition_order_complex,
     refines,
@@ -30,24 +29,24 @@ def faces_as_label_sets(c):
 
 def test_cographic_triangle_is_three_points():
     c = cographic_complex(complete_graph(3))
-    assert complex_f_vector(c) == (1, 3)
+    assert c.f_vector() == (1, 3)
     assert faces_as_label_sets(c) == brute_face_sets(complete_graph(3), "cographic")
 
 
 def test_cographic_two_parallel_edges_is_s0():
     c = cographic_complex(parallel_graph(2))
-    assert complex_f_vector(c) == (1, 2)
+    assert c.f_vector() == (1, 2)
 
 
 def test_cographic_single_loop_is_a_cone():
     g = Multigraph(1, ((0, 0, 0),))
     c = cographic_complex(g)
-    assert complex_f_vector(c) == (1, 1)  # the loop itself is removable
+    assert c.f_vector() == (1, 1)  # the loop itself is removable
 
 
 def test_cographic_k4_f_vector():
     c = cographic_complex(complete_graph(4))
-    assert complex_f_vector(c) == (1, 6, 15, 16)
+    assert c.f_vector() == (1, 6, 15, 16)
     assert faces_as_label_sets(c) == brute_face_sets(complete_graph(4), "cographic")
 
 
@@ -77,13 +76,13 @@ def test_cographic_downward_closed_and_sorted():
 
 def test_nonspanning_k3():
     c = nonspanning_complex(complete_graph(3))
-    assert complex_f_vector(c) == (1, 3)
+    assert c.f_vector() == (1, 3)
     assert faces_as_label_sets(c) == brute_face_sets(complete_graph(3), "nonspanning")
 
 
 def test_nonspanning_single_edge_graph():
     c = nonspanning_complex(Multigraph(2, ((0, 1, 0),)))
-    assert complex_f_vector(c) == (1,)
+    assert c.f_vector() == (1,)
 
 
 def test_nonspanning_k4_matches_brute_force():
@@ -119,14 +118,14 @@ def test_set_partitions_counts_are_bell_numbers():
 
 def test_order_complex_r3():
     c = partition_order_complex(3)
-    assert complex_f_vector(c) == (1, 3)
+    assert c.f_vector() == (1, 3)
     assert set(c.ground_set) == {"12|3", "13|2", "1|23"}
 
 
 def test_order_complex_r2_is_empty():
     c = partition_order_complex(2)
     assert c.ground_set == ()
-    assert complex_f_vector(c) == (1,)
+    assert c.f_vector() == (1,)
 
 
 def test_order_complex_r4():
@@ -156,4 +155,4 @@ def test_vertex_permutation_induces_automorphism_of_complexes():
     for build in (cographic_complex, nonspanning_complex):
         original = build(g)
         mapped = build(relabeled)
-        assert complex_f_vector(original) == complex_f_vector(mapped)
+        assert original.f_vector() == mapped.f_vector()
