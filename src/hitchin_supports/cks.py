@@ -37,6 +37,7 @@ from typing import Iterable, Mapping, Sequence
 from .homology import (
     IntEchelon,
     SparseRationalMatrix,
+    _rref_reduce,
     _sort_sign,
     clear_denominators,
     coords_in_rref,
@@ -226,11 +227,6 @@ def apply_derivation(
     return out
 
 
-def _standard_basis_columns(wedges: WedgeBasis, cols) -> Iterable[dict[int, int]]:
-    for widx in range(len(wedges)):
-        yield apply_derivation(wedges, cols, {widx: 1})
-
-
 def image_NI(
     model: GradedH1Model,
     subset: Iterable[int],
@@ -238,20 +234,18 @@ def image_NI(
     wedge_limit: int = DEFAULT_WEDGE_LIMIT,
 ) -> tuple[dict[int, int], ...]:
     """Reduced basis of the image of the composed edge operators on the
-    exterior power; the empty subset returns the identity marker of the full
-    space as its standard basis."""
+    exterior power; the empty subset returns the standard basis of the full
+    space."""
     wedges = _checked_wedges(model, exterior_degree, wedge_limit)
     order = sorted(set(subset))
     for lab in order:
         if lab not in model.edge_vectors:
             raise GraphError(f"no such edge: {lab}")
-    basis: tuple[dict[int, int], ...] | None = None
+    basis = tuple({i: 1} for i in range(len(wedges)))
     for lab in order:
         basis = _push_image(model, wedges, basis, lab)
         if not basis:
             return ()
-    if basis is None:
-        return tuple({i: 1} for i in range(len(wedges)))
     return basis
 
 
@@ -266,18 +260,16 @@ def _checked_wedges(model: GradedH1Model, i: int, limit: int) -> WedgeBasis:
 def _push_image(
     model: GradedH1Model,
     wedges: WedgeBasis,
-    basis: tuple[dict[int, int], ...] | None,
+    vectors: Iterable[dict[int, int]],
     label: int,
 ) -> tuple[dict[int, int], ...]:
+    """RREF basis of the image of the edge operator on the span of ``vectors``."""
     cols = nilpotent_columns(model, label)
     ech = IntEchelon()
-    if basis is None:
-        candidates = _standard_basis_columns(wedges, cols)
-    else:
-        candidates = (apply_derivation(wedges, cols, v) for v in basis)
-    for cand in candidates:
-        if cand:
-            ech.insert(cand)
+    for vec in vectors:
+        img = apply_derivation(wedges, cols, vec)
+        if img:
+            ech.insert(img)
     return tuple(ech.rref_basis())
 
 
@@ -290,9 +282,12 @@ def _push_image(
 class CksBlock:
     """One summand Im N_I of a term, with its inclusion as an explicit basis.
 
-    ``basis is None`` marks the full exterior power (the unique degree-0
-    block); otherwise vectors are RREF integer vectors in ambient wedge
-    coordinates, each homogeneous of the recorded ambient weight.
+    Read the basis through ``vector(local)`` and ``vectors()``: each vector
+    is in ambient wedge coordinates, RREF over the integers and homogeneous
+    of ambient weight ``weights[local]``.  The unique degree-0 block is the
+    full exterior power, whose basis is the standard one; it is stored as
+    ``basis=None`` and its unit vectors are made on demand, since at
+    C(20, 5) = 15,504 wedges the materialised dicts would cost about 3 MB.
     """
 
     subset: tuple[int, ...]
@@ -302,12 +297,21 @@ class CksBlock:
     def dim(self) -> int:
         return len(self.weights)
 
+    def vector(self, local: int) -> dict[int, int]:
+        return {local: 1} if self.basis is None else self.basis[local]
+
+    def vectors(self) -> Iterable[dict[int, int]]:
+        if self.basis is None:
+            return ({i: 1} for i in range(self.dim()))
+        return self.basis
+
 
 @dataclass(frozen=True)
 class CKSComplexInstance:
     model: GradedH1Model
     exterior_degree: int
     terms: Mapping[int, tuple[CksBlock, ...]]
+    wedges: WedgeBasis = field(compare=False, repr=False)
 
     @property
     def delta(self) -> int:
@@ -363,14 +367,14 @@ def build_cks(
     terms: dict[int, tuple[CksBlock, ...]] = {
         0: (CksBlock((), None, wedge_weights),)
     }
-    level: dict[tuple[int, ...], tuple[dict[int, int], ...] | None] = {(): None}
     k = 0
-    while level and k < min(exterior_degree, len(labels)):
+    while k < min(exterior_degree, len(labels)):
         nxt: dict[tuple[int, ...], tuple[dict[int, int], ...]] = {}
-        for subset, basis in level.items():
+        for blk in terms[k]:
+            subset = blk.subset
             start = labels.index(subset[-1]) + 1 if subset else 0
             for lab in labels[start:]:
-                image = _push_image(model, wedges, basis, lab)
+                image = _push_image(model, wedges, blk.vectors(), lab)
                 if image:
                     nxt[subset + (lab,)] = image
         if not nxt:
@@ -383,10 +387,9 @@ def build_cks(
             _check_homogeneous(basis, wedge_weights)
             blocks.append(CksBlock(subset, basis, weights))
         terms[k] = tuple(blocks)
-        level = dict(nxt)
-    instance = CKSComplexInstance(model, exterior_degree, terms)
+    instance = CKSComplexInstance(model, exterior_degree, terms, wedges)
     if verify:
-        _verify_square_zero(instance, wedges)
+        _verify_square_zero(instance)
     return instance
 
 
@@ -397,25 +400,17 @@ def _check_homogeneous(basis, wedge_weights) -> None:
             raise CksError("image basis vector is not weight-homogeneous")
 
 
-def _verify_square_zero(instance: CKSComplexInstance, wedges: WedgeBasis, samples: int = 24) -> None:
+def _verify_square_zero(instance: CKSComplexInstance, samples: int = 24) -> None:
     """d(d(x)) = 0, fully on small instances and on sampled vectors otherwise."""
     model = instance.model
     labels = model.labels()
     rng = random.Random(23)
-    for k, blocks in instance.terms.items():
+    for blocks in instance.terms.values():
         for blk in blocks:
-            if blk.basis is None:
-                n = len(wedges)
-                if n <= samples:
-                    vectors = [{i: 1} for i in range(n)]
-                else:
-                    vectors = [{rng.randrange(n): 1} for _ in range(samples)]
-            elif len(blk.basis) <= samples:
-                vectors = list(blk.basis)
-            else:
-                vectors = [blk.basis[rng.randrange(len(blk.basis))] for _ in range(samples)]
-            for vec in vectors:
-                _assert_d_squared_zero(model, wedges, blk.subset, vec, labels)
+            n = blk.dim()
+            picks = range(n) if n <= samples else [rng.randrange(n) for _ in range(samples)]
+            for local in picks:
+                _assert_d_squared_zero(model, instance.wedges, blk.subset, blk.vector(local), labels)
 
 
 def _assert_d_squared_zero(model, wedges, subset, vec, labels) -> None:
@@ -442,21 +437,8 @@ def top_weight_dimensions(instance: CKSComplexInstance) -> dict[int, int]:
     complex times the middle-block binomial, one line per non-disconnecting
     edge subset.
     """
-    model = instance.model
-    wedges = WedgeBasis(model.dimension, instance.exterior_degree)
-    wedge_weights = wedges.weights(model.index_weights())
-    w_top = instance.exterior_degree + model.delta
-    out: dict[int, int] = {}
-    for k, blocks in instance.terms.items():
-        want = w_top - 2 * k
-        total = 0
-        for blk in blocks:
-            if blk.basis is None:
-                total += sum(1 for w in wedge_weights if w == want)
-            else:
-                total += sum(1 for w in blk.weights if w == want)
-        out[k] = total
-    return out
+    top = _weight_slices(instance).get(instance.exterior_degree + instance.delta, {})
+    return {k: sum(len(loc) for _, loc in top.get(k, ())) for k in instance.terms}
 
 
 @dataclass(frozen=True)
@@ -480,19 +462,14 @@ class CksCohomology:
         }
 
 
-def _weight_slices(instance: CKSComplexInstance, wedge_weights) -> dict[int, dict[int, list]]:
+def _weight_slices(instance: CKSComplexInstance) -> dict[int, dict[int, list]]:
     """shifted weight -> degree -> list of (block_position, local indices)."""
     slices: dict[int, dict[int, list]] = {}
     for k, blocks in instance.terms.items():
         for pos, blk in enumerate(blocks):
-            if blk.basis is None:
-                groups: dict[int, list[int]] = {}
-                for widx, w in enumerate(wedge_weights):
-                    groups.setdefault(w, []).append(widx)
-            else:
-                groups = {}
-                for local, w in enumerate(blk.weights):
-                    groups.setdefault(w, []).append(local)
+            groups: dict[int, list[int]] = {}
+            for local, w in enumerate(blk.weights):
+                groups.setdefault(w, []).append(local)
             for w_amb, locals_ in groups.items():
                 shifted = w_amb + 2 * k
                 slices.setdefault(shifted, {}).setdefault(k, []).append((pos, locals_))
@@ -503,10 +480,8 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
     """Exact cohomology dimensions of the full graded-model complex and of its
     highest-weight summand (shifted weight i + delta)."""
     model = instance.model
-    wedges = WedgeBasis(model.dimension, instance.exterior_degree)
-    wedge_weights = wedges.weights(model.index_weights())
     labels = model.labels()
-    slices = _weight_slices(instance, wedge_weights)
+    slices = _weight_slices(instance)
 
     degrees: dict[int, int] = {k: 0 for k in range(0, model.delta + 1)}
     top: dict[int, int] = {k: 0 for k in range(0, model.delta + 1)}
@@ -517,9 +492,7 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
         dims = {k: sum(len(loc) for _, loc in per_degree[k]) for k in ks}
         ranks: dict[int, int] = {}
         for k in ks:
-            ranks[k] = _slice_differential_rank(
-                instance, wedges, labels, per_degree.get(k, []), k, shifted, rng
-            )
+            ranks[k] = _slice_differential_rank(instance, labels, per_degree.get(k, []), k, rng)
         for k in ks:
             h = dims[k] - ranks.get(k, 0) - ranks.get(k - 1, 0)
             if h:
@@ -531,11 +504,9 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
 
 def _slice_differential_rank(
     instance: CKSComplexInstance,
-    wedges: WedgeBasis,
     labels: Sequence[int],
     source_slice: list,
     k: int,
-    shifted: int,
     rng: random.Random | None,
 ) -> int:
     """Rank of the degree-k differential restricted to one weight summand."""
@@ -545,7 +516,7 @@ def _slice_differential_rank(
     target_blocks = {blk.subset: blk for blk in instance.terms.get(k + 1, ())}
     if not target_blocks:
         return 0
-    model = instance.model
+    model, wedges = instance.model, instance.wedges
     columns: list[dict[int, int]] = []
     row_index: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -558,7 +529,7 @@ def _slice_differential_rank(
     for pos, locals_ in source_slice:
         blk = blocks[pos]
         for local in locals_:
-            vec = {local: 1} if blk.basis is None else blk.basis[local]
+            vec = blk.vector(local)
             col: dict[int, int] = {}
             for target, sign, img in _coboundary(model, wedges, labels, blk.subset, vec, target_blocks):
                 for widx, val in img.items():
@@ -599,7 +570,7 @@ def _cycle_action_matrix(model: GradedH1Model, perm: Sequence[int]) -> list[list
 
 
 def _wedge_multiplicative_image(
-    wedges: WedgeBasis, cols: Mapping[int, Mapping[int, Fraction]], vec: Mapping[int, int]
+    wedges: WedgeBasis, cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, int]
 ) -> dict[int, Fraction]:
     """Image of a wedge vector under the multiplicative extension of a map."""
     out: dict[int, Fraction] = {}
@@ -608,7 +579,7 @@ def _wedge_multiplicative_image(
         partial: dict[tuple[int, ...], Fraction] = {(): Fraction(coeff)}
         for s in t:
             grown: dict[tuple[int, ...], Fraction] = {}
-            col = cols.get(s, {})
+            col = cols[s]
             for prefix, c in partial.items():
                 for dst, val in col.items():
                     p = bisect_left(prefix, dst)
@@ -643,123 +614,84 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     # W0 is dual to Gr2, so it carries the inverse transpose of S(sigma),
     # which is S(sigma^-1) transposed because S is a representation
     s_inv = _cycle_action_matrix(model, inverse(perm))
-    acols: dict[int, dict[int, Fraction]] = {}
-    for a in range(delta):
-        acols[a] = {r: s_inv[a][r] for r in range(delta) if s_inv[a][r]}
-    for b in range(delta):
-        acols[delta + b] = {delta + r: s2[r][b] for r in range(delta) if s2[r][b]}
+    a_entries: dict[tuple[int, int], Fraction] = {}
+    for r in range(delta):
+        for c in range(delta):
+            a_entries[(r, c)] = s_inv[c][r]
+            a_entries[(delta + r, delta + c)] = s2[r][c]
     # reduced model: drop the middle block, it contributes only wedge^0 here
     reduced = _reduced_model(model)
-    _assert_equivariant(reduced, acols, action)
+    a = SparseRationalMatrix(reduced.dimension, reduced.dimension, a_entries)
+    _assert_equivariant(reduced, a, action)
+    acols = a.columns()
 
-    wedges = WedgeBasis(reduced.dimension, delta)
-    wedge_weights = wedges.weights(reduced.index_weights())
+    inst = build_cks(reduced, delta)
+    wedges = inst.wedges
     labels = reduced.labels()
 
     # top-weight pieces of every image, indexed by subset
     tw_basis: dict[tuple[int, ...], tuple[dict[int, int], ...]] = {}
-    for k, blocks in build_cks(reduced, delta).terms.items():
+    for k, blocks in inst.terms.items():
         for blk in blocks:
-            basis = [{i: 1} for i in range(blk.dim())] if blk.basis is None else blk.basis
-            keep = tuple(v for v, w in zip(basis, blk.weights) if w == 2 * delta - 2 * k)
+            keep = tuple(v for v, w in zip(blk.vectors(), blk.weights) if w == 2 * delta - 2 * k)
             if keep:
                 tw_basis[blk.subset] = keep
 
-    def coordinates(k: int) -> list[tuple[tuple[int, ...], int]]:
-        return [
+    def coordinates(k: int) -> dict[tuple[tuple[int, ...], int], int]:
+        """Flat index of each (subset, local) of the degree-k top-weight piece."""
+        keys = [
             (subset, local)
             for subset in sorted(s for s in tw_basis if len(s) == k)
             for local in range(len(tw_basis[subset]))
         ]
+        return {key: i for i, key in enumerate(keys)}
 
-    def chain_map(k: int) -> dict[tuple[tuple[int, ...], int], dict[int, Fraction]]:
-        """sigma on the degree-k top-weight piece, target coords per block.
+    def chain_map(coords) -> SparseRationalMatrix:
+        """sigma on one top-weight piece.
 
         Transporting the summand of I to the summand of sigma(I) carries the
         Koszul sign of sorting the mapped edge list, the usual exterior
         algebra bookkeeping that makes the transport commute with the signed
         differential.
         """
-        out = {}
-        for subset, local in coordinates(k):
+        entries = {}
+        for (subset, local), col in coords.items():
             mapped = [action[lab][0] for lab in subset]
             tau = _sort_sign(mapped)
             image_subset = tuple(sorted(mapped))
             img = _wedge_multiplicative_image(wedges, acols, tw_basis[subset][local])
-            coords = coords_in_rref(img, tw_basis[image_subset])
-            out[(subset, local)] = {
-                (image_subset, j): tau * c for j, c in enumerate(coords) if c
-            }
-        return out
+            for j, c in enumerate(coords_in_rref(img, tw_basis[image_subset])):
+                entries[(coords[(image_subset, j)], col)] = tau * c
+        return SparseRationalMatrix(len(coords), len(coords), entries)
 
-    def differential(k: int):
-        """d restricted to top weight, as columns over degree-(k+1) coords.
-
-        A target without a highest-weight piece is skipped: the image of a
-        highest-weight vector lands exactly there.
-        """
-        want = 2 * delta - 2 * (k + 1)
-        cols_out = {}
-        for subset, local in coordinates(k):
-            col: dict[tuple[tuple[int, ...], int], Fraction] = {}
-            vec = tw_basis[subset][local]
-            for target, sign, img in _coboundary(reduced, wedges, labels, subset, vec, tw_basis):
-                keep = {i: v for i, v in img.items() if wedge_weights[i] == want}
-                if not keep:
-                    continue
-                for j, c in enumerate(coords_in_rref(keep, tw_basis[target])):
-                    if c:
-                        _acc(col, (target, j), sign * c)
-            cols_out[(subset, local)] = col
-        return cols_out
-
-    top_coords = coordinates(delta)
-    below_coords = coordinates(delta - 1)
-    d_below = differential(delta - 1)
-    sigma_top = chain_map(delta)
-    sigma_below = chain_map(delta - 1)
-
-    # chain-map check: sigma d = d sigma on the degree below the top
-    for key in below_coords:
-        lhs: dict = {}
-        for mid, c in d_below[key].items():
-            for tgt, c2 in sigma_top[mid].items():
-                _acc(lhs, tgt, c * c2)
-        rhs: dict = {}
-        for mid, c in sigma_below[key].items():
-            for tgt, c2 in d_below[mid].items():
-                _acc(rhs, tgt, c * c2)
-        if lhs != rhs:
-            raise CksError("action does not commute with the differential")
+    top, below = coordinates(delta), coordinates(delta - 1)
+    # d into the top degree; a target without a highest-weight piece is
+    # skipped, since the image of a highest-weight vector lands exactly there
+    d_entries = {}
+    for (subset, local), col in below.items():
+        vec = tw_basis[subset][local]
+        for target, sign, img in _coboundary(reduced, wedges, labels, subset, vec, tw_basis):
+            for j, c in enumerate(coords_in_rref(img, tw_basis[target])):
+                d_entries[(top[(target, j)], col)] = sign * c
+    d = SparseRationalMatrix(len(top), len(below), d_entries)
+    sigma_top = chain_map(top)
+    if sigma_top.matmul(d) != d.matmul(chain_map(below)):
+        raise CksError("action does not commute with the differential")
 
     # quotient by the image of the differential
-    coord_index = {key: i for i, key in enumerate(top_coords)}
     image_ech = IntEchelon()
-    for key in below_coords:
-        col = d_below[key]
+    for col in d.columns():
         if col:
-            image_ech.insert(clear_denominators({coord_index[t]: v for t, v in col.items()}))
+            image_ech.insert(clear_denominators(col))
     image_basis = image_ech.rref_basis()
     pivots = {min(v) for v in image_basis}
-    quotient_coords = [i for i in range(len(top_coords)) if i not in pivots]
+    quotient_coords = [i for i in range(len(top)) if i not in pivots]
     pos_of = {c: j for j, c in enumerate(quotient_coords)}
-
-    def project(vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        residual = dict(vec)
-        for b in image_basis:
-            lead = min(b)
-            c = residual.get(lead)
-            if c:
-                f = Fraction(c, b[lead])
-                for kk, v in b.items():
-                    _acc(residual, kk, -f * v)
-        return residual
-
+    sigma_cols = sigma_top.columns()
     entries: dict[tuple[int, int], Fraction] = {}
-    for col_pos, key in enumerate(quotient_coords):
-        src = top_coords[key]
-        img = {coord_index[t]: c for t, c in sigma_top[src].items()}
-        for kk, v in project(img).items():
+    for col_pos, i in enumerate(quotient_coords):
+        _, residual = _rref_reduce(sigma_cols[i], image_basis)
+        for kk, v in residual.items():
             entries[(pos_of[kk], col_pos)] = v
     n = len(quotient_coords)
     return SparseRationalMatrix(n, n, entries)
@@ -776,22 +708,9 @@ def _reduced_model(model: GradedH1Model) -> GradedH1Model:
     )
 
 
-def _assert_equivariant(reduced, acols, action) -> None:
+def _assert_equivariant(reduced: GradedH1Model, a: SparseRationalMatrix, action) -> None:
     """A N_e = N_{sigma e} A on the reduced model, as exact matrices."""
-    dim = reduced.dimension
     for lab in reduced.labels():
         tgt, _ = action[lab]
-        n_cols = nilpotent_columns(reduced, lab)
-        m_cols = nilpotent_columns(reduced, tgt)
-        for src in range(dim):
-            # A(N_e(src)) vs N_{sigma e}(A(src))
-            left: dict[int, Fraction] = {}
-            for mid, val in n_cols.get(src, {}).items():
-                for dst, aval in acols.get(mid, {}).items():
-                    _acc(left, dst, aval * val)
-            right: dict[int, Fraction] = {}
-            for mid, aval in acols.get(src, {}).items():
-                for dst, val in m_cols.get(mid, {}).items():
-                    _acc(right, dst, aval * val)
-            if left != right:
-                raise CksError("model action is not equivariant for the edge operators")
+        if a.matmul(picard_lefschetz(reduced, lab)) != picard_lefschetz(reduced, tgt).matmul(a):
+            raise CksError("model action is not equivariant for the edge operators")

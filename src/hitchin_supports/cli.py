@@ -1,8 +1,9 @@
 """Command-line surface: stratum reports, complex homology tables, character
 comparisons, monodromy-complex dimensions, and the seeded property suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Identical
-flags (and seed) produce byte-identical documents.
+Exit codes: 0 success, 1 verification failure, 2 usage error (one
+``error:`` line), 3 internal error (with its traceback).  Identical flags (and
+seed) produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .cks import CksError, build_cks, build_graded_model, cks_cohomology
@@ -34,7 +36,7 @@ from .numerology import (
     cographic_top_betti,
     support_report,
 )
-from .selftest import SelftestConfig, run_selftest
+from .selftest import PROPERTIES, SelftestConfig, run_selftest
 from .symgroup import (
     SymgroupError,
     induced_character_oracle,
@@ -44,6 +46,7 @@ from .symgroup import (
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+INTERNAL_ERROR = 3
 
 
 @dataclass
@@ -264,9 +267,14 @@ def cmd_cks(cfg: RunConfig) -> int:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    conf = SelftestConfig(
-        seed=cfg.seed, max_edges=cfg.max_edges, count=cfg.count, r=cfg.r or 4
-    )
+    # r = 7 would enumerate the 1,866,256 faces of the cographic complex of K_7
+    if not 2 <= cfg.r <= 6:
+        raise GraphError("--r must be between 2 and 6")
+    if cfg.count < 1:
+        raise GraphError("--count must be at least 1")
+    if cfg.only is not None and cfg.only not in PROPERTIES:
+        raise GraphError(f"unknown property {cfg.only!r}")
+    conf = SelftestConfig(seed=cfg.seed, max_edges=cfg.max_edges, count=cfg.count, r=cfg.r)
     doc = run_selftest(conf, only=cfg.only)
     text = _render(cfg, "Selftest", doc)
     for result in doc["results"]:
@@ -340,7 +348,12 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg.seed = args.seed
     if args.anchors:
         with open(args.anchors) as fh:
-            cfg.anchors = json.load(fh)
+            try:
+                cfg.anchors = json.load(fh)
+            except ValueError as exc:
+                raise GraphError(f"--anchors is not valid JSON: {exc}") from exc
+        if not isinstance(cfg.anchors, dict):
+            raise GraphError("--anchors must hold a JSON object")
     for name in (
         "genus",
         "degree",
@@ -390,12 +403,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from(args)
         return COMMANDS[cfg.subcommand](cfg)
-    except (GraphError, CksError, SymgroupError, KeyError, OSError) as exc:
+    except (GraphError, CksError, SymgroupError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except VerificationError as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return VERIFY_ERROR
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

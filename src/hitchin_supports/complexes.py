@@ -20,7 +20,6 @@ class FaceComplex:
 
     ground_set: tuple
     faces_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
-    provenance: str = "custom"
 
     @property
     def dim(self) -> int:
@@ -81,7 +80,7 @@ def cographic_complex(graph: Multigraph) -> FaceComplex:
         return graph.is_connected(without=removed)
 
     levels = _grow_by_levels(len(labels), keeps)
-    return FaceComplex(labels, levels, provenance="cographic")
+    return FaceComplex(labels, levels)
 
 
 def nonspanning_complex(graph: Multigraph) -> FaceComplex:
@@ -97,7 +96,7 @@ def nonspanning_complex(graph: Multigraph) -> FaceComplex:
         return not graph.spanning_subset_connected(by_index[i] for i in subset)
 
     levels = _grow_by_levels(len(labels), keeps)
-    return FaceComplex(labels, levels, provenance="nonspanning")
+    return FaceComplex(labels, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -160,4 +159,4 @@ def partition_order_complex(r: int) -> FaceComplex:
             for j in below[chain[-1]]:
                 nxt.append(chain + (j,))
         current = nxt
-    return FaceComplex(labels, tuple(levels), provenance="order")
+    return FaceComplex(labels, tuple(levels))

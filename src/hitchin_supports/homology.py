@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from .complexes import FaceComplex
 
 EXACT_SIDE_LIMIT = 500  # exact elimination checked by two primes below, two primes alone above
+VERIFY_LIMIT = 400  # d o d checked on every column up to this many, on 20 samples above
 
 
 class HomologyError(ValueError):
@@ -58,9 +59,6 @@ class SparseRationalMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def column(self, j: int) -> dict[int, Fraction]:
-        return {r: v for (r, c), v in self.entries.items() if c == j}
 
     def columns(self) -> list[dict[int, Fraction]]:
         cols: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
@@ -210,12 +208,15 @@ class IntEchelon:
         return [reduced[lead] for lead in order]
 
 
-def coords_in_rref(vec: dict[int, Fraction], basis: Sequence[dict[int, int]]) -> list[Fraction]:
-    """Coordinates of a vector in an RREF basis; raises if it lies outside the span."""
-    pivots = [min(b) for b in basis]
+def _rref_reduce(
+    vec: Mapping[int, Fraction], basis: Sequence[dict[int, int]]
+) -> tuple[list[Fraction], dict[int, Fraction]]:
+    """Coordinates of a vector along an RREF basis, and the residual left
+    after subtracting them (zero exactly when the vector lies in the span)."""
     residual = {k: Fraction(v) for k, v in vec.items() if v}
     coords = []
-    for b, p in zip(basis, pivots):
+    for b in basis:
+        p = min(b)
         c = residual.get(p, Fraction(0)) / b[p]
         coords.append(c)
         if c:
@@ -225,6 +226,12 @@ def coords_in_rref(vec: dict[int, Fraction], basis: Sequence[dict[int, int]]) ->
                     residual[k] = s
                 else:
                     residual.pop(k, None)
+    return coords, residual
+
+
+def coords_in_rref(vec: dict[int, Fraction], basis: Sequence[dict[int, int]]) -> list[Fraction]:
+    """Coordinates of a vector in an RREF basis; raises if it lies outside the span."""
+    coords, residual = _rref_reduce(vec, basis)
     if residual:
         raise HomologyError("vector not in subspace")
     return coords
@@ -409,11 +416,6 @@ class RationalChainComplex:
     def top_dim(self) -> int:
         return len(self.boundaries) - 1
 
-    def boundary(self, d: int) -> SparseIntMatrix | None:
-        if 0 <= d < len(self.boundaries):
-            return self.boundaries[d]
-        return None
-
     def chain_dim(self, d: int) -> int:
         if d == -1:
             return 1
@@ -424,12 +426,10 @@ class RationalChainComplex:
 
 @dataclass(frozen=True)
 class HomologyProfile:
-    """Reduced Betti numbers per dimension (from -1 up), with an optional
-    canonical basis of top-dimensional cycles."""
+    """Reduced Betti numbers per dimension (from -1 up)."""
 
     betti: Mapping[int, int]
     euler: int
-    top_cycles: tuple[dict[int, int], ...] | None = None
 
     def betti_number(self, d: int) -> int:
         return self.betti.get(d, 0)
@@ -441,11 +441,11 @@ class HomologyProfile:
         }
 
 
-def boundary_complex(c: FaceComplex, verify_limit: int = 400, rng: random.Random | None = None) -> RationalChainComplex:
+def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> RationalChainComplex:
     """Boundary matrices with alternating signs over the lexicographic face order.
 
-    The identity d(d(x)) = 0 is checked fully on small complexes and on sampled
-    columns of larger ones.
+    The identity d(d(x)) = 0 is checked on every column of a boundary map with
+    at most ``VERIFY_LIMIT`` columns and on 20 sampled columns of a larger one.
     """
     mats: list[SparseIntMatrix] = []
     for d in range(len(c.faces_by_dim)):
@@ -465,15 +465,15 @@ def boundary_complex(c: FaceComplex, verify_limit: int = 400, rng: random.Random
             columns.append(col)
         mats.append(SparseIntMatrix(len(prev_index), tuple(columns)))
     cc = RationalChainComplex(c, tuple(mats))
-    _verify_square_zero(cc, verify_limit, rng)
+    _verify_square_zero(cc, rng)
     return cc
 
 
-def _verify_square_zero(cc: RationalChainComplex, limit: int, rng: random.Random | None) -> None:
+def _verify_square_zero(cc: RationalChainComplex, rng: random.Random | None) -> None:
     rng = rng or random.Random(17)
     for d in range(1, cc.top_dim + 1):
         cols = cc.boundaries[d].columns
-        if len(cols) > limit:
+        if len(cols) > VERIFY_LIMIT:
             cols = [cols[rng.randrange(len(cols))] for _ in range(20)]
         lower = cc.boundaries[d - 1].columns
         for col in cols:
@@ -485,11 +485,7 @@ def _verify_square_zero(cc: RationalChainComplex, limit: int, rng: random.Random
                 raise HomologyError("boundary squared is nonzero")
 
 
-def reduced_homology(
-    cc: RationalChainComplex,
-    rng: random.Random | None = None,
-    include_top_cycles: bool = False,
-) -> HomologyProfile:
+def reduced_homology(cc: RationalChainComplex, rng: random.Random | None = None) -> HomologyProfile:
     """Reduced Betti numbers from exact ranks of the boundary maps."""
     ranks: dict[int, int] = {}
     for d in range(cc.top_dim + 1):
@@ -503,8 +499,7 @@ def reduced_homology(
         if b:
             betti[d] = b
     euler = sum((-1) ** d * b for d, b in betti.items())
-    cycles = tuple(top_cycle_basis(cc)) if include_top_cycles else None
-    return HomologyProfile(betti, euler, cycles)
+    return HomologyProfile(betti, euler)
 
 
 def euler_from_f_vector(c: FaceComplex) -> int:
@@ -529,31 +524,16 @@ def top_cycle_basis(cc: RationalChainComplex) -> list[dict[int, int]]:
     """
     if cc.top_dim < 0:
         return [{0: 1}]  # the empty complex: H_{-1} spanned by the empty face
-    cols = cc.boundaries[cc.top_dim].columns
-    kernel_ech = IntEchelon()
-    # Column elimination with tracked combinations: columns that reduce to zero
-    # hand their combination vector to the kernel.
-    tracked: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    for j, col in enumerate(cols):
-        vec = dict(col)
-        combo = {j: 1}
-        while vec:
-            lead = min(vec)
-            hit = tracked.get(lead)
-            if hit is None:
-                break
-            pvec, pcombo = hit
-            a, b = vec[lead], pvec[lead]
-            g = gcd(a, b)
-            vec, combo = (
-                _combine(vec, b // g, pvec, -(a // g)),
-                _combine(combo, b // g, pcombo, -(a // g)),
-            )
-        if vec:
-            tracked[min(vec)] = (vec, combo)
-        else:
-            kernel_ech.insert(combo)
-    return kernel_ech.rref_basis()
+    # Each column extended by its unit vector past the rows: once the row part
+    # reduces to zero, what is left is a kernel vector, with its pivot at or
+    # beyond the shift.
+    top = cc.boundaries[cc.top_dim]
+    shift = top.rows
+    ech = IntEchelon()
+    for j, col in enumerate(top.columns):
+        ech.insert({**col, shift + j: 1})
+    ech.pivots = {lead: vec for lead, vec in ech.pivots.items() if lead >= shift}
+    return [{k - shift: v for k, v in vec.items()} for vec in ech.rref_basis()]
 
 
 def _check_automorphism(c: FaceComplex, perm: Sequence[int]) -> None:

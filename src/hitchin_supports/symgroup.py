@@ -232,15 +232,15 @@ def complete_graph(r: int) -> Multigraph:
     return Multigraph(r, tuple(edges))
 
 
-def top_homology_character(r: int, bound: int = 6) -> ClassFunction:
+def top_homology_character(r: int) -> ClassFunction:
     """Character of S_r on the top reduced homology of the cographic complex
     of the complete graph, one trace per cycle type.
 
     For r = 2 the complex is just the empty face; by convention the character
     of that degenerate case is identically zero.
     """
-    if not 2 <= r <= bound:
-        raise SymgroupError(f"r must be between 2 and {bound}")
+    if not 2 <= r <= 6:
+        raise SymgroupError("r must be between 2 and 6")
     if r == 2:
         return ClassFunction(2, {lam: Fraction(0) for lam in partitions_of(2)})
     graph = complete_graph(r)

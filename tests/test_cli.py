@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from hitchin_supports import cli
 from hitchin_supports.cli import main
 
 
@@ -237,3 +240,42 @@ def test_markdown_anchors(tmp_path, capsys):
     )
     assert code == 0
     assert "support range lower end" in out
+
+
+BAD_INPUTS = [
+    ("selftest", "--r", "1"),
+    ("selftest", "--r", "0"),
+    # --only keeps a regression cheap: an unguarded r = 7 would enumerate K_7
+    ("selftest", "--r", "7", "--only", "delta_formula"),
+    ("selftest", "--count", "0"),
+    ("selftest", "--count", "-3"),
+    ("selftest", "--only", "nope"),
+    ("anchors", "{bad json"),
+    ("anchors", "[1, 2]"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "anchors":
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text(argv[1])
+        argv = ("report", "--genus", "2", "--partition", "1,1", "--format", "md", "--anchors", str(anchors))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_3_with_its_traceback(capsys, monkeypatch):
+    def broken(cfg):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli.COMMANDS, "report", broken)
+    code, out, err = run_cli(capsys, "report", "--genus", "2", "--partition", "1,1")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert "KeyError" in err

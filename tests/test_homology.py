@@ -323,21 +323,12 @@ def test_induced_maps_compose_as_a_representation():
     c = cographic_complex(complete_graph(4))
     action = TopHomologyAction(c)
     # two cell permutations induced by vertex permutations of K4
-    from hitchin_supports.symgroup import edge_action
+    from hitchin_supports.symgroup import cell_permutation
 
     g = complete_graph(4)
     labels = g.labels()
-    index_of = {lab: i for i, lab in enumerate(labels)}
-
-    def cell_perm(vertex_perm):
-        mapping = edge_action(vertex_perm, g)
-        out = [0] * len(labels)
-        for lab, target in mapping.items():
-            out[index_of[lab]] = index_of[target]
-        return tuple(out)
-
-    p1 = cell_perm((1, 0, 2, 3))
-    p2 = cell_perm((0, 2, 3, 1))
+    p1 = cell_permutation((1, 0, 2, 3), g)
+    p2 = cell_permutation((0, 2, 3, 1), g)
     composed = tuple(p1[p2[i]] for i in range(len(p2)))
     assert action.matrix(p1).matmul(action.matrix(p2)) == action.matrix(composed)
     assert action.matrix(tuple(range(len(labels)))) == SparseRationalMatrix.identity(6)
@@ -361,3 +352,45 @@ def test_top_cycle_basis_is_canonical_and_integral():
         for v in vec.values():
             g = gcd(g, abs(v))
         assert g == 1
+
+
+def _top_cycle_cases():
+    from hitchin_supports.complexes import nonspanning_complex, partition_order_complex
+    from hitchin_supports.selftest import random_connected_multigraph
+
+    rng = random.Random(41)
+    for _ in range(40):
+        graph = random_connected_multigraph(rng, 8)
+        yield cographic_complex(graph)
+        if graph.vertex_count >= 2:
+            yield nonspanning_complex(graph)
+    for r in (3, 4, 5):
+        yield partition_order_complex(r)
+
+
+def test_top_cycle_basis_is_the_rref_kernel_of_the_top_boundary():
+    from math import gcd
+
+    for c in _top_cycle_cases():
+        cc = boundary_complex(c)
+        basis = top_cycle_basis(cc)
+        assert len(basis) == reduced_homology(cc).betti_number(cc.top_dim), c
+        if cc.top_dim < 0:
+            assert basis == [{0: 1}]
+            continue
+        columns = cc.boundaries[cc.top_dim].columns
+        pivots = [min(vec) for vec in basis]
+        assert pivots == sorted(set(pivots))
+        for vec, pivot in zip(basis, pivots):
+            image: dict[int, int] = {}
+            for j, coeff in vec.items():
+                for row, val in columns[j].items():
+                    image[row] = image.get(row, 0) + coeff * val
+            assert not any(image.values()), c
+            assert vec[pivot] > 0
+            assert all(v for v in vec.values())
+            g = 0
+            for v in vec.values():
+                g = gcd(g, abs(v))
+            assert g == 1
+            assert all(other not in vec for other in pivots if other != pivot)

@@ -7,6 +7,7 @@ from hitchin_supports.symgroup import (
     ClassFunction,
     SymgroupError,
     canonical_permutation,
+    cell_permutation,
     character_inner_product,
     class_size,
     complete_graph,
@@ -52,16 +53,10 @@ def test_representative_traces_agree_across_class():
 
     rng = random.Random(3)
     g = complete_graph(4)
-    labels = g.labels()
-    index_of = {lab: i for i, lab in enumerate(labels)}
     action = TopHomologyAction(cographic_complex(g))
 
     def trace_for(vperm):
-        mapping = edge_action(vperm, g)
-        cell = [0] * len(labels)
-        for lab, tgt in mapping.items():
-            cell[index_of[lab]] = index_of[tgt]
-        return action.trace(tuple(cell))
+        return action.trace(cell_permutation(vperm, g))
 
     for lam in partitions_of(4):
         rep = canonical_permutation(lam)
