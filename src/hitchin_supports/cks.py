@@ -30,13 +30,13 @@ import itertools
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .homology import (
     IntEchelon,
     SparseRationalMatrix,
+    _exact,
     _rref_reduce,
     _sort_sign,
     clear_denominators,
@@ -81,8 +81,8 @@ class GradedH1Model:
     cycles: CycleSpaceBasis
     edge_vectors: Mapping[int, tuple[int, ...]]
     twists: tuple[int, int, int] = (0, 0, -1)
-    # nilpotent_columns per edge label, built on first use
-    _nilpotent: dict[int, dict[int, dict[int, int]]] = field(
+    # picard_lefschetz per edge label, built on first use
+    _nilpotent: dict[int, SparseRationalMatrix] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -138,10 +138,10 @@ def _model_from_graph(graph: Multigraph, genera: tuple[int, ...], partition) -> 
     return model
 
 
-def nilpotent_columns(model: GradedH1Model, label: int) -> dict[int, dict[int, int]]:
-    """Sparse column map of the edge operator on the model (integer entries).
+def picard_lefschetz(model: GradedH1Model, label: int) -> SparseRationalMatrix:
+    """The monodromy logarithm of one node as an integer matrix on the model.
 
-    The map is cached on the model, so callers must not mutate it.
+    The matrix is cached on the model, so callers must not mutate its columns.
     """
     cached = model._nilpotent.get(label)
     if cached is not None:
@@ -149,25 +149,13 @@ def nilpotent_columns(model: GradedH1Model, label: int) -> dict[int, dict[int, i
     vec = model.edge_vectors.get(label)
     if vec is None:
         raise GraphError(f"no such edge: {label}")
-    off = model.gr2_offset
-    cols: dict[int, dict[int, int]] = {}
+    columns: list[dict[int, int]] = [{} for _ in range(model.dimension)]
     for b, vb in enumerate(vec):
-        if not vb:
-            continue
-        col = {a: va * vb for a, va in enumerate(vec) if va}
-        if col:
-            cols[off + b] = col
-    model._nilpotent[label] = cols
-    return cols
-
-
-def picard_lefschetz(model: GradedH1Model, label: int) -> SparseRationalMatrix:
-    """The monodromy logarithm of one node as a matrix on the graded model."""
-    entries: dict[tuple[int, int], Fraction] = {}
-    for src, col in nilpotent_columns(model, label).items():
-        for dst, val in col.items():
-            entries[(dst, src)] = Fraction(val)
-    return SparseRationalMatrix(model.dimension, model.dimension, entries)
+        if vb:
+            columns[model.gr2_offset + b] = {a: va * vb for a, va in enumerate(vec) if va}
+    op = SparseRationalMatrix(model.dimension, tuple(columns))
+    model._nilpotent[label] = op
+    return op
 
 
 def nilpotent_family(model: GradedH1Model) -> dict[int, SparseRationalMatrix]:
@@ -199,16 +187,16 @@ class WedgeBasis:
 
 
 def apply_derivation(
-    wedges: WedgeBasis, cols: Mapping[int, Mapping[int, int]], vec: Mapping[int, int]
+    wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], vec: Mapping[int, int]
 ) -> dict[int, int]:
-    """Derivation extension of a model operator applied to a wedge vector."""
+    """Derivation extension of a model operator's columns, applied to a wedge vector."""
     out: dict[int, int] = {}
     tuples = wedges.tuples
     index = wedges.index
     for widx, coeff in vec.items():
         t = tuples[widx]
         for pos, src in enumerate(t):
-            col = cols.get(src)
+            col = cols[src]
             if not col:
                 continue
             rest = t[:pos] + t[pos + 1 :]
@@ -264,7 +252,7 @@ def _push_image(
     label: int,
 ) -> tuple[dict[int, int], ...]:
     """RREF basis of the image of the edge operator on the span of ``vectors``."""
-    cols = nilpotent_columns(model, label)
+    cols = picard_lefschetz(model, label).columns
     ech = IntEchelon()
     for vec in vectors:
         img = apply_derivation(wedges, cols, vec)
@@ -334,20 +322,20 @@ def _acc(store: dict, key, val) -> None:
         store.pop(key, None)
 
 
-def _coboundary(model, wedges, labels, subset, vec, targets=None):
+def _coboundary(ops, wedges, subset, vec, targets=None):
     """The non-zero components of d on one vector of the block of ``subset``.
 
-    Yields ``(subset with r inserted, insertion sign, N_r vec)`` for each edge
-    r outside the subset, skipping targets missing from ``targets`` when it is
-    given.
+    ``ops`` is the ``nilpotent_family`` of the model.  Yields ``(subset with r
+    inserted, insertion sign, N_r vec)`` for each edge r outside the subset,
+    skipping targets missing from ``targets`` when it is given.
     """
-    for r in labels:
+    for r, op in ops.items():
         if r in subset:
             continue
         target = tuple(sorted(subset + (r,)))
         if targets is not None and target not in targets:
             continue
-        img = apply_derivation(wedges, nilpotent_columns(model, r), vec)
+        img = apply_derivation(wedges, op.columns, vec)
         if img:
             yield target, _insertion_sign(subset, r), img
 
@@ -402,21 +390,20 @@ def _check_homogeneous(basis, wedge_weights) -> None:
 
 def _verify_square_zero(instance: CKSComplexInstance, samples: int = 24) -> None:
     """d(d(x)) = 0, fully on small instances and on sampled vectors otherwise."""
-    model = instance.model
-    labels = model.labels()
+    ops = nilpotent_family(instance.model)
     rng = random.Random(23)
     for blocks in instance.terms.values():
         for blk in blocks:
             n = blk.dim()
             picks = range(n) if n <= samples else [rng.randrange(n) for _ in range(samples)]
             for local in picks:
-                _assert_d_squared_zero(model, instance.wedges, blk.subset, blk.vector(local), labels)
+                _assert_d_squared_zero(ops, instance.wedges, blk.subset, blk.vector(local))
 
 
-def _assert_d_squared_zero(model, wedges, subset, vec, labels) -> None:
+def _assert_d_squared_zero(ops, wedges, subset, vec) -> None:
     acc: dict[tuple[int, ...], dict[int, int]] = {}
-    for mid, s1, img1 in _coboundary(model, wedges, labels, subset, vec):
-        for target, s2, img2 in _coboundary(model, wedges, labels, mid, img1):
+    for mid, s1, img1 in _coboundary(ops, wedges, subset, vec):
+        for target, s2, img2 in _coboundary(ops, wedges, mid, img1):
             slot = acc.setdefault(target, {})
             for widx, val in img2.items():
                 _acc(slot, widx, s1 * s2 * val)
@@ -480,7 +467,7 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
     """Exact cohomology dimensions of the full graded-model complex and of its
     highest-weight summand (shifted weight i + delta)."""
     model = instance.model
-    labels = model.labels()
+    ops = nilpotent_family(model)
     slices = _weight_slices(instance)
 
     degrees: dict[int, int] = {k: 0 for k in range(0, model.delta + 1)}
@@ -492,7 +479,7 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
         dims = {k: sum(len(loc) for _, loc in per_degree[k]) for k in ks}
         ranks: dict[int, int] = {}
         for k in ks:
-            ranks[k] = _slice_differential_rank(instance, labels, per_degree.get(k, []), k, rng)
+            ranks[k] = _slice_differential_rank(instance, ops, per_degree.get(k, []), k, rng)
         for k in ks:
             h = dims[k] - ranks.get(k, 0) - ranks.get(k - 1, 0)
             if h:
@@ -504,7 +491,7 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
 
 def _slice_differential_rank(
     instance: CKSComplexInstance,
-    labels: Sequence[int],
+    ops: Mapping[int, SparseRationalMatrix],
     source_slice: list,
     k: int,
     rng: random.Random | None,
@@ -516,7 +503,7 @@ def _slice_differential_rank(
     target_blocks = {blk.subset: blk for blk in instance.terms.get(k + 1, ())}
     if not target_blocks:
         return 0
-    model, wedges = instance.model, instance.wedges
+    wedges = instance.wedges
     columns: list[dict[int, int]] = []
     row_index: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -531,7 +518,7 @@ def _slice_differential_rank(
         for local in locals_:
             vec = blk.vector(local)
             col: dict[int, int] = {}
-            for target, sign, img in _coboundary(model, wedges, labels, blk.subset, vec, target_blocks):
+            for target, sign, img in _coboundary(ops, wedges, blk.subset, vec, target_blocks):
                 for widx, val in img.items():
                     _acc(col, row_of(target, widx), sign * val)
             columns.append(col)
@@ -546,39 +533,38 @@ def _slice_differential_rank(
 # ---------------------------------------------------------------------------
 
 
-def _cycle_action_matrix(model: GradedH1Model, perm: Sequence[int]) -> list[list[Fraction]]:
+def _cycle_action_matrix(model: GradedH1Model, perm: Sequence[int]) -> SparseRationalMatrix:
     """Matrix of the vertex permutation on the cycle space, in the chord basis."""
     cycles = model.cycles
     action = signed_edge_action(perm, model.graph)
-    cols: list[list[Fraction]] = []
+    columns = []
     for cyc in cycles.cycles:
         chain: dict[int, int] = {}
         for lab, coeff in cyc.items():
             tgt, sign = action[lab]
-            chain[tgt] = chain.get(tgt, 0) + sign * coeff
-        coords = [Fraction(chain.get(ch, 0)) for ch in cycles.chords]
+            _acc(chain, tgt, sign * coeff)
+        coords = [chain.get(ch, 0) for ch in cycles.chords]
         # the image chain must be the asserted combination of basis cycles
-        recon: dict[int, Fraction] = {}
+        recon: dict[int, int] = {}
         for coeff, basis_cycle in zip(coords, cycles.cycles):
             for lab, val in basis_cycle.items():
                 _acc(recon, lab, coeff * val)
-        if recon != {lab: v for lab, v in chain.items() if v}:
+        if recon != chain:
             raise CksError("edge action does not preserve the cycle space")
-        cols.append(coords)
-    n = len(cols)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+        columns.append({i: c for i, c in enumerate(coords) if c})
+    return SparseRationalMatrix(len(columns), tuple(columns))
 
 
 def _wedge_multiplicative_image(
-    wedges: WedgeBasis, cols: Sequence[Mapping[int, Fraction]], vec: Mapping[int, int]
-) -> dict[int, Fraction]:
-    """Image of a wedge vector under the multiplicative extension of a map."""
-    out: dict[int, Fraction] = {}
+    wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], vec: Mapping[int, int]
+) -> dict[int, int]:
+    """Image of a wedge vector under the multiplicative extension of a map's columns."""
+    out: dict[int, int] = {}
     for widx, coeff in vec.items():
         t = wedges.tuples[widx]
-        partial: dict[tuple[int, ...], Fraction] = {(): Fraction(coeff)}
+        partial: dict[tuple[int, ...], int] = {(): coeff}
         for s in t:
-            grown: dict[tuple[int, ...], Fraction] = {}
+            grown: dict[tuple[int, ...], int] = {}
             col = cols[s]
             for prefix, c in partial.items():
                 for dst, val in col.items():
@@ -610,24 +596,19 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     if delta < 1:
         raise CksError("the action needs delta >= 1")
     action = signed_edge_action(perm, model.graph)
-    s2 = _cycle_action_matrix(model, perm)
-    # W0 is dual to Gr2, so it carries the inverse transpose of S(sigma),
-    # which is S(sigma^-1) transposed because S is a representation
-    s_inv = _cycle_action_matrix(model, inverse(perm))
-    a_entries: dict[tuple[int, int], Fraction] = {}
-    for r in range(delta):
-        for c in range(delta):
-            a_entries[(r, c)] = s_inv[c][r]
-            a_entries[(delta + r, delta + c)] = s2[r][c]
-    # reduced model: drop the middle block, it contributes only wedge^0 here
+    # A acts on the model without its middle block (only wedge^0 of it counts
+    # here) block-diagonally: W0 is dual to Gr2, so it carries S(sigma)^-T,
+    # which is S(sigma^-1)^T because S is a representation
     reduced = _reduced_model(model)
-    a = SparseRationalMatrix(reduced.dimension, reduced.dimension, a_entries)
-    _assert_equivariant(reduced, a, action)
-    acols = a.columns()
+    w0 = _cycle_action_matrix(model, inverse(perm)).transpose().columns
+    s = _cycle_action_matrix(model, perm).columns
+    gr2 = tuple({delta + r: v for r, v in col.items()} for col in s)
+    a = SparseRationalMatrix(reduced.dimension, w0 + gr2)
+    ops = nilpotent_family(reduced)
+    _assert_equivariant(ops, a, action)
 
     inst = build_cks(reduced, delta)
     wedges = inst.wedges
-    labels = reduced.labels()
 
     # top-weight pieces of every image, indexed by subset
     tw_basis: dict[tuple[int, ...], tuple[dict[int, int], ...]] = {}
@@ -654,47 +635,46 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
         algebra bookkeeping that makes the transport commute with the signed
         differential.
         """
-        entries = {}
-        for (subset, local), col in coords.items():
+        columns = []
+        for subset, local in coords:
             mapped = [action[lab][0] for lab in subset]
             tau = _sort_sign(mapped)
             image_subset = tuple(sorted(mapped))
-            img = _wedge_multiplicative_image(wedges, acols, tw_basis[subset][local])
-            for j, c in enumerate(coords_in_rref(img, tw_basis[image_subset])):
-                entries[(coords[(image_subset, j)], col)] = tau * c
-        return SparseRationalMatrix(len(coords), len(coords), entries)
+            img = _wedge_multiplicative_image(wedges, a.columns, tw_basis[subset][local])
+            images = enumerate(coords_in_rref(img, tw_basis[image_subset]))
+            columns.append({coords[(image_subset, j)]: _exact(tau * c) for j, c in images if c})
+        return SparseRationalMatrix(len(coords), tuple(columns))
 
     top, below = coordinates(delta), coordinates(delta - 1)
     # d into the top degree; a target without a highest-weight piece is
     # skipped, since the image of a highest-weight vector lands exactly there
-    d_entries = {}
-    for (subset, local), col in below.items():
-        vec = tw_basis[subset][local]
-        for target, sign, img in _coboundary(reduced, wedges, labels, subset, vec, tw_basis):
+    d_columns = []
+    for subset, local in below:
+        vec, col = tw_basis[subset][local], {}
+        for target, sign, img in _coboundary(ops, wedges, subset, vec, tw_basis):
             for j, c in enumerate(coords_in_rref(img, tw_basis[target])):
-                d_entries[(top[(target, j)], col)] = sign * c
-    d = SparseRationalMatrix(len(top), len(below), d_entries)
+                if c:
+                    col[top[(target, j)]] = _exact(sign * c)
+        d_columns.append(col)
+    d = SparseRationalMatrix(len(top), tuple(d_columns))
     sigma_top = chain_map(top)
     if sigma_top.matmul(d) != d.matmul(chain_map(below)):
         raise CksError("action does not commute with the differential")
 
     # quotient by the image of the differential
     image_ech = IntEchelon()
-    for col in d.columns():
+    for col in d.columns:
         if col:
             image_ech.insert(clear_denominators(col))
     image_basis = image_ech.rref_basis()
     pivots = {min(v) for v in image_basis}
     quotient_coords = [i for i in range(len(top)) if i not in pivots]
     pos_of = {c: j for j, c in enumerate(quotient_coords)}
-    sigma_cols = sigma_top.columns()
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col_pos, i in enumerate(quotient_coords):
-        _, residual = _rref_reduce(sigma_cols[i], image_basis)
-        for kk, v in residual.items():
-            entries[(pos_of[kk], col_pos)] = v
-    n = len(quotient_coords)
-    return SparseRationalMatrix(n, n, entries)
+    columns = []
+    for i in quotient_coords:
+        _, residual = _rref_reduce(sigma_top.columns[i], image_basis)
+        columns.append({pos_of[kk]: _exact(v) for kk, v in residual.items()})
+    return SparseRationalMatrix(len(quotient_coords), tuple(columns))
 
 
 def _reduced_model(model: GradedH1Model) -> GradedH1Model:
@@ -708,9 +688,8 @@ def _reduced_model(model: GradedH1Model) -> GradedH1Model:
     )
 
 
-def _assert_equivariant(reduced: GradedH1Model, a: SparseRationalMatrix, action) -> None:
+def _assert_equivariant(ops, a: SparseRationalMatrix, action) -> None:
     """A N_e = N_{sigma e} A on the reduced model, as exact matrices."""
-    for lab in reduced.labels():
-        tgt, _ = action[lab]
-        if a.matmul(picard_lefschetz(reduced, lab)) != picard_lefschetz(reduced, tgt).matmul(a):
+    for lab, op in ops.items():
+        if a.matmul(op) != ops[action[lab][0]].matmul(a):
             raise CksError("model action is not equivariant for the edge operators")

@@ -17,7 +17,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 
-from .cks import CksError, build_cks, build_graded_model, cks_cohomology
+from .cks import DEFAULT_WEDGE_LIMIT, CksError, build_cks, build_graded_model, cks_cohomology
 from .complexes import (
     cographic_complex,
     nonspanning_complex,
@@ -63,7 +63,7 @@ class RunConfig:
     fmt: str = "json"
     verify: str = "formula"
     seed: int = 0
-    wedge_limit: int = 2_000_000
+    wedge_limit: int = DEFAULT_WEDGE_LIMIT
     homology_threshold: int = HOMOLOGY_EDGE_THRESHOLD
     degree: int | None = None
     alphas: tuple[int, ...] | None = None
@@ -272,6 +272,8 @@ def cmd_selftest(cfg: RunConfig) -> int:
         raise GraphError("--r must be between 2 and 6")
     if cfg.count < 1:
         raise GraphError("--count must be at least 1")
+    if cfg.max_edges < 1:
+        raise GraphError("--max-edges must be at least 1")
     if cfg.only is not None and cfg.only not in PROPERTIES:
         raise GraphError(f"unknown property {cfg.only!r}")
     conf = SelftestConfig(seed=cfg.seed, max_edges=cfg.max_edges, count=cfg.count, r=cfg.r)
@@ -328,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--genus", type=int, required=True)
     ck.add_argument("--partition", required=True)
     ck.add_argument("--exterior", type=int, required=True)
-    ck.add_argument("--wedge-limit", type=int, default=2_000_000)
+    ck.add_argument("--wedge-limit", type=int, default=DEFAULT_WEDGE_LIMIT)
     common(ck)
 
     st = sub.add_parser("selftest", help="run the seeded property suites")

@@ -1,14 +1,15 @@
 """Exact reduced simplicial homology over the rationals.
 
-Boundary matrices are sparse integer columns with entries +-1.  Every rank
-comes from one sparse elimination kernel with Markowitz pivoting, run either
-fraction-free over Z or over F_p.  A matrix with both sides at most 500 is
-eliminated over Z and checked against two random primes above 2**30; a larger
-one accepts two agreeing modular ranks.  Any disagreement escalates to another
-elimination over Z: below the limit on the transpose, which is a different
-elimination order, and above it on the matrix itself.  Everything here is
-reduced homology: the empty face is a cell in dimension -1, so the empty
-complex has Betti number 1 there and nowhere else.
+Every matrix is a ``SparseRationalMatrix`` stored by columns, with ``int``
+entries where they are integral; boundary matrices have entries +-1.  Every
+rank comes from one sparse elimination kernel with Markowitz pivoting, run
+either fraction-free over Z or over F_p.  A matrix with both sides at most
+500 is eliminated over Z and checked against two random primes above 2**30; a
+larger one accepts two agreeing modular ranks.  Any disagreement escalates to
+another elimination over Z: below the limit on the transpose, which is a
+different elimination order, and above it on the matrix itself.  Everything
+here is reduced homology: the empty face is a cell in dimension -1, so the
+empty complex has Betti number 1 there and nowhere else.
 """
 
 from __future__ import annotations
@@ -35,68 +36,42 @@ class HomologyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _exact(v: int | Fraction) -> int | Fraction:
+    """The value as an ``int`` when it is integral, as a ``Fraction`` otherwise."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 @dataclass(frozen=True)
 class SparseRationalMatrix:
-    """Sparse matrix over Q; only nonzero entries are stored."""
+    """Sparse matrix over Q stored by columns, each ``{row: nonzero entry}``.
+
+    Entries are ``int`` where they are integral and ``Fraction`` otherwise, so
+    boundary maps and edge operators stay in integer arithmetic; equal values
+    compare equal either way.  Columns may be shared, so callers must not
+    mutate them.
+    """
 
     rows: int
-    cols: int
-    entries: Mapping[tuple[int, int], Fraction]
+    columns: tuple[dict[int, int | Fraction], ...]
 
-    def __post_init__(self):
-        clean = {}
-        for (r, c), val in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
+    @classmethod
+    def from_entries(
+        cls, rows: int, cols: int, entries: Mapping[tuple[int, int], int | Fraction]
+    ) -> "SparseRationalMatrix":
+        columns: list[dict[int, int | Fraction]] = [{} for _ in range(cols)]
+        for (r, c), val in entries.items():
+            if not (0 <= r < rows and 0 <= c < cols):
                 raise HomologyError(f"entry out of range: {(r, c)}")
-            val = Fraction(val)
             if val:
-                clean[(r, c)] = val
-        object.__setattr__(self, "entries", clean)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def columns(self) -> list[dict[int, Fraction]]:
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
-    def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
-        if self.cols != other.rows:
-            raise HomologyError("shape mismatch in matmul")
-        by_row: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        out: dict[tuple[int, int], Fraction] = {}
-        other_rows: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in other.entries.items():
-            other_rows.setdefault(r, {})[c] = v
-        for r, row in by_row.items():
-            acc: dict[int, Fraction] = {}
-            for k, v in row.items():
-                for c, w in other_rows.get(k, {}).items():
-                    acc[c] = acc.get(c, Fraction(0)) + v * w
-            for c, v in acc.items():
-                if v:
-                    out[(r, c)] = v
-        return SparseRationalMatrix(self.rows, other.cols, out)
+                columns[c][r] = _exact(val)
+        return cls(rows, tuple(columns))
 
     @staticmethod
     def identity(n: int) -> "SparseRationalMatrix":
-        return SparseRationalMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-
-@dataclass(frozen=True)
-class SparseIntMatrix:
-    """Sparse integer matrix stored by columns, each ``{row: nonzero entry}``."""
-
-    rows: int
-    columns: tuple[dict[int, int], ...]
+        return SparseRationalMatrix(n, tuple({i: 1} for i in range(n)))
 
     @property
     def cols(self) -> int:
@@ -107,11 +82,33 @@ class SparseIntMatrix:
         return sum(map(len, self.columns))
 
     @property
-    def entries(self) -> dict[tuple[int, int], int]:
+    def entries(self) -> dict[tuple[int, int], int | Fraction]:
         return {(r, j): v for j, col in enumerate(self.columns) for r, v in col.items()}
 
-    def column(self, j: int) -> dict[int, int]:
+    def column(self, j: int) -> dict[int, int | Fraction]:
         return dict(self.columns[j])
+
+    def is_zero(self) -> bool:
+        return not any(self.columns)
+
+    def matmul(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
+        if self.cols != other.rows:
+            raise HomologyError("shape mismatch in matmul")
+        out = []
+        for col in other.columns:
+            acc: dict[int, int | Fraction] = {}
+            for k, w in col.items():
+                for r, v in self.columns[k].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            out.append({r: _exact(v) for r, v in acc.items() if v})
+        return SparseRationalMatrix(self.rows, tuple(out))
+
+    def transpose(self) -> "SparseRationalMatrix":
+        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for r, v in col.items():
+                out[r][j] = v
+        return SparseRationalMatrix(self.cols, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +142,12 @@ def _combine(target: dict[int, int], coeff_t: int, source: dict[int, int], coeff
     return out
 
 
-def clear_denominators(vec: Mapping[int, Fraction]) -> dict[int, int]:
+def clear_denominators(vec: Mapping[int, int | Fraction]) -> dict[int, int]:
     """The primitive integer vector on the line of a rational vector."""
     denom = 1
     for v in vec.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
     return normalize_int_vec({k: int(v * denom) for k, v in vec.items()})
-
-
-def to_int_columns(matrix: SparseRationalMatrix) -> list[dict[int, int]]:
-    """Columns scaled to primitive integer vectors (rank-preserving)."""
-    return [clear_denominators(col) for col in matrix.columns()]
 
 
 class IntEchelon:
@@ -209,7 +201,7 @@ class IntEchelon:
 
 
 def _rref_reduce(
-    vec: Mapping[int, Fraction], basis: Sequence[dict[int, int]]
+    vec: Mapping[int, int | Fraction], basis: Sequence[dict[int, int]]
 ) -> tuple[list[Fraction], dict[int, Fraction]]:
     """Coordinates of a vector along an RREF basis, and the residual left
     after subtracting them (zero exactly when the vector lies in the span)."""
@@ -229,7 +221,9 @@ def _rref_reduce(
     return coords, residual
 
 
-def coords_in_rref(vec: dict[int, Fraction], basis: Sequence[dict[int, int]]) -> list[Fraction]:
+def coords_in_rref(
+    vec: Mapping[int, int | Fraction], basis: Sequence[dict[int, int]]
+) -> list[Fraction]:
     """Coordinates of a vector in an RREF basis; raises if it lies outside the span."""
     coords, residual = _rref_reduce(vec, basis)
     if residual:
@@ -347,26 +341,21 @@ def _eliminate(vectors: Iterable[Mapping[int, int]], p: int | None = None) -> in
     return rank
 
 
-def _transpose(vectors: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
-    out: dict[int, dict[int, int]] = {}
-    for j, vec in enumerate(vectors):
-        for k, v in vec.items():
-            out.setdefault(k, {})[j] = v
-    return list(out.values())
-
-
-def exact_rank(m: SparseIntMatrix | SparseRationalMatrix, rng: random.Random | None = None) -> int:
+def exact_rank(m: SparseRationalMatrix, rng: random.Random | None = None) -> int:
     """Rank over Q.
 
     Matrices with both sides at most 500 are eliminated over Z and the result
     must agree with elimination at two random primes > 2**30; larger matrices
     accept two agreeing modular passes.  Any disagreement escalates to another
     elimination over Z: on the transpose below the limit, on the matrix itself
-    above it.
+    above it.  A non-integral matrix first has its columns scaled to primitive
+    integer vectors.
     """
     if not m.nnz:
         return 0
-    cols = m.columns if isinstance(m, SparseIntMatrix) else to_int_columns(m)
+    cols = m.columns
+    if any(type(v) is not int for col in cols for v in col.values()):
+        cols = [clear_denominators(col) for col in cols]
     return exact_rank_int(cols, m.rows, rng=rng)
 
 
@@ -389,7 +378,7 @@ def exact_rank_int(
         if r1 == r2 == r_exact:
             return r_exact
         # a different elimination order over Z settles the disagreement
-        return _eliminate(_transpose(live))
+        return _eliminate(SparseRationalMatrix(n_rows, tuple(live)).transpose().columns)
     if r1 == r2:
         return r1
     return _eliminate(live)
@@ -410,7 +399,7 @@ class RationalChainComplex:
     """
 
     complex: FaceComplex
-    boundaries: tuple[SparseIntMatrix, ...]
+    boundaries: tuple[SparseRationalMatrix, ...]
 
     @property
     def top_dim(self) -> int:
@@ -447,11 +436,11 @@ def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> Ration
     The identity d(d(x)) = 0 is checked on every column of a boundary map with
     at most ``VERIFY_LIMIT`` columns and on 20 sampled columns of a larger one.
     """
-    mats: list[SparseIntMatrix] = []
+    mats: list[SparseRationalMatrix] = []
     for d in range(len(c.faces_by_dim)):
         faces = c.faces_by_dim[d]
         if d == 0:
-            mats.append(SparseIntMatrix(1, tuple({0: 1} for _ in faces)))
+            mats.append(SparseRationalMatrix(1, tuple({0: 1} for _ in faces)))
             continue
         prev_index = {f: i for i, f in enumerate(c.faces_by_dim[d - 1])}
         columns = []
@@ -463,7 +452,7 @@ def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> Ration
                     raise HomologyError("complex is not downward closed")
                 col[i] = -1 if pos % 2 else 1
             columns.append(col)
-        mats.append(SparseIntMatrix(len(prev_index), tuple(columns)))
+        mats.append(SparseRationalMatrix(len(prev_index), tuple(columns)))
     cc = RationalChainComplex(c, tuple(mats))
     _verify_square_zero(cc, rng)
     return cc
@@ -472,17 +461,12 @@ def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> Ration
 def _verify_square_zero(cc: RationalChainComplex, rng: random.Random | None) -> None:
     rng = rng or random.Random(17)
     for d in range(1, cc.top_dim + 1):
-        cols = cc.boundaries[d].columns
-        if len(cols) > VERIFY_LIMIT:
-            cols = [cols[rng.randrange(len(cols))] for _ in range(20)]
-        lower = cc.boundaries[d - 1].columns
-        for col in cols:
-            acc: dict[int, int] = {}
-            for r, v in col.items():
-                for rr, w in lower[r].items():
-                    acc[rr] = acc.get(rr, 0) + v * w
-            if any(acc.values()):
-                raise HomologyError("boundary squared is nonzero")
+        upper = cc.boundaries[d]
+        if upper.cols > VERIFY_LIMIT:
+            sample = tuple(upper.columns[rng.randrange(upper.cols)] for _ in range(20))
+            upper = SparseRationalMatrix(upper.rows, sample)
+        if not cc.boundaries[d - 1].matmul(upper).is_zero():
+            raise HomologyError("boundary squared is nonzero")
 
 
 def reduced_homology(cc: RationalChainComplex, rng: random.Random | None = None) -> HomologyProfile:
@@ -498,7 +482,7 @@ def reduced_homology(cc: RationalChainComplex, rng: random.Random | None = None)
         b = cc.chain_dim(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if b:
             betti[d] = b
-    euler = sum((-1) ** d * b for d, b in betti.items())
+    euler = sum(-b if d % 2 else b for d, b in betti.items())
     return HomologyProfile(betti, euler)
 
 
@@ -578,27 +562,19 @@ class TopHomologyAction:
         if self.top < 0:
             return SparseRationalMatrix.identity(len(self.basis))
         faces = self.complex.faces_by_dim[self.top]
-        image_cols = []
+        columns = []
         for vec in self.basis:
-            img: dict[int, Fraction] = {}
+            img: dict[int, int] = {}
             for j, coeff in vec.items():
-                face = faces[j]
-                mapped = [perm[i] for i in face]
-                sign = _sort_sign(mapped)
-                img[self._face_index[tuple(sorted(mapped))]] = Fraction(sign * coeff)
-            image_cols.append(img)
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col_idx, img in enumerate(image_cols):
-            for row_idx, coeff in enumerate(coords_in_rref(img, self.basis)):
-                if coeff:
-                    entries[(row_idx, col_idx)] = coeff
-        return SparseRationalMatrix(len(self.basis), len(self.basis), entries)
+                mapped = [perm[i] for i in faces[j]]
+                img[self._face_index[tuple(sorted(mapped))]] = _sort_sign(mapped) * coeff
+            coords = coords_in_rref(img, self.basis)
+            columns.append({i: _exact(c) for i, c in enumerate(coords) if c})
+        return SparseRationalMatrix(len(self.basis), tuple(columns))
 
     def trace(self, perm: Sequence[int]) -> Fraction:
-        mat = self.matrix(perm)
-        return sum(
-            (v for (r, c), v in mat.entries.items() if r == c), Fraction(0)
-        )
+        columns = self.matrix(perm).columns
+        return Fraction(sum(col.get(j, 0) for j, col in enumerate(columns)))
 
 
 def induced_map_on_top_homology(c: FaceComplex, perm: Sequence[int]) -> SparseRationalMatrix:

@@ -18,6 +18,7 @@ from .complexes import (
     partition_order_complex,
 )
 from .homology import (
+    SparseRationalMatrix,
     TopHomologyAction,
     boundary_complex,
     euler_from_f_vector,
@@ -163,6 +164,8 @@ def prop_doubling(rng, cfg):
     for _ in range(max(4, cfg.count // 3)):
         g = random_connected_multigraph(rng, min(cfg.max_edges, 7))
         labels = g.labels()
+        if not labels:
+            continue  # a single vertex: no edge to double
         size = rng.randrange(1, min(3, len(labels)) + 1)
         subset = rng.sample(labels, size)
         doubled, _ = double_edges(g, subset)
@@ -197,9 +200,6 @@ def prop_folkman(rng, cfg):
 def prop_representation_laws(rng, cfg):
     g = complete_graph(4)
     action = TopHomologyAction(cographic_complex(g))
-
-    from .homology import SparseRationalMatrix
-
     identity = action.matrix(tuple(range(len(g.labels()))))
     if identity != SparseRationalMatrix.identity(action.rank):
         return False, "identity law fails"

@@ -11,7 +11,6 @@ from hitchin_supports.cks import (
     cks_cohomology,
     image_NI,
     model_from_graph,
-    nilpotent_columns,
     nilpotent_family,
     picard_lefschetz,
     signed_edge_action,
@@ -111,8 +110,8 @@ def test_rank_of_each_operator_is_at_most_one():
 def test_derivations_commute_on_wedge_two():
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     wedges = WedgeBasis(m.dimension, 2)
-    cols_a = nilpotent_columns(m, 0)
-    cols_b = nilpotent_columns(m, 3)
+    cols_a = picard_lefschetz(m, 0).columns
+    cols_b = picard_lefschetz(m, 3).columns
     for widx in range(0, len(wedges), 17):
         v = {widx: 1}
         ab = apply_derivation(wedges, cols_a, apply_derivation(wedges, cols_b, v))
@@ -122,8 +121,7 @@ def test_derivations_commute_on_wedge_two():
 
 def test_nilpotent_columns_are_cached_and_build_cks_is_unchanged():
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
-    first = nilpotent_columns(m, 0)
-    assert nilpotent_columns(m, 0) == first
+    assert picard_lefschetz(m, 0) is picard_lefschetz(m, 0)
     instance = build_cks(m, 3)
     assert {k: instance.term_dimension(k) for k in instance.terms} == {0: 1140, 1: 918, 2: 240, 3: 20}
     assert build_cks(m, 3).terms == instance.terms

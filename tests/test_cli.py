@@ -4,6 +4,7 @@ import pytest
 
 from hitchin_supports import cli
 from hitchin_supports.cli import main
+from hitchin_supports.selftest import SelftestConfig, run_selftest
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +74,14 @@ def test_complex_r4_cographic(capsys):
     doc = json.loads(out)
     assert doc["betti"] == {"2": 6}
     assert doc["f_vector"] == [1, 6, 15, 16]
+
+
+def test_complex_r0_prints_an_integer_euler_characteristic(capsys):
+    # only the empty face: H_{-1} = Q, and the sign (-1)^(-1) stays an int
+    code, out, _ = run_cli(capsys, "complex", "--r", "0")
+    assert code == 0
+    assert '"euler": -1,' in out
+    assert json.loads(out)["betti"] == {"-1": 1}
 
 
 def test_complex_flats_r4(capsys):
@@ -211,6 +220,12 @@ def test_selftest_single_property(capsys):
     assert "PASS doubling" in err
 
 
+@pytest.mark.parametrize("seed", [10, 17, 18, 19, 21, 31, 33, 35, 37])
+def test_doubling_passes_on_seeds_that_draw_an_edgeless_graph(seed):
+    report = run_selftest(SelftestConfig(seed=seed), only="doubling")
+    assert report["all_pass"], report["results"]
+
+
 def test_identical_flags_are_byte_identical(capsys):
     args = ("report", "--genus", "2", "--partition", "2,1", "--format", "json")
     code1, out1, _ = run_cli(capsys, *args)
@@ -252,6 +267,7 @@ BAD_INPUTS = [
     ("selftest", "--only", "nope"),
     ("anchors", "{bad json"),
     ("anchors", "[1, 2]"),
+    ("selftest", "--max-edges", "0"),
 ]
 
 

@@ -42,8 +42,63 @@ def triangle_boundary_complex() -> FaceComplex:
 
 
 def test_rank_of_zero_matrix():
-    m = SparseRationalMatrix(4, 7, {})
+    m = SparseRationalMatrix.from_entries(4, 7, {})
     assert exact_rank(m) == 0
+
+
+def test_from_entries_rejects_an_entry_out_of_range():
+    for key in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(HomologyError, match="out of range"):
+            SparseRationalMatrix.from_entries(2, 3, {key: 1})
+
+
+def random_mixed_entries(rng: random.Random, rows: int, cols: int) -> dict:
+    """About half the cells filled, with ints, integral Fractions and proper ones."""
+    entries = {}
+    for r in range(rows):
+        for c in range(cols):
+            if rng.random() < 0.5:
+                kind = rng.randrange(3)
+                v = rng.randrange(-4, 5)
+                if kind == 0:
+                    entries[(r, c)] = v
+                elif kind == 1:
+                    entries[(r, c)] = Fraction(v)
+                else:
+                    entries[(r, c)] = Fraction(v, rng.randrange(2, 6))
+    return entries
+
+
+def dense(rows: int, cols: int, entries) -> list[list[Fraction]]:
+    return [[Fraction(entries.get((r, c), 0)) for c in range(cols)] for r in range(rows)]
+
+
+def test_matmul_and_transpose_match_a_dense_reference():
+    rng = random.Random(29)
+    for _ in range(40):
+        n, k, m = rng.randrange(0, 7), rng.randrange(0, 7), rng.randrange(0, 7)
+        a_entries, b_entries = random_mixed_entries(rng, n, k), random_mixed_entries(rng, k, m)
+        a = SparseRationalMatrix.from_entries(n, k, a_entries)
+        b = SparseRationalMatrix.from_entries(k, m, b_entries)
+        da, db = dense(n, k, a_entries), dense(k, m, b_entries)
+        product = [
+            [sum((da[r][i] * db[i][c] for i in range(k)), Fraction(0)) for c in range(m)]
+            for r in range(n)
+        ]
+        ab = a.matmul(b)
+        assert (ab.rows, ab.cols) == (n, m)
+        assert dense(n, m, ab.entries) == product
+        assert ab == SparseRationalMatrix.from_entries(
+            n, m, {(r, c): v for r in range(n) for c in range(m) if (v := product[r][c])}
+        )
+        at = a.transpose()
+        assert (at.rows, at.cols) == (k, n)
+        assert dense(k, n, at.entries) == [[da[r][c] for r in range(n)] for c in range(k)]
+        assert at.transpose() == a
+        for mat in (a, ab, at):
+            for v in mat.entries.values():
+                # integral entries are stored as int, the others as Fraction
+                assert v and (type(v) is int) == (Fraction(v).denominator == 1)
 
 
 def test_rank_of_identity():
@@ -56,7 +111,7 @@ def test_rank_of_triangle_boundary():
 
 
 def test_rank_with_rational_entries():
-    m = SparseRationalMatrix(
+    m = SparseRationalMatrix.from_entries(
         2,
         3,
         {
@@ -80,11 +135,11 @@ def test_rank_above_exact_threshold_uses_modular_path():
         entries[(i, i)] = Fraction(2)
         if i + 1 < n:
             entries[(i, i + 1)] = Fraction(-3)
-    m = SparseRationalMatrix(n, n, entries)
+    m = SparseRationalMatrix.from_entries(n, n, entries)
     assert exact_rank(m) == n
     duplicated = {(r, c): v for (r, c), v in entries.items()}
     duplicated.update({(r, c + n): v for (r, c), v in entries.items()})
-    m2 = SparseRationalMatrix(n, 2 * n, duplicated)
+    m2 = SparseRationalMatrix.from_entries(n, 2 * n, duplicated)
     assert exact_rank(m2) == n
 
 
@@ -98,7 +153,7 @@ def test_rank_random_matrices_match_dense_reference():
             for c in range(cols):
                 if rng.random() < 0.5:
                     entries[(r, c)] = Fraction(rng.randrange(-4, 5))
-        m = SparseRationalMatrix(rows, cols, entries)
+        m = SparseRationalMatrix.from_entries(rows, cols, entries)
         # dense reference elimination
         dense = [[entries.get((r, c), Fraction(0)) for c in range(cols)] for r in range(rows)]
         rank = 0
@@ -161,7 +216,7 @@ def test_kernel_matches_dense_reference_on_fill_heavy_matrices():
         rank = dense_rank(rows, cols, entries)
         columns = int_columns(cols, entries)
         assert homology._eliminate(columns) == rank
-        assert homology._eliminate(homology._transpose(columns)) == rank
+        assert homology._eliminate(SparseRationalMatrix(rows, tuple(columns)).transpose().columns) == rank
         assert homology._eliminate(columns, p) == rank
         assert homology.exact_rank_int(columns, rows, rng=random.Random(rows)) == rank
 
@@ -264,6 +319,11 @@ def test_empty_complex_has_betti_minus_one():
     empty = FaceComplex((), ())
     profile = reduced_homology(boundary_complex(empty))
     assert profile.betti == {-1: 1}
+
+
+def test_euler_characteristic_is_an_int_when_h_minus_one_is_nonzero():
+    profile = reduced_homology(boundary_complex(FaceComplex((), ())))
+    assert type(profile.euler) is int and profile.euler == -1
 
 
 def test_contractible_cone_has_no_reduced_homology():
