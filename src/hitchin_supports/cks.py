@@ -272,10 +272,10 @@ class CksBlock:
 
     Read the basis through ``vector(local)`` and ``vectors()``: each vector
     is in ambient wedge coordinates, RREF over the integers and homogeneous
-    of ambient weight ``weights[local]``.  The unique degree-0 block is the
-    full exterior power, whose basis is the standard one; it is stored as
-    ``basis=None`` and its unit vectors are made on demand, since at
-    C(20, 5) = 15,504 wedges the materialised dicts would cost about 3 MB.
+    of ambient weight ``weights[local]``.  Only the degree-0 block of
+    ``build_cks`` has ``basis=None``: it is the full exterior power, whose
+    unit vectors are made on demand, since at C(20, 5) = 15,504 wedges the
+    materialised dicts would cost about 3 MB.
     """
 
     subset: tuple[int, ...]
@@ -341,27 +341,28 @@ def _coboundary(ops, wedges, subset, vec, targets=None):
 
 
 def build_cks(
-    model: GradedH1Model,
-    exterior_degree: int,
-    wedge_limit: int = DEFAULT_WEDGE_LIMIT,
-    verify: bool = True,
+    model: GradedH1Model, exterior_degree: int, wedge_limit: int = DEFAULT_WEDGE_LIMIT
 ) -> CKSComplexInstance:
     """Assemble the complex of images with signed edge-operator differentials."""
     wedges = _checked_wedges(model, exterior_degree, wedge_limit)
-    index_weights = model.index_weights()
-    wedge_weights = wedges.weights(index_weights)
-    labels = model.labels()
+    weights = wedges.weights(model.index_weights())
+    return _assemble(model, wedges, weights, CksBlock((), None, weights))
 
-    terms: dict[int, tuple[CksBlock, ...]] = {
-        0: (CksBlock((), None, wedge_weights),)
-    }
+
+def _assemble(
+    model: GradedH1Model, wedges: WedgeBasis, wedge_weights: Sequence[int], start: CksBlock
+) -> CKSComplexInstance:
+    """The images of N_I on the span of the degree-0 block ``start``, checked
+    for homogeneity and for d o d = 0."""
+    labels = model.labels()
+    terms: dict[int, tuple[CksBlock, ...]] = {0: (start,)}
     k = 0
-    while k < min(exterior_degree, len(labels)):
+    while k < min(wedges.degree, len(labels)):
         nxt: dict[tuple[int, ...], tuple[dict[int, int], ...]] = {}
         for blk in terms[k]:
             subset = blk.subset
-            start = labels.index(subset[-1]) + 1 if subset else 0
-            for lab in labels[start:]:
+            first = labels.index(subset[-1]) + 1 if subset else 0
+            for lab in labels[first:]:
                 image = _push_image(model, wedges, blk.vectors(), lab)
                 if image:
                     nxt[subset + (lab,)] = image
@@ -375,9 +376,8 @@ def build_cks(
             _check_homogeneous(basis, wedge_weights)
             blocks.append(CksBlock(subset, basis, weights))
         terms[k] = tuple(blocks)
-    instance = CKSComplexInstance(model, exterior_degree, terms, wedges)
-    if verify:
-        _verify_square_zero(instance)
+    instance = CKSComplexInstance(model, wedges.degree, terms, wedges)
+    _verify_square_zero(instance)
     return instance
 
 
@@ -588,9 +588,9 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     This is the geometric action: it moves cells of the cographic complex and
     simultaneously transports the cycle-space orientations, which is what the
     vertex swap of the two-component spectral curve acts on by the sign
-    character.  The blocks are the highest-weight vectors of the images that
-    ``build_cks`` assembles on the model without its middle block, and the
-    differential is the one ``_coboundary`` gives the rest of this module.
+    character.  The complex is ``_top_weight_slice`` of the model without its
+    middle block, one line N_I(wedge^delta Gr2) per edge subset I, with the
+    differential that ``_coboundary`` gives the rest of this module.
     """
     delta = model.delta
     if delta < 1:
@@ -607,54 +607,38 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     ops = nilpotent_family(reduced)
     _assert_equivariant(ops, a, action)
 
-    inst = build_cks(reduced, delta)
+    inst = _top_weight_slice(reduced)
     wedges = inst.wedges
+    line = {blk.subset: blk.basis for blocks in inst.terms.values() for blk in blocks}
 
-    # top-weight pieces of every image, indexed by subset
-    tw_basis: dict[tuple[int, ...], tuple[dict[int, int], ...]] = {}
-    for k, blocks in inst.terms.items():
-        for blk in blocks:
-            keep = tuple(v for v, w in zip(blk.vectors(), blk.weights) if w == 2 * delta - 2 * k)
-            if keep:
-                tw_basis[blk.subset] = keep
-
-    def coordinates(k: int) -> dict[tuple[tuple[int, ...], int], int]:
-        """Flat index of each (subset, local) of the degree-k top-weight piece."""
-        keys = [
-            (subset, local)
-            for subset in sorted(s for s in tw_basis if len(s) == k)
-            for local in range(len(tw_basis[subset]))
-        ]
-        return {key: i for i, key in enumerate(keys)}
+    def coordinates(k: int) -> dict[tuple[int, ...], int]:
+        """Flat index of the line of each degree-k subset."""
+        return {blk.subset: i for i, blk in enumerate(inst.terms.get(k, ()))}
 
     def chain_map(coords) -> SparseRationalMatrix:
-        """sigma on one top-weight piece.
+        """sigma on one degree of the slice.
 
-        Transporting the summand of I to the summand of sigma(I) carries the
-        Koszul sign of sorting the mapped edge list, the usual exterior
-        algebra bookkeeping that makes the transport commute with the signed
+        Transporting the line of I to the line of sigma(I) carries the Koszul
+        sign of sorting the mapped edge list, the usual exterior algebra
+        bookkeeping that makes the transport commute with the signed
         differential.
         """
         columns = []
-        for subset, local in coords:
+        for subset in coords:
             mapped = [action[lab][0] for lab in subset]
-            tau = _sort_sign(mapped)
             image_subset = tuple(sorted(mapped))
-            img = _wedge_multiplicative_image(wedges, a.columns, tw_basis[subset][local])
-            images = enumerate(coords_in_rref(img, tw_basis[image_subset]))
-            columns.append({coords[(image_subset, j)]: _exact(tau * c) for j, c in images if c})
+            img = _wedge_multiplicative_image(wedges, a.columns, line[subset][0])
+            (c,) = coords_in_rref(img, line[image_subset])
+            columns.append({coords[image_subset]: _exact(_sort_sign(mapped) * c)})
         return SparseRationalMatrix(len(coords), tuple(columns))
 
     top, below = coordinates(delta), coordinates(delta - 1)
-    # d into the top degree; a target without a highest-weight piece is
-    # skipped, since the image of a highest-weight vector lands exactly there
     d_columns = []
-    for subset, local in below:
-        vec, col = tw_basis[subset][local], {}
-        for target, sign, img in _coboundary(ops, wedges, subset, vec, tw_basis):
-            for j, c in enumerate(coords_in_rref(img, tw_basis[target])):
-                if c:
-                    col[top[(target, j)]] = _exact(sign * c)
+    for subset in below:
+        col = {}
+        for target, sign, img in _coboundary(ops, wedges, subset, line[subset][0]):
+            (c,) = coords_in_rref(img, line[target])
+            col[top[target]] = _exact(sign * c)
         d_columns.append(col)
     d = SparseRationalMatrix(len(top), tuple(d_columns))
     sigma_top = chain_map(top)
@@ -675,6 +659,20 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
         _, residual = _rref_reduce(sigma_top.columns[i], image_basis)
         columns.append({pos_of[kk]: _exact(v) for kk, v in residual.items()})
     return SparseRationalMatrix(len(quotient_coords), tuple(columns))
+
+
+def _top_weight_slice(reduced: GradedH1Model) -> CKSComplexInstance:
+    """The complex on the line wedge^delta Gr2 of the reduced model.
+
+    In exterior degree delta that line is the only wedge of weight 2 delta,
+    and N_I lowers weight by exactly 2 |I|, so the block of I is the single
+    line N_I(wedge^delta Gr2): the top-weight piece of Im N_I.
+    """
+    delta = reduced.delta
+    wedges = _checked_wedges(reduced, delta, DEFAULT_WEDGE_LIMIT)
+    top = {wedges.index[tuple(range(delta, 2 * delta))]: 1}
+    weights = wedges.weights(reduced.index_weights())
+    return _assemble(reduced, wedges, weights, CksBlock((), (top,), (2 * delta,)))
 
 
 def _reduced_model(model: GradedH1Model) -> GradedH1Model:

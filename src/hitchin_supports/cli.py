@@ -387,6 +387,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             raise GraphError("give exactly one of --graph, --r, or --genus with --partition")
         if cfg.partition is not None and cfg.genus is None:
             raise GraphError("--partition needs --genus")
+        if cfg.genus is not None and cfg.partition is None:
+            raise GraphError("--genus needs --partition")
     return cfg
 
 

@@ -44,27 +44,25 @@ class FaceComplex:
 # ---------------------------------------------------------------------------
 
 
-def _grow_by_levels(m: int, keeps: "callable") -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Enumerate the faces of a downward-closed family on indices 0..m-1.
+def _grow_by_levels(children: "callable") -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Enumerate the non-empty faces of a complex, level by level.
 
-    ``keeps(subset)`` decides membership.  Levels are built by extending each
-    face with a strictly larger index, which visits every face exactly once
-    (any face minus its maximum is again a face) and in lexicographic order.
+    ``children(face)`` lists the faces that extend ``face`` by one index past
+    its last, starting from the empty face.  Any face minus its last index is
+    again a face, so every face is visited exactly once, and in lexicographic
+    order when ``children`` lists them in increasing order.
     """
     levels: list[tuple[tuple[int, ...], ...]] = []
-    current: list[tuple[int, ...]] = [
-        (i,) for i in range(m) if keeps((i,))
-    ]
+    current = children(())
     while current:
         levels.append(tuple(current))
-        nxt = []
-        for face in current:
-            for e in range(face[-1] + 1, m):
-                candidate = face + (e,)
-                if keeps(candidate):
-                    nxt.append(candidate)
-        current = nxt
+        current = [child for face in current for child in children(face)]
     return tuple(levels)
+
+
+def _members(m: int, keeps: "callable") -> "callable":
+    """``children`` of the downward-closed family on 0..m-1 that ``keeps`` tests."""
+    return lambda face: [c for e in range(face[-1] + 1 if face else 0, m) if keeps(c := face + (e,))]
 
 
 def cographic_complex(graph: Multigraph) -> FaceComplex:
@@ -73,14 +71,11 @@ def cographic_complex(graph: Multigraph) -> FaceComplex:
     if not graph.is_connected():
         raise GraphError("graph must be connected")
     labels = graph.labels()
-    by_index = {i: lab for i, lab in enumerate(labels)}
 
     def keeps(subset: tuple[int, ...]) -> bool:
-        removed = {by_index[i] for i in subset}
-        return graph.is_connected(without=removed)
+        return graph.is_connected(without={labels[i] for i in subset})
 
-    levels = _grow_by_levels(len(labels), keeps)
-    return FaceComplex(labels, levels)
+    return FaceComplex(labels, _grow_by_levels(_members(len(labels), keeps)))
 
 
 def nonspanning_complex(graph: Multigraph) -> FaceComplex:
@@ -90,13 +85,11 @@ def nonspanning_complex(graph: Multigraph) -> FaceComplex:
     if graph.vertex_count < 2:
         raise GraphError("non-spanning complex needs at least 2 vertices")
     labels = graph.labels()
-    by_index = {i: lab for i, lab in enumerate(labels)}
 
     def keeps(subset: tuple[int, ...]) -> bool:
-        return not graph.spanning_subset_connected(by_index[i] for i in subset)
+        return not graph.spanning_subset_connected(labels[i] for i in subset)
 
-    levels = _grow_by_levels(len(labels), keeps)
-    return FaceComplex(labels, levels)
+    return FaceComplex(labels, _grow_by_levels(_members(len(labels), keeps)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +143,8 @@ def partition_order_complex(r: int) -> FaceComplex:
         [j for j in range(i + 1, n) if len(proper[j]) < len(proper[i]) and refines(proper[i], proper[j])]
         for i in range(n)
     ]
-    levels: list[tuple[tuple[int, ...], ...]] = []
-    current = [(i,) for i in range(n)]
-    while current:
-        levels.append(tuple(current))
-        nxt = []
-        for chain in current:
-            for j in below[chain[-1]]:
-                nxt.append(chain + (j,))
-        current = nxt
-    return FaceComplex(labels, tuple(levels))
+
+    def children(chain: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [chain + (j,) for j in (below[chain[-1]] if chain else range(n))]
+
+    return FaceComplex(labels, _grow_by_levels(children))

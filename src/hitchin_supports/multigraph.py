@@ -346,12 +346,19 @@ def graph_to_json(graph: Multigraph) -> str:
 
 
 def graph_from_json(text: str) -> Multigraph:
-    """Load a graph, assigning labels 0..m-1 by edge-list position."""
+    """Load a graph, assigning labels 0..m-1 by edge-list position.  The vertex
+    count and the endpoints must be JSON integers; nothing is coerced."""
     try:
         doc = json.loads(text)
         vertices = doc["vertices"]
         pairs = doc["edges"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise GraphError(f"bad graph JSON: {exc}") from exc
-    edges = tuple((int(u), int(v), i) for i, (u, v) in enumerate(pairs))
-    return Multigraph(int(vertices), edges)
+    if type(vertices) is not int:
+        raise GraphError(f"bad graph JSON: vertices must be an integer, not {vertices!r}")
+    if type(pairs) is not list:
+        raise GraphError(f"bad graph JSON: edges must be a list, not {pairs!r}")
+    for i, pair in enumerate(pairs):
+        if type(pair) is not list or len(pair) != 2 or any(type(x) is not int for x in pair):
+            raise GraphError(f"bad graph JSON: edge {i} must be a pair of integers, not {pair!r}")
+    return Multigraph(vertices, tuple((u, v, i) for i, (u, v) in enumerate(pairs)))

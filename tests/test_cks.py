@@ -16,9 +16,12 @@ from hitchin_supports.cks import (
     signed_edge_action,
     top_weight_action,
     WedgeBasis,
+    _reduced_model,
+    _top_weight_slice,
 )
 from hitchin_supports.homology import SparseRationalMatrix
 from hitchin_supports.multigraph import HitchinPartition, Multigraph
+from hitchin_supports.numerology import cographic_top_betti
 from hitchin_supports.symgroup import compose
 
 from conftest import parallel_graph
@@ -318,3 +321,28 @@ def test_top_weight_action_composes_as_a_representation():
     mats = {p: top_weight_action(m, p) for p in perms}
     for sigma, tau in itertools.product(perms, repeat=2):
         assert mats[sigma].matmul(mats[tau]) == mats[compose(sigma, tau)], (sigma, tau)
+
+
+@pytest.mark.parametrize("genus, parts", [(2, (1, 1)), (3, (1, 1)), (2, (1, 1, 1)), (2, (2, 1))])
+def test_top_weight_slice_matches_the_filtered_whole_complex(genus, parts):
+    m = build_graded_model(HitchinPartition(genus, parts))
+    reduced = _reduced_model(m)
+    filtered = {}
+    for k, blocks in build_cks(reduced, m.delta).terms.items():
+        for blk in blocks:
+            keep = tuple(v for v, w in zip(blk.vectors(), blk.weights) if w == 2 * m.delta - 2 * k)
+            if keep:
+                filtered[blk.subset] = keep
+    lines = {blk.subset: blk.basis for blocks in _top_weight_slice(reduced).terms.values() for blk in blocks}
+    assert lines == filtered
+    assert all(len(basis) == 1 for basis in lines.values())
+
+
+def test_top_weight_action_on_a_delta_eight_stratum():
+    m = build_graded_model(HitchinPartition(2, (2, 1, 1)))
+    assert m.delta == 8
+    identity = top_weight_action(m, (0, 1, 2))
+    assert identity.rows == cographic_top_betti(m.graph) == 2
+    assert identity == SparseRationalMatrix.identity(identity.rows)
+    swap = top_weight_action(m, (0, 2, 1))
+    assert swap.matmul(swap) == identity

@@ -268,6 +268,10 @@ BAD_INPUTS = [
     ("anchors", "{bad json"),
     ("anchors", "[1, 2]"),
     ("selftest", "--max-edges", "0"),
+    ("graph", '{"vertices": 2, "edges": [[0]]}'),
+    ("graph", '{"vertices": "a", "edges": []}'),
+    ("graph", '{"vertices": 2.9, "edges": [[0, 1.7], [true, 0]]}'),
+    ("complex", "--genus", "2", "--r", "3"),
 ]
 
 
@@ -277,6 +281,10 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
         anchors = tmp_path / "anchors.json"
         anchors.write_text(argv[1])
         argv = ("report", "--genus", "2", "--partition", "1,1", "--format", "md", "--anchors", str(anchors))
+    if argv[0] == "graph":
+        graph = tmp_path / "graph.json"
+        graph.write_text(argv[1])
+        argv = ("complex", "--graph", str(graph))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

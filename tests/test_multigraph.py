@@ -292,3 +292,36 @@ def test_json_rejects_garbage():
         graph_from_json("{not json")
     with pytest.raises(GraphError):
         graph_from_json('{"vertices": 2}')
+
+
+MALFORMED_GRAPHS = [
+    '{"vertices": 2, "edges": [[0]]}',
+    '{"vertices": 2, "edges": [[0, 1, 1]]}',
+    '{"vertices": "a", "edges": []}',
+    '{"vertices": 2.9, "edges": [[0, 1.7], [true, 0]]}',
+    '{"vertices": 2.0, "edges": [[0, 1]]}',
+    '{"vertices": true, "edges": []}',
+    '{"vertices": null, "edges": []}',
+    '{"vertices": 2, "edges": [[0, 1.7]]}',
+    '{"vertices": 2, "edges": [[true, 0]]}',
+    '{"vertices": 2, "edges": [[0, "1"]]}',
+    '{"vertices": 2, "edges": ["01"]}',
+    '{"vertices": 2, "edges": [0, 1]}',
+    '{"vertices": 2, "edges": {"0": [0, 1]}}',
+    '{"vertices": 2, "edges": "[[0, 1]]"}',
+    '[2, [[0, 1]]]',
+    '"graph"',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_GRAPHS)
+def test_json_rejects_malformed_documents_without_coercion(text):
+    with pytest.raises(GraphError, match="bad graph JSON"):
+        graph_from_json(text)
+
+
+def test_json_rejects_out_of_range_data():
+    with pytest.raises(GraphError):
+        graph_from_json('{"vertices": -1, "edges": []}')
+    with pytest.raises(GraphError):
+        graph_from_json('{"vertices": 2, "edges": [[0, 2]]}')
