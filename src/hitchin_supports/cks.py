@@ -22,6 +22,18 @@ with signed component maps ``N_r`` computes the stalk cohomology this package
 reports.  Every stored basis vector is homogeneous for the ambient block
 weight (W0: 0, Gr1: 1, Gr2: 2), the differentials preserve the shifted weight
 ``ambient + 2k``, and all cohomology is computed one weight summand at a time.
+
+This is the complex of Cattani, Kaplan and Schmid ("L^2 and intersection
+cohomologies for a polarizable variation of Hodge structure", Invent. Math.
+87, 1987).  Since every operator kills ``Gr1`` and has image in ``W0``, the
+complex on ``wedge^i H`` is the Kuenneth sum
+
+    (+)_j  wedge^j Gr1 (x) CKS(wedge^(i-j) (W0 + W2)),
+
+in which the j-th piece has multiplicity C(dim Gr1, j) and every weight
+shifted by j.  ``build_cks`` assembles only the pieces on the model without
+its middle block; the complex assembled on the whole ``wedge^i H`` stays as
+the reference the tests compare the sum against.
 """
 
 from __future__ import annotations
@@ -85,6 +97,8 @@ class GradedH1Model:
     _nilpotent: dict[int, SparseRationalMatrix] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # "reduced" -> _reduced_model, "slice" -> _top_weight_slice, built on first use
+    _derived: dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def delta(self) -> int:
@@ -224,7 +238,8 @@ def image_NI(
     """Reduced basis of the image of the composed edge operators on the
     exterior power; the empty subset returns the standard basis of the full
     space."""
-    wedges = _checked_wedges(model, exterior_degree, wedge_limit)
+    _check_exterior(model, exterior_degree, wedge_limit)
+    wedges = WedgeBasis(model.dimension, exterior_degree)
     order = sorted(set(subset))
     for lab in order:
         if lab not in model.edge_vectors:
@@ -237,12 +252,11 @@ def image_NI(
     return basis
 
 
-def _checked_wedges(model: GradedH1Model, i: int, limit: int) -> WedgeBasis:
+def _check_exterior(model: GradedH1Model, i: int, limit: int) -> None:
     if i < 0 or i > model.dimension:
         raise CksError("exterior degree out of range")
     if comb(model.dimension, i) > limit:
         raise CksError("exterior degree too large")
-    return WedgeBasis(model.dimension, i)
 
 
 def _push_image(
@@ -272,10 +286,11 @@ class CksBlock:
 
     Read the basis through ``vector(local)`` and ``vectors()``: each vector
     is in ambient wedge coordinates, RREF over the integers and homogeneous
-    of ambient weight ``weights[local]``.  Only the degree-0 block of
-    ``build_cks`` has ``basis=None``: it is the full exterior power, whose
-    unit vectors are made on demand, since at C(20, 5) = 15,504 wedges the
-    materialised dicts would cost about 3 MB.
+    of ambient weight ``weights[local]``.  Only the degree-0 block of a
+    complex assembled on a whole exterior power has ``basis=None``: its unit
+    vectors are made on demand, since at C(20, 5) = 15,504 wedges of
+    wedge^5 (W0 + W2) at delta = 10 the materialised dicts would cost about
+    3 MB.
     """
 
     subset: tuple[int, ...]
@@ -295,18 +310,47 @@ class CksBlock:
 
 
 @dataclass(frozen=True)
-class CKSComplexInstance:
+class CksPiece:
+    """One assembled complex: the images of N_I on the span of the degree-0
+    block, in one exterior power of one model, checked by ``_assemble``."""
+
     model: GradedH1Model
     exterior_degree: int
     terms: Mapping[int, tuple[CksBlock, ...]]
     wedges: WedgeBasis = field(compare=False, repr=False)
 
+    def term_dimension(self, k: int) -> int:
+        return sum(b.dim() for b in self.terms.get(k, ()))
+
+
+@dataclass(frozen=True)
+class CKSComplexInstance:
+    """The complex on wedge^i H as a Kuenneth sum of assembled pieces.
+
+    Each entry of ``pieces`` is ``(j, C(gr1_dim, j), piece)``: ``piece`` is
+    the complex on wedge^(i-j) (W0 + W2), which wedge^j Gr1 multiplies and
+    whose weights it shifts by j.  ``terms`` lists the blocks of every piece
+    once, so ``term_dimension`` and the cohomology weigh them by multiplicity.
+    """
+
+    model: GradedH1Model
+    exterior_degree: int
+    pieces: tuple[tuple[int, int, CksPiece], ...]
+
     @property
     def delta(self) -> int:
         return self.model.delta
 
+    @property
+    def terms(self) -> dict[int, tuple[CksBlock, ...]]:
+        out: dict[int, tuple[CksBlock, ...]] = {}
+        for _, _, piece in self.pieces:
+            for k, blocks in piece.terms.items():
+                out[k] = out.get(k, ()) + blocks
+        return dict(sorted(out.items()))
+
     def term_dimension(self, k: int) -> int:
-        return sum(b.dim() for b in self.terms.get(k, ()))
+        return sum(mult * piece.term_dimension(k) for _, mult, piece in self.pieces)
 
 
 def _insertion_sign(subset: tuple[int, ...], label: int) -> int:
@@ -343,15 +387,38 @@ def _coboundary(ops, wedges, subset, vec, targets=None):
 def build_cks(
     model: GradedH1Model, exterior_degree: int, wedge_limit: int = DEFAULT_WEDGE_LIMIT
 ) -> CKSComplexInstance:
-    """Assemble the complex of images with signed edge-operator differentials."""
-    wedges = _checked_wedges(model, exterior_degree, wedge_limit)
+    """Assemble the complex of images with signed edge-operator differentials.
+
+    The guards apply to wedge^i H, but only the pieces on wedge^m (W0 + W2),
+    m = i - j <= 2 delta, are assembled, once each on the reduced model.
+    """
+    _check_exterior(model, exterior_degree, wedge_limit)
+    reduced = _reduced_model(model)
+    low = max(0, exterior_degree - reduced.dimension)
+    pieces = tuple(
+        (j, comb(model.gr1_dim, j), _whole_complex(reduced, exterior_degree - j))
+        for j in range(low, min(model.gr1_dim, exterior_degree) + 1)
+    )
+    return CKSComplexInstance(model, exterior_degree, pieces)
+
+
+def _direct_cks(model: GradedH1Model, exterior_degree: int) -> CKSComplexInstance:
+    """Reference for ``build_cks``: the complex assembled on the whole
+    wedge^i H, as the one-piece sum (j = 0, multiplicity 1)."""
+    _check_exterior(model, exterior_degree, DEFAULT_WEDGE_LIMIT)
+    return CKSComplexInstance(model, exterior_degree, ((0, 1, _whole_complex(model, exterior_degree)),))
+
+
+def _whole_complex(model: GradedH1Model, exterior_degree: int) -> CksPiece:
+    """The complex started from all of wedge^i of the model."""
+    wedges = WedgeBasis(model.dimension, exterior_degree)
     weights = wedges.weights(model.index_weights())
     return _assemble(model, wedges, weights, CksBlock((), None, weights))
 
 
 def _assemble(
     model: GradedH1Model, wedges: WedgeBasis, wedge_weights: Sequence[int], start: CksBlock
-) -> CKSComplexInstance:
+) -> CksPiece:
     """The images of N_I on the span of the degree-0 block ``start``, checked
     for homogeneity and for d o d = 0."""
     labels = model.labels()
@@ -376,9 +443,9 @@ def _assemble(
             _check_homogeneous(basis, wedge_weights)
             blocks.append(CksBlock(subset, basis, weights))
         terms[k] = tuple(blocks)
-    instance = CKSComplexInstance(model, wedges.degree, terms, wedges)
-    _verify_square_zero(instance)
-    return instance
+    piece = CksPiece(model, wedges.degree, terms, wedges)
+    _verify_square_zero(piece)
+    return piece
 
 
 def _check_homogeneous(basis, wedge_weights) -> None:
@@ -388,16 +455,16 @@ def _check_homogeneous(basis, wedge_weights) -> None:
             raise CksError("image basis vector is not weight-homogeneous")
 
 
-def _verify_square_zero(instance: CKSComplexInstance, samples: int = 24) -> None:
+def _verify_square_zero(piece: CksPiece, samples: int = 24) -> None:
     """d(d(x)) = 0, fully on small instances and on sampled vectors otherwise."""
-    ops = nilpotent_family(instance.model)
+    ops = nilpotent_family(piece.model)
     rng = random.Random(23)
-    for blocks in instance.terms.values():
+    for blocks in piece.terms.values():
         for blk in blocks:
             n = blk.dim()
             picks = range(n) if n <= samples else [rng.randrange(n) for _ in range(samples)]
             for local in picks:
-                _assert_d_squared_zero(ops, instance.wedges, blk.subset, blk.vector(local))
+                _assert_d_squared_zero(ops, piece.wedges, blk.subset, blk.vector(local))
 
 
 def _assert_d_squared_zero(ops, wedges, subset, vec) -> None:
@@ -424,8 +491,12 @@ def top_weight_dimensions(instance: CKSComplexInstance) -> dict[int, int]:
     complex times the middle-block binomial, one line per non-disconnecting
     edge subset.
     """
-    top = _weight_slices(instance).get(instance.exterior_degree + instance.delta, {})
-    return {k: sum(len(loc) for _, loc in top.get(k, ())) for k in instance.terms}
+    w_top = instance.exterior_degree + instance.delta
+    dims = {k: 0 for k in instance.terms}
+    for j, mult, piece in instance.pieces:
+        for k, groups in _weight_slices(piece).get(w_top - j, {}).items():
+            dims[k] += mult * sum(len(loc) for _, loc in groups)
+    return dims
 
 
 @dataclass(frozen=True)
@@ -449,10 +520,10 @@ class CksCohomology:
         }
 
 
-def _weight_slices(instance: CKSComplexInstance) -> dict[int, dict[int, list]]:
+def _weight_slices(piece: CksPiece) -> dict[int, dict[int, list]]:
     """shifted weight -> degree -> list of (block_position, local indices)."""
     slices: dict[int, dict[int, list]] = {}
-    for k, blocks in instance.terms.items():
+    for k, blocks in piece.terms.items():
         for pos, blk in enumerate(blocks):
             groups: dict[int, list[int]] = {}
             for local, w in enumerate(blk.weights):
@@ -465,32 +536,30 @@ def _weight_slices(instance: CKSComplexInstance) -> dict[int, dict[int, list]]:
 
 def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = None) -> CksCohomology:
     """Exact cohomology dimensions of the full graded-model complex and of its
-    highest-weight summand (shifted weight i + delta)."""
-    model = instance.model
-    ops = nilpotent_family(model)
-    slices = _weight_slices(instance)
+    highest-weight summand (shifted weight i + delta): each piece's, weighed
+    by its multiplicity and shifted by its j."""
+    delta = instance.delta
+    degrees: dict[int, int] = {k: 0 for k in range(0, delta + 1)}
+    top: dict[int, int] = {k: 0 for k in range(0, delta + 1)}
+    w_top = instance.exterior_degree + delta
 
-    degrees: dict[int, int] = {k: 0 for k in range(0, model.delta + 1)}
-    top: dict[int, int] = {k: 0 for k in range(0, model.delta + 1)}
-    w_top = instance.exterior_degree + model.delta
-
-    for shifted, per_degree in sorted(slices.items()):
-        ks = sorted(per_degree)
-        dims = {k: sum(len(loc) for _, loc in per_degree[k]) for k in ks}
-        ranks: dict[int, int] = {}
-        for k in ks:
-            ranks[k] = _slice_differential_rank(instance, ops, per_degree.get(k, []), k, rng)
-        for k in ks:
-            h = dims[k] - ranks.get(k, 0) - ranks.get(k - 1, 0)
-            if h:
-                degrees[k] = degrees.get(k, 0) + h
-                if shifted == w_top:
-                    top[k] = top.get(k, 0) + h
-    return CksCohomology(instance.exterior_degree, model.delta, degrees, top)
+    for j, mult, piece in instance.pieces:
+        ops = nilpotent_family(piece.model)
+        for shifted, per_degree in sorted(_weight_slices(piece).items()):
+            ks = sorted(per_degree)
+            dims = {k: sum(len(loc) for _, loc in per_degree[k]) for k in ks}
+            ranks = {k: _slice_differential_rank(piece, ops, per_degree[k], k, rng) for k in ks}
+            for k in ks:
+                h = dims[k] - ranks.get(k, 0) - ranks.get(k - 1, 0)
+                if h:
+                    degrees[k] = degrees.get(k, 0) + mult * h
+                    if shifted + j == w_top:
+                        top[k] = top.get(k, 0) + mult * h
+    return CksCohomology(instance.exterior_degree, delta, degrees, top)
 
 
 def _slice_differential_rank(
-    instance: CKSComplexInstance,
+    piece: CksPiece,
     ops: Mapping[int, SparseRationalMatrix],
     source_slice: list,
     k: int,
@@ -499,11 +568,11 @@ def _slice_differential_rank(
     """Rank of the degree-k differential restricted to one weight summand."""
     if not source_slice:
         return 0
-    blocks = instance.terms.get(k, ())
-    target_blocks = {blk.subset: blk for blk in instance.terms.get(k + 1, ())}
+    blocks = piece.terms.get(k, ())
+    target_blocks = {blk.subset: blk for blk in piece.terms.get(k + 1, ())}
     if not target_blocks:
         return 0
-    wedges = instance.wedges
+    wedges = piece.wedges
     columns: list[dict[int, int]] = []
     row_index: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -661,29 +730,40 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     return SparseRationalMatrix(len(quotient_coords), tuple(columns))
 
 
-def _top_weight_slice(reduced: GradedH1Model) -> CKSComplexInstance:
-    """The complex on the line wedge^delta Gr2 of the reduced model.
+def _top_weight_slice(reduced: GradedH1Model) -> CksPiece:
+    """The complex on the line wedge^delta Gr2 of the reduced model, built
+    (and checked) once per model.
 
     In exterior degree delta that line is the only wedge of weight 2 delta,
     and N_I lowers weight by exactly 2 |I|, so the block of I is the single
     line N_I(wedge^delta Gr2): the top-weight piece of Im N_I.
     """
-    delta = reduced.delta
-    wedges = _checked_wedges(reduced, delta, DEFAULT_WEDGE_LIMIT)
-    top = {wedges.index[tuple(range(delta, 2 * delta))]: 1}
-    weights = wedges.weights(reduced.index_weights())
-    return _assemble(reduced, wedges, weights, CksBlock((), (top,), (2 * delta,)))
+    piece = reduced._derived.get("slice")
+    if piece is None:
+        delta = reduced.delta
+        _check_exterior(reduced, delta, DEFAULT_WEDGE_LIMIT)
+        wedges = WedgeBasis(reduced.dimension, delta)
+        top = {wedges.index[tuple(range(delta, 2 * delta))]: 1}
+        weights = wedges.weights(reduced.index_weights())
+        piece = _assemble(reduced, wedges, weights, CksBlock((), (top,), (2 * delta,)))
+        reduced._derived["slice"] = piece
+    return piece
 
 
 def _reduced_model(model: GradedH1Model) -> GradedH1Model:
-    """The model with the inert middle block removed (same cycle data)."""
-    return GradedH1Model(
-        None,
-        model.graph,
-        (0,) * model.graph.vertex_count,
-        model.cycles,
-        model.edge_vectors,
-    )
+    """The model with the inert middle block removed (same cycle data), built
+    once per model."""
+    reduced = model._derived.get("reduced")
+    if reduced is None:
+        reduced = GradedH1Model(
+            None,
+            model.graph,
+            (0,) * model.graph.vertex_count,
+            model.cycles,
+            model.edge_vectors,
+        )
+        model._derived["reduced"] = reduced
+    return reduced
 
 
 def _assert_equivariant(ops, a: SparseRationalMatrix, action) -> None:

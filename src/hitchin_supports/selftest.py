@@ -11,7 +11,15 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .cks import build_graded_model, image_NI, nilpotent_family
+from .cks import (
+    _direct_cks,
+    build_cks,
+    build_graded_model,
+    cks_cohomology,
+    image_NI,
+    model_from_graph,
+    nilpotent_family,
+)
 from .complexes import (
     cographic_complex,
     nonspanning_complex,
@@ -238,6 +246,23 @@ def prop_vanishing(rng, cfg):
     return True, "image vanishing on the two-part model"
 
 
+def prop_kunneth(rng, cfg):
+    """The Kuenneth split of ``build_cks`` against the complex assembled on
+    the whole exterior power."""
+    for _ in range(cfg.count):
+        g = random_connected_multigraph(rng, min(cfg.max_edges, 4))
+        model = model_from_graph(g, [rng.randrange(2) for _ in range(g.vertex_count)])
+        i = rng.randrange(min(3, model.dimension) + 1)
+        if _cks_tables(build_cks(model, i)) != _cks_tables(_direct_cks(model, i)):
+            return False, f"graph {g.edges}, genera {model.component_genera}, i={i}"
+    return True, "split equals the direct complex on random graphs"
+
+
+def _cks_tables(instance) -> tuple:
+    coh = cks_cohomology(instance)
+    return {k: instance.term_dimension(k) for k in instance.terms}, coh.degrees, coh.top_weight
+
+
 def prop_rank_symmetry(rng, cfg):
     for _ in range(cfg.count):
         p = random_partition(rng, max_n=6)
@@ -261,6 +286,7 @@ PROPERTIES = {
     "rep_laws": prop_representation_laws,
     "nilpotent_commute": prop_nilpotent_commute,
     "vanishing": prop_vanishing,
+    "kunneth": prop_kunneth,
     "rank_symmetry": prop_rank_symmetry,
 }
 

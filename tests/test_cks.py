@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hitchin_supports import cks as cks_module
 from hitchin_supports.cks import (
     CksError,
     apply_derivation,
@@ -16,6 +17,7 @@ from hitchin_supports.cks import (
     signed_edge_action,
     top_weight_action,
     WedgeBasis,
+    _direct_cks,
     _reduced_model,
     _top_weight_slice,
 )
@@ -241,7 +243,7 @@ def test_no_terms_beyond_delta():
 def test_term_dimensions_count_connected_subsets():
     # |I| = 1 blocks exist for every edge of the three-part dual graph
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
-    inst = build_cks(m, 2)
+    inst = _direct_cks(m, 2)
     assert len(inst.terms[1]) == 6
     subsets = {blk.subset for blk in inst.terms[2]}
     # all 15 pairs keep the graph connected, so all appear
@@ -258,7 +260,7 @@ def test_top_weight_slice_is_cographic_chain_complex_tensor_middle():
 
     m = build_graded_model(HitchinPartition(2, (1, 1)))
     for i in (1, 2, 3):
-        inst = build_cks(m, i)
+        inst = _direct_cks(m, i)
         dims = top_weight_dimensions(inst)
         f_vec = cographic_complex(m.graph).f_vector()
         factor = comb(m.gr1_dim, i - m.delta)
@@ -273,6 +275,57 @@ def test_top_weight_slice_is_cographic_chain_complex_tensor_middle():
                 want = i + m.delta - 2 * k
                 local = sum(1 for w in blk.weights if w == want)
                 assert local == factor, (i, blk.subset)
+
+
+KUNNETH_MODELS = {
+    "g2-11": (lambda: build_graded_model(HitchinPartition(2, (1, 1))), 4),
+    "g3-11": (lambda: build_graded_model(HitchinPartition(3, (1, 1))), 4),
+    "g2-21": (lambda: build_graded_model(HitchinPartition(2, (2, 1))), 3),
+    "g2-111": (lambda: build_graded_model(HitchinPartition(2, (1, 1, 1))), 4),
+    # a loop, a double edge and genera 0, 1, 2: delta 3, Gr1 of dimension 6
+    "loop-mixed": (
+        lambda: model_from_graph(Multigraph(3, ((0, 1, 0), (1, 2, 1), (0, 2, 2), (1, 1, 3), (0, 1, 4))), (0, 1, 2)),
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KUNNETH_MODELS))
+def test_kunneth_split_matches_the_direct_complex(name):
+    make, top_degree = KUNNETH_MODELS[name]
+    m = make()
+    for i in range(top_degree + 1):
+        split, direct = build_cks(m, i), _direct_cks(m, i)
+        assert len(direct.pieces) == 1
+        assert len(split.pieces) == min(m.gr1_dim, i) + 1 - max(0, i - 2 * m.delta)
+        assert list(split.terms) == list(direct.terms), i
+        for k in direct.terms:
+            assert split.term_dimension(k) == direct.term_dimension(k), (i, k)
+        split_coh, direct_coh = cks_cohomology(split), cks_cohomology(direct)
+        assert split_coh.degrees == direct_coh.degrees, i
+        assert split_coh.top_weight == direct_coh.top_weight, i
+
+
+# (genus, partition, exterior degree) -> cohomology, highest-weight cohomology
+# and term dimensions by degree: the tables the benchmark pins for its
+# cks-monodromy workload
+PINNED_CKS_TABLES = {
+    (2, (1, 1, 1), 4): ((1969, 678, 239, 51, 2), (0, 0, 0, 0, 2), (4845, 4896, 1800, 280, 12)),
+    (2, (1, 1, 1), 5): ((5126, 1899, 921, 304, 24), (0, 0, 0, 0, 24), (15504, 18360, 8400, 1820, 144)),
+    (2, (1, 1, 1, 1), 3): ((2331, 647, 118, 10) + (0,) * 6, (0,) * 10, (5984, 5952, 1980, 220)),
+    (3, (1, 1), 4): ((1495, 232, 67, 12), (0, 0, 0, 12), (3060, 2240, 546, 48)),
+    (2, (2, 1), 3): ((699, 92, 14, 1), (0, 0, 0, 1), (1140, 612, 96, 4)),
+}
+
+
+@pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))
+def test_build_cks_reproduces_the_pinned_tables(genus, parts, i):
+    degrees, top_weight, terms = PINNED_CKS_TABLES[(genus, parts, i)]
+    inst = build_cks(build_graded_model(HitchinPartition(genus, parts)), i)
+    coh = cks_cohomology(inst)
+    assert coh.degrees == dict(enumerate(degrees))
+    assert coh.top_weight == dict(enumerate(top_weight))
+    assert {k: inst.term_dimension(k) for k in inst.terms} == dict(enumerate(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -346,3 +399,20 @@ def test_top_weight_action_on_a_delta_eight_stratum():
     assert identity == SparseRationalMatrix.identity(identity.rows)
     swap = top_weight_action(m, (0, 2, 1))
     assert swap.matmul(swap) == identity
+
+
+def test_top_weight_slice_is_built_and_checked_once_per_model(monkeypatch):
+    calls = []
+    verify = cks_module._verify_square_zero
+
+    def counting(piece, *args):
+        calls.append(piece.exterior_degree)
+        return verify(piece, *args)
+
+    monkeypatch.setattr(cks_module, "_verify_square_zero", counting)
+    m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
+    first = top_weight_action(m, (1, 2, 0))
+    assert top_weight_action(m, (1, 2, 0)) == first
+    assert top_weight_action(m, (0, 2, 1)).rows == first.rows
+    assert calls == [m.delta]
+    assert build_cks(m, 2).pieces[0][2].model is _reduced_model(m)
