@@ -22,6 +22,10 @@ with signed component maps ``N_r`` computes the stalk cohomology this package
 reports.  Every stored basis vector is homogeneous for the ambient block
 weight (W0: 0, Gr1: 1, Gr2: 2), the differentials preserve the shifted weight
 ``ambient + 2k``, and all cohomology is computed one weight summand at a time.
+Each differential is assembled once, as a sparse matrix in the coordinates of
+the blocks' bases: assembling it checks that every component N_r x lies in
+the block of I + r, and d o d = 0 is checked on every column.  The weight
+summands' ranks and the highest-weight action read the stored matrices.
 
 This is the complex of Cattani, Kaplan and Schmid ("L^2 and intersection
 cohomologies for a polarizable variation of Hodge structure", Invent. Math.
@@ -53,7 +57,7 @@ from .homology import (
     _sort_sign,
     clear_denominators,
     coords_in_rref,
-    exact_rank_int,
+    exact_rank,
 )
 from .multigraph import (
     CycleSpaceBasis,
@@ -284,13 +288,12 @@ def _push_image(
 class CksBlock:
     """One summand Im N_I of a term, with its inclusion as an explicit basis.
 
-    Read the basis through ``vector(local)`` and ``vectors()``: each vector
-    is in ambient wedge coordinates, RREF over the integers and homogeneous
-    of ambient weight ``weights[local]``.  Only the degree-0 block of a
-    complex assembled on a whole exterior power has ``basis=None``: its unit
-    vectors are made on demand, since at C(20, 5) = 15,504 wedges of
-    wedge^5 (W0 + W2) at delta = 10 the materialised dicts would cost about
-    3 MB.
+    Read the basis through ``vectors()``: each vector is in ambient wedge
+    coordinates, RREF over the integers and homogeneous of ambient weight
+    ``weights[local]``.  Only the degree-0 block of a complex assembled on a
+    whole exterior power has ``basis=None``: its unit vectors are made on
+    demand, since at C(20, 5) = 15,504 wedges of wedge^5 (W0 + W2) at
+    delta = 10 the materialised dicts would cost about 3 MB.
     """
 
     subset: tuple[int, ...]
@@ -299,9 +302,6 @@ class CksBlock:
 
     def dim(self) -> int:
         return len(self.weights)
-
-    def vector(self, local: int) -> dict[int, int]:
-        return {local: 1} if self.basis is None else self.basis[local]
 
     def vectors(self) -> Iterable[dict[int, int]]:
         if self.basis is None:
@@ -312,12 +312,20 @@ class CksBlock:
 @dataclass(frozen=True)
 class CksPiece:
     """One assembled complex: the images of N_I on the span of the degree-0
-    block, in one exterior power of one model, checked by ``_assemble``."""
+    block, in one exterior power of one model, checked by ``_assemble``.
+
+    ``differentials[k]`` is d_k in block coordinates: its columns are the
+    basis vectors of ``terms[k]`` and its rows those of ``terms[k + 1]``, each
+    term's blocks concatenated in order (the last degree's map has no rows).
+    Every component N_r x of d x lies in the block of I + r, and
+    d_(k+1) d_k = 0 holds on every column.
+    """
 
     model: GradedH1Model
     exterior_degree: int
     terms: Mapping[int, tuple[CksBlock, ...]]
     wedges: WedgeBasis = field(compare=False, repr=False)
+    differentials: tuple[SparseRationalMatrix, ...] = field(compare=False, repr=False)
 
     def term_dimension(self, k: int) -> int:
         return sum(b.dim() for b in self.terms.get(k, ()))
@@ -364,24 +372,6 @@ def _acc(store: dict, key, val) -> None:
         store[key] = s
     else:
         store.pop(key, None)
-
-
-def _coboundary(ops, wedges, subset, vec, targets=None):
-    """The non-zero components of d on one vector of the block of ``subset``.
-
-    ``ops`` is the ``nilpotent_family`` of the model.  Yields ``(subset with r
-    inserted, insertion sign, N_r vec)`` for each edge r outside the subset,
-    skipping targets missing from ``targets`` when it is given.
-    """
-    for r, op in ops.items():
-        if r in subset:
-            continue
-        target = tuple(sorted(subset + (r,)))
-        if targets is not None and target not in targets:
-            continue
-        img = apply_derivation(wedges, op.columns, vec)
-        if img:
-            yield target, _insertion_sign(subset, r), img
 
 
 def build_cks(
@@ -443,9 +433,7 @@ def _assemble(
             _check_homogeneous(basis, wedge_weights)
             blocks.append(CksBlock(subset, basis, weights))
         terms[k] = tuple(blocks)
-    piece = CksPiece(model, wedges.degree, terms, wedges)
-    _verify_square_zero(piece)
-    return piece
+    return CksPiece(model, wedges.degree, terms, wedges, _differentials(model, wedges, terms))
 
 
 def _check_homogeneous(basis, wedge_weights) -> None:
@@ -455,27 +443,49 @@ def _check_homogeneous(basis, wedge_weights) -> None:
             raise CksError("image basis vector is not weight-homogeneous")
 
 
-def _verify_square_zero(piece: CksPiece, samples: int = 24) -> None:
-    """d(d(x)) = 0, fully on small instances and on sampled vectors otherwise."""
-    ops = nilpotent_family(piece.model)
-    rng = random.Random(23)
-    for blocks in piece.terms.values():
-        for blk in blocks:
-            n = blk.dim()
-            picks = range(n) if n <= samples else [rng.randrange(n) for _ in range(samples)]
-            for local in picks:
-                _assert_d_squared_zero(ops, piece.wedges, blk.subset, blk.vector(local))
+def _differentials(
+    model: GradedH1Model, wedges: WedgeBasis, terms: Mapping[int, tuple[CksBlock, ...]]
+) -> tuple[SparseRationalMatrix, ...]:
+    """d_k for every degree in block coordinates, checked for d o d = 0.
 
-
-def _assert_d_squared_zero(ops, wedges, subset, vec) -> None:
-    acc: dict[tuple[int, ...], dict[int, int]] = {}
-    for mid, s1, img1 in _coboundary(ops, wedges, subset, vec):
-        for target, s2, img2 in _coboundary(ops, wedges, mid, img1):
-            slot = acc.setdefault(target, {})
-            for widx, val in img2.items():
-                _acc(slot, widx, s1 * s2 * val)
-    if any(acc.values()):
-        raise CksError("differential does not square to zero")
+    A column is one pass of the edge operators over one basis vector x of the
+    block of I: the component N_r x goes, with the insertion sign of r, to the
+    coordinates of the block of I + r, which must exist and hold it.
+    """
+    ops = nilpotent_family(model)
+    mats = []
+    for k in range(len(terms)):
+        targets = {}
+        rows = 0
+        for blk in terms.get(k + 1, ()):
+            targets[blk.subset] = (rows, blk.basis, {min(v): pos for pos, v in enumerate(blk.basis)})
+            rows += blk.dim()
+        columns = []
+        for blk in terms[k]:
+            for vec in blk.vectors():
+                col = {}
+                for r, op in ops.items():
+                    if r in blk.subset:
+                        continue
+                    img = apply_derivation(wedges, op.columns, vec)
+                    if not img:
+                        continue
+                    target = targets.get(tuple(sorted(blk.subset + (r,))))
+                    if target is None:
+                        raise CksError("differential leaves the complex: no block for its target")
+                    offset, basis, pivots = target
+                    coords, residual = _rref_reduce(img, basis, pivots)
+                    if residual:
+                        raise CksError("differential leaves the complex: image outside its block")
+                    sign = _insertion_sign(blk.subset, r)
+                    for pos, c in coords.items():
+                        col[offset + pos] = sign * c
+                columns.append(col)
+        mats.append(SparseRationalMatrix(rows, tuple(columns)))
+    for lower, upper in zip(mats[1:], mats):
+        if not lower.matmul(upper).is_zero():
+            raise CksError("differential does not square to zero")
+    return tuple(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +504,8 @@ def top_weight_dimensions(instance: CKSComplexInstance) -> dict[int, int]:
     w_top = instance.exterior_degree + instance.delta
     dims = {k: 0 for k in instance.terms}
     for j, mult, piece in instance.pieces:
-        for k, groups in _weight_slices(piece).get(w_top - j, {}).items():
-            dims[k] += mult * sum(len(loc) for _, loc in groups)
+        for k, cols in _weight_slices(piece).get(w_top - j, {}).items():
+            dims[k] += mult * len(cols)
     return dims
 
 
@@ -520,17 +530,14 @@ class CksCohomology:
         }
 
 
-def _weight_slices(piece: CksPiece) -> dict[int, dict[int, list]]:
-    """shifted weight -> degree -> list of (block_position, local indices)."""
-    slices: dict[int, dict[int, list]] = {}
+def _weight_slices(piece: CksPiece) -> dict[int, dict[int, list[int]]]:
+    """shifted weight -> degree -> block coordinates of the basis vectors of
+    that weight, the columns of ``piece.differentials[degree]`` in the slice."""
+    slices: dict[int, dict[int, list[int]]] = {}
     for k, blocks in piece.terms.items():
-        for pos, blk in enumerate(blocks):
-            groups: dict[int, list[int]] = {}
-            for local, w in enumerate(blk.weights):
-                groups.setdefault(w, []).append(local)
-            for w_amb, locals_ in groups.items():
-                shifted = w_amb + 2 * k
-                slices.setdefault(shifted, {}).setdefault(k, []).append((pos, locals_))
+        weights = (w for blk in blocks for w in blk.weights)
+        for col, w_amb in enumerate(weights):
+            slices.setdefault(w_amb + 2 * k, {}).setdefault(k, []).append(col)
     return slices
 
 
@@ -544,13 +551,11 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
     w_top = instance.exterior_degree + delta
 
     for j, mult, piece in instance.pieces:
-        ops = nilpotent_family(piece.model)
         for shifted, per_degree in sorted(_weight_slices(piece).items()):
             ks = sorted(per_degree)
-            dims = {k: sum(len(loc) for _, loc in per_degree[k]) for k in ks}
-            ranks = {k: _slice_differential_rank(piece, ops, per_degree[k], k, rng) for k in ks}
+            ranks = {k: _slice_differential_rank(piece.differentials[k], per_degree[k], rng) for k in ks}
             for k in ks:
-                h = dims[k] - ranks.get(k, 0) - ranks.get(k - 1, 0)
+                h = len(per_degree[k]) - ranks[k] - ranks.get(k - 1, 0)
                 if h:
                     degrees[k] = degrees.get(k, 0) + mult * h
                     if shifted + j == w_top:
@@ -558,43 +563,17 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
     return CksCohomology(instance.exterior_degree, delta, degrees, top)
 
 
-def _slice_differential_rank(
-    piece: CksPiece,
-    ops: Mapping[int, SparseRationalMatrix],
-    source_slice: list,
-    k: int,
-    rng: random.Random | None,
-) -> int:
-    """Rank of the degree-k differential restricted to one weight summand."""
-    if not source_slice:
-        return 0
-    blocks = piece.terms.get(k, ())
-    target_blocks = {blk.subset: blk for blk in piece.terms.get(k + 1, ())}
-    if not target_blocks:
-        return 0
-    wedges = piece.wedges
-    columns: list[dict[int, int]] = []
-    row_index: dict[tuple[tuple[int, ...], int], int] = {}
+def _slice_differential_rank(d: SparseRationalMatrix, cols: list[int], rng: random.Random | None) -> int:
+    """Rank of a differential on the columns of one weight summand.
 
-    def row_of(subset: tuple[int, ...], widx: int) -> int:
-        key = (subset, widx)
-        if key not in row_index:
-            row_index[key] = len(row_index)
-        return row_index[key]
-
-    for pos, locals_ in source_slice:
-        blk = blocks[pos]
-        for local in locals_:
-            vec = blk.vector(local)
-            col: dict[int, int] = {}
-            for target, sign, img in _coboundary(ops, wedges, blk.subset, vec, target_blocks):
-                for widx, val in img.items():
-                    _acc(col, row_of(target, widx), sign * val)
-            columns.append(col)
-    n_rows = len(row_index)
-    if n_rows == 0:
-        return 0
-    return exact_rank_int(columns, n_rows, rng=rng)
+    Its rows are renumbered to the ones those columns hit, so the choice
+    between exact and modular elimination follows the size of the slice.
+    """
+    row_index: dict[int, int] = {}
+    columns = tuple(
+        {row_index.setdefault(r, len(row_index)): v for r, v in d.columns[c].items()} for c in cols
+    )
+    return exact_rank(SparseRationalMatrix(len(row_index), columns), rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +637,8 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     simultaneously transports the cycle-space orientations, which is what the
     vertex swap of the two-component spectral curve acts on by the sign
     character.  The complex is ``_top_weight_slice`` of the model without its
-    middle block, one line N_I(wedge^delta Gr2) per edge subset I, with the
-    differential that ``_coboundary`` gives the rest of this module.
+    middle block, one line N_I(wedge^delta Gr2) per edge subset I, and its
+    differential is the slice's stored d in degree delta - 1.
     """
     delta = model.delta
     if delta < 1:
@@ -697,19 +676,13 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
             mapped = [action[lab][0] for lab in subset]
             image_subset = tuple(sorted(mapped))
             img = _wedge_multiplicative_image(wedges, a.columns, line[subset][0])
-            (c,) = coords_in_rref(img, line[image_subset])
-            columns.append({coords[image_subset]: _exact(_sort_sign(mapped) * c)})
+            target = line[image_subset]
+            (c,) = coords_in_rref(img, target, {min(target[0]): 0}).values()
+            columns.append({coords[image_subset]: _sort_sign(mapped) * c})
         return SparseRationalMatrix(len(coords), tuple(columns))
 
     top, below = coordinates(delta), coordinates(delta - 1)
-    d_columns = []
-    for subset in below:
-        col = {}
-        for target, sign, img in _coboundary(ops, wedges, subset, line[subset][0]):
-            (c,) = coords_in_rref(img, line[target])
-            col[top[target]] = _exact(sign * c)
-        d_columns.append(col)
-    d = SparseRationalMatrix(len(top), tuple(d_columns))
+    d = inst.differentials[delta - 1]
     sigma_top = chain_map(top)
     if sigma_top.matmul(d) != d.matmul(chain_map(below)):
         raise CksError("action does not commute with the differential")
@@ -720,12 +693,12 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
         if col:
             image_ech.insert(clear_denominators(col))
     image_basis = image_ech.rref_basis()
-    pivots = {min(v) for v in image_basis}
+    pivots = {min(v): pos for pos, v in enumerate(image_basis)}
     quotient_coords = [i for i in range(len(top)) if i not in pivots]
     pos_of = {c: j for j, c in enumerate(quotient_coords)}
     columns = []
     for i in quotient_coords:
-        _, residual = _rref_reduce(sigma_top.columns[i], image_basis)
+        _, residual = _rref_reduce(sigma_top.columns[i], image_basis, pivots)
         columns.append({pos_of[kk]: _exact(v) for kk, v in residual.items()})
     return SparseRationalMatrix(len(quotient_coords), tuple(columns))
 

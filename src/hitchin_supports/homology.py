@@ -201,31 +201,42 @@ class IntEchelon:
 
 
 def _rref_reduce(
-    vec: Mapping[int, int | Fraction], basis: Sequence[dict[int, int]]
-) -> tuple[list[Fraction], dict[int, Fraction]]:
-    """Coordinates of a vector along an RREF basis, and the residual left
-    after subtracting them (zero exactly when the vector lies in the span)."""
-    residual = {k: Fraction(v) for k, v in vec.items() if v}
-    coords = []
-    for b in basis:
-        p = min(b)
-        c = residual.get(p, Fraction(0)) / b[p]
-        coords.append(c)
-        if c:
-            for k, v in b.items():
-                s = residual.get(k, Fraction(0)) - c * v
-                if s:
-                    residual[k] = s
-                else:
-                    residual.pop(k, None)
+    vec: Mapping[int, int | Fraction], basis: Sequence[dict[int, int]], pivots: Mapping[int, int]
+) -> tuple[dict[int, int | Fraction], dict[int, int | Fraction]]:
+    """Sparse coordinates of a vector along an RREF basis, and the residual
+    left after subtracting them (zero exactly when the vector lies in the span).
+
+    ``pivots`` maps the pivot (lowest index) of each basis vector to its
+    position in ``basis``; callers build it once per basis.  No other basis
+    vector has an entry at a pivot, so the coordinate along a basis vector is
+    the entry of ``vec`` at its pivot, and only the pivots ``vec`` holds are
+    visited.  Coordinates are non-zero, ``int`` where they are integral.
+    """
+    residual = {k: v for k, v in vec.items() if v}
+    coords: dict[int, int | Fraction] = {}
+    for p, v in vec.items():
+        pos = pivots.get(p)
+        if pos is None or not v:
+            continue
+        b = basis[pos]
+        c = v // b[p] if type(v) is int and v % b[p] == 0 else _exact(Fraction(v, b[p]))
+        coords[pos] = c
+        for k, bv in b.items():
+            s = residual.get(k, 0) - c * bv
+            if s:
+                residual[k] = s
+            else:
+                residual.pop(k, None)
     return coords, residual
 
 
 def coords_in_rref(
-    vec: Mapping[int, int | Fraction], basis: Sequence[dict[int, int]]
-) -> list[Fraction]:
-    """Coordinates of a vector in an RREF basis; raises if it lies outside the span."""
-    coords, residual = _rref_reduce(vec, basis)
+    vec: Mapping[int, int | Fraction], basis: Sequence[dict[int, int]], pivots: Mapping[int, int]
+) -> dict[int, int | Fraction]:
+    """Sparse coordinates ``{position: value}`` of a vector in an RREF basis,
+    with ``pivots`` as for ``_rref_reduce``; raises if the vector lies outside
+    the span."""
+    coords, residual = _rref_reduce(vec, basis, pivots)
     if residual:
         raise HomologyError("vector not in subspace")
     return coords
@@ -548,6 +559,7 @@ class TopHomologyAction:
         self.complex = c
         self.cc = cc or boundary_complex(c)
         self.basis = top_cycle_basis(self.cc)
+        self._pivots = {min(vec): i for i, vec in enumerate(self.basis)}
         self.top = self.cc.top_dim
         self._face_index = (
             {f: i for i, f in enumerate(c.faces_by_dim[self.top])} if self.top >= 0 else {(): 0}
@@ -568,8 +580,7 @@ class TopHomologyAction:
             for j, coeff in vec.items():
                 mapped = [perm[i] for i in faces[j]]
                 img[self._face_index[tuple(sorted(mapped))]] = _sort_sign(mapped) * coeff
-            coords = coords_in_rref(img, self.basis)
-            columns.append({i: _exact(c) for i, c in enumerate(coords) if c})
+            columns.append(coords_in_rref(img, self.basis, self._pivots))
         return SparseRationalMatrix(len(self.basis), tuple(columns))
 
     def trace(self, perm: Sequence[int]) -> Fraction:

@@ -328,6 +328,35 @@ def test_build_cks_reproduces_the_pinned_tables(genus, parts, i):
     assert {k: inst.term_dimension(k) for k in inst.terms} == dict(enumerate(terms))
 
 
+def test_an_image_missing_a_vector_is_caught(monkeypatch):
+    push = cks_module._push_image
+    monkeypatch.setattr(cks_module, "_push_image", lambda *args: push(*args)[:-1])
+    with pytest.raises(CksError, match="leaves the complex"):
+        build_cks(build_graded_model(HitchinPartition(2, (1, 1, 1))), 3)
+
+
+def test_an_unsigned_differential_fails_the_square_zero_check(monkeypatch):
+    monkeypatch.setattr(cks_module, "_insertion_sign", lambda subset, label: 1)
+    with pytest.raises(CksError, match="does not square to zero"):
+        build_cks(build_graded_model(HitchinPartition(2, (1, 1, 1))), 3)
+
+
+def test_cohomology_reads_the_stored_differentials(monkeypatch):
+    calls = []
+    derive = cks_module.apply_derivation
+
+    def counting(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(cks_module, "apply_derivation", counting)
+    inst = build_cks(build_graded_model(HitchinPartition(2, (1, 1, 1))), 4)
+    assert calls  # the assembly is counted
+    calls.clear()
+    cks_cohomology(inst)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the highest-weight action of graph automorphisms
 # ---------------------------------------------------------------------------
@@ -403,13 +432,13 @@ def test_top_weight_action_on_a_delta_eight_stratum():
 
 def test_top_weight_slice_is_built_and_checked_once_per_model(monkeypatch):
     calls = []
-    verify = cks_module._verify_square_zero
+    differentials = cks_module._differentials
 
-    def counting(piece, *args):
-        calls.append(piece.exterior_degree)
-        return verify(piece, *args)
+    def counting(model, wedges, terms):
+        calls.append(wedges.degree)
+        return differentials(model, wedges, terms)
 
-    monkeypatch.setattr(cks_module, "_verify_square_zero", counting)
+    monkeypatch.setattr(cks_module, "_differentials", counting)
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     first = top_weight_action(m, (1, 2, 0))
     assert top_weight_action(m, (1, 2, 0)) == first

@@ -7,9 +7,11 @@ from hitchin_supports import homology
 from hitchin_supports.complexes import FaceComplex, cographic_complex
 from hitchin_supports.homology import (
     HomologyError,
+    IntEchelon,
     SparseRationalMatrix,
     TopHomologyAction,
     boundary_complex,
+    coords_in_rref,
     euler_from_f_vector,
     exact_rank,
     induced_map_on_top_homology,
@@ -454,3 +456,54 @@ def test_top_cycle_basis_is_the_rref_kernel_of_the_top_boundary():
                 g = gcd(g, abs(v))
             assert g == 1
             assert all(other not in vec for other in pivots if other != pivot)
+
+
+def _dense_solve(basis, vec):
+    """Coordinates of ``vec`` along independent ``basis`` vectors, by Gauss-Jordan
+    elimination of the dense augmented matrix over Fractions; None when the
+    system has no solution."""
+    n = 1 + max([max(b) for b in basis] + list(vec))
+    m = len(basis)
+    rows = [[Fraction(b.get(r, 0)) for b in basis] + [Fraction(vec.get(r, 0))] for r in range(n)]
+    for c in range(m):
+        p = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    if any(row[m] for row in rows[m:]):
+        return None
+    return [rows[i][m] for i in range(m)]
+
+
+def test_coords_in_rref_matches_a_dense_solve():
+    rng = random.Random(8)
+    fractional = outside = 0
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        ech = IntEchelon()
+        for _ in range(rng.randint(1, n)):
+            support = rng.sample(range(n), rng.randint(1, n))
+            ech.insert({k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in support})
+        basis = ech.rref_basis()
+        pivots = {min(v): i for i, v in enumerate(basis)}
+        inside: dict[int, Fraction] = {}
+        for b in basis:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for k, v in b.items():
+                inside[k] = inside.get(k, 0) + c * v
+        probe = {k: rng.randint(-2, 2) for k in range(n)}
+        for vec in ({k: v for k, v in inside.items() if v}, {k: v for k, v in probe.items() if v}):
+            solution = _dense_solve(basis, vec)
+            if solution is None:
+                outside += 1
+                with pytest.raises(HomologyError):
+                    coords_in_rref(vec, basis, pivots)
+                continue
+            coords = coords_in_rref(vec, basis, pivots)
+            assert coords == {i: c for i, c in enumerate(solution) if c}
+            assert all(type(c) is int or c.denominator != 1 for c in coords.values())
+            fractional += any(type(c) is Fraction for c in coords.values())
+    assert fractional and outside
