@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .cks import DEFAULT_WEDGE_LIMIT, CksError, build_cks, build_graded_model, cks_cohomology
 from .complexes import (
+    DEFAULT_FACE_LIMIT,
     cographic_complex,
     nonspanning_complex,
     partition_order_complex,
@@ -64,6 +65,7 @@ class RunConfig:
     verify: str = "formula"
     seed: int = 0
     wedge_limit: int = DEFAULT_WEDGE_LIMIT
+    face_limit: int = DEFAULT_FACE_LIMIT
     homology_threshold: int = HOMOLOGY_EDGE_THRESHOLD
     degree: int | None = None
     alphas: tuple[int, ...] | None = None
@@ -176,7 +178,7 @@ def _complex_for(cfg: RunConfig):
         source = cfg.graph_path
     elif cfg.r is not None:
         if cfg.kind == "flats":
-            return partition_order_complex(cfg.r), f"partition lattice r={cfg.r}"
+            return partition_order_complex(cfg.r, cfg.face_limit), f"partition lattice r={cfg.r}"
         from .symgroup import complete_graph
 
         graph = complete_graph(cfg.r)
@@ -185,9 +187,9 @@ def _complex_for(cfg: RunConfig):
         graph = build_dual_graph(_partition_from(cfg))
         source = f"dual graph g={cfg.genus} partition={','.join(map(str, cfg.partition))}"
     if cfg.kind == "cographic":
-        return cographic_complex(graph), source
+        return cographic_complex(graph, cfg.face_limit), source
     if cfg.kind == "nonspanning":
-        return nonspanning_complex(graph), source
+        return nonspanning_complex(graph, cfg.face_limit), source
     if cfg.kind == "flats":
         raise GraphError("--kind flats needs --r")
     raise GraphError(f"unknown complex kind {cfg.kind!r}")
@@ -319,6 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--partition", default=None)
     cp.add_argument("--kind", choices=("cographic", "nonspanning", "flats"), default="cographic")
     cp.add_argument("--faces", action="store_true", help="include the full face list")
+    cp.add_argument("--face-limit", type=int, default=DEFAULT_FACE_LIMIT, help="exit 2 on a complex with more non-empty faces")
     common(cp)
 
     ch = sub.add_parser("character", help="top homology character vs induced character")
@@ -366,6 +369,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         "only",
         "max_edges",
         "count",
+        "face_limit",
     ):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))

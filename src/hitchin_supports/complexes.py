@@ -13,6 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .multigraph import GraphError, Multigraph
 
+# Admits the order complex of Pi_7 (262,759 faces) and refuses the cographic
+# complex of K_7 (1,866,256 faces), which grows past 2 GB.
+DEFAULT_FACE_LIMIT = 500_000
+
 
 @dataclass(frozen=True)
 class FaceComplex:
@@ -44,20 +48,29 @@ class FaceComplex:
 # ---------------------------------------------------------------------------
 
 
-def _grow_by_levels(children: "callable") -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _grow_by_levels(children: "callable", face_limit: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Enumerate the non-empty faces of a complex, level by level.
 
     ``children(face)`` lists the faces that extend ``face`` by one index past
     its last, starting from the empty face.  Any face minus its last index is
     again a face, so every face is visited exactly once, and in lexicographic
-    order when ``children`` lists them in increasing order.
+    order when ``children`` lists them in increasing order.  Raises as soon as
+    more than ``face_limit`` non-empty faces have been listed.
     """
     levels: list[tuple[tuple[int, ...], ...]] = []
-    current = children(())
-    while current:
+    total = 0
+    grown: list[tuple[int, ...]] = [()]
+    while True:
+        current: list[tuple[int, ...]] = []
+        for face in grown:
+            current += children(face)
+            if total + len(current) > face_limit:
+                raise GraphError(f"complex has more than {face_limit} faces")
+        if not current:
+            return tuple(levels)
+        total += len(current)
         levels.append(tuple(current))
-        current = [child for face in current for child in children(face)]
-    return tuple(levels)
+        grown = current
 
 
 def _members(m: int, keeps: "callable") -> "callable":
@@ -65,7 +78,7 @@ def _members(m: int, keeps: "callable") -> "callable":
     return lambda face: [c for e in range(face[-1] + 1 if face else 0, m) if keeps(c := face + (e,))]
 
 
-def cographic_complex(graph: Multigraph) -> FaceComplex:
+def cographic_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -> FaceComplex:
     """Independence complex of the bond matroid: edge subsets whose removal
     keeps the graph connected."""
     if not graph.is_connected():
@@ -75,10 +88,10 @@ def cographic_complex(graph: Multigraph) -> FaceComplex:
     def keeps(subset: tuple[int, ...]) -> bool:
         return graph.is_connected(without={labels[i] for i in subset})
 
-    return FaceComplex(labels, _grow_by_levels(_members(len(labels), keeps)))
+    return FaceComplex(labels, _grow_by_levels(_members(len(labels), keeps), face_limit))
 
 
-def nonspanning_complex(graph: Multigraph) -> FaceComplex:
+def nonspanning_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -> FaceComplex:
     """Edge subsets whose subgraph fails to connect all vertices."""
     if not graph.is_connected():
         raise GraphError("graph must be connected")
@@ -89,7 +102,7 @@ def nonspanning_complex(graph: Multigraph) -> FaceComplex:
     def keeps(subset: tuple[int, ...]) -> bool:
         return not graph.spanning_subset_connected(labels[i] for i in subset)
 
-    return FaceComplex(labels, _grow_by_levels(_members(len(labels), keeps)))
+    return FaceComplex(labels, _grow_by_levels(_members(len(labels), keeps), face_limit))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +140,7 @@ def partition_label(blocks: tuple) -> str:
     return "|".join("".join(str(x) for x in blk) for blk in blocks)
 
 
-def partition_order_complex(r: int) -> FaceComplex:
+def partition_order_complex(r: int, face_limit: int = DEFAULT_FACE_LIMIT) -> FaceComplex:
     """Order complex of the partitions strictly between discrete and trivial.
 
     Ground cells are sorted finest-first, so chains are exactly the
@@ -147,4 +160,4 @@ def partition_order_complex(r: int) -> FaceComplex:
     def children(chain: tuple[int, ...]) -> list[tuple[int, ...]]:
         return [chain + (j,) for j in (below[chain[-1]] if chain else range(n))]
 
-    return FaceComplex(labels, _grow_by_levels(children))
+    return FaceComplex(labels, _grow_by_levels(children, face_limit))

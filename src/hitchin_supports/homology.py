@@ -10,6 +10,21 @@ another elimination over Z: below the limit on the transpose, which is a
 different elimination order, and above it on the matrix itself.  Everything
 here is reduced homology: the empty face is a cell in dimension -1, so the
 empty complex has Betti number 1 there and nowhere else.
+
+The boundary maps are ranked from the top degree down, with clearing (Chen and
+Kerber, "Persistent homology computation with a twist", EuroCG 2011; Bauer,
+Kerber and Reininghaus, "Clear and compress: computing persistent homology in
+chunks", 2014): before ∂_d is ranked, every column whose d-face was a pivot
+coordinate of the elimination that ranked ∂_(d+1) is dropped.  The pivot rows
+R and pivot columns C of a completed elimination give a non-singular block
+∂_(d+1)[R, C], and ∂_d ∂_(d+1) = 0 gives
+∂_d[:, R] = -∂_d[:, Rᶜ] ∂_(d+1)[Rᶜ, C] ∂_(d+1)[R, C]⁻¹, so the dropped
+columns lie in the span of the kept ones and the rank over Q is unchanged.  A
+block that is non-singular mod p has a non-zero integer determinant, so the
+pivots of the first modular pass serve even when that prime loses rank.  The
+lemma relies on ∂∘∂ = 0, which ``boundary_complex`` checks.  The side limit
+above applies to the cleared matrix, so a map whose cleared sides both fall
+to 500 or fewer also gets the elimination over Z.
 """
 
 from __future__ import annotations
@@ -247,18 +262,22 @@ def coords_in_rref(
 # ---------------------------------------------------------------------------
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24
+    # deterministic Miller-Rabin: bases 2, 3, 5, 7 below 3,215,031,751
+    # (Jaeschke 1993), the twelve primes up to 37 below 3.3e24
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES[:4] if n < 3_215_031_751 else _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -278,14 +297,18 @@ def random_prime_above_2_30(rng: random.Random) -> int:
             return candidate
 
 
-def _eliminate(vectors: Iterable[Mapping[int, int]], p: int | None = None) -> int:
+def _eliminate(
+    vectors: Iterable[Mapping[int, int]], p: int | None = None, pivots: set[int] | None = None
+) -> int:
     """Rank of a list of sparse integer vectors, by Markowitz elimination.
 
     With ``p`` None the elimination runs over Z, fraction-free, and an updated
     vector is divided by its content whenever it was scaled; with a prime
     ``p`` it runs over F_p.  Each step takes a shortest remaining vector
     (lowest index among equals) and, within it, the coordinate held by the
-    fewest remaining vectors, then clears that coordinate from them.
+    fewest remaining vectors, then clears that coordinate from them.  The
+    coordinates chosen (one per unit of rank) are added to ``pivots`` when it
+    is given; with the vectors chosen they index a non-singular block.
     """
     rows: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}  # coordinate -> remaining vectors holding it
@@ -306,6 +329,8 @@ def _eliminate(vectors: Iterable[Mapping[int, int]], p: int | None = None) -> in
         del rows[i]
         rank += 1
         lead = min(row, key=lambda k: len(holders[k]))
+        if pivots is not None:
+            pivots.add(lead)
         for k in row:
             holders[k].discard(i)
         hits = holders.pop(lead)
@@ -352,7 +377,9 @@ def _eliminate(vectors: Iterable[Mapping[int, int]], p: int | None = None) -> in
     return rank
 
 
-def exact_rank(m: SparseRationalMatrix, rng: random.Random | None = None) -> int:
+def exact_rank(
+    m: SparseRationalMatrix, rng: random.Random | None = None, pivots: set[int] | None = None
+) -> int:
     """Rank over Q.
 
     Matrices with both sides at most 500 are eliminated over Z and the result
@@ -360,19 +387,29 @@ def exact_rank(m: SparseRationalMatrix, rng: random.Random | None = None) -> int
     accept two agreeing modular passes.  Any disagreement escalates to another
     elimination over Z: on the transpose below the limit, on the matrix itself
     above it.  A non-integral matrix first has its columns scaled to primitive
-    integer vectors.
+    integer vectors.  ``pivots``, when given, receives the pivot rows of the
+    first modular pass (see ``exact_rank_int``).
     """
     if not m.nnz:
         return 0
     cols = m.columns
     if any(type(v) is not int for col in cols for v in col.values()):
         cols = [clear_denominators(col) for col in cols]
-    return exact_rank_int(cols, m.rows, rng=rng)
+    return exact_rank_int(cols, m.rows, rng=rng, pivots=pivots)
 
 
 def exact_rank_int(
-    cols: Sequence[dict[int, int]], n_rows: int, rng: random.Random | None = None
+    cols: Sequence[dict[int, int]],
+    n_rows: int,
+    rng: random.Random | None = None,
+    pivots: set[int] | None = None,
 ) -> int:
+    """Rank over Q of integer columns, checked as ``exact_rank`` describes.
+
+    ``pivots``, when given, receives the row indices the first modular pass
+    pivoted on.  With some set C of columns they index a block that is
+    non-singular mod p, hence over Q, whether or not that prime lost rank.
+    """
     live = [c for c in cols if c]
     if not live or n_rows == 0:
         return 0
@@ -382,7 +419,7 @@ def exact_rank_int(
     p2 = random_prime_above_2_30(rng)
     while p2 == p1:
         p2 = random_prime_above_2_30(rng)
-    r1 = _eliminate(live, p1)
+    r1 = _eliminate(live, p1, pivots)
     r2 = _eliminate(live, p2)
     if max(n_rows, len(live)) <= EXACT_SIDE_LIMIT:
         r_exact = _eliminate(live)
@@ -481,10 +518,26 @@ def _verify_square_zero(cc: RationalChainComplex, rng: random.Random | None) -> 
 
 
 def reduced_homology(cc: RationalChainComplex, rng: random.Random | None = None) -> HomologyProfile:
-    """Reduced Betti numbers from exact ranks of the boundary maps."""
+    """Reduced Betti numbers from exact ranks of the boundary maps.
+
+    The maps are ranked from the top degree down, with clearing: ∂_d is ranked
+    on its columns whose d-faces were not pivot rows of the first modular pass
+    that ranked ∂_(d+1).  Those pivot rows R and the matching pivot columns C
+    give a non-singular block ∂_(d+1)[R, C], and ∂_d ∂_(d+1) = 0 gives
+    ∂_d[:, R] = -∂_d[:, Rᶜ] ∂_(d+1)[Rᶜ, C] ∂_(d+1)[R, C]⁻¹, so the rank over
+    Q is that of the kept columns (Chen and Kerber, EuroCG 2011; Bauer, Kerber
+    and Reininghaus, 2014).  This relies on ∂∘∂ = 0, which
+    ``boundary_complex`` checks.  Each cleared matrix gets the full check of
+    ``exact_rank``, and its side limit applies to the cleared size, so a map
+    whose cleared sides both fall to 500 or fewer is also eliminated over Z.
+    """
     ranks: dict[int, int] = {}
-    for d in range(cc.top_dim + 1):
-        ranks[d] = exact_rank(cc.boundaries[d], rng=rng)
+    cleared: set[int] = set()
+    for d in range(cc.top_dim, -1, -1):
+        m = cc.boundaries[d]
+        kept = SparseRationalMatrix(m.rows, tuple(c for j, c in enumerate(m.columns) if j not in cleared))
+        cleared = set()
+        ranks[d] = exact_rank(kept, rng=rng, pivots=cleared)
     betti: dict[int, int] = {}
     b_minus1 = 1 - ranks.get(0, 0)
     if b_minus1:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from hitchin_supports.complexes import (
+    _grow_by_levels,
     cographic_complex,
     nonspanning_complex,
     partition_order_complex,
@@ -156,3 +157,21 @@ def test_vertex_permutation_induces_automorphism_of_complexes():
         original = build(g)
         mapped = build(relabeled)
         assert original.f_vector() == mapped.f_vector()
+
+
+def test_face_limit_stops_a_level_while_it_grows():
+    # the full simplex on 40 vertices: 40 vertices, then 780 edges, then 9,880
+    # triangles; the guard must stop inside the edge level
+    calls = []
+
+    def children(face):
+        calls.append(face)
+        return [face + (e,) for e in range(face[-1] + 1 if face else 0, 40)]
+
+    with pytest.raises(GraphError, match="more than 100 faces"):
+        _grow_by_levels(children, 100)
+    assert len(calls) <= 4
+    # K_5 has 727 non-empty faces
+    with pytest.raises(GraphError):
+        cographic_complex(complete_graph(5), face_limit=726)
+    assert sum(cographic_complex(complete_graph(5), face_limit=727).f_vector()) == 728

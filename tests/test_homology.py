@@ -8,6 +8,7 @@ from hitchin_supports.complexes import FaceComplex, cographic_complex
 from hitchin_supports.homology import (
     HomologyError,
     IntEchelon,
+    RationalChainComplex,
     SparseRationalMatrix,
     TopHomologyAction,
     boundary_complex,
@@ -251,15 +252,48 @@ def test_modular_disagreement_escalates_to_an_exact_rank(monkeypatch, n):
     eliminate = homology._eliminate
     fields = []
 
-    def first_prime_one_short(vectors, p=None):
+    def first_prime_one_short(vectors, p=None, pivots=None):
         fields.append(p)
-        rank = eliminate(vectors, p)
+        rank = eliminate(vectors, p, pivots)
         return rank - 1 if p is not None and p == fields[0] else rank
 
     monkeypatch.setattr(homology, "_eliminate", first_prime_one_short)
     assert homology.exact_rank_int(columns, n) == n
     # below the side limit: exact pass, then its rerun on the transpose
     assert fields.count(None) == (2 if n <= homology.EXACT_SIDE_LIMIT else 1)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def test_four_base_primality_agrees_with_twelve_bases_below_2_31():
+    def twelve_base(n):
+        if any(n % a == 0 for a in TWELVE_BASES):
+            return n in TWELVE_BASES
+        return all(_strong_probable_prime(n, a) for a in TWELVE_BASES)
+
+    rng = random.Random(1993)
+    for _ in range(200_000):
+        n = rng.randrange(2**30 + 1, 2**31, 2)
+        assert homology._is_probable_prime(n) == twelve_base(n), n
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; and 2, 3, 5, 7
+    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751):
+        assert not homology._is_probable_prime(n), n
+    assert all(_strong_probable_prime(3_215_031_751, a) for a in (2, 3, 5, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +383,65 @@ def test_sphere_from_parallel_edges():
     for m in (2, 3, 4, 5):
         profile = reduced_homology(boundary_complex(cographic_complex(parallel_graph(m))))
         assert profile.betti == {m - 2: 1}
+
+
+def _betti_from_uncleared_ranks(cc: RationalChainComplex) -> dict[int, int]:
+    ranks = [exact_rank(m) for m in cc.boundaries]
+    betti = {-1: 1 - (ranks[0] if ranks else 0)}
+    for d in range(cc.top_dim + 1):
+        betti[d] = cc.chain_dim(d) - ranks[d] - (ranks[d + 1] if d < cc.top_dim else 0)
+    return {d: b for d, b in betti.items() if b}
+
+
+def _clearing_cases():
+    from hitchin_supports.complexes import nonspanning_complex, partition_order_complex
+    from hitchin_supports.selftest import random_connected_multigraph
+
+    k6 = [(u, v) for u, v, _ in complete_graph(6).edges if (u, v) != (0, 1)]
+    yield cographic_complex(complete_graph(5))
+    yield cographic_complex(Multigraph(6, tuple((u, v, i) for i, (u, v) in enumerate(k6))))
+    yield partition_order_complex(5)
+    yield nonspanning_complex(complete_graph(5))
+    rng = random.Random(59)
+    for _ in range(60):
+        yield cographic_complex(random_connected_multigraph(rng, 8))
+
+
+def test_cleared_betti_numbers_equal_those_of_the_uncleared_ranks():
+    for c in _clearing_cases():
+        cc = boundary_complex(c)
+        assert dict(reduced_homology(cc).betti) == _betti_from_uncleared_ranks(cc), c.f_vector()
+
+
+def test_clearing_with_pivots_from_a_prime_that_loses_rank(monkeypatch):
+    # every other column of K_5's top boundary times p: the same ranks over Q
+    # and d o d = 0, but mod p those columns vanish and the pivots are fewer
+    p = 2**31 - 1
+    cc = boundary_complex(cographic_complex(complete_graph(5)))
+    top, below = cc.boundaries[-1], cc.boundaries[-2]
+    scaled = SparseRationalMatrix(
+        top.rows, tuple({r: p * v for r, v in col.items()} if j % 2 else col for j, col in enumerate(top.columns))
+    )
+    assert below.matmul(scaled).is_zero()
+    pivots: set[int] = set()
+    assert homology._eliminate(scaled.columns, p, pivots) == len(pivots) < exact_rank(scaled) == exact_rank(top)
+    kept = SparseRationalMatrix(below.rows, tuple(c for j, c in enumerate(below.columns) if j not in pivots))
+    assert exact_rank(kept) == exact_rank(below)
+
+    # the same through reduced_homology, with p as every first prime drawn
+    expected = _betti_from_uncleared_ranks(cc)
+    assert expected == {5: 24}
+    draws = []
+    real = homology.random_prime_above_2_30
+
+    def p_first(rng):
+        draws.append(rng)
+        return p if len(draws) % 2 else real(rng)
+
+    monkeypatch.setattr(homology, "random_prime_above_2_30", p_first)
+    scaled_cc = RationalChainComplex(cc.complex, cc.boundaries[:-1] + (scaled,))
+    assert dict(reduced_homology(scaled_cc, rng=random.Random(3)).betti) == expected
+    assert len(draws) == 2 * len(cc.boundaries)
 
 
 # ---------------------------------------------------------------------------
