@@ -215,16 +215,24 @@ def cmd_complex(cfg: RunConfig) -> int:
     return 0
 
 
+CHARACTER_STATEMENT = (
+    "top_homology is the sign twist of induced, sgn (x) Lie_r (Stanley, JCTA 32 (1982); "
+    "Hanlon (1981); Wachs, Poset topology (2007), sec. 4.4)"
+)
+
+
 def cmd_character(cfg: RunConfig) -> int:
-    if cfg.r is None or not 3 <= cfg.r <= 5:
-        raise SymgroupError("--r must be between 3 and 5")
+    if cfg.r is None or not 3 <= cfg.r <= 6:
+        raise SymgroupError("--r must be between 3 and 6")
     top = top_homology_character(cfg.r)
     oracle = induced_character_oracle(cfg.r)
-    equal = top.values == oracle.values
+    # the oracle is Lie_r; it equals its sign twist exactly when r is not 2 mod 4
+    equal = top.values == oracle.twist_by_sign().values
     doc = {
         "r": cfg.r,
         "top_homology": top.to_json_dict(),
         "induced": oracle.to_json_dict(),
+        "statement": CHARACTER_STATEMENT,
         "verdict": "EQUAL" if equal else "DIFFER",
         "seed": cfg.seed,
     }

@@ -140,16 +140,23 @@ def partition_label(blocks: tuple) -> str:
     return "|".join("".join(str(x) for x in blk) for blk in blocks)
 
 
+def proper_partitions(r: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The partitions of {1..r} strictly between discrete and trivial, in the
+    order of the ground cells of ``partition_order_complex``: finest first."""
+    if r < 2:
+        raise GraphError("r must be at least 2")
+    proper = [p for p in set_partitions(r) if 1 < len(p) < r]
+    proper.sort(key=lambda p: (r - len(p), partition_label(p)))
+    return proper
+
+
 def partition_order_complex(r: int, face_limit: int = DEFAULT_FACE_LIMIT) -> FaceComplex:
     """Order complex of the partitions strictly between discrete and trivial.
 
     Ground cells are sorted finest-first, so chains are exactly the
     index-increasing tuples of comparable cells.
     """
-    if r < 2:
-        raise GraphError("r must be at least 2")
-    proper = [p for p in set_partitions(r) if 1 < len(p) < r]
-    proper.sort(key=lambda p: (r - len(p), partition_label(p)))
+    proper = proper_partitions(r)
     labels = tuple(partition_label(p) for p in proper)
     n = len(proper)
     below = [

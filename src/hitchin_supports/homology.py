@@ -569,30 +569,30 @@ def top_cycle_basis(cc: RationalChainComplex) -> list[dict[int, int]]:
     There are no chains above the top dimension, so this kernel is the top
     reduced homology.  The basis is the RREF of the kernel, integer-primitive
     with positive leading entries; it is unique, hence reproducible.
+
+    Each column j is extended by its unit vector past the rows and reduced
+    against the columns after it, for j from the last down to the first.  A
+    residual with a non-zero row part becomes a pivot, so the extended parts
+    of pivots hold only unit vectors of independent columns.  A residual
+    whose row part is zero is the kernel vector with pivot j: it holds e_j
+    plus later independent columns only, so it is zero at every other
+    dependent column, which is the reduced echelon form.
     """
     if cc.top_dim < 0:
         return [{0: 1}]  # the empty complex: H_{-1} spanned by the empty face
-    # Each column extended by its unit vector past the rows: once the row part
-    # reduces to zero, what is left is a kernel vector, with its pivot at or
-    # beyond the shift.
     top = cc.boundaries[cc.top_dim]
     shift = top.rows
     ech = IntEchelon()
-    for j, col in enumerate(top.columns):
-        ech.insert({**col, shift + j: 1})
-    ech.pivots = {lead: vec for lead, vec in ech.pivots.items() if lead >= shift}
-    return [{k - shift: v for k, v in vec.items()} for vec in ech.rref_basis()]
-
-
-def _check_automorphism(c: FaceComplex, perm: Sequence[int]) -> None:
-    n = len(c.ground_set)
-    if sorted(perm) != list(range(n)):
-        raise HomologyError("not a permutation of the cells")
-    for faces in c.faces_by_dim:
-        face_set = set(faces)
-        for face in faces:
-            if tuple(sorted(perm[i] for i in face)) not in face_set:
-                raise HomologyError("permutation is not a simplicial automorphism")
+    kernel = []
+    for j in range(top.cols - 1, -1, -1):
+        residual = ech.reduce({**top.columns[j], shift + j: 1})
+        lead = min(residual)
+        if lead < shift:
+            ech.pivots[lead] = normalize_int_vec(residual)
+        else:
+            kernel.append(normalize_int_vec({k - shift: v for k, v in residual.items()}))
+    kernel.reverse()
+    return kernel
 
 
 def _sort_sign(values: Sequence[int]) -> int:
@@ -606,7 +606,16 @@ def _sort_sign(values: Sequence[int]) -> int:
 
 
 class TopHomologyAction:
-    """Action of simplicial automorphisms on a fixed top-cycle basis."""
+    """Action of simplicial automorphisms on a fixed top-cycle basis.
+
+    ``matrix`` checks that a ground-set permutation is an automorphism on the
+    facets only: a bijection of the ground set that maps every facet into the
+    complex maps every face into it (faces lie in facets, and the complex is
+    downward closed), injectively, so onto the finite set of faces of each
+    size.  Top faces are checked as the face table is built; the facets below
+    the top, the faces that are no row of the boundary map above, are listed
+    once here.
+    """
 
     def __init__(self, c: FaceComplex, cc: RationalChainComplex | None = None):
         self.complex = c
@@ -617,22 +626,48 @@ class TopHomologyAction:
         self._face_index = (
             {f: i for i, f in enumerate(c.faces_by_dim[self.top])} if self.top >= 0 else {(): 0}
         )
+        self._lower_facets = []  # (facets of one dimension, all faces of it) below the top
+        for d in range(self.top):
+            faces = c.faces_by_dim[d]
+            covered = {r for col in self.cc.boundaries[d + 1].columns for r in col}
+            if len(covered) < len(faces):
+                facets = tuple(f for i, f in enumerate(faces) if i not in covered)
+                self._lower_facets.append((facets, set(faces)))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
+    def _check_automorphism(self, perm: Sequence[int]) -> None:
+        if sorted(perm) != list(range(len(self.complex.ground_set))):
+            raise HomologyError("not a permutation of the cells")
+        for facets, face_set in self._lower_facets:
+            for face in facets:
+                if tuple(sorted(perm[i] for i in face)) not in face_set:
+                    raise HomologyError("permutation is not a simplicial automorphism")
+
+    def _face_table(self, perm: Sequence[int]) -> list[tuple[int, int]]:
+        """Index and orientation sign of the image of each top face."""
+        table = []
+        for face in self.complex.faces_by_dim[self.top]:
+            mapped = [perm[i] for i in face]
+            image = self._face_index.get(tuple(sorted(mapped)))
+            if image is None:
+                raise HomologyError("permutation is not a simplicial automorphism")
+            table.append((image, _sort_sign(mapped)))
+        return table
+
     def matrix(self, perm: Sequence[int]) -> SparseRationalMatrix:
-        _check_automorphism(self.complex, perm)
+        self._check_automorphism(perm)
         if self.top < 0:
             return SparseRationalMatrix.identity(len(self.basis))
-        faces = self.complex.faces_by_dim[self.top]
+        table = self._face_table(perm)
         columns = []
         for vec in self.basis:
             img: dict[int, int] = {}
             for j, coeff in vec.items():
-                mapped = [perm[i] for i in faces[j]]
-                img[self._face_index[tuple(sorted(mapped))]] = _sort_sign(mapped) * coeff
+                image, sign = table[j]
+                img[image] = sign * coeff
             columns.append(coords_in_rref(img, self.basis, self._pivots))
         return SparseRationalMatrix(len(self.basis), tuple(columns))
 

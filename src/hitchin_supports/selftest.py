@@ -41,7 +41,12 @@ from .multigraph import (
     double_edges,
 )
 from .numerology import delta_aff_formula, local_system_rank, normalized_h1_dim
-from .symgroup import cell_permutation, complete_graph
+from .symgroup import (
+    cell_permutation,
+    complete_graph,
+    partition_lattice_character,
+    top_homology_character,
+)
 
 
 @dataclass
@@ -223,6 +228,17 @@ def prop_representation_laws(rng, cfg):
     return True, "group laws on the complete graph"
 
 
+def prop_partition_character(rng, cfg):
+    """The S_r character on the top homology of the partition lattice against
+    the one on the cographic complex of K_r, at r clamped to 3..5."""
+    r = min(max(cfg.r, 3), 5)
+    lattice = partition_lattice_character(r)
+    cographic = top_homology_character(r)
+    if lattice.values != cographic.values:
+        return False, f"r={r}: {lattice.to_json_dict()} vs {cographic.to_json_dict()}"
+    return True, f"partition lattice against cographic complex at r={r}"
+
+
 def prop_nilpotent_commute(rng, cfg):
     model = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     family = nilpotent_family(model)
@@ -284,6 +300,7 @@ PROPERTIES = {
     "alexander": prop_alexander,
     "folkman": prop_folkman,
     "rep_laws": prop_representation_laws,
+    "partition_character": prop_partition_character,
     "nilpotent_commute": prop_nilpotent_commute,
     "vanishing": prop_vanishing,
     "kunneth": prop_kunneth,

@@ -1,6 +1,7 @@
 """Conjugacy classes and class functions of symmetric groups, the action on
-the cographic complex of the complete graph, and the brute-force induced
-character used as an independent oracle for the top-homology representation.
+the cographic complex of the complete graph and on the order complex of the
+partition lattice, and the brute-force induced character used as an
+independent oracle for the top-homology representation.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import cographic_complex
+from .complexes import cographic_complex, partition_order_complex, proper_partitions
 from .homology import TopHomologyAction
 from .multigraph import Multigraph
 
@@ -247,6 +248,38 @@ def top_homology_character(r: int) -> ClassFunction:
     action = TopHomologyAction(cographic_complex(graph))
     values = {
         lam: action.trace(cell_permutation(canonical_permutation(lam), graph))
+        for lam in partitions_of(r)
+    }
+    return ClassFunction(r, values)
+
+
+def partition_cell_permutation(perm: Sequence[int], r: int) -> tuple[int, ...]:
+    """A permutation of {0..r-1} acting on {1..r} as the permutation of the
+    ground cells (proper partitions) of ``partition_order_complex(r)``."""
+    if sorted(perm) != list(range(r)):
+        raise SymgroupError("not a permutation of the r points")
+    cells = proper_partitions(r)
+    index = {p: i for i, p in enumerate(cells)}
+    # blocks are disjoint, so sorting them as tuples sorts them by minimum
+    return tuple(
+        index[tuple(sorted(tuple(sorted(perm[x - 1] + 1 for x in blk)) for blk in p))] for p in cells
+    )
+
+
+def partition_lattice_character(r: int) -> ClassFunction:
+    """Character of S_r on the top reduced homology of the order complex of
+    the proper part of the partition lattice, one trace per cycle type.
+
+    A route independent of ``top_homology_character``: another complex on
+    another ground set.  Both characters are sgn ⊗ Lie_r (Stanley, "Some
+    aspects of groups acting on finite posets", JCTA 32 (1982); Hanlon
+    (1981); Wachs, "Poset topology: tools and applications" (2007), §4.4).
+    """
+    if not 3 <= r <= 6:
+        raise SymgroupError("r must be between 3 and 6")
+    action = TopHomologyAction(partition_order_complex(r))
+    values = {
+        lam: action.trace(partition_cell_permutation(canonical_permutation(lam), r))
         for lam in partitions_of(r)
     }
     return ClassFunction(r, values)

@@ -89,13 +89,16 @@ def test_criterion_3_sign_representation():
 
 def test_criterion_4_character_identification():
     started = time.monotonic()
-    for r in (3, 4, 5):
+    for r in (3, 4, 5, 6):
         top = top_homology_character(r)
         oracle = induced_character_oracle(r)
-        assert top.values == oracle.values, f"r={r}"
+        if r < 6:
+            # Lie_r is its own sign twist exactly when r is not 2 mod 4
+            assert top.values == oracle.values, f"r={r}"
+        assert top.values == oracle.twist_by_sign().values, f"r={r}"
     elapsed = time.monotonic() - started
     assert elapsed < 10
-    print(f"criterion 4 PASS: top character equals induced character, r = 3, 4, 5 ({elapsed:.1f}s)")
+    print(f"criterion 4 PASS: top character is the sign twist of the induced character, r = 3..6 ({elapsed:.1f}s)")
 
 
 def test_criterion_5_alexander_and_folkman():

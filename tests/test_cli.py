@@ -137,6 +137,16 @@ def test_character_r3(capsys):
     assert doc["top_homology"] == {"1+1+1": 2, "2+1": 0, "3": -1}
 
 
+def test_character_r6_compares_with_the_sign_twist(capsys):
+    code, out, _ = run_cli(capsys, "character", "--r", "6")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "EQUAL"
+    assert "sgn (x) Lie_r" in doc["statement"]
+    # r = 6 is the first r where Lie_r and its sign twist differ
+    assert doc["top_homology"]["6"] == -1 and doc["induced"]["6"] == 1
+
+
 def test_character_restriction_block(capsys):
     code, out, _ = run_cli(capsys, "character", "--r", "3", "--alphas", "2,1")
     assert code == 0
@@ -274,6 +284,8 @@ BAD_INPUTS = [
     ("complex", "--genus", "2", "--r", "3"),
     # K_5 has 727 non-empty faces; the default limit refuses K_7 the same way
     ("complex", "--r", "5", "--face-limit", "726"),
+    ("character", "--r", "2"),
+    ("character", "--r", "7"),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -600,3 +601,127 @@ def test_coords_in_rref_matches_a_dense_solve():
             assert all(type(c) is int or c.denominator != 1 for c in coords.values())
             fractional += any(type(c) is Fraction for c in coords.values())
     assert fractional and outside
+
+
+# ---------------------------------------------------------------------------
+# the top-cycle basis and the action against the straightforward routines
+# ---------------------------------------------------------------------------
+
+
+def _forward_top_cycle_basis(cc):
+    """Columns extended by unit vectors, inserted first to last, then a full
+    RREF pass over the kernel pivots."""
+    if cc.top_dim < 0:
+        return [{0: 1}]
+    top = cc.boundaries[cc.top_dim]
+    shift = top.rows
+    ech = IntEchelon()
+    for j, col in enumerate(top.columns):
+        ech.insert({**col, shift + j: 1})
+    ech.pivots = {lead: vec for lead, vec in ech.pivots.items() if lead >= shift}
+    return [{k - shift: v for k, v in vec.items()} for vec in ech.rref_basis()]
+
+
+def test_top_cycle_basis_equals_forward_insertion_and_rref():
+    from hitchin_supports.complexes import nonspanning_complex, partition_order_complex
+    from hitchin_supports.selftest import random_connected_multigraph
+
+    cases = [cographic_complex(complete_graph(r)) for r in (4, 5, 6)]
+    cases.append(nonspanning_complex(complete_graph(5)))
+    cases += [partition_order_complex(r) for r in (4, 5, 6)]
+    rng = random.Random(57)
+    cases += [cographic_complex(random_connected_multigraph(rng, 8)) for _ in range(60)]
+    for c in cases:
+        cc = boundary_complex(c)
+        assert top_cycle_basis(cc) == _forward_top_cycle_basis(cc), c.f_vector()
+
+
+def _reference_matrix(action, perm):
+    """The action matrix with one sort sign per (basis vector, entry)."""
+    faces = action.complex.faces_by_dim[action.top]
+    index = {f: i for i, f in enumerate(faces)}
+    columns = []
+    for vec in action.basis:
+        img = {}
+        for j, coeff in vec.items():
+            mapped = [perm[i] for i in faces[j]]
+            img[index[tuple(sorted(mapped))]] = homology._sort_sign(mapped) * coeff
+        columns.append(coords_in_rref(img, action.basis, action._pivots))
+    return SparseRationalMatrix(len(action.basis), tuple(columns))
+
+
+def test_action_matrix_equals_per_entry_reference_on_k5():
+    from hitchin_supports.symgroup import cell_permutation
+
+    g = complete_graph(5)
+    action = TopHomologyAction(cographic_complex(g))
+    for vperm in itertools.permutations(range(5)):
+        perm = cell_permutation(vperm, g)
+        assert action.matrix(perm) == _reference_matrix(action, perm), vperm
+
+
+def _closure(facets):
+    """Faces by dimension of the complex the facets generate."""
+    faces = {()}
+    for facet in facets:
+        for k in range(1, len(facet) + 1):
+            faces.update(itertools.combinations(sorted(facet), k))
+    top = max(map(len, faces))
+    return tuple(tuple(sorted(f for f in faces if len(f) == k)) for k in range(1, top + 1))
+
+
+def _every_face_maps_into(c, perm):
+    face_set = {face for faces in c.faces_by_dim for face in faces}
+    return all(tuple(sorted(perm[i] for i in face)) in face_set for face in face_set)
+
+
+def test_facet_check_agrees_with_the_check_on_every_face():
+    from hitchin_supports.complexes import partition_order_complex
+    from hitchin_supports.selftest import random_connected_multigraph
+
+    rng = random.Random(23)
+    complexes = []
+    for _ in range(30):
+        n = rng.randint(3, 6)
+        facets = [tuple(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(1, 5))]
+        complexes.append(FaceComplex(tuple(range(n)), _closure(facets)))
+    for _ in range(15):
+        complexes.append(cographic_complex(random_connected_multigraph(rng, 6)))
+    complexes.append(partition_order_complex(4))
+    outcomes = set()
+    for c in complexes:
+        action = TopHomologyAction(c)
+        n = len(c.ground_set)
+        for _ in range(8):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            expected = _every_face_maps_into(c, perm)
+            try:
+                action.matrix(perm)
+                accepted = True
+            except HomologyError:
+                accepted = False
+            assert accepted == expected, (c.faces_by_dim, perm)
+            outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
+def test_lower_facet_sent_outside_is_rejected():
+    # a triangle with two pendant edges; swapping 3 and 4 fixes the triangle
+    # but sends the edges {2, 3} and {4, 5} outside the complex
+    c = FaceComplex(tuple(range(6)), _closure([(0, 1, 2), (2, 3), (4, 5)]))
+    action = TopHomologyAction(c)
+    swap = (0, 1, 2, 4, 3, 5)
+    assert not _every_face_maps_into(c, swap)
+    with pytest.raises(HomologyError):
+        action.matrix(swap)
+    assert action.matrix((0, 1, 2, 3, 5, 4)) == SparseRationalMatrix.identity(action.rank)
+
+
+def test_action_without_faces_is_the_identity():
+    path = cographic_complex(Multigraph(3, ((0, 1, 0), (1, 2, 1))))  # every edge a bridge
+    action = TopHomologyAction(path)
+    assert action.top == -1
+    assert action.matrix((1, 0)) == SparseRationalMatrix.identity(1)
+    with pytest.raises(HomologyError):
+        action.matrix((0, 0))

@@ -14,6 +14,8 @@ from hitchin_supports.symgroup import (
     cycle_type,
     edge_action,
     induced_character_oracle,
+    partition_cell_permutation,
+    partition_lattice_character,
     partitions_of,
     restrict_to_young,
     sign_of_type,
@@ -146,6 +148,28 @@ def test_oracle_r4_identity_value():
 def test_top_character_equals_oracle_r3_r4():
     for r in (3, 4):
         assert top_homology_character(r).values == induced_character_oracle(r).values
+
+
+def test_partition_lattice_character_equals_the_cographic_one():
+    # two complexes on two ground sets, both sgn (x) Lie_r (Stanley 1982; Hanlon 1981)
+    for r in (4, 5, 6):
+        lattice = partition_lattice_character(r)
+        assert lattice.dimension == math.factorial(r - 1)
+        assert lattice.values == top_homology_character(r).values, r
+
+
+def test_partition_cell_permutation_acts_on_blocks():
+    from hitchin_supports.complexes import proper_partitions
+
+    cells = proper_partitions(3)  # 12|3, 13|2, 1|23
+    assert partition_cell_permutation((0, 1, 2), 3) == (0, 1, 2)
+    # swapping 1 and 2 fixes 12|3 and exchanges 13|2 with 1|23
+    image = partition_cell_permutation((1, 0, 2), 3)
+    assert [cells[i] for i in image] == [((1, 2), (3,)), ((1,), (2, 3)), ((1, 3), (2,))]
+    with pytest.raises(SymgroupError):
+        partition_cell_permutation((0, 0, 1), 3)
+    with pytest.raises(SymgroupError):
+        partition_lattice_character(7)
 
 
 def test_character_is_irreducible_for_r3():
