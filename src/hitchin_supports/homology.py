@@ -3,32 +3,37 @@
 Every matrix is a ``SparseRationalMatrix`` stored by columns, with ``int``
 entries where they are integral; boundary matrices have entries +-1.  Every
 rank comes from one sparse elimination kernel with Markowitz pivoting, run
-either fraction-free over Z or over F_p.  A matrix with both sides at most
-500 is eliminated over Z and checked against two random primes above 2**30; a
-larger one accepts two agreeing modular ranks.  Any disagreement escalates to
-another elimination over Z: below the limit on the transpose, which is a
-different elimination order, and above it on the matrix itself.  Everything
-here is reduced homology: the empty face is a cell in dimension -1, so the
-empty complex has Betti number 1 there and nowhere else.
+either fraction-free over Z or over Z/(p1 p2) for two random primes above
+2**30.  The modular pass carries both primes at once (Z/(p1 p2) = F_p1 x F_p2):
+when every lead it takes is a unit, its rank is the rank mod p1 and mod p2,
+and a non-unit lead counts as a disagreement.  A matrix with both sides at
+most 500 is eliminated over Z and checked against the modular pass; a larger
+one accepts the modular pass alone.  Any disagreement escalates to another
+elimination over Z: below the limit on the transpose, which is a different
+elimination order, and above it on the matrix itself.  Everything here is
+reduced homology: the empty face is a cell in dimension -1, so the empty
+complex has Betti number 1 there and nowhere else.
 
 The boundary maps are ranked from the top degree down, with clearing (Chen and
 Kerber, "Persistent homology computation with a twist", EuroCG 2011; Bauer,
 Kerber and Reininghaus, "Clear and compress: computing persistent homology in
 chunks", 2014): before ∂_d is ranked, every column whose d-face was a pivot
-coordinate of the elimination that ranked ∂_(d+1) is dropped.  The pivot rows
-R and pivot columns C of a completed elimination give a non-singular block
+coordinate of the modular pass that ranked ∂_(d+1) is dropped.  The pivot
+rows R and pivot columns C of its unit steps give a non-singular block
 ∂_(d+1)[R, C], and ∂_d ∂_(d+1) = 0 gives
 ∂_d[:, R] = -∂_d[:, Rᶜ] ∂_(d+1)[Rᶜ, C] ∂_(d+1)[R, C]⁻¹, so the dropped
 columns lie in the span of the kept ones and the rank over Q is unchanged.  A
-block that is non-singular mod p has a non-zero integer determinant, so the
-pivots of the first modular pass serve even when that prime loses rank.  The
-lemma relies on ∂∘∂ = 0, which ``boundary_complex`` checks.  The side limit
-above applies to the cleared matrix, so a map whose cleared sides both fall
-to 500 or fewer also gets the elimination over Z.
+block whose determinant is a unit mod p1 p2 has a non-zero integer
+determinant, so the pivots serve even when a prime loses rank or a non-unit
+lead cuts the pass short.  The lemma relies on ∂∘∂ = 0, which
+``boundary_complex`` checks column by column.  The side limit above applies
+to the cleared matrix, so a map whose cleared sides both fall to 500 or fewer
+also gets the elimination over Z.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from dataclasses import dataclass
@@ -38,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .complexes import FaceComplex
 
-EXACT_SIDE_LIMIT = 500  # exact elimination checked by two primes below, two primes alone above
+EXACT_SIDE_LIMIT = 500  # exact elimination checked mod p1 p2 below, the pass mod p1 p2 alone above
 VERIFY_LIMIT = 400  # d o d checked on every column up to this many, on 20 samples above
 
 
@@ -297,18 +302,28 @@ def random_prime_above_2_30(rng: random.Random) -> int:
             return candidate
 
 
+class _NonUnitPivot(ArithmeticError):
+    """A modular elimination chose a lead that is not a unit modulo ``p``."""
+
+
 def _eliminate(
     vectors: Iterable[Mapping[int, int]], p: int | None = None, pivots: set[int] | None = None
 ) -> int:
     """Rank of a list of sparse integer vectors, by Markowitz elimination.
 
     With ``p`` None the elimination runs over Z, fraction-free, and an updated
-    vector is divided by its content whenever it was scaled; with a prime
-    ``p`` it runs over F_p.  Each step takes a shortest remaining vector
-    (lowest index among equals) and, within it, the coordinate held by the
-    fewest remaining vectors, then clears that coordinate from them.  The
+    vector is divided by its content whenever it was scaled; with ``p`` a
+    product of distinct primes it runs over Z/p.  Each step takes a shortest
+    remaining vector (lowest index among equals) and, within it, the
+    coordinate held by the fewest remaining vectors, then clears that
+    coordinate from them.  Over Z/p every lead must be a unit, which for a
+    prime ``p`` always holds; a lead sharing a factor with ``p`` raises
+    ``_NonUnitPivot``.  When all leads are units, Z/p = F_p1 x ... x F_pk
+    (CRT) makes the result the rank modulo each prime factor.  The
     coordinates chosen (one per unit of rank) are added to ``pivots`` when it
-    is given; with the vectors chosen they index a non-singular block.
+    is given; with the vectors chosen they index a block whose determinant is
+    a unit mod ``p`` (non-zero over Z), also when ``_NonUnitPivot`` cuts the
+    elimination short.
     """
     rows: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}  # coordinate -> remaining vectors holding it
@@ -327,8 +342,10 @@ def _eliminate(
         if row is None or len(row) != length:
             continue  # stale entry: the vector was eliminated or changed since
         del rows[i]
-        rank += 1
         lead = min(row, key=lambda k: len(holders[k]))
+        if p and gcd(row[lead], p) != 1:
+            raise _NonUnitPivot(lead)
+        rank += 1
         if pivots is not None:
             pivots.add(lead)
         for k in row:
@@ -377,18 +394,35 @@ def _eliminate(
     return rank
 
 
+def _prime_pair(rng: random.Random) -> tuple[int, int]:
+    """Two distinct random primes above 2**30, drawn from ``rng``."""
+    p1 = random_prime_above_2_30(rng)
+    p2 = random_prime_above_2_30(rng)
+    while p2 == p1:
+        p2 = random_prime_above_2_30(rng)
+    return p1, p2
+
+
+@functools.cache
+def _default_prime_pair(seed: int) -> tuple[int, int]:
+    """The primes ``_prime_pair`` draws from ``random.Random(seed)``."""
+    return _prime_pair(random.Random(seed))
+
+
 def exact_rank(
     m: SparseRationalMatrix, rng: random.Random | None = None, pivots: set[int] | None = None
 ) -> int:
     """Rank over Q.
 
-    Matrices with both sides at most 500 are eliminated over Z and the result
-    must agree with elimination at two random primes > 2**30; larger matrices
-    accept two agreeing modular passes.  Any disagreement escalates to another
-    elimination over Z: on the transpose below the limit, on the matrix itself
-    above it.  A non-integral matrix first has its columns scaled to primitive
-    integer vectors.  ``pivots``, when given, receives the pivot rows of the
-    first modular pass (see ``exact_rank_int``).
+    Both verification primes p1, p2 > 2**30 ride one elimination modulo
+    p1*p2.  Matrices with both sides at most 500 are eliminated over Z and
+    the result must agree with that pass; larger matrices accept the modular
+    pass alone.  A disagreement, or a lead of the modular pass that is not a
+    unit mod p1*p2 (one prime may have lost rank), escalates to another
+    elimination over Z: on the transpose below the limit, on the matrix
+    itself above it.  A non-integral matrix first has its columns scaled to
+    primitive integer vectors.  ``pivots``, when given, receives the pivot
+    rows of the modular pass (see ``exact_rank_int``).
     """
     if not m.nnz:
         return 0
@@ -406,29 +440,33 @@ def exact_rank_int(
 ) -> int:
     """Rank over Q of integer columns, checked as ``exact_rank`` describes.
 
-    ``pivots``, when given, receives the row indices the first modular pass
-    pivoted on.  With some set C of columns they index a block that is
-    non-singular mod p, hence over Q, whether or not that prime lost rank.
+    The primes are drawn from ``rng``; with ``rng`` None they depend on the
+    shape only and are drawn once per shape.  A modular pass whose leads were
+    all units mod p1*p2 has the same rank mod p1 and mod p2, so it stands for
+    two agreeing single-prime passes.  ``pivots``, when given, receives the
+    row indices the modular pass pivoted on, that is the leads of its
+    completed unit steps if a non-unit lead cut it short.  With some set C of
+    columns they index a block that is non-singular mod p1, hence over Q.
     """
     live = [c for c in cols if c]
     if not live or n_rows == 0:
         return 0
     if rng is None:
-        rng = random.Random(0x5EED ^ (1_000_003 * n_rows + 7_919 * len(live)))
-    p1 = random_prime_above_2_30(rng)
-    p2 = random_prime_above_2_30(rng)
-    while p2 == p1:
-        p2 = random_prime_above_2_30(rng)
-    r1 = _eliminate(live, p1, pivots)
-    r2 = _eliminate(live, p2)
+        p1, p2 = _default_prime_pair(0x5EED ^ (1_000_003 * n_rows + 7_919 * len(live)))
+    else:
+        p1, p2 = _prime_pair(rng)
+    try:
+        r_mod = _eliminate(live, p1 * p2, pivots)
+    except _NonUnitPivot:
+        r_mod = None
     if max(n_rows, len(live)) <= EXACT_SIDE_LIMIT:
         r_exact = _eliminate(live)
-        if r1 == r2 == r_exact:
+        if r_mod == r_exact:
             return r_exact
         # a different elimination order over Z settles the disagreement
         return _eliminate(SparseRationalMatrix(n_rows, tuple(live)).transpose().columns)
-    if r1 == r2:
-        return r1
+    if r_mod is not None:
+        return r_mod
     return _eliminate(live)
 
 
@@ -482,7 +520,9 @@ def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> Ration
     """Boundary matrices with alternating signs over the lexicographic face order.
 
     The identity d(d(x)) = 0 is checked on every column of a boundary map with
-    at most ``VERIFY_LIMIT`` columns and on 20 sampled columns of a larger one.
+    at most ``VERIFY_LIMIT`` columns and on 20 columns of a larger one drawn
+    from ``rng``; each checked column of ∂_(d-1) ∂_d is summed on its own and
+    must vanish.
     """
     mats: list[SparseRationalMatrix] = []
     for d in range(len(c.faces_by_dim)):
@@ -509,20 +549,25 @@ def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> Ration
 def _verify_square_zero(cc: RationalChainComplex, rng: random.Random | None) -> None:
     rng = rng or random.Random(17)
     for d in range(1, cc.top_dim + 1):
-        upper = cc.boundaries[d]
-        if upper.cols > VERIFY_LIMIT:
-            sample = tuple(upper.columns[rng.randrange(upper.cols)] for _ in range(20))
-            upper = SparseRationalMatrix(upper.rows, sample)
-        if not cc.boundaries[d - 1].matmul(upper).is_zero():
-            raise HomologyError("boundary squared is nonzero")
+        upper = cc.boundaries[d].columns
+        if len(upper) > VERIFY_LIMIT:
+            upper = tuple(upper[rng.randrange(len(upper))] for _ in range(20))
+        lower = cc.boundaries[d - 1].columns
+        for col in upper:
+            acc: dict[int, int | Fraction] = {}
+            for k, w in col.items():
+                for r, v in lower[k].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            if any(acc.values()):
+                raise HomologyError("boundary squared is nonzero")
 
 
 def reduced_homology(cc: RationalChainComplex, rng: random.Random | None = None) -> HomologyProfile:
     """Reduced Betti numbers from exact ranks of the boundary maps.
 
     The maps are ranked from the top degree down, with clearing: ∂_d is ranked
-    on its columns whose d-faces were not pivot rows of the first modular pass
-    that ranked ∂_(d+1).  Those pivot rows R and the matching pivot columns C
+    on its columns whose d-faces were not pivot rows of the modular pass that
+    ranked ∂_(d+1).  Those pivot rows R and the matching pivot columns C
     give a non-singular block ∂_(d+1)[R, C], and ∂_d ∂_(d+1) = 0 gives
     ∂_d[:, R] = -∂_d[:, Rᶜ] ∂_(d+1)[Rᶜ, C] ∂_(d+1)[R, C]⁻¹, so the rank over
     Q is that of the kept columns (Chen and Kerber, EuroCG 2011; Bauer, Kerber

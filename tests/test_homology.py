@@ -246,22 +246,98 @@ def test_kernel_mod_p_drops_on_multiples_of_p():
         assert homology._eliminate(columns, p) == rank_mod_p
 
 
+P1 = 2**31 - 1
+
+
 @pytest.mark.parametrize("n", [40, 600])
 def test_modular_disagreement_escalates_to_an_exact_rank(monkeypatch, n):
-    # banded (2, -3) with one column repeated: rank n over Q and at every odd prime
-    columns = [{i: 2, i - 1: -3} if i else {0: 2} for i in range(n)] + [{0: 2}]
+    # banded (2, -3) with one column repeated: rank n over Q and at every odd
+    # prime; the extra column p1 * e_n is held by no other vector, so it adds
+    # 1 to the rank over Q and mod p2 but not mod p1
+    columns = [{i: 2, i - 1: -3} if i else {0: 2} for i in range(n)] + [{0: 2}, {n: P1}]
+    real = homology.random_prime_above_2_30
+    draws = []
+
+    def p1_first(rng):
+        draws.append(rng)
+        return P1 if len(draws) == 1 else real(rng)
+
+    monkeypatch.setattr(homology, "random_prime_above_2_30", p1_first)
     eliminate = homology._eliminate
-    fields = []
+    fields, raised = [], []
 
-    def first_prime_one_short(vectors, p=None, pivots=None):
+    def recording(vectors, p=None, pivots=None):
         fields.append(p)
-        rank = eliminate(vectors, p, pivots)
-        return rank - 1 if p is not None and p == fields[0] else rank
+        try:
+            return eliminate(vectors, p, pivots)
+        except homology._NonUnitPivot:
+            raised.append(p)
+            raise
 
-    monkeypatch.setattr(homology, "_eliminate", first_prime_one_short)
-    assert homology.exact_rank_int(columns, n) == n
+    monkeypatch.setattr(homology, "_eliminate", recording)
+    assert homology.exact_rank_int(columns, n + 1, rng=random.Random(n)) == n + 1
+    assert len(raised) == 1 and raised[0] % P1 == 0 and raised[0] != P1
+    assert fields[0] == raised[0]  # the one modular pass comes first
     # below the side limit: exact pass, then its rerun on the transpose
     assert fields.count(None) == (2 if n <= homology.EXACT_SIDE_LIMIT else 1)
+    assert len(fields) == 1 + fields.count(None)
+
+
+def test_joint_pass_equals_both_single_prime_passes_or_raises():
+    p2 = 2**30 + 3  # prime
+    assert homology._is_probable_prime(p2)
+    rng = random.Random(43)
+    outcomes = {"equal": 0, "raised": 0}
+    for _ in range(150):
+        rows, cols = rng.randrange(1, 12), rng.randrange(1, 12)
+        columns = []
+        for _ in range(cols):
+            col = {r: v for r in range(rows) if rng.random() < 0.5 and (v := rng.randrange(-4, 5))}
+            scale = rng.choice((1, 1, 1, P1, p2))
+            columns.append({r: scale * v for r, v in col.items()})
+        joint: set[int] = set()
+        try:
+            rank = homology._eliminate(columns, P1 * p2, joint)
+        except homology._NonUnitPivot:
+            outcomes["raised"] += 1
+            continue
+        outcomes["equal"] += 1
+        assert rank == len(joint) == homology._eliminate(columns, P1) == homology._eliminate(columns, p2)
+    assert min(outcomes.values()) > 10, outcomes
+
+
+def test_joint_pass_raises_on_a_lone_multiple_of_one_prime():
+    p2 = 2**30 + 3
+    for columns in ([{0: P1}], [{3: -p2}], [{0: 1, 1: 1}, {0: P1}]):
+        with pytest.raises(homology._NonUnitPivot):
+            homology._eliminate(columns, P1 * p2)
+    # a unit lead clears the multiple away: no raise, rank 1 at both primes
+    assert homology._eliminate([{0: 1}, {0: P1}], P1 * p2) == 1
+
+
+def test_default_primes_are_drawn_once_per_shape(monkeypatch):
+    homology._default_prime_pair.cache_clear()
+    draws = []
+    real = homology.random_prime_above_2_30
+
+    def counting(rng):
+        draws.append(rng)
+        return real(rng)
+
+    monkeypatch.setattr(homology, "random_prime_above_2_30", counting)
+    columns = [{0: 1, 1: 2}, {1: 3}]
+    for _ in range(3):
+        assert homology.exact_rank_int(columns, 2) == 2
+    assert len(draws) == 2
+    homology.exact_rank_int(columns, 3)  # another shape draws afresh
+    assert len(draws) == 4
+    # the pair is the one an rng seeded as documented draws
+    seed = 0x5EED ^ (1_000_003 * 2 + 7_919 * 2)
+    assert homology._default_prime_pair(seed) == homology._prime_pair(random.Random(seed))
+    # an explicit rng is drawn from on every call
+    homology.exact_rank_int(columns, 2, rng=random.Random(1))
+    assert len(draws) == 8
+    homology._default_prime_pair.cache_clear()
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -323,6 +399,47 @@ def test_k4_cographic_boundary_shapes():
     cc = boundary_complex(cographic_complex(complete_graph(4)))
     shapes = [(m.rows, m.cols) for m in cc.boundaries]
     assert shapes == [(1, 6), (6, 15), (15, 16)]
+
+
+def _flipped_entries(cc: RationalChainComplex):
+    for d, m in enumerate(cc.boundaries):
+        for j, col in enumerate(m.columns):
+            for r in col:
+                flipped = dict(col)
+                flipped[r] = -flipped[r]
+                mat = SparseRationalMatrix(m.rows, m.columns[:j] + (flipped,) + m.columns[j + 1 :])
+                yield d, RationalChainComplex(cc.complex, cc.boundaries[:d] + (mat,) + cc.boundaries[d + 1 :])
+
+
+def test_square_zero_check_rejects_every_single_sign_flip():
+    cc = boundary_complex(cographic_complex(complete_graph(4)))
+    assert max(m.cols for m in cc.boundaries) <= homology.VERIFY_LIMIT
+    homology._verify_square_zero(cc, None)
+    count = 0
+    for d, bad in _flipped_entries(cc):
+        with pytest.raises(HomologyError, match="boundary squared"):
+            homology._verify_square_zero(bad, None)
+        count += 1
+    assert count == sum(m.nnz for m in cc.boundaries)
+
+
+def test_square_zero_check_samples_from_the_rng_as_before():
+    # above VERIFY_LIMIT the check draws 20 columns per map from the rng
+    # the complete graph on 30 vertices and 10 of its triangles: 435 edges
+    ground = tuple(range(30))
+    triangles = tuple(itertools.combinations(range(5), 3))
+    cc = boundary_complex(
+        FaceComplex(ground, (tuple((i,) for i in ground), tuple(itertools.combinations(ground, 2)), triangles))
+    )
+    assert [m.cols > homology.VERIFY_LIMIT for m in cc.boundaries] == [False, True, False]
+    rng = random.Random(5)
+    homology._verify_square_zero(cc, rng)
+    expected = random.Random(5)
+    for m in cc.boundaries[1:]:
+        if m.cols > homology.VERIFY_LIMIT:
+            for _ in range(20):
+                expected.randrange(m.cols)
+    assert rng.random() == expected.random()
 
 
 def test_boundary_rejects_non_closed_complex():
