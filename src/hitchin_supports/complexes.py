@@ -6,15 +6,26 @@ Faces are stored as sorted tuples of ground-set indices, sorted
 lexicographically within each dimension; the empty face is always present so
 that reduced homology and the degree-zero term of the monodromy complexes line
 up (a k-simplex corresponds to a cardinality-(k+1) edge subset).
+
+Both graph complexes are read off binary matroids (Oxley, *Matroid Theory*,
+sections 2.3 and 5.1).  The bond matroid M*(G) is represented over GF(2) by
+the cycle space: edge e gets the bit mask of the fundamental cycles of a
+spanning forest that contain it, so bridges get 0 and loops a bit of their
+own, and a subset is a cographic face exactly when its masks are linearly
+independent.  The cycle matroid M(G) is represented by the incidence vectors
+``1 << u ^ 1 << v``, whose rank on a subset is V minus the number of
+components of its spanning subgraph, so the non-spanning faces are the
+subsets of rank at most V - 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .multigraph import GraphError, Multigraph
+from .multigraph import GraphError, Multigraph, cycle_space
 
 # Admits the order complex of Pi_7 (262,759 faces) and refuses the cographic
-# complex of K_7 (1,866,256 faces), which grows past 2 GB.
+# complex of K_7 (1,866,256 faces).  The faces of K_7 alone fit in under
+# 300 MB; its boundary maps are what grow past 2 GB.
 DEFAULT_FACE_LIMIT = 500_000
 
 
@@ -44,38 +55,66 @@ class FaceComplex:
 
 
 # ---------------------------------------------------------------------------
-# graph complexes
+# face enumeration and the graph complexes
 # ---------------------------------------------------------------------------
 
 
-def _grow_by_levels(children: "callable", face_limit: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Enumerate the non-empty faces of a complex, level by level.
+def _depth_first(
+    below, vectors, face_limit: int, *, max_rank: int, max_nullity: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Enumerate the non-empty faces of a complex on ground cells 0..n-1.
 
-    ``children(face)`` lists the faces that extend ``face`` by one index past
-    its last, starting from the empty face.  Any face minus its last index is
-    again a face, so every face is visited exactly once, and in lexicographic
-    order when ``children`` lists them in increasing order.  Raises as soon as
-    more than ``face_limit`` non-empty faces have been listed.
+    ``below[i]`` lists, in increasing order, the cells that may follow cell
+    ``i`` in a face; the faces start from the empty face with any cell.  Each
+    cell has a GF(2) vector (an int bit mask), and a face is kept when its
+    vectors span rank at most ``max_rank`` with nullity (size minus rank) at
+    most ``max_nullity``.  Rank and nullity only grow with the face, so the
+    family is downward closed and growing every face by the cells past its
+    last visits each face once.  Every face carries the echelon basis of its
+    vectors as ``(lowest set bit, vector)`` pairs in insertion order: a later
+    vector is reduced against the earlier ones, so one pass in that order
+    reduces a new vector.  Faces are listed depth first with children in
+    increasing order, so each dimension comes out in lexicographic order.
+    Raises as soon as more than ``face_limit`` non-empty faces have been listed.
     """
-    levels: list[tuple[tuple[int, ...], ...]] = []
-    total = 0
-    grown: list[tuple[int, ...]] = [()]
-    while True:
-        current: list[tuple[int, ...]] = []
-        for face in grown:
-            current += children(face)
-            if total + len(current) > face_limit:
+    levels: list[list[tuple[int, ...]]] = []
+    room = face_limit
+    stack = [((), (), range(len(vectors)))]
+    while stack:
+        face, basis, candidates = stack.pop()
+        full = len(basis) == max_rank
+        saturated = len(face) - len(basis) == max_nullity
+        if full and saturated:  # no cell can extend it
+            continue
+        if len(levels) == len(face):
+            levels.append([])
+        level = levels[len(face)]
+        grown = []
+        for e in candidates:
+            w = vectors[e]
+            for low, b in basis:
+                if w & low:
+                    w ^= b
+            if w:
+                if full:
+                    continue
+                child_basis = basis + ((w & -w, w),)
+            elif saturated:
+                continue
+            else:
+                child_basis = basis
+            child = face + (e,)
+            level.append(child)
+            room -= 1
+            if room < 0:
                 raise GraphError(f"complex has more than {face_limit} faces")
-        if not current:
-            return tuple(levels)
-        total += len(current)
-        levels.append(tuple(current))
-        grown = current
+            grown.append((child, child_basis, below[e]))
+        stack += reversed(grown)
+    return tuple(tuple(level) for level in levels if level)
 
 
-def _members(m: int, keeps: "callable") -> "callable":
-    """``children`` of the downward-closed family on 0..m-1 that ``keeps`` tests."""
-    return lambda face: [c for e in range(face[-1] + 1 if face else 0, m) if keeps(c := face + (e,))]
+def _later(m: int) -> list[range]:
+    return [range(e + 1, m) for e in range(m)]
 
 
 def cographic_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -> FaceComplex:
@@ -84,11 +123,14 @@ def cographic_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -
     if not graph.is_connected():
         raise GraphError("graph must be connected")
     labels = graph.labels()
-
-    def keeps(subset: tuple[int, ...]) -> bool:
-        return graph.is_connected(without={labels[i] for i in subset})
-
-    return FaceComplex(labels, _grow_by_levels(_members(len(labels), keeps), face_limit))
+    bits = dict.fromkeys(labels, 0)
+    cycles = cycle_space(graph).cycles
+    for j, cycle in enumerate(cycles):
+        for lab in cycle:
+            bits[lab] |= 1 << j
+    vectors = [bits[lab] for lab in labels]
+    faces = _depth_first(_later(len(labels)), vectors, face_limit, max_rank=len(cycles), max_nullity=0)
+    return FaceComplex(labels, faces)
 
 
 def nonspanning_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -> FaceComplex:
@@ -98,11 +140,10 @@ def nonspanning_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT)
     if graph.vertex_count < 2:
         raise GraphError("non-spanning complex needs at least 2 vertices")
     labels = graph.labels()
-
-    def keeps(subset: tuple[int, ...]) -> bool:
-        return not graph.spanning_subset_connected(labels[i] for i in subset)
-
-    return FaceComplex(labels, _grow_by_levels(_members(len(labels), keeps), face_limit))
+    vectors = [1 << u ^ 1 << v for u, v, _ in sorted(graph.edges, key=lambda e: e[2])]
+    m = len(labels)
+    faces = _depth_first(_later(m), vectors, face_limit, max_rank=graph.vertex_count - 2, max_nullity=m)
+    return FaceComplex(labels, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +205,4 @@ def partition_order_complex(r: int, face_limit: int = DEFAULT_FACE_LIMIT) -> Fac
         for i in range(n)
     ]
 
-    def children(chain: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [chain + (j,) for j in (below[chain[-1]] if chain else range(n))]
-
-    return FaceComplex(labels, _grow_by_levels(children, face_limit))
+    return FaceComplex(labels, _depth_first(below, [0] * n, face_limit, max_rank=0, max_nullity=n))

@@ -104,12 +104,6 @@ class Multigraph:
             return True
         return self.component_count(without=without) == 1
 
-    def spanning_subset_connected(self, labels: Iterable[int]) -> bool:
-        """True when the subgraph on *all* vertices with the given edges is connected."""
-        keep = set(labels)
-        drop = {e[2] for e in self.edges if e[2] not in keep}
-        return self.is_connected(without=drop)
-
 
 @dataclass(frozen=True)
 class HitchinPartition:

@@ -137,13 +137,37 @@ def prop_cycle_space(rng, cfg):
     return True, f"{cfg.count} random graphs"
 
 
+def _subsets_where(g: Multigraph, keeps) -> tuple:
+    """Index subsets of the sorted labels whose label set ``keeps`` accepts,
+    by dimension and in lexicographic order, scanning all 2^m of them."""
+    labels = g.labels()
+    levels = [
+        tuple(s for s in itertools.combinations(range(len(labels)), k) if keeps({labels[i] for i in s}))
+        for k in range(1, len(labels) + 1)
+    ]
+    while levels and not levels[-1]:
+        levels.pop()
+    return tuple(levels)
+
+
 def prop_downward_closure(rng, cfg):
+    """Closure of both graph complexes, and their faces against a union-find
+    test of every edge subset."""
     for _ in range(cfg.count // 2):
         g = random_connected_multigraph(rng, min(cfg.max_edges, 8))
-        if not cographic_complex(g).verify_downward_closed():
+        cographic = cographic_complex(g)
+        if not cographic.verify_downward_closed():
             return False, f"cographic closure fails on {g.edges}"
-        if g.vertex_count >= 2 and not nonspanning_complex(g).verify_downward_closed():
+        if cographic.faces_by_dim != _subsets_where(g, lambda drop: g.is_connected(without=drop)):
+            return False, f"cographic faces differ from the subset scan on {g.edges}"
+        if g.vertex_count < 2:
+            continue
+        nonspanning = nonspanning_complex(g)
+        if not nonspanning.verify_downward_closed():
             return False, f"nonspanning closure fails on {g.edges}"
+        every = set(g.labels())
+        if nonspanning.faces_by_dim != _subsets_where(g, lambda kept: g.component_count(without=every - kept) > 1):
+            return False, f"nonspanning faces differ from the subset scan on {g.edges}"
     return True, "closure on random graphs"
 
 

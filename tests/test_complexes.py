@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from hitchin_supports.complexes import (
-    _grow_by_levels,
+    _depth_first,
     cographic_complex,
     nonspanning_complex,
     partition_order_complex,
@@ -11,6 +12,7 @@ from hitchin_supports.complexes import (
     set_partitions,
 )
 from hitchin_supports.multigraph import GraphError, Multigraph, delta_aff
+from hitchin_supports.selftest import _subsets_where
 
 from conftest import brute_face_sets, complete_graph, parallel_graph
 
@@ -161,17 +163,100 @@ def test_vertex_permutation_induces_automorphism_of_complexes():
 
 def test_face_limit_stops_a_level_while_it_grows():
     # the full simplex on 40 vertices: 40 vertices, then 780 edges, then 9,880
-    # triangles; the guard must stop inside the edge level
-    calls = []
+    # triangles; every candidate read is a face listed, and the guard must
+    # raise at the 101st
+    reads = []
 
-    def children(face):
-        calls.append(face)
-        return [face + (e,) for e in range(face[-1] + 1 if face else 0, 40)]
+    class Zeros(list):
+        def __getitem__(self, e):
+            reads.append(e)
+            return 0
 
+    below = [range(e + 1, 40) for e in range(40)]
     with pytest.raises(GraphError, match="more than 100 faces"):
-        _grow_by_levels(children, 100)
-    assert len(calls) <= 4
+        _depth_first(below, Zeros([0] * 40), 100, max_rank=0, max_nullity=40)
+    assert len(reads) <= 101
     # K_5 has 727 non-empty faces
     with pytest.raises(GraphError):
         cographic_complex(complete_graph(5), face_limit=726)
     assert sum(cographic_complex(complete_graph(5), face_limit=727).f_vector()) == 728
+
+
+# ---------------------------------------------------------------------------
+# both graph complexes against a union-find test of every edge subset
+# ---------------------------------------------------------------------------
+
+
+def seeded_multigraph(rng: random.Random) -> Multigraph:
+    """1-5 vertices and at most 8 edges: a random spanning tree, then loops
+    and edges between random (possibly equal) vertices; v = 1 is a bouquet."""
+    v = rng.randrange(1, 6)
+    edges = [(rng.randrange(w), w) for w in range(1, v)]
+    for _ in range(rng.randrange(max(1, 9 - len(edges)))):
+        edges.append((rng.randrange(v), rng.randrange(v)))
+    return Multigraph(v, tuple((a, b, 10 * i + 3) for i, (a, b) in enumerate(edges)))
+
+
+ORACLE_GRAPHS = [seeded_multigraph(random.Random(f"oracle:{i}")) for i in range(150)] + [
+    Multigraph(1, ((0, 0, 0), (0, 0, 1), (0, 0, 2))),
+    Multigraph(4, ((0, 1, 0), (1, 2, 1), (2, 3, 2))),
+    Multigraph(4, ((0, 1, 0), (1, 2, 1), (0, 2, 2), (2, 3, 3), (3, 3, 4), (0, 1, 5))),
+]
+
+
+def test_oracle_graphs_cover_loops_parallels_bridges_and_bouquets():
+    def parallel(g):
+        pairs = [(u, v) for u, v, _ in g.edges if u != v]
+        return len(pairs) > len(set(pairs))
+
+    def bridge(g):
+        return any(not g.is_connected(without={lab}) for lab in g.labels())
+
+    assert all(g.edge_count <= 8 for g in ORACLE_GRAPHS)
+    assert sum(any(u == v for u, v, _ in g.edges) for g in ORACLE_GRAPHS) >= 30
+    assert sum(map(parallel, ORACLE_GRAPHS)) >= 30
+    assert sum(map(bridge, ORACLE_GRAPHS)) >= 30
+    assert sum(g.vertex_count == 1 and g.edge_count > 1 for g in ORACLE_GRAPHS) >= 10
+
+
+def test_graph_complexes_equal_the_subset_scan():
+    for graph in ORACLE_GRAPHS:
+        built = [(cographic_complex(graph), lambda drop: graph.is_connected(without=drop))]
+        if graph.vertex_count >= 2:
+            every = set(graph.labels())
+            spanning_fails = lambda kept: graph.component_count(without=every - kept) > 1  # noqa: E731
+            built.append((nonspanning_complex(graph), spanning_fails))
+        for c, keeps in built:
+            assert c.faces_by_dim == _subsets_where(graph, keeps), graph.edges
+            for faces in c.faces_by_dim:
+                assert list(faces) == sorted(faces), graph.edges
+
+
+@pytest.mark.parametrize(
+    "build, f_vector",
+    [
+        (lambda: cographic_complex(complete_graph(3)), (1, 3)),
+        (lambda: cographic_complex(complete_graph(4)), (1, 6, 15, 16)),
+        (lambda: cographic_complex(complete_graph(5)), (1, 10, 45, 120, 205, 222, 125)),
+        (
+            lambda: cographic_complex(complete_graph(6)),
+            (1, 15, 105, 455, 1365, 2997, 4945, 6165, 5700, 3660, 1296),
+        ),
+        (lambda: partition_order_complex(4), (1, 13, 18)),
+        (lambda: partition_order_complex(5), (1, 50, 205, 180)),
+        (lambda: partition_order_complex(6), (1, 201, 1865, 4245, 2700)),
+    ],
+    ids=["K3", "K4", "K5", "K6", "Pi4", "Pi5", "Pi6"],
+)
+def test_pinned_f_vectors(build, f_vector):
+    c = build()
+    assert c.f_vector() == f_vector
+    for faces in c.faces_by_dim:
+        assert list(faces) == sorted(faces)
+
+
+def test_nonspanning_refuses_bad_graphs():
+    with pytest.raises(GraphError, match="connected"):
+        nonspanning_complex(Multigraph(3, ((0, 1, 0), (2, 2, 1))))
+    with pytest.raises(GraphError, match="at least 2 vertices"):
+        nonspanning_complex(Multigraph(1, ((0, 0, 0),)))
