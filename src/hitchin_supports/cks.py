@@ -22,10 +22,12 @@ with signed component maps ``N_r`` computes the stalk cohomology this package
 reports.  Every stored basis vector is homogeneous for the ambient block
 weight (W0: 0, Gr1: 1, Gr2: 2), the differentials preserve the shifted weight
 ``ambient + 2k``, and all cohomology is computed one weight summand at a time.
-Each differential is assembled once, as a sparse matrix in the coordinates of
-the blocks' bases: assembling it checks that every component N_r x lies in
-the block of I + r, and d o d = 0 is checked on every column.  The weight
-summands' ranks and the highest-weight action read the stored matrices.
+Each degree is one pass of the edge operators, one target subset J at a time:
+the images N_r x of the basis of every block I with I + r = J are computed
+once, those from J - max J give the RREF basis of the block of J, and all of
+them, reduced into it, give d's entries at J.  Every component N_r x must lie
+in its block, and d o d = 0 is checked on every column.  The weight summands'
+ranks and the highest-weight action read the stored matrices.
 
 This is the complex of Cattani, Kaplan and Schmid ("L^2 and intersection
 cohomologies for a polarizable variation of Hodge structure", Invent. Math.
@@ -250,7 +252,11 @@ def image_NI(
             raise GraphError(f"no such edge: {lab}")
     basis = tuple({i: 1} for i in range(len(wedges)))
     for lab in order:
-        basis = _push_image(model, wedges, basis, lab)
+        cols = picard_lefschetz(model, lab).columns
+        ech = IntEchelon()
+        for vec in basis:
+            ech.insert(apply_derivation(wedges, cols, vec))
+        basis = tuple(ech.rref_basis())
         if not basis:
             return ()
     return basis
@@ -261,22 +267,6 @@ def _check_exterior(model: GradedH1Model, i: int, limit: int) -> None:
         raise CksError("exterior degree out of range")
     if comb(model.dimension, i) > limit:
         raise CksError("exterior degree too large")
-
-
-def _push_image(
-    model: GradedH1Model,
-    wedges: WedgeBasis,
-    vectors: Iterable[dict[int, int]],
-    label: int,
-) -> tuple[dict[int, int], ...]:
-    """RREF basis of the image of the edge operator on the span of ``vectors``."""
-    cols = picard_lefschetz(model, label).columns
-    ech = IntEchelon()
-    for vec in vectors:
-        img = apply_derivation(wedges, cols, vec)
-        if img:
-            ech.insert(img)
-    return tuple(ech.rref_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +307,8 @@ class CksPiece:
     ``differentials[k]`` is d_k in block coordinates: its columns are the
     basis vectors of ``terms[k]`` and its rows those of ``terms[k + 1]``, each
     term's blocks concatenated in order (the last degree's map has no rows).
-    Every component N_r x of d x lies in the block of I + r, and
+    d_k and the blocks of ``terms[k + 1]`` come from the same images N_r x,
+    each computed once: every one lies in the block of I + r, and
     d_(k+1) d_k = 0 holds on every column.
     """
 
@@ -410,30 +401,65 @@ def _assemble(
     model: GradedH1Model, wedges: WedgeBasis, wedge_weights: Sequence[int], start: CksBlock
 ) -> CksPiece:
     """The images of N_I on the span of the degree-0 block ``start``, checked
-    for homogeneity and for d o d = 0."""
-    labels = model.labels()
+    for homogeneity and for d o d = 0.
+
+    Each degree is one pass of the edge operators, one target J at a time,
+    holding only that target's images: every basis vector x of a block I with
+    J = I + r is sent to N_r x once.  The images from the block of J - max J
+    span the block of J (its RREF basis), and every image, reduced into that
+    basis with the insertion sign of r, is a column entry of d at the rows of J.
+    """
+    ops = nilpotent_family(model)
     terms: dict[int, tuple[CksBlock, ...]] = {0: (start,)}
-    k = 0
-    while k < min(wedges.degree, len(labels)):
-        nxt: dict[tuple[int, ...], tuple[dict[int, int], ...]] = {}
-        for blk in terms[k]:
-            subset = blk.subset
-            first = labels.index(subset[-1]) + 1 if subset else 0
-            for lab in labels[first:]:
-                image = _push_image(model, wedges, blk.vectors(), lab)
-                if image:
-                    nxt[subset + (lab,)] = image
-        if not nxt:
-            break
-        k += 1
+    mats = []
+    for k in itertools.count():
+        sources = terms[k]
+        by_target: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for idx, blk in enumerate(sources):
+            for r in ops:
+                if r not in blk.subset:
+                    by_target.setdefault(tuple(sorted(blk.subset + (r,))), []).append((idx, r))
+        offsets = list(itertools.accumulate((blk.dim() for blk in sources), initial=0))
+        columns: list[dict[int, int]] = [{} for _ in range(offsets[-1])]
         blocks = []
-        for subset in sorted(nxt):
-            basis = nxt[subset]
-            weights = tuple(wedge_weights[min(v)] for v in basis)
+        rows = 0
+        for target in sorted(by_target):
+            images = [
+                (idx, r, [apply_derivation(wedges, ops[r].columns, x) for x in sources[idx].vectors()])
+                for idx, r in by_target[target]
+            ]
+            ech = IntEchelon()
+            for _, r, imgs in images:
+                if r == target[-1]:
+                    for img in imgs:
+                        ech.insert(img)
+            basis = tuple(ech.rref_basis())
             _check_homogeneous(basis, wedge_weights)
-            blocks.append(CksBlock(subset, basis, weights))
-        terms[k] = tuple(blocks)
-    return CksPiece(model, wedges.degree, terms, wedges, _differentials(model, wedges, terms))
+            pivots = {min(v): pos for pos, v in enumerate(basis)}
+            for idx, r, imgs in images:
+                sign = _insertion_sign(sources[idx].subset, r)
+                for j, img in enumerate(imgs, offsets[idx]):
+                    if not img:
+                        continue
+                    if not basis:
+                        raise CksError("differential leaves the complex: no block for its target")
+                    coords, residual = _rref_reduce(img, basis, pivots)
+                    if residual:
+                        raise CksError("differential leaves the complex: image outside its block")
+                    col = columns[j]
+                    for pos, c in coords.items():
+                        col[rows + pos] = sign * c
+            if basis:
+                blocks.append(CksBlock(target, basis, tuple(wedge_weights[min(v)] for v in basis)))
+                rows += len(basis)
+        mats.append(SparseRationalMatrix(rows, tuple(columns)))
+        if not blocks:
+            break
+        terms[k + 1] = tuple(blocks)
+    for lower, upper in zip(mats[1:], mats):
+        if not lower.matmul(upper).is_zero():
+            raise CksError("differential does not square to zero")
+    return CksPiece(model, wedges.degree, terms, wedges, tuple(mats))
 
 
 def _check_homogeneous(basis, wedge_weights) -> None:
@@ -441,51 +467,6 @@ def _check_homogeneous(basis, wedge_weights) -> None:
         ws = {wedge_weights[i] for i in vec}
         if len(ws) != 1:
             raise CksError("image basis vector is not weight-homogeneous")
-
-
-def _differentials(
-    model: GradedH1Model, wedges: WedgeBasis, terms: Mapping[int, tuple[CksBlock, ...]]
-) -> tuple[SparseRationalMatrix, ...]:
-    """d_k for every degree in block coordinates, checked for d o d = 0.
-
-    A column is one pass of the edge operators over one basis vector x of the
-    block of I: the component N_r x goes, with the insertion sign of r, to the
-    coordinates of the block of I + r, which must exist and hold it.
-    """
-    ops = nilpotent_family(model)
-    mats = []
-    for k in range(len(terms)):
-        targets = {}
-        rows = 0
-        for blk in terms.get(k + 1, ()):
-            targets[blk.subset] = (rows, blk.basis, {min(v): pos for pos, v in enumerate(blk.basis)})
-            rows += blk.dim()
-        columns = []
-        for blk in terms[k]:
-            for vec in blk.vectors():
-                col = {}
-                for r, op in ops.items():
-                    if r in blk.subset:
-                        continue
-                    img = apply_derivation(wedges, op.columns, vec)
-                    if not img:
-                        continue
-                    target = targets.get(tuple(sorted(blk.subset + (r,))))
-                    if target is None:
-                        raise CksError("differential leaves the complex: no block for its target")
-                    offset, basis, pivots = target
-                    coords, residual = _rref_reduce(img, basis, pivots)
-                    if residual:
-                        raise CksError("differential leaves the complex: image outside its block")
-                    sign = _insertion_sign(blk.subset, r)
-                    for pos, c in coords.items():
-                        col[offset + pos] = sign * c
-                columns.append(col)
-        mats.append(SparseRationalMatrix(rows, tuple(columns)))
-    for lower, upper in zip(mats[1:], mats):
-        if not lower.matmul(upper).is_zero():
-            raise CksError("differential does not square to zero")
-    return tuple(mats)
 
 
 # ---------------------------------------------------------------------------

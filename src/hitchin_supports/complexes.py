@@ -177,6 +177,12 @@ def refines(p: tuple, q: tuple) -> bool:
     return all(len({where[x] for x in blk}) == 1 for blk in p)
 
 
+def _block_of(p: tuple) -> tuple[int, ...]:
+    """Index of the block holding each element, elements in increasing order."""
+    where = {x: bi for bi, blk in enumerate(p) for x in blk}
+    return tuple(where[x] for x in sorted(where))
+
+
 def partition_label(blocks: tuple) -> str:
     return "|".join("".join(str(x) for x in blk) for blk in blocks)
 
@@ -200,9 +206,22 @@ def partition_order_complex(r: int, face_limit: int = DEFAULT_FACE_LIMIT) -> Fac
     proper = proper_partitions(r)
     labels = tuple(partition_label(p) for p in proper)
     n = len(proper)
-    below = [
-        [j for j in range(i + 1, n) if len(proper[j]) < len(proper[i]) and refines(proper[i], proper[j])]
-        for i in range(n)
-    ]
+    return FaceComplex(labels, _depth_first(_coarser(proper), [0] * n, face_limit, max_rank=0, max_nullity=n))
 
-    return FaceComplex(labels, _depth_first(below, [0] * n, face_limit, max_rank=0, max_nullity=n))
+
+def _coarser(proper: list) -> list[list[int]]:
+    """For each partition of a finest-first list, the later partitions with
+    fewer blocks that it refines, in increasing order.
+
+    Each partition's block-of map is built once: p refines q exactly when the
+    pairs (block of x in p, block of x in q) number as many as the blocks of p.
+    """
+    block_of = [_block_of(p) for p in proper]
+    return [
+        [
+            j
+            for j in range(i + 1, len(proper))
+            if len(proper[j]) < len(p) and len(set(zip(block_of[i], block_of[j]))) == len(p)
+        ]
+        for i, p in enumerate(proper)
+    ]

@@ -329,8 +329,8 @@ def test_build_cks_reproduces_the_pinned_tables(genus, parts, i):
 
 
 def test_an_image_missing_a_vector_is_caught(monkeypatch):
-    push = cks_module._push_image
-    monkeypatch.setattr(cks_module, "_push_image", lambda *args: push(*args)[:-1])
+    rref_basis = cks_module.IntEchelon.rref_basis
+    monkeypatch.setattr(cks_module.IntEchelon, "rref_basis", lambda self: rref_basis(self)[:-1])
     with pytest.raises(CksError, match="leaves the complex"):
         build_cks(build_graded_model(HitchinPartition(2, (1, 1, 1))), 3)
 
@@ -355,6 +355,28 @@ def test_cohomology_reads_the_stored_differentials(monkeypatch):
     calls.clear()
     cks_cohomology(inst)
     assert calls == []
+
+
+def test_each_edge_operator_is_applied_once_per_basis_vector(monkeypatch):
+    calls = []
+    derive = cks_module.apply_derivation
+
+    def counting(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(cks_module, "apply_derivation", counting)
+    model = build_graded_model(HitchinPartition(2, (1, 1, 1)))
+    inst = build_cks(model, 4)
+    labels = len(model.labels())
+    # every degree counts, the last one too: its images must all vanish
+    expected = sum(
+        blk.dim() * (labels - len(blk.subset))
+        for _, _, piece in inst.pieces
+        for blocks in piece.terms.values()
+        for blk in blocks
+    )
+    assert len(calls) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +454,13 @@ def test_top_weight_action_on_a_delta_eight_stratum():
 
 def test_top_weight_slice_is_built_and_checked_once_per_model(monkeypatch):
     calls = []
-    differentials = cks_module._differentials
+    assemble = cks_module._assemble
 
-    def counting(model, wedges, terms):
+    def counting(model, wedges, wedge_weights, start):
         calls.append(wedges.degree)
-        return differentials(model, wedges, terms)
+        return assemble(model, wedges, wedge_weights, start)
 
-    monkeypatch.setattr(cks_module, "_differentials", counting)
+    monkeypatch.setattr(cks_module, "_assemble", counting)
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     first = top_weight_action(m, (1, 2, 0))
     assert top_weight_action(m, (1, 2, 0)) == first

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from hitchin_supports.complexes import (
+    _coarser,
     _depth_first,
     cographic_complex,
     nonspanning_complex,
     partition_order_complex,
+    proper_partitions,
     refines,
     set_partitions,
 )
@@ -143,6 +145,16 @@ def test_order_complex_r4():
         assert len(p) > len(q)
         assert refines(p, q)
     assert c.verify_downward_closed()
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_coarser_lists_match_the_refinement_predicate(r):
+    proper = proper_partitions(r)
+    expected = [
+        [j for j in range(i + 1, len(proper)) if len(proper[j]) < len(p) and refines(p, proper[j])]
+        for i, p in enumerate(proper)
+    ]
+    assert _coarser(proper) == expected
 
 
 def test_order_complex_rejects_small_r():
