@@ -27,7 +27,10 @@ the images N_r x of the basis of every block I with I + r = J are computed
 once, those from J - max J give the RREF basis of the block of J, and all of
 them, reduced into it, give d's entries at J.  Every component N_r x must lie
 in its block, and d o d = 0 is checked on every column.  The weight summands'
-ranks and the highest-weight action read the stored matrices.
+ranks read the stored matrices.  The highest-weight summand in exterior degree
+delta is the cographic cochain complex up to a +-1 gauge, so the action of a
+graph automorphism on its cohomology is the finite twist det S(sigma), sigma
+on the cycle space, times the simplicial action on cographic top homology.
 
 This is the complex of Cattani, Kaplan and Schmid ("L^2 and intersection
 cohomologies for a polarizable variation of Hodge structure", Invent. Math.
@@ -48,19 +51,11 @@ import itertools
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
-from .homology import (
-    IntEchelon,
-    SparseRationalMatrix,
-    _exact,
-    _rref_reduce,
-    _sort_sign,
-    clear_denominators,
-    coords_in_rref,
-    exact_rank,
-)
+from .complexes import cographic_complex
+from .homology import IntEchelon, SparseRationalMatrix, TopHomologyAction, _rref_reduce, exact_rank
 from .multigraph import (
     CycleSpaceBasis,
     GraphError,
@@ -69,7 +64,7 @@ from .multigraph import (
     build_dual_graph,
     cycle_space,
 )
-from .symgroup import inverse, signed_edge_action
+from .symgroup import cell_permutation, cycle_type, sign_of_type, signed_edge_action
 
 DEFAULT_WEDGE_LIMIT = 2_000_000
 
@@ -103,7 +98,8 @@ class GradedH1Model:
     _nilpotent: dict[int, SparseRationalMatrix] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # "reduced" -> _reduced_model, "slice" -> _top_weight_slice, built on first use
+    # "reduced" -> _reduced_model, "action" -> the TopHomologyAction of the
+    # cographic complex that top_weight_action twists, built on first use
     _derived: dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -356,15 +352,6 @@ def _insertion_sign(subset: tuple[int, ...], label: int) -> int:
     return -1 if bisect_left(subset, label) % 2 else 1
 
 
-def _acc(store: dict, key, val) -> None:
-    """Add ``val`` at ``key``, dropping the key when the sum is zero."""
-    s = store.get(key, 0) + val
-    if s:
-        store[key] = s
-    else:
-        store.pop(key, None)
-
-
 def build_cks(
     model: GradedH1Model, exterior_degree: int, wedge_limit: int = DEFAULT_WEDGE_LIMIT
 ) -> CKSComplexInstance:
@@ -562,146 +549,42 @@ def _slice_differential_rank(d: SparseRationalMatrix, cols: list[int], rng: rand
 # ---------------------------------------------------------------------------
 
 
-def _cycle_action_matrix(model: GradedH1Model, perm: Sequence[int]) -> SparseRationalMatrix:
-    """Matrix of the vertex permutation on the cycle space, in the chord basis."""
-    cycles = model.cycles
-    action = signed_edge_action(perm, model.graph)
-    columns = []
-    for cyc in cycles.cycles:
-        chain: dict[int, int] = {}
-        for lab, coeff in cyc.items():
-            tgt, sign = action[lab]
-            _acc(chain, tgt, sign * coeff)
-        coords = [chain.get(ch, 0) for ch in cycles.chords]
-        # the image chain must be the asserted combination of basis cycles
-        recon: dict[int, int] = {}
-        for coeff, basis_cycle in zip(coords, cycles.cycles):
-            for lab, val in basis_cycle.items():
-                _acc(recon, lab, coeff * val)
-        if recon != chain:
-            raise CksError("edge action does not preserve the cycle space")
-        columns.append({i: c for i, c in enumerate(coords) if c})
-    return SparseRationalMatrix(len(columns), tuple(columns))
-
-
-def _wedge_multiplicative_image(
-    wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], vec: Mapping[int, int]
-) -> dict[int, int]:
-    """Image of a wedge vector under the multiplicative extension of a map's columns."""
-    out: dict[int, int] = {}
-    for widx, coeff in vec.items():
-        t = wedges.tuples[widx]
-        partial: dict[tuple[int, ...], int] = {(): coeff}
-        for s in t:
-            grown: dict[tuple[int, ...], int] = {}
-            col = cols[s]
-            for prefix, c in partial.items():
-                for dst, val in col.items():
-                    p = bisect_left(prefix, dst)
-                    if p < len(prefix) and prefix[p] == dst:
-                        continue
-                    sign = -1 if (len(prefix) - p) % 2 else 1
-                    _acc(grown, prefix[:p] + (dst,) + prefix[p:], sign * c * val)
-            partial = grown
-            if not partial:
-                break
-        for key, c in partial.items():
-            _acc(out, wedges.index[key], c)
-    return out
-
-
 def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRationalMatrix:
     """Matrix of a dual-graph automorphism on the highest-weight cohomology in
     exterior degree delta (the summand carried by the cographic complex).
 
-    This is the geometric action: it moves cells of the cographic complex and
-    simultaneously transports the cycle-space orientations, which is what the
-    vertex swap of the two-component spectral curve acts on by the sign
-    character.  The complex is ``_top_weight_slice`` of the model without its
-    middle block, one line N_I(wedge^delta Gr2) per edge subset I, and its
-    differential is the slice's stored d in degree delta - 1.
+    The top-weight slice of the complex is the cographic cochain complex up to
+    a +-1 gauge on its lines: the line of an edge subset I is
+    N_I(wedge^delta Gr2), and its d is the coboundary I -> I + r with the
+    insertion sign, once each line is rescaled by a sign.  An automorphism A
+    with A N_e = N_(sigma e) A moves the line of I to the line of sigma(I)
+    and scales wedge^delta Gr2 by det S(sigma), the determinant of sigma on
+    the cycle space.  So the action is
+
+        det S(sigma) * (sigma on the top homology of the cographic complex),
+
+    the finite twist times the simplicial action.  For a connected graph the
+    exact sequence 0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 gives det S(sigma) as
+    the sign of sigma on the vertices times the sign of its edge-label
+    permutation times the product of its orientation signs.
+
+    The basis is the canonical top-cycle basis of the cographic complex
+    (``top_cycle_basis``: the RREF of the kernel of its top boundary map).
+    sigma moves faces by a signed permutation matrix, so that kernel and the
+    cokernel of the coboundary into the top degree carry the same
+    representation.  The simplicial action is built once per model.
     """
-    delta = model.delta
-    if delta < 1:
+    if model.delta < 1:
         raise CksError("the action needs delta >= 1")
     action = signed_edge_action(perm, model.graph)
-    # A acts on the model without its middle block (only wedge^0 of it counts
-    # here) block-diagonally: W0 is dual to Gr2, so it carries S(sigma)^-T,
-    # which is S(sigma^-1)^T because S is a representation
-    reduced = _reduced_model(model)
-    w0 = _cycle_action_matrix(model, inverse(perm)).transpose().columns
-    s = _cycle_action_matrix(model, perm).columns
-    gr2 = tuple({delta + r: v for r, v in col.items()} for col in s)
-    a = SparseRationalMatrix(reduced.dimension, w0 + gr2)
-    ops = nilpotent_family(reduced)
-    _assert_equivariant(ops, a, action)
-
-    inst = _top_weight_slice(reduced)
-    wedges = inst.wedges
-    line = {blk.subset: blk.basis for blocks in inst.terms.values() for blk in blocks}
-
-    def coordinates(k: int) -> dict[tuple[int, ...], int]:
-        """Flat index of the line of each degree-k subset."""
-        return {blk.subset: i for i, blk in enumerate(inst.terms.get(k, ()))}
-
-    def chain_map(coords) -> SparseRationalMatrix:
-        """sigma on one degree of the slice.
-
-        Transporting the line of I to the line of sigma(I) carries the Koszul
-        sign of sorting the mapped edge list, the usual exterior algebra
-        bookkeeping that makes the transport commute with the signed
-        differential.
-        """
-        columns = []
-        for subset in coords:
-            mapped = [action[lab][0] for lab in subset]
-            image_subset = tuple(sorted(mapped))
-            img = _wedge_multiplicative_image(wedges, a.columns, line[subset][0])
-            target = line[image_subset]
-            (c,) = coords_in_rref(img, target, {min(target[0]): 0}).values()
-            columns.append({coords[image_subset]: _sort_sign(mapped) * c})
-        return SparseRationalMatrix(len(coords), tuple(columns))
-
-    top, below = coordinates(delta), coordinates(delta - 1)
-    d = inst.differentials[delta - 1]
-    sigma_top = chain_map(top)
-    if sigma_top.matmul(d) != d.matmul(chain_map(below)):
-        raise CksError("action does not commute with the differential")
-
-    # quotient by the image of the differential
-    image_ech = IntEchelon()
-    for col in d.columns:
-        if col:
-            image_ech.insert(clear_denominators(col))
-    image_basis = image_ech.rref_basis()
-    pivots = {min(v): pos for pos, v in enumerate(image_basis)}
-    quotient_coords = [i for i in range(len(top)) if i not in pivots]
-    pos_of = {c: j for j, c in enumerate(quotient_coords)}
-    columns = []
-    for i in quotient_coords:
-        _, residual = _rref_reduce(sigma_top.columns[i], image_basis, pivots)
-        columns.append({pos_of[kk]: _exact(v) for kk, v in residual.items()})
-    return SparseRationalMatrix(len(quotient_coords), tuple(columns))
-
-
-def _top_weight_slice(reduced: GradedH1Model) -> CksPiece:
-    """The complex on the line wedge^delta Gr2 of the reduced model, built
-    (and checked) once per model.
-
-    In exterior degree delta that line is the only wedge of weight 2 delta,
-    and N_I lowers weight by exactly 2 |I|, so the block of I is the single
-    line N_I(wedge^delta Gr2): the top-weight piece of Im N_I.
-    """
-    piece = reduced._derived.get("slice")
-    if piece is None:
-        delta = reduced.delta
-        _check_exterior(reduced, delta, DEFAULT_WEDGE_LIMIT)
-        wedges = WedgeBasis(reduced.dimension, delta)
-        top = {wedges.index[tuple(range(delta, 2 * delta))]: 1}
-        weights = wedges.weights(reduced.index_weights())
-        piece = _assemble(reduced, wedges, weights, CksBlock((), (top,), (2 * delta,)))
-        reduced._derived["slice"] = piece
-    return piece
+    cells = cell_permutation(perm, model.graph)
+    twist = sign_of_type(cycle_type(perm)) * sign_of_type(cycle_type(cells))
+    twist *= prod(sign for _, sign in action.values())
+    simplicial = model._derived.get("action")
+    if simplicial is None:
+        simplicial = model._derived["action"] = TopHomologyAction(cographic_complex(model.graph))
+    mat = simplicial.matrix(cells)
+    return SparseRationalMatrix(mat.rows, tuple({i: twist * v for i, v in col.items()} for col in mat.columns))
 
 
 def _reduced_model(model: GradedH1Model) -> GradedH1Model:
@@ -719,9 +602,3 @@ def _reduced_model(model: GradedH1Model) -> GradedH1Model:
         model._derived["reduced"] = reduced
     return reduced
 
-
-def _assert_equivariant(ops, a: SparseRationalMatrix, action) -> None:
-    """A N_e = N_{sigma e} A on the reduced model, as exact matrices."""
-    for lab, op in ops.items():
-        if a.matmul(op) != ops[action[lab][0]].matmul(a):
-            raise CksError("model action is not equivariant for the edge operators")

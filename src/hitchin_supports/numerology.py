@@ -214,7 +214,7 @@ def support_report(
                     f"top homology rank {betti} disagrees with (k-1)! = {top_rank}"
                 )
             for r in (lo, (lo + hi) // 2, hi):
-                if stalk_dimension(p, r, homology_threshold) != local_system_rank(p, r - delta):
+                if betti * math.comb(width, r - delta) != local_system_rank(p, r - delta):
                     raise VerificationError(f"stalk dimension at r={r} disagrees")
             homology_checked = True
         else:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,13 @@ from hitchin_supports.cks import (
     WedgeBasis,
     _direct_cks,
     _reduced_model,
-    _top_weight_slice,
 )
-from hitchin_supports.homology import SparseRationalMatrix
+from hitchin_supports.complexes import cographic_complex
+from hitchin_supports.homology import SparseRationalMatrix, TopHomologyAction
 from hitchin_supports.multigraph import HitchinPartition, Multigraph
 from hitchin_supports.numerology import cographic_top_betti
-from hitchin_supports.symgroup import compose
+from hitchin_supports.selftest import random_connected_multigraph
+from hitchin_supports.symgroup import SymgroupError, cell_permutation, compose
 
 from conftest import parallel_graph
 
@@ -331,7 +333,19 @@ def test_build_cks_reproduces_the_pinned_tables(genus, parts, i):
 def test_an_image_missing_a_vector_is_caught(monkeypatch):
     rref_basis = cks_module.IntEchelon.rref_basis
     monkeypatch.setattr(cks_module.IntEchelon, "rref_basis", lambda self: rref_basis(self)[:-1])
-    with pytest.raises(CksError, match="leaves the complex"):
+    with pytest.raises(CksError, match="image outside its block"):
+        build_cks(build_graded_model(HitchinPartition(2, (1, 1, 1))), 3)
+
+
+def test_an_image_with_no_block_is_caught(monkeypatch):
+    rref_basis = cks_module.IntEchelon.rref_basis
+
+    def drop_lines(self):
+        basis = rref_basis(self)
+        return () if len(basis) == 1 else basis
+
+    monkeypatch.setattr(cks_module.IntEchelon, "rref_basis", drop_lines)
+    with pytest.raises(CksError, match="differential leaves the complex: no block for its target"):
         build_cks(build_graded_model(HitchinPartition(2, (1, 1, 1))), 3)
 
 
@@ -428,18 +442,78 @@ def test_top_weight_action_composes_as_a_representation():
 
 
 @pytest.mark.parametrize("genus, parts", [(2, (1, 1)), (3, (1, 1)), (2, (1, 1, 1)), (2, (2, 1))])
-def test_top_weight_slice_matches_the_filtered_whole_complex(genus, parts):
+def test_top_weight_slice_is_the_cographic_cochain_complex_up_to_a_gauge(genus, parts):
+    # the lemma top_weight_action rests on, read off the assembled complex:
+    # one line per cographic face, the coboundary pattern I -> I + r with
+    # entries +-1, and one sign per line turning them into insertion signs
     m = build_graded_model(HitchinPartition(genus, parts))
-    reduced = _reduced_model(m)
-    filtered = {}
-    for k, blocks in build_cks(reduced, m.delta).terms.items():
+    (_, _, piece), = build_cks(_reduced_model(m), m.delta).pieces
+    lines = {}  # degree -> subset -> column of the top-weight line
+    for k, blocks in piece.terms.items():
+        col = 0
         for blk in blocks:
-            keep = tuple(v for v, w in zip(blk.vectors(), blk.weights) if w == 2 * m.delta - 2 * k)
-            if keep:
-                filtered[blk.subset] = keep
-    lines = {blk.subset: blk.basis for blocks in _top_weight_slice(reduced).terms.values() for blk in blocks}
-    assert lines == filtered
-    assert all(len(basis) == 1 for basis in lines.values())
+            for w in blk.weights:
+                if w == 2 * m.delta - 2 * k:
+                    assert blk.subset not in lines.setdefault(k, {})
+                    lines[k][blk.subset] = col
+                col += 1
+    cographic = cographic_complex(m.graph)
+    faces = {(): 0} | {
+        tuple(cographic.ground_set[i] for i in face): len(face)
+        for dim_faces in cographic.faces_by_dim
+        for face in dim_faces
+    }
+    assert {subset: k for k, by_subset in lines.items() for subset in by_subset} == faces
+
+    gauge = {(): 1}
+    for k in sorted(lines):
+        for subset, col in lines[k].items():
+            entries = piece.differentials[k].columns[col]
+            cofaces = {}
+            for r in m.labels():
+                target = tuple(sorted(subset + (r,)))
+                if r not in subset and target in lines.get(k + 1, {}):
+                    cofaces[lines[k + 1][target]] = (target, (-1) ** sum(1 for x in subset if x < r))
+            assert set(entries) == set(cofaces), subset
+            for row, (target, insertion) in cofaces.items():
+                assert entries[row] in (1, -1)
+                gauge.setdefault(target, entries[row] * gauge[subset] * insertion)
+                assert gauge[subset] * entries[row] * gauge[target] == insertion, (subset, target)
+    assert len(gauge) == len(faces)
+
+
+# (genus, partition) -> trace of top_weight_action for every admissible
+# vertex permutation, as the wedge transport through the assembled top-weight
+# slice computed them.  That route stopped at delta = 11; g = 8, (1, 1) has
+# delta = 13 and its swap still acts on the line by -1.
+_S3 = dict.fromkeys(itertools.permutations(range(3)), 0) | {(0, 1, 2): 2, (1, 2, 0): -1, (2, 0, 1): -1}
+PINNED_TRACES = {
+    (2, (1, 1)): {(0, 1): 1, (1, 0): -1},
+    (3, (1, 1)): {(0, 1): 1, (1, 0): -1},
+    (8, (1, 1)): {(0, 1): 1, (1, 0): -1},
+    (2, (2, 1)): {(0, 1): 1, (1, 0): -1},
+    (2, (2, 2)): {(0, 1): 1, (1, 0): -1},
+    (2, (1, 1, 1)): _S3,
+    (3, (1, 1, 1)): _S3,
+    (2, (2, 1, 1)): {(0, 1, 2): 2, (0, 2, 1): 0},
+    (2, (1, 1, 1, 1)): dict.fromkeys(itertools.permutations(range(4)), 0)
+    | {(0, 1, 2, 3): 6, (1, 0, 3, 2): -2, (2, 3, 0, 1): -2, (3, 2, 1, 0): -2},
+}
+
+
+@pytest.mark.parametrize("genus, parts", sorted(PINNED_TRACES))
+def test_top_weight_action_reproduces_the_pinned_traces(genus, parts):
+    m = build_graded_model(HitchinPartition(genus, parts))
+    pinned = PINNED_TRACES[(genus, parts)]
+    betti = cographic_top_betti(m.graph)
+    for perm in itertools.permutations(range(len(parts))):
+        if perm not in pinned:
+            with pytest.raises(SymgroupError):
+                top_weight_action(m, perm)
+            continue
+        mat = top_weight_action(m, perm)
+        assert mat.rows == mat.cols == betti
+        assert sum(col.get(j, 0) for j, col in enumerate(mat.columns)) == pinned[perm], perm
 
 
 def test_top_weight_action_on_a_delta_eight_stratum():
@@ -452,18 +526,77 @@ def test_top_weight_action_on_a_delta_eight_stratum():
     assert swap.matmul(swap) == identity
 
 
-def test_top_weight_slice_is_built_and_checked_once_per_model(monkeypatch):
-    calls = []
-    assemble = cks_module._assemble
+def _cycle_space_determinant(model, action) -> Fraction:
+    """det of the signed edge action on the cycle space, by elimination over Q
+    on its matrix in the fundamental-cycle basis."""
+    cycles = model.cycles
+    rows = []
+    for cyc in cycles.cycles:
+        image = {}
+        for lab, coeff in cyc.items():
+            target, sign = action[lab]
+            image[target] = image.get(target, 0) + sign * coeff
+        coords = [image.get(chord, 0) for chord in cycles.chords]
+        rebuilt = {}
+        for c, basis_cycle in zip(coords, cycles.cycles):
+            for lab, v in basis_cycle.items():
+                rebuilt[lab] = rebuilt.get(lab, 0) + c * v
+        assert {k: v for k, v in rebuilt.items() if v} == {k: v for k, v in image.items() if v}
+        rows.append([Fraction(c) for c in coords])
+    det = Fraction(1)
+    for i in range(len(rows)):
+        pivot = next(r for r in range(i, len(rows)) if rows[r][i])
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det *= rows[i][i]
+        for r in range(i + 1, len(rows)):
+            f = rows[r][i] / rows[i][i]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
+    return det
 
-    def counting(model, wedges, wedge_weights, start):
-        calls.append(wedges.degree)
-        return assemble(model, wedges, wedge_weights, start)
 
-    monkeypatch.setattr(cks_module, "_assemble", counting)
+def test_the_twist_is_the_determinant_on_the_cycle_space():
+    # seeded multigraphs with loops, parallel and reversed edges; on 31 of
+    # these actions the determinant is -1 on a non-zero top homology
+    rng = random.Random(5)
+    flipped = 0
+    for _ in range(200):
+        graph = random_connected_multigraph(rng, 8)
+        m = model_from_graph(graph, (0,) * graph.vertex_count)
+        if m.delta < 1:
+            continue
+        simplicial = TopHomologyAction(cographic_complex(graph))
+        for perm in itertools.permutations(range(graph.vertex_count)):
+            try:
+                action = signed_edge_action(perm, graph)
+            except SymgroupError:
+                continue
+            det = _cycle_space_determinant(m, action)
+            plain = simplicial.matrix(cell_permutation(perm, graph))
+            assert top_weight_action(m, perm).entries == {k: det * v for k, v in plain.entries.items()}
+            flipped += det == -1 and plain.rows > 0
+    assert flipped == 31
+
+
+def test_top_weight_action_is_built_once_per_model(monkeypatch):
+    built, assembled = [], []
+    action, assemble = cks_module.TopHomologyAction, cks_module._assemble
+
+    def counting_action(c):
+        built.append(c)
+        return action(c)
+
+    def counting_assemble(*args):
+        assembled.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(cks_module, "TopHomologyAction", counting_action)
+    monkeypatch.setattr(cks_module, "_assemble", counting_assemble)
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     first = top_weight_action(m, (1, 2, 0))
     assert top_weight_action(m, (1, 2, 0)) == first
     assert top_weight_action(m, (0, 2, 1)).rows == first.rows
-    assert calls == [m.delta]
+    assert len(built) == 1
+    assert assembled == []
     assert build_cks(m, 2).pieces[0][2].model is _reduced_model(m)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hitchin_supports import numerology
 from hitchin_supports.multigraph import (
     GraphError,
     HitchinPartition,
@@ -188,6 +189,20 @@ def test_report_homology_verification():
     assert rep.homology_checked is True
     assert rep.top_rank == 2
     assert rep.warning is None
+
+
+@pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1)])
+def test_report_builds_the_cographic_complex_once(monkeypatch, parts):
+    calls = []
+    build = numerology.cographic_complex
+
+    def counting(graph):
+        calls.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(numerology, "cographic_complex", counting)
+    assert support_report(HitchinPartition(2, parts), verify_level="homology").homology_checked
+    assert len(calls) == 1
 
 
 def test_report_degrades_above_threshold_with_warning():
