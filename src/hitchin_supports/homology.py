@@ -6,13 +6,15 @@ rank comes from one sparse elimination kernel with Markowitz pivoting, run
 either fraction-free over Z or over Z/(p1 p2) for two random primes above
 2**30.  The modular pass carries both primes at once (Z/(p1 p2) = F_p1 x F_p2):
 when every lead it takes is a unit, its rank is the rank mod p1 and mod p2,
-and a non-unit lead counts as a disagreement.  A matrix with both sides at
-most 500 is eliminated over Z and checked against the modular pass; a larger
-one accepts the modular pass alone.  Any disagreement escalates to another
-elimination over Z: below the limit on the transpose, which is a different
-elimination order, and above it on the matrix itself.  Everything here is
-reduced homology: the empty face is a cell in dimension -1, so the empty
-complex has Betti number 1 there and nowhere else.
+and a non-unit lead counts as a disagreement.  It keeps its residues balanced,
+in (-p/2, p/2], and reduces a value only when it leaves that range, so +-1
+entries stay one-digit ints and a +-1 lead needs no inverse.  A matrix with
+both sides at most 500 is eliminated over Z and checked against the modular
+pass; a larger one accepts the modular pass alone.  Any disagreement escalates
+to another elimination over Z: below the limit on the transpose, which is a
+different elimination order, and above it on the matrix itself.  Everything
+here is reduced homology: the empty face is a cell in dimension -1, so the
+empty complex has Betti number 1 there and nowhere else.
 
 The boundary maps are ranked from the top degree down, with clearing (Chen and
 Kerber, "Persistent homology computation with a twist", EuroCG 2011; Bauer,
@@ -29,6 +31,11 @@ lead cuts the pass short.  The lemma relies on ∂∘∂ = 0, which
 ``boundary_complex`` checks column by column.  The side limit above applies
 to the cleared matrix, so a map whose cleared sides both fall to 500 or fewer
 also gets the elimination over Z.
+
+The top homology and its automorphism action avoid copies: ``IntEchelon``
+updates its working vector in place at each step, and ``TopHomologyAction``
+keys the top faces by ground-set bit masks, so the image of a face under a
+permutation is one lookup and its orientation sign a popcount per cell.
 """
 
 from __future__ import annotations
@@ -150,16 +157,26 @@ def normalize_int_vec(vec: dict[int, int]) -> dict[int, int]:
     return {k: v // g for k, v in vec.items()}
 
 
-def _combine(target: dict[int, int], coeff_t: int, source: dict[int, int], coeff_s: int) -> dict[int, int]:
-    """coeff_t * target + coeff_s * source, dropped zeros."""
-    out = {k: coeff_t * v for k, v in target.items()}
-    for k, v in source.items():
-        s = out.get(k, 0) + coeff_s * v
+def _cancel(vec: dict[int, int], at: int, pivot: Mapping[int, int]) -> None:
+    """Clear coordinate ``at`` of ``vec`` in place with a pivot vector.
+
+    ``vec`` becomes (b/g) vec - (a/g) pivot for a = vec[at], b = pivot[at],
+    g = gcd(a, b): it is scaled only when b/g is not 1, then (a/g) pivot is
+    subtracted entry by entry.  Old keys keep their places, new keys are
+    appended and zeros are dropped.
+    """
+    a, b = vec[at], pivot[at]
+    g = gcd(a, b)
+    scale, f = b // g, a // g
+    if scale != 1:
+        for k in vec:
+            vec[k] *= scale
+    for k, v in pivot.items():
+        s = vec.get(k, 0) - f * v
         if s:
-            out[k] = s
+            vec[k] = s
         else:
-            out.pop(k, None)
-    return out
+            del vec[k]
 
 
 def clear_denominators(vec: Mapping[int, int | Fraction]) -> dict[int, int]:
@@ -191,9 +208,7 @@ class IntEchelon:
             pivot = self.pivots.get(lead)
             if pivot is None:
                 return vec
-            a, b = vec[lead], pivot[lead]
-            g = gcd(a, b)
-            vec = _combine(vec, b // g, pivot, -(a // g))
+            _cancel(vec, lead, pivot)
         return vec
 
     def insert(self, vec: dict[int, int]) -> bool:
@@ -210,12 +225,8 @@ class IntEchelon:
         for lead in reversed(order):
             vec = dict(self.pivots[lead])
             for other in sorted(k for k in vec if k != lead and k in reduced):
-                if other not in vec:
-                    continue
-                pivot = reduced[other]
-                a, b = vec[other], pivot[other]
-                g = gcd(a, b)
-                vec = _combine(vec, b // g, pivot, -(a // g))
+                if other in vec:
+                    _cancel(vec, other, reduced[other])
             reduced[lead] = normalize_int_vec(vec)
         return [reduced[lead] for lead in order]
 
@@ -306,6 +317,12 @@ class _NonUnitPivot(ArithmeticError):
     """A modular elimination chose a lead that is not a unit modulo ``p``."""
 
 
+def _balanced(v: int, p: int, half: int) -> int:
+    """The residue of ``v`` mod ``p`` in (-p/2, p/2], with ``half`` = p // 2."""
+    v %= p
+    return v - p if v > half else v
+
+
 def _eliminate(
     vectors: Iterable[Mapping[int, int]], p: int | None = None, pivots: set[int] | None = None
 ) -> int:
@@ -325,10 +342,19 @@ def _eliminate(
     a unit mod ``p`` (non-zero over Z), also when ``_NonUnitPivot`` cuts the
     elimination short.
     """
+    # residues mod p stay balanced, in [low, half] = (-p/2, p/2], and are
+    # reduced only when a value leaves that range, so +-1 entries stay +-1
+    # and a +-1 lead needs no inverse; a residue is zero exactly when the
+    # canonical one in [0, p) is
+    half = p >> 1 if p else 0
+    low = half + 1 - p if p else 0
     rows: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}  # coordinate -> remaining vectors holding it
     for i, vec in enumerate(vectors):
-        row = {k: r for k, v in vec.items() if (r := v % p if p else v)}
+        if p:
+            row = {k: r for k, v in vec.items() if (r := v if low <= v <= half else _balanced(v, p, half))}
+        else:
+            row = {k: v for k, v in vec.items() if v}
         if row:
             rows[i] = row
             for k in row:
@@ -355,8 +381,11 @@ def _eliminate(
             continue
         pivot = row.pop(lead)
         if p:
-            inv = pow(pivot, -1, p)
-            row = {k: v * inv % p for k, v in row.items()}
+            if pivot == -1:
+                row = {k: -v for k, v in row.items()}
+            elif pivot != 1:
+                inv = pow(pivot, -1, p)
+                row = {k: _balanced(v * inv, p, half) for k, v in row.items()}
         elif pivot < 0:
             pivot = -pivot
             row = {k: -v for k, v in row.items()}
@@ -373,10 +402,15 @@ def _eliminate(
             for k, v in row.items():
                 old = target.get(k)
                 if old is None:
-                    target[k] = -f * v % p if p else -f * v
+                    new = -f * v
+                    if p and not low <= new <= half:
+                        new = _balanced(new, p, half)
+                    target[k] = new
                     holders[k].add(h)
                     continue
-                new = (old - f * v) % p if p else old - f * v
+                new = old - f * v
+                if p and not low <= new <= half:
+                    new = _balanced(new, p, half)
                 if new:
                     target[k] = new
                 else:
@@ -640,16 +674,6 @@ def top_cycle_basis(cc: RationalChainComplex) -> list[dict[int, int]]:
     return kernel
 
 
-def _sort_sign(values: Sequence[int]) -> int:
-    sign = 1
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                sign = -sign
-    return sign
-
-
 class TopHomologyAction:
     """Action of simplicial automorphisms on a fixed top-cycle basis.
 
@@ -668,9 +692,12 @@ class TopHomologyAction:
         self.basis = top_cycle_basis(self.cc)
         self._pivots = {min(vec): i for i, vec in enumerate(self.basis)}
         self.top = self.cc.top_dim
-        self._face_index = (
-            {f: i for i, f in enumerate(c.faces_by_dim[self.top])} if self.top >= 0 else {(): 0}
+        # top faces as ground-set bit masks: (cells, mask) in face order, and
+        # the index of each mask
+        self._top_faces = (
+            [(f, sum(1 << i for i in f)) for f in c.faces_by_dim[self.top]] if self.top >= 0 else []
         )
+        self._face_index = {mask: i for i, (_, mask) in enumerate(self._top_faces)}
         self._lower_facets = []  # (facets of one dimension, all faces of it) below the top
         for d in range(self.top):
             faces = c.faces_by_dim[d]
@@ -692,14 +719,25 @@ class TopHomologyAction:
                     raise HomologyError("permutation is not a simplicial automorphism")
 
     def _face_table(self, perm: Sequence[int]) -> list[tuple[int, int]]:
-        """Index and orientation sign of the image of each top face."""
+        """Index and orientation sign of the image of each top face.
+
+        The image of a face is looked up by its bit mask, the sum of
+        ``1 << perm[i]`` over its cells.  Its sign is the parity of the
+        inversions of ``perm`` on the face: ``later[a]`` masks the cells after
+        ``a`` that ``perm`` sends below ``perm[a]``, so the face's inversions
+        are the bits of ``mask & later[a]`` summed over its cells ``a``.
+        """
+        n = len(perm)
+        image_bit = [1 << q for q in perm]
+        later = [sum(1 << c for c in range(a + 1, n) if perm[c] < perm[a]) for a in range(n)]
+        face_index = self._face_index
         table = []
-        for face in self.complex.faces_by_dim[self.top]:
-            mapped = [perm[i] for i in face]
-            image = self._face_index.get(tuple(sorted(mapped)))
+        for face, mask in self._top_faces:
+            image = face_index.get(sum(image_bit[i] for i in face))
             if image is None:
                 raise HomologyError("permutation is not a simplicial automorphism")
-            table.append((image, _sort_sign(mapped)))
+            inversions = sum((mask & later[a]).bit_count() for a in face)
+            table.append((image, -1 if inversions & 1 else 1))
         return table
 
     def matrix(self, perm: Sequence[int]) -> SparseRationalMatrix:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -317,3 +318,32 @@ def test_internal_error_exits_3_with_its_traceback(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err
     assert "KeyError" in err
+
+
+# ---------------------------------------------------------------------------
+# golden documents
+# ---------------------------------------------------------------------------
+
+# sha256 of the stdout of documents that must stay byte-identical: a change to
+# the exact kernels that reorders a dict or moves a number fails here
+GOLDEN = (
+    ("character --r 3", "3c1ff21f98ed48553cd40da21dbe5584af37bc419860f3b341f82102a3d1d3bd"),
+    ("character --r 4", "830b6c8deba49d1aa7afd7a72c0764a31de7c1d4e4e0d771a2042f3db9657da4"),
+    ("character --r 5", "f5c35948d56c25587271da55888143c54a0af28756db1c95b6e3039fe02f6af2"),
+    ("character --r 6", "df435cb6dbbbc323f630dedb4596af8d16e65e2f099761fed01d75d8ccee93d1"),
+    ("complex --r 5", "7260b2ec086c9f2a877921770da68ebb247f57e737819bdbc4f630cb1a1c0cf8"),
+    ("complex --r 6 --kind flats", "2ee8bc21a2999cab21c7c83047f9b3703de80b2cc21c78c7dc7da90f81e9ee25"),
+    ("cks --genus 2 --partition 1,1,1 --exterior 4", "aeead1e291ca46fa13ff06692d7fde1ffa0c394ffb3447c11fd5b2d0b2108c8a"),
+    ("cks --genus 2 --partition 1,1,1 --exterior 5", "8cc1784accb500920e284242cf531ff1b73e4136544d7b514961bf5fc1ac4d2f"),
+    ("cks --genus 2 --partition 1,1,1,1 --exterior 3", "3001bf754e4d4af58ced7f296be890c54033a6e8aa9ea9bda84390a892f88d3e"),
+    ("cks --genus 3 --partition 1,1 --exterior 4", "326b452a317066df99ad6ab5cde7faf72d898084f96bed90872035698bf07bed"),
+    ("cks --genus 2 --partition 2,1 --exterior 3", "a17755abb2971b2ea6ac9edd54bd791df9ab4b08d4274e26421011d43cb90f38"),
+    ("report --genus 2 --partition 1,1,1,1,1 --verify homology", "711cc4757903f0002f12164acf54d91175d2091341efe370fe73884132ff41f7"),
+)
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[command for command, _ in GOLDEN])
+def test_golden_document(capsys, command, digest):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

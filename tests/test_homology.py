@@ -1,4 +1,6 @@
+import copy
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -313,6 +315,64 @@ def test_joint_pass_raises_on_a_lone_multiple_of_one_prime():
             homology._eliminate(columns, P1 * p2)
     # a unit lead clears the multiple away: no raise, rank 1 at both primes
     assert homology._eliminate([{0: 1}, {0: P1}], P1 * p2) == 1
+
+
+def _rank_mod_prime(columns, rows: int, q: int) -> int:
+    """Textbook Gaussian elimination of the dense matrix over F_q."""
+    dense = [[col.get(r, 0) % q for col in columns] for r in range(rows)]
+    rank = 0
+    for c in range(len(columns)):
+        piv = next((r for r in range(rank, rows) if dense[r][c]), None)
+        if piv is None:
+            continue
+        dense[rank], dense[piv] = dense[piv], dense[rank]
+        inv = pow(dense[rank][c], -1, q)
+        for r in range(rank + 1, rows):
+            if dense[r][c]:
+                f = dense[r][c] * inv % q
+                dense[r] = [(x - f * y) % q for x, y in zip(dense[r], dense[rank])]
+        rank += 1
+    return rank
+
+
+def test_balanced_residues_give_the_textbook_rank_mod_each_prime():
+    p2 = 2**30 + 3
+    p = P1 * p2
+    half = p // 2  # -1/2 mod p
+    rng = random.Random(71)
+    outcomes = {"equal": 0, "raised": 0}
+    lower = 0
+    for _ in range(120):
+        rows, cols, inner = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(1, 5)
+        # a product of rank at most ``inner`` mod p, each entry written as its
+        # residue in [0, p) or that minus p: entries near +-p/2 and +-p/4,
+        # and +-1 written as 1 - p and p - 1, so the rank over Q is larger
+        a = [[rng.choice((0, 1, -1, half, -half)) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.choice((0, 1, -1, half, -half)) for _ in range(cols)] for _ in range(inner)]
+        entries = {}
+        for r in range(rows):
+            for c in range(cols):
+                if v := sum(a[r][t] * b[t][c] for t in range(inner)) % p:
+                    entries[(r, c)] = rng.choice((v, v - p))
+        columns = int_columns(cols, entries)
+        pivots: set[int] = set()
+        try:
+            rank = homology._eliminate(columns, p, pivots)
+        except homology._NonUnitPivot:
+            outcomes["raised"] += 1
+            continue
+        outcomes["equal"] += 1
+        assert rank == len(pivots) == _rank_mod_prime(columns, rows, P1) == _rank_mod_prime(columns, rows, p2)
+        # the pivot rows are independent modulo each prime
+        chosen = [{r: v for r, v in col.items() if r in pivots} for col in columns]
+        assert _rank_mod_prime(chosen, rows, P1) == _rank_mod_prime(chosen, rows, p2) == rank
+        lower += rank < dense_rank(rows, cols, entries)
+    assert outcomes["equal"] > 100 and lower > 30, (outcomes, lower)
+    # a lead of -P1 is balanced as itself and still not a unit, whether it is
+    # given or arises in the pass from 1 - P1 - 1
+    for columns in ([{0: -P1}], [{0: 1, 1: 1}, {0: 1, 1: 1 - P1}]):
+        with pytest.raises(homology._NonUnitPivot):
+            homology._eliminate(columns, p)
 
 
 def test_default_primes_are_drawn_once_per_shape(monkeypatch):
@@ -720,6 +780,60 @@ def test_coords_in_rref_matches_a_dense_solve():
     assert fractional and outside
 
 
+def _fraction_rref(vectors, n: int) -> list[dict[int, int]]:
+    """Gauss-Jordan over Fractions with the coordinates in increasing order,
+    each row scaled to a primitive integer vector (positive lead), by lead."""
+    rows = [[Fraction(vec.get(k, 0)) for k in range(n)] for vec in vectors]
+    rank = 0
+    for c in range(n):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [x / rows[rank][c] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    basis = []
+    for row in rows[:rank]:
+        ints = [int(x * math.lcm(*(y.denominator for y in row))) for x in row]
+        g = math.gcd(*ints)
+        basis.append({k: x // g for k, x in enumerate(ints) if x})
+    return basis
+
+
+def test_echelon_steps_leave_the_caller_vectors_and_pivots_alone():
+    rng = random.Random(61)
+    scaled = 0
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        vectors = [
+            {k: v for k in rng.sample(range(n), rng.randint(1, n)) if (v := rng.randint(-5, 5))}
+            for _ in range(rng.randint(1, n + 2))
+        ]
+        ech = IntEchelon()
+        for vec in vectors:
+            given = dict(vec)
+            stored = copy.deepcopy(ech.pivots)
+            residual = ech.reduce(vec)
+            assert vec == given and ech.pivots == stored
+            assert residual is not vec and all(residual is not pivot for pivot in stored.values())
+            ech.insert(vec)
+            assert vec == given
+            for lead, pivot in ech.pivots.items():
+                scaled += lead in vec and vec[lead] % pivot[lead] != 0
+        stored = copy.deepcopy(ech.pivots)
+        basis = ech.rref_basis()
+        assert ech.pivots == stored
+        assert basis == _fraction_rref(vectors, n)
+        for vec in basis:
+            vec.clear()
+        assert ech.pivots == stored
+    assert scaled > 20  # leads that do not divide: the steps that scale
+
+
 # ---------------------------------------------------------------------------
 # the top-cycle basis and the action against the straightforward routines
 # ---------------------------------------------------------------------------
@@ -753,6 +867,17 @@ def test_top_cycle_basis_equals_forward_insertion_and_rref():
         assert top_cycle_basis(cc) == _forward_top_cycle_basis(cc), c.f_vector()
 
 
+def _sort_sign(values) -> int:
+    """Sign of the permutation that sorts ``values``, by counting inversions."""
+    sign = 1
+    vals = list(values)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if vals[i] > vals[j]:
+                sign = -sign
+    return sign
+
+
 def _reference_matrix(action, perm):
     """The action matrix with one sort sign per (basis vector, entry)."""
     faces = action.complex.faces_by_dim[action.top]
@@ -762,7 +887,7 @@ def _reference_matrix(action, perm):
         img = {}
         for j, coeff in vec.items():
             mapped = [perm[i] for i in faces[j]]
-            img[index[tuple(sorted(mapped))]] = homology._sort_sign(mapped) * coeff
+            img[index[tuple(sorted(mapped))]] = _sort_sign(mapped) * coeff
         columns.append(coords_in_rref(img, action.basis, action._pivots))
     return SparseRationalMatrix(len(action.basis), tuple(columns))
 
@@ -775,6 +900,26 @@ def test_action_matrix_equals_per_entry_reference_on_k5():
     for vperm in itertools.permutations(range(5)):
         perm = cell_permutation(vperm, g)
         assert action.matrix(perm) == _reference_matrix(action, perm), vperm
+
+
+@pytest.mark.parametrize("top", [7, 6])
+def test_face_table_equals_the_sort_sign_on_every_permutation_of_a_simplex(top):
+    # the full simplex on 7 cells (one top face) and its boundary (seven top
+    # faces): every permutation is an automorphism, not only vertex-induced ones
+    cells = range(7)
+    c = FaceComplex(tuple(cells), tuple(tuple(itertools.combinations(cells, k)) for k in range(1, top + 1)))
+    action = TopHomologyAction(c)
+    faces = c.faces_by_dim[action.top]
+    index = {f: i for i, f in enumerate(faces)}
+    signs = set()
+    for perm in itertools.permutations(cells):
+        expected = []
+        for face in faces:
+            mapped = [perm[i] for i in face]
+            expected.append((index[tuple(sorted(mapped))], _sort_sign(mapped)))
+        assert action._face_table(perm) == expected, perm
+        signs.update(sign for _, sign in expected)
+    assert signs == {1, -1}
 
 
 def _closure(facets):
