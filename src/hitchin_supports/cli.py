@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass
 
 from .cks import DEFAULT_WEDGE_LIMIT, CksError, build_cks, build_graded_model, cks_cohomology
 from .complexes import (
@@ -40,6 +39,7 @@ from .numerology import (
 from .selftest import PROPERTIES, SelftestConfig, run_selftest
 from .symgroup import (
     SymgroupError,
+    complete_graph,
     induced_character_oracle,
     restrict_to_young,
     top_homology_character,
@@ -48,47 +48,6 @@ from .symgroup import (
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 INTERNAL_ERROR = 3
-
-
-@dataclass
-class RunConfig:
-    """Validated flag set for one invocation."""
-
-    subcommand: str
-    genus: int | None = None
-    partition: tuple[int, ...] | None = None
-    exterior: int | None = None
-    graph_path: str | None = None
-    r: int | None = None
-    kind: str = "cographic"
-    fmt: str = "json"
-    verify: str = "formula"
-    seed: int = 0
-    wedge_limit: int = DEFAULT_WEDGE_LIMIT
-    face_limit: int = DEFAULT_FACE_LIMIT
-    homology_threshold: int = HOMOLOGY_EDGE_THRESHOLD
-    degree: int | None = None
-    alphas: tuple[int, ...] | None = None
-    dump_faces: bool = False
-    only: str | None = None
-    max_edges: int = 10
-    count: int = 30
-    anchors: dict | None = None
-    output: str | None = None
-
-
-def _parse_int_list(name: str, text: str) -> tuple[int, ...]:
-    """Comma separated integers, in the given order."""
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise GraphError(f"bad {name} {text!r}") from exc
-
-
-def _partition_from(cfg: RunConfig) -> HitchinPartition:
-    if cfg.genus is None or cfg.partition is None:
-        raise GraphError("both --genus and --partition are required")
-    return HitchinPartition(cfg.genus, cfg.partition)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +91,19 @@ def _markdown_table(title: str, doc: dict, anchors: dict | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _write(args: argparse.Namespace, title: str, doc: dict) -> None:
+    """Render ``doc`` in ``--format`` and write it to ``--output`` or stdout."""
+    if args.format == "csv":
+        text = _emit_csv(_flatten(doc))
+    elif args.format == "md":
+        text = _markdown_table(title, doc, args.anchors)
+    else:
+        text = _emit_json(doc)
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _render(cfg: RunConfig, title: str, doc: dict) -> str:
-    if cfg.fmt == "json":
-        return _emit_json(doc)
-    if cfg.fmt == "csv":
-        return _emit_csv(_flatten(doc))
-    if cfg.fmt == "md":
-        return _markdown_table(title, doc, cfg.anchors)
-    raise GraphError(f"unknown format {cfg.fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,63 +111,60 @@ def _render(cfg: RunConfig, title: str, doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    p = _partition_from(cfg)
+def cmd_report(args: argparse.Namespace) -> int:
     rep = support_report(
-        p,
-        verify_level=cfg.verify,
-        homology_threshold=cfg.homology_threshold,
-        degree=cfg.degree,
+        HitchinPartition(args.genus, args.partition),
+        verify_level=args.verify,
+        homology_threshold=args.homology_threshold,
+        degree=args.degree,
     )
     doc = rep.to_json_dict()
-    doc["seed"] = cfg.seed
+    doc["seed"] = args.seed
     if rep.delta_aff == 0:
         doc["note"] = "codimension-zero stratum: the full base, no new support content"
-    _write(cfg, _render(cfg, "Support stratum report", doc))
+    _write(args, "Support stratum report", doc)
     return 0
 
 
-def _complex_for(cfg: RunConfig):
-    if cfg.graph_path is not None:
-        with open(cfg.graph_path) as fh:
+def _complex_for(args: argparse.Namespace):
+    sources = sum(x is not None for x in (args.graph, args.r, args.partition))
+    if sources != 1 or (args.genus is None) != (args.partition is None):
+        raise GraphError("give exactly one of --graph, --r, or --genus with --partition")
+    if args.kind == "flats":
+        if args.r is None:
+            raise GraphError("--kind flats needs --r")
+        return partition_order_complex(args.r, args.face_limit), f"partition lattice r={args.r}"
+    if args.graph is not None:
+        with open(args.graph) as fh:
             graph = graph_from_json(fh.read())
-        source = cfg.graph_path
-    elif cfg.r is not None:
-        if cfg.kind == "flats":
-            return partition_order_complex(cfg.r, cfg.face_limit), f"partition lattice r={cfg.r}"
-        from .symgroup import complete_graph
-
-        graph = complete_graph(cfg.r)
-        source = f"complete graph r={cfg.r}"
+        source = args.graph
+    elif args.r is not None:
+        graph = complete_graph(args.r)
+        source = f"complete graph r={args.r}"
     else:
-        graph = build_dual_graph(_partition_from(cfg))
-        source = f"dual graph g={cfg.genus} partition={','.join(map(str, cfg.partition))}"
-    if cfg.kind == "cographic":
-        return cographic_complex(graph, cfg.face_limit), source
-    if cfg.kind == "nonspanning":
-        return nonspanning_complex(graph, cfg.face_limit), source
-    if cfg.kind == "flats":
-        raise GraphError("--kind flats needs --r")
-    raise GraphError(f"unknown complex kind {cfg.kind!r}")
+        graph = build_dual_graph(HitchinPartition(args.genus, args.partition))
+        source = f"dual graph g={args.genus} partition={','.join(map(str, args.partition))}"
+    build = cographic_complex if args.kind == "cographic" else nonspanning_complex
+    return build(graph, args.face_limit), source
 
 
-def cmd_complex(cfg: RunConfig) -> int:
-    complex_, source = _complex_for(cfg)
+def cmd_complex(args: argparse.Namespace) -> int:
+    complex_, source = _complex_for(args)
     profile = reduced_homology(boundary_complex(complex_))
     doc = {
-        "kind": cfg.kind,
+        "kind": args.kind,
         "source": source,
         "f_vector": list(complex_.f_vector()),
         "betti": {str(d): b for d, b in sorted(profile.betti.items())},
         "euler": profile.euler,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
-    if cfg.dump_faces:
+    if args.faces:
         doc["faces"] = {
             str(d): [list(f) for f in faces]
             for d, faces in enumerate(complex_.faces_by_dim)
         }
-    _write(cfg, _render(cfg, "Complex homology", doc))
+    _write(args, "Complex homology", doc)
     return 0
 
 
@@ -221,41 +174,37 @@ CHARACTER_STATEMENT = (
 )
 
 
-def cmd_character(cfg: RunConfig) -> int:
-    if cfg.r is None or not 3 <= cfg.r <= 6:
-        raise SymgroupError("--r must be between 3 and 6")
-    top = top_homology_character(cfg.r)
-    oracle = induced_character_oracle(cfg.r)
+def cmd_character(args: argparse.Namespace) -> int:
+    top = top_homology_character(args.r)
+    oracle = induced_character_oracle(args.r)
     # the oracle is Lie_r; it equals its sign twist exactly when r is not 2 mod 4
     equal = top.values == oracle.twist_by_sign().values
     doc = {
-        "r": cfg.r,
+        "r": args.r,
         "top_homology": top.to_json_dict(),
         "induced": oracle.to_json_dict(),
         "statement": CHARACTER_STATEMENT,
         "verdict": "EQUAL" if equal else "DIFFER",
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
-    if cfg.alphas:
-        doc["restriction"] = restrict_to_young(top, cfg.alphas).to_json_dict()
-        doc["alphas"] = list(cfg.alphas)
-    _write(cfg, _render(cfg, "Top homology character", doc))
+    if args.alphas is not None:
+        doc["restriction"] = restrict_to_young(top, args.alphas).to_json_dict()
+        doc["alphas"] = list(args.alphas)
+    _write(args, "Top homology character", doc)
     return 0 if equal else VERIFY_ERROR
 
 
-def cmd_cks(cfg: RunConfig) -> int:
-    p = _partition_from(cfg)
-    if cfg.exterior is None or cfg.exterior < 0:
-        raise CksError("--exterior is required and must be non-negative")
+def cmd_cks(args: argparse.Namespace) -> int:
+    p = HitchinPartition(args.genus, args.partition)
     model = build_graded_model(p)
-    inst = build_cks(model, cfg.exterior, wedge_limit=cfg.wedge_limit)
+    inst = build_cks(model, args.exterior, wedge_limit=args.wedge_limit)
     coh = cks_cohomology(inst)
     # expected highest-weight profile from the cographic complex
     expected = {k: 0 for k in range(model.delta + 1)}
-    if cfg.exterior >= model.delta:
+    if args.exterior >= model.delta:
         betti = cographic_top_betti(model.graph)
         expected[model.delta] = betti * math.comb(
-            model.gr1_dim, cfg.exterior - model.delta
+            model.gr1_dim, args.exterior - model.delta
         )
     agreement = all(
         coh.top_weight.get(k, 0) == expected.get(k, 0)
@@ -269,30 +218,20 @@ def cmd_cks(cfg: RunConfig) -> int:
             "term_dimensions": {str(k): inst.term_dimension(k) for k in sorted(inst.terms)},
             "expected_top_weight": {str(k): v for k, v in sorted(expected.items())},
             "cross_check": "EQUAL" if agreement else "DIFFER",
-            "seed": cfg.seed,
+            "seed": args.seed,
         }
     )
-    _write(cfg, _render(cfg, "Monodromy complex dimensions", doc))
+    _write(args, "Monodromy complex dimensions", doc)
     return 0 if agreement else VERIFY_ERROR
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    # r = 7 would enumerate the 1,866,256 faces of the cographic complex of K_7
-    if not 2 <= cfg.r <= 6:
-        raise GraphError("--r must be between 2 and 6")
-    if cfg.count < 1:
-        raise GraphError("--count must be at least 1")
-    if cfg.max_edges < 1:
-        raise GraphError("--max-edges must be at least 1")
-    if cfg.only is not None and cfg.only not in PROPERTIES:
-        raise GraphError(f"unknown property {cfg.only!r}")
-    conf = SelftestConfig(seed=cfg.seed, max_edges=cfg.max_edges, count=cfg.count, r=cfg.r)
-    doc = run_selftest(conf, only=cfg.only)
-    text = _render(cfg, "Selftest", doc)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    conf = SelftestConfig(seed=args.seed, max_edges=args.max_edges, count=args.count, r=args.r)
+    doc = run_selftest(conf, only=args.only)
     for result in doc["results"]:
         status = "PASS" if result["pass"] else "FAIL"
         sys.stderr.write(f"{status} {result['name']}: {result['detail']}\n")
-    _write(cfg, text)
+    _write(args, "Selftest", doc)
     return 0 if doc["all_pass"] else VERIFY_ERROR
 
 
@@ -301,107 +240,103 @@ def cmd_selftest(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raise a parse error for ``main`` to print as one ``error:`` line,
+    instead of printing the usage and exiting."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma separated integers, in the given order."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma separated list of integers: {text!r}") from None
+
+
+def _partition(text: str) -> tuple[int, ...]:
+    return tuple(sorted(_int_list(text), reverse=True))
+
+
+def _at_least(lo: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text!r}")
+        return value
+
+    return convert
+
+
+def _anchors(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            anchors = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read a JSON object from {path!r}: {exc}") from None
+    if not isinstance(anchors, dict):
+        raise argparse.ArgumentTypeError(f"{path!r} does not hold a JSON object")
+    return anchors
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hitchin-supports",
         description="Exact numerology and homology of Hitchin support strata.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    positive, non_negative = _at_least(1), _at_least(0)
 
     def common(sp):
         sp.add_argument("--format", choices=("json", "md", "csv"), default="json")
         sp.add_argument("--output", default=None, help="write the document here instead of stdout")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--anchors", default=None, help="JSON file of field -> note for md output")
+        sp.add_argument("--anchors", type=_anchors, default=None, help="JSON file of field -> note for md output")
 
     rp = sub.add_parser("report", help="stratum numerology report")
     rp.add_argument("--genus", type=int, required=True)
-    rp.add_argument("--partition", required=True, help="comma separated parts, e.g. 1,1")
+    rp.add_argument("--partition", type=_partition, required=True, help="comma separated parts, e.g. 1,1")
     rp.add_argument("--verify", choices=("none", "formula", "homology"), default="formula")
     rp.add_argument("--degree", type=int, default=None, help="bundle degree, must be coprime to n")
-    rp.add_argument("--homology-threshold", type=int, default=HOMOLOGY_EDGE_THRESHOLD)
+    rp.add_argument("--homology-threshold", type=non_negative, default=HOMOLOGY_EDGE_THRESHOLD)
     common(rp)
 
     cp = sub.add_parser("complex", help="f-vector and Betti table of a complex")
     cp.add_argument("--r", type=int, default=None, help="use the complete graph on r vertices")
     cp.add_argument("--graph", default=None, help="path to a graph JSON file")
     cp.add_argument("--genus", type=int, default=None)
-    cp.add_argument("--partition", default=None)
+    cp.add_argument("--partition", type=_partition, default=None)
     cp.add_argument("--kind", choices=("cographic", "nonspanning", "flats"), default="cographic")
     cp.add_argument("--faces", action="store_true", help="include the full face list")
-    cp.add_argument("--face-limit", type=int, default=DEFAULT_FACE_LIMIT, help="exit 2 on a complex with more non-empty faces")
+    cp.add_argument("--face-limit", type=non_negative, default=DEFAULT_FACE_LIMIT, help="exit 2 on a complex with more non-empty faces")
     common(cp)
 
     ch = sub.add_parser("character", help="top homology character vs induced character")
-    ch.add_argument("--r", type=int, required=True)
-    ch.add_argument("--alphas", default=None, help="comma separated multiplicities for restriction")
+    ch.add_argument("--r", type=int, choices=range(3, 7), required=True)
+    ch.add_argument("--alphas", type=_int_list, default=None, help="comma separated multiplicities for restriction")
     common(ch)
 
     ck = sub.add_parser("cks", help="monodromy complex dimensions and top-weight check")
     ck.add_argument("--genus", type=int, required=True)
-    ck.add_argument("--partition", required=True)
-    ck.add_argument("--exterior", type=int, required=True)
-    ck.add_argument("--wedge-limit", type=int, default=DEFAULT_WEDGE_LIMIT)
+    ck.add_argument("--partition", type=_partition, required=True)
+    ck.add_argument("--exterior", type=non_negative, required=True)
+    ck.add_argument("--wedge-limit", type=non_negative, default=DEFAULT_WEDGE_LIMIT)
     common(ck)
 
     st = sub.add_parser("selftest", help="run the seeded property suites")
-    st.add_argument("--max-edges", type=int, default=10)
-    st.add_argument("--count", type=int, default=30)
-    st.add_argument("--only", default=None)
-    st.add_argument("--r", type=int, default=4)
+    st.add_argument("--max-edges", type=positive, default=10)
+    st.add_argument("--count", type=positive, default=30)
+    st.add_argument("--only", choices=sorted(PROPERTIES), default=None)
+    # r = 7 would enumerate the 1,866,256 faces of the cographic complex of K_7
+    st.add_argument("--r", type=int, choices=range(2, 7), default=4)
     common(st)
 
     return parser
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.fmt = args.format
-    cfg.output = args.output
-    cfg.seed = args.seed
-    if args.anchors:
-        with open(args.anchors) as fh:
-            try:
-                cfg.anchors = json.load(fh)
-            except ValueError as exc:
-                raise GraphError(f"--anchors is not valid JSON: {exc}") from exc
-        if not isinstance(cfg.anchors, dict):
-            raise GraphError("--anchors must hold a JSON object")
-    for name in (
-        "genus",
-        "degree",
-        "r",
-        "kind",
-        "verify",
-        "exterior",
-        "only",
-        "max_edges",
-        "count",
-        "face_limit",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "graph", None):
-        cfg.graph_path = args.graph
-    if getattr(args, "partition", None):
-        cfg.partition = tuple(sorted(_parse_int_list("partition", args.partition), reverse=True))
-    if getattr(args, "alphas", None):
-        cfg.alphas = _parse_int_list("alphas", args.alphas)
-    if getattr(args, "faces", False):
-        cfg.dump_faces = True
-    if hasattr(args, "wedge_limit"):
-        cfg.wedge_limit = args.wedge_limit
-    if hasattr(args, "homology_threshold"):
-        cfg.homology_threshold = args.homology_threshold
-    if cfg.subcommand == "complex":
-        sources = sum(1 for x in (cfg.graph_path, cfg.r, cfg.partition) if x is not None)
-        if sources != 1:
-            raise GraphError("give exactly one of --graph, --r, or --genus with --partition")
-        if cfg.partition is not None and cfg.genus is None:
-            raise GraphError("--partition needs --genus")
-        if cfg.genus is not None and cfg.partition is None:
-            raise GraphError("--genus needs --partition")
-    return cfg
 
 
 COMMANDS = {
@@ -414,12 +349,10 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return COMMANDS[cfg.subcommand](cfg)
-    except (GraphError, CksError, SymgroupError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        return COMMANDS[args.subcommand](args)
+    except (argparse.ArgumentError, GraphError, CksError, SymgroupError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except VerificationError as exc:

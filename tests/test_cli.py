@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -287,7 +289,27 @@ BAD_INPUTS = [
     ("complex", "--r", "5", "--face-limit", "726"),
     ("character", "--r", "2"),
     ("character", "--r", "7"),
+    # a flag given with an empty value is refused, not dropped
+    ("character", "--r", "3", "--alphas", ","),
+    ("character", "--r", "3", "--alphas", ""),
+    ("complex", "--graph", "", "--r", "3"),
+    ("report", "--genus", "2", "--partition", "1,1", "--anchors", ""),
 ]
+
+# rows the parser refuses, each with the flag its message names
+PARSE_ERRORS = [
+    (("report", "--genus", "x", "--partition", "1,1"), "--genus"),
+    (("report", "--genus", "2"), "--partition"),
+    (("cks", "--genus", "2", "--partition", "1,1"), "--exterior"),
+    (("nosuch",), "subcommand"),
+    (("complex", "--kind", "bogus", "--r", "3"), "--kind"),
+    # argparse reads "-1,4" as an option, not as the value of --alphas
+    (("character", "--r", "3", "--alphas", "-1,4"), "--alphas"),
+    (("complex", "--r", "3", "--face-limit", "-1"), "--face-limit"),
+    (("cks", "--genus", "2", "--partition", "1,1,1", "--exterior", "4", "--wedge-limit", "-5"), "--wedge-limit"),
+    (("report", "--genus", "2", "--partition", "1,1", "--verify", "homology", "--homology-threshold", "-1"), "--homology-threshold"),
+]
+BAD_INPUTS += [argv for argv, _ in PARSE_ERRORS]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS)
@@ -306,6 +328,25 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", PARSE_ERRORS)
+def test_parse_errors_name_their_flag(capsys, argv, flag):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert flag in err
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hitchin-supports ")]
+    assert len(examples) == 12
+    (tmp_path / "g.json").write_text('{"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2], [0, 1]]}')
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, bool(out)) == (0, True), (argv, err)
 
 
 def test_internal_error_exits_3_with_its_traceback(capsys, monkeypatch):
