@@ -28,13 +28,22 @@ columns lie in the span of the kept ones and the rank over Q is unchanged.  A
 block whose determinant is a unit mod p1 p2 has a non-zero integer
 determinant, so the pivots serve even when a prime loses rank or a non-unit
 lead cuts the pass short.  The lemma relies on ∂∘∂ = 0, which
-``boundary_complex`` checks column by column.  The side limit above applies
-to the cleared matrix, so a map whose cleared sides both fall to 500 or fewer
-also gets the elimination over Z.
+``boundary_complex`` checks.  The side limit above applies to the cleared
+matrix, so a map whose cleared sides both fall to 500 or fewer also gets the
+elimination over Z.
+
+Faces are keyed by their ground-set bit masks, written once in
+``_face_mask``.  ``boundary_complex`` finds the facet of a face without cell
+i as the one lookup ``mask ^ (1 << i)``, and checks each column of ∂_(d-1) ∂_d
+as one integer sum: the ±1 columns of ∂_(d-1) evaluated at 2**b, added with
+the column's signs.  With 2**(b-1) above the column's length every
+coefficient is a balanced base-2**b digit, and balanced digits are unique
+(the lowest non-zero one survives modulo the next power of 2**b), so the sum
+is zero exactly when the column is.
 
 The top homology and its automorphism action avoid copies: ``IntEchelon``
 updates its working vector in place at each step, and ``TopHomologyAction``
-keys the top faces by ground-set bit masks, so the image of a face under a
+keys the top faces by their masks, so the image of a face under a
 permutation is one lookup and its orientation sign a popcount per cell.
 """
 
@@ -550,50 +559,98 @@ class HomologyProfile:
         }
 
 
+def _face_mask(face: Iterable[int], bit: Sequence[int]) -> int:
+    """The bit mask of a face, with ``bit[i]`` the bit of cell ``i``."""
+    return sum(map(bit.__getitem__, face))
+
+
 def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> RationalChainComplex:
     """Boundary matrices with alternating signs over the lexicographic face order.
 
-    The identity d(d(x)) = 0 is checked on every column of a boundary map with
-    at most ``VERIFY_LIMIT`` columns and on 20 columns of a larger one drawn
-    from ``rng``; each checked column of ∂_(d-1) ∂_d is summed on its own and
-    must vanish.
+    The faces of each dimension are keyed by their ground-set bit masks, so
+    the facet of a face without cell ``i`` is one lookup of
+    ``mask ^ (1 << i)``; each column is filled in the face's cell order with
+    signs +1, -1, ..., an order that ``_eliminate`` uses to break ties between
+    pivots.  The identity d(d(x)) = 0 is checked on every column of
+    a boundary map with at most ``VERIFY_LIMIT`` columns and on 20 columns of
+    a larger one drawn from ``rng``, each checked column of ∂_(d-1) ∂_d as
+    one exact integer sum (see ``_verify_square_zero``).
     """
+    bit = [1 << i for i in range(len(c.ground_set))]
     mats: list[SparseRationalMatrix] = []
-    for d in range(len(c.faces_by_dim)):
-        faces = c.faces_by_dim[d]
-        if d == 0:
-            mats.append(SparseRationalMatrix(1, tuple({0: 1} for _ in faces)))
-            continue
-        prev_index = {f: i for i, f in enumerate(c.faces_by_dim[d - 1])}
+    prev_index: dict[int, int] = {}  # mask -> index of the faces one dimension down
+    for d, faces in enumerate(c.faces_by_dim):
+        index: dict[int, int] = {}
         columns = []
-        for face in faces:
-            col = {}
-            for pos in range(len(face)):
-                i = prev_index.get(face[:pos] + face[pos + 1 :])
-                if i is None:
-                    raise HomologyError("complex is not downward closed")
-                col[i] = -1 if pos % 2 else 1
-            columns.append(col)
-        mats.append(SparseRationalMatrix(len(prev_index), tuple(columns)))
+        try:
+            for j, face in enumerate(faces):
+                mask = _face_mask(face, bit)
+                index[mask] = j
+                if d == 0:
+                    columns.append({0: 1})
+                    continue
+                col = {}
+                sign = 1
+                for i in face:
+                    col[prev_index[mask ^ bit[i]]] = sign
+                    sign = -sign
+                columns.append(col)
+        except KeyError:
+            raise HomologyError("complex is not downward closed") from None
+        mats.append(SparseRationalMatrix(len(prev_index) if d else 1, tuple(columns)))
+        prev_index = index
     cc = RationalChainComplex(c, tuple(mats))
     _verify_square_zero(cc, rng)
     return cc
 
 
 def _verify_square_zero(cc: RationalChainComplex, rng: random.Random | None) -> None:
+    """Check ∂_(d-1) ∂_d = 0 on every column of a map with at most
+    ``VERIFY_LIMIT`` columns and on 20 columns drawn from ``rng`` above that.
+
+    A checked column is evaluated at 2**b (Kronecker substitution): lower
+    column k becomes the int Σ_r v 2**(b r), built once per map when first
+    needed, and the column sums these ints with its signs.  Every entry must
+    be +-1, so each coefficient c_r of the product column has
+    |c_r| <= len(col) < 2**(b-1).  Were some c_r non-zero, the lowest one
+    would leave the sum non-zero modulo 2**(b (r+1)), so the sum vanishes
+    exactly when the column of ∂_(d-1) ∂_d does.
+    """
     rng = rng or random.Random(17)
     for d in range(1, cc.top_dim + 1):
         upper = cc.boundaries[d].columns
         if len(upper) > VERIFY_LIMIT:
             upper = tuple(upper[rng.randrange(len(upper))] for _ in range(20))
         lower = cc.boundaries[d - 1].columns
+        b = max(map(len, upper), default=0).bit_length() + 1
+        at: list[int | None] = [None] * len(lower)  # lower column k evaluated at 2**b
         for col in upper:
-            acc: dict[int, int | Fraction] = {}
+            total = 0
             for k, w in col.items():
-                for r, v in lower[k].items():
-                    acc[r] = acc.get(r, 0) + v * w
-            if any(acc.values()):
+                x = at[k]
+                if x is None:
+                    x = at[k] = _at_power_of_two(lower[k], b)
+                if w == 1:
+                    total += x
+                elif w == -1:
+                    total -= x
+                else:
+                    raise HomologyError(f"boundary entry {w} is not +-1")
+            if total:
                 raise HomologyError("boundary squared is nonzero")
+
+
+def _at_power_of_two(col: Mapping[int, int | Fraction], b: int) -> int:
+    """A column of +-1 entries as the int Σ_r v 2**(b r)."""
+    x = 0
+    for r, v in col.items():
+        if v == 1:
+            x += 1 << b * r
+        elif v == -1:
+            x -= 1 << b * r
+        else:
+            raise HomologyError(f"boundary entry {v} is not +-1")
+    return x
 
 
 def reduced_homology(cc: RationalChainComplex, rng: random.Random | None = None) -> HomologyProfile:
@@ -694,8 +751,9 @@ class TopHomologyAction:
         self.top = self.cc.top_dim
         # top faces as ground-set bit masks: (cells, mask) in face order, and
         # the index of each mask
+        bit = [1 << i for i in range(len(c.ground_set))]
         self._top_faces = (
-            [(f, sum(1 << i for i in f)) for f in c.faces_by_dim[self.top]] if self.top >= 0 else []
+            [(f, _face_mask(f, bit)) for f in c.faces_by_dim[self.top]] if self.top >= 0 else []
         )
         self._face_index = {mask: i for i, (_, mask) in enumerate(self._top_faces)}
         self._lower_facets = []  # (facets of one dimension, all faces of it) below the top
@@ -733,7 +791,7 @@ class TopHomologyAction:
         face_index = self._face_index
         table = []
         for face, mask in self._top_faces:
-            image = face_index.get(sum(image_bit[i] for i in face))
+            image = face_index.get(_face_mask(face, image_bit))
             if image is None:
                 raise HomologyError("permutation is not a simplicial automorphism")
             inversions = sum((mask & later[a]).bit_count() for a in face)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hitchin_supports import homology
-from hitchin_supports.complexes import FaceComplex, cographic_complex
+from hitchin_supports.complexes import FaceComplex, cographic_complex, nonspanning_complex, partition_order_complex
 from hitchin_supports.homology import (
     HomologyError,
     IntEchelon,
@@ -23,6 +24,7 @@ from hitchin_supports.homology import (
     top_cycle_basis,
 )
 from hitchin_supports.multigraph import Multigraph
+from hitchin_supports.selftest import random_connected_multigraph
 
 from conftest import complete_graph, parallel_graph
 
@@ -461,14 +463,26 @@ def test_k4_cographic_boundary_shapes():
     assert shapes == [(1, 6), (6, 15), (15, 16)]
 
 
-def _flipped_entries(cc: RationalChainComplex):
+def _with_column(cc: RationalChainComplex, d: int, j: int, col: dict) -> RationalChainComplex:
+    m = cc.boundaries[d]
+    mat = SparseRationalMatrix(m.rows, m.columns[:j] + (col,) + m.columns[j + 1 :])
+    return RationalChainComplex(cc.complex, cc.boundaries[:d] + (mat,) + cc.boundaries[d + 1 :])
+
+
+def _entry_mutations(cc: RationalChainComplex, mutate):
+    """The complex with one boundary column replaced by ``mutate(col, r, rows)``,
+    for each entry r of each column, and the degree of the changed map;
+    ``mutate`` returns None to skip an entry."""
     for d, m in enumerate(cc.boundaries):
         for j, col in enumerate(m.columns):
             for r in col:
-                flipped = dict(col)
-                flipped[r] = -flipped[r]
-                mat = SparseRationalMatrix(m.rows, m.columns[:j] + (flipped,) + m.columns[j + 1 :])
-                yield d, RationalChainComplex(cc.complex, cc.boundaries[:d] + (mat,) + cc.boundaries[d + 1 :])
+                new = mutate(col, r, m.rows)
+                if new is not None:
+                    yield d, _with_column(cc, d, j, new)
+
+
+def _flipped_entries(cc: RationalChainComplex):
+    return _entry_mutations(cc, lambda col, r, rows: {**col, r: -col[r]})
 
 
 def test_square_zero_check_rejects_every_single_sign_flip():
@@ -500,6 +514,91 @@ def test_square_zero_check_samples_from_the_rng_as_before():
             for _ in range(20):
                 expected.randrange(m.cols)
     assert rng.random() == expected.random()
+
+
+def _accumulated_square_is_zero(cc: RationalChainComplex) -> bool:
+    """Reference: every column of every ∂_(d-1) ∂_d accumulated entry by entry."""
+    for d in range(1, cc.top_dim + 1):
+        lower = cc.boundaries[d - 1].columns
+        for col in cc.boundaries[d].columns:
+            acc = {}
+            for k, w in col.items():
+                for r, v in lower[k].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            if any(acc.values()):
+                return False
+    return True
+
+
+def _caught_as_the_reference_says(cc: RationalChainComplex) -> bool:
+    """Run the check, which must raise exactly when the reference finds a
+    non-zero column; return whether it raised."""
+    if _accumulated_square_is_zero(cc):
+        homology._verify_square_zero(cc, None)
+        return False
+    with pytest.raises(HomologyError, match="boundary squared"):
+        homology._verify_square_zero(cc, None)
+    return True
+
+
+def _moved_to_another_row(col: dict, r: int, rows: int) -> dict | None:
+    to = next((s for s in itertools.chain(range(r + 1, rows), range(r)) if s not in col), None)
+    return None if to is None else {to if s == r else s: v for s, v in col.items()}
+
+
+def test_square_zero_check_agrees_with_accumulation_when_an_entry_moves_row():
+    cc = boundary_complex(cographic_complex(complete_graph(4)))
+    outcomes = [_caught_as_the_reference_says(bad) for _, bad in _entry_mutations(cc, _moved_to_another_row)]
+    # the augmentation has one row, so only the entries above it can move
+    assert len(outcomes) == sum(m.nnz for m in cc.boundaries[1:])
+    assert all(outcomes)
+
+
+def test_square_zero_check_agrees_with_accumulation_when_an_entry_is_dropped():
+    cc = boundary_complex(cographic_complex(complete_graph(4)))
+    dropped = _entry_mutations(cc, lambda col, r, rows: {s: v for s, v in col.items() if s != r})
+    outcomes = [_caught_as_the_reference_says(bad) for _, bad in dropped]
+    assert len(outcomes) == sum(m.nnz for m in cc.boundaries)
+    assert all(outcomes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_square_zero_check_separates_a_row_hit_by_every_entry_of_a_column(n):
+    # all n entries of the column land on row 0 with sign +1 and one of them
+    # also puts -1 on row 1: the product column is (n, -1), whose value at
+    # 2**b is n - 2**b, zero for a lane with 2**b = n
+    lower = SparseRationalMatrix(2, ({0: 1, 1: -1},) + tuple({0: 1} for _ in range(n - 1)))
+    upper = SparseRationalMatrix(n, ({k: 1 for k in range(n)},))
+    assert _caught_as_the_reference_says(RationalChainComplex(FaceComplex((), ()), (lower, upper)))
+
+
+@pytest.mark.parametrize("value", [2, Fraction(1, 2)])
+def test_square_zero_check_rejects_an_entry_other_than_plus_or_minus_one(value):
+    cc = boundary_complex(cographic_complex(complete_graph(4)))
+    count = 0
+    for _, bad in _entry_mutations(cc, lambda col, r, rows: {**col, r: value}):
+        with pytest.raises(HomologyError, match="not \\+-1"):
+            homology._verify_square_zero(bad, None)
+        count += 1
+    assert count == sum(m.nnz for m in cc.boundaries)
+
+
+# sha256 of (rows, [list(col.items()) for col in columns]) over every
+# boundary map of cographic K_5, Π_5 and 40 seeded random multigraphs; the
+# order of a column's entries breaks Markowitz ties in the rank kernel, so it
+# is pinned along with the entries
+BOUNDARY_MATRICES_SHA256 = "39ffc15a6493823a1bee9a8da1ce8ba623eaae1f3e81943e9e05faa46785ef84"
+
+
+def test_boundary_matrices_keep_their_entries_and_column_order():
+    rng = random.Random(17)
+    complexes = [cographic_complex(complete_graph(5)), partition_order_complex(5)]
+    complexes += [cographic_complex(random_connected_multigraph(rng, 8)) for _ in range(40)]
+    digest = hashlib.sha256()
+    for c in complexes:
+        for m in boundary_complex(c).boundaries:
+            digest.update(repr((m.rows, [list(col.items()) for col in m.columns])).encode())
+    assert digest.hexdigest() == BOUNDARY_MATRICES_SHA256
 
 
 def test_boundary_rejects_non_closed_complex():
@@ -572,9 +671,6 @@ def _betti_from_uncleared_ranks(cc: RationalChainComplex) -> dict[int, int]:
 
 
 def _clearing_cases():
-    from hitchin_supports.complexes import nonspanning_complex, partition_order_complex
-    from hitchin_supports.selftest import random_connected_multigraph
-
     k6 = [(u, v) for u, v, _ in complete_graph(6).edges if (u, v) != (0, 1)]
     yield cographic_complex(complete_graph(5))
     yield cographic_complex(Multigraph(6, tuple((u, v, i) for i, (u, v) in enumerate(k6))))
@@ -688,9 +784,6 @@ def test_top_cycle_basis_is_canonical_and_integral():
 
 
 def _top_cycle_cases():
-    from hitchin_supports.complexes import nonspanning_complex, partition_order_complex
-    from hitchin_supports.selftest import random_connected_multigraph
-
     rng = random.Random(41)
     for _ in range(40):
         graph = random_connected_multigraph(rng, 8)
@@ -854,8 +947,6 @@ def _forward_top_cycle_basis(cc):
 
 
 def test_top_cycle_basis_equals_forward_insertion_and_rref():
-    from hitchin_supports.complexes import nonspanning_complex, partition_order_complex
-    from hitchin_supports.selftest import random_connected_multigraph
 
     cases = [cographic_complex(complete_graph(r)) for r in (4, 5, 6)]
     cases.append(nonspanning_complex(complete_graph(5)))
@@ -938,8 +1029,6 @@ def _every_face_maps_into(c, perm):
 
 
 def test_facet_check_agrees_with_the_check_on_every_face():
-    from hitchin_supports.complexes import partition_order_complex
-    from hitchin_supports.selftest import random_connected_multigraph
 
     rng = random.Random(23)
     complexes = []
