@@ -84,8 +84,7 @@ class GradedH1Model:
 
     ``edge_vectors[label]`` holds the coordinates of the dual edge functional
     both as a functional on the cycle space (Gr2) and as a class in graph
-    cohomology (W0); the two coincide in the chord bases.  Tate twists are
-    bookkeeping labels only (0, 0, -1 per block) and never affect dimensions.
+    cohomology (W0); the two coincide in the chord bases.
     """
 
     partition: HitchinPartition | None
@@ -93,7 +92,6 @@ class GradedH1Model:
     component_genera: tuple[int, ...]
     cycles: CycleSpaceBasis
     edge_vectors: Mapping[int, tuple[int, ...]]
-    twists: tuple[int, int, int] = (0, 0, -1)
     # picard_lefschetz per edge label, built on first use
     _nilpotent: dict[int, SparseRationalMatrix] = field(
         default_factory=dict, init=False, repr=False, compare=False

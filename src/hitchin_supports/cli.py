@@ -2,8 +2,8 @@
 comparisons, monodromy-complex dimensions, and the seeded property suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (one
-``error:`` line), 3 internal error (with its traceback).  Identical flags (and
-seed) produce byte-identical documents.
+``error:`` line), 3 internal error (with its traceback).  Identical flags
+produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         degree=args.degree,
     )
     doc = rep.to_json_dict()
-    doc["seed"] = args.seed
     if rep.delta_aff == 0:
         doc["note"] = "codimension-zero stratum: the full base, no new support content"
     _write(args, "Support stratum report", doc)
@@ -157,7 +156,6 @@ def cmd_complex(args: argparse.Namespace) -> int:
         "f_vector": list(complex_.f_vector()),
         "betti": {str(d): b for d, b in sorted(profile.betti.items())},
         "euler": profile.euler,
-        "seed": args.seed,
     }
     if args.faces:
         doc["faces"] = {
@@ -185,7 +183,6 @@ def cmd_character(args: argparse.Namespace) -> int:
         "induced": oracle.to_json_dict(),
         "statement": CHARACTER_STATEMENT,
         "verdict": "EQUAL" if equal else "DIFFER",
-        "seed": args.seed,
     }
     if args.alphas is not None:
         doc["restriction"] = restrict_to_young(top, args.alphas).to_json_dict()
@@ -218,7 +215,6 @@ def cmd_cks(args: argparse.Namespace) -> int:
             "term_dimensions": {str(k): inst.term_dimension(k) for k in sorted(inst.terms)},
             "expected_top_weight": {str(k): v for k, v in sorted(expected.items())},
             "cross_check": "EQUAL" if agreement else "DIFFER",
-            "seed": args.seed,
         }
     )
     _write(args, "Monodromy complex dimensions", doc)
@@ -295,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=("json", "md", "csv"), default="json")
         sp.add_argument("--output", default=None, help="write the document here instead of stdout")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--anchors", type=_anchors, default=None, help="JSON file of field -> note for md output")
 
     rp = sub.add_parser("report", help="stratum numerology report")
@@ -334,6 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--only", choices=sorted(PROPERTIES), default=None)
     # r = 7 would enumerate the 1,866,256 faces of the cographic complex of K_7
     st.add_argument("--r", type=int, choices=range(2, 7), default=4)
+    st.add_argument("--seed", type=int, default=0)
     common(st)
 
     return parser

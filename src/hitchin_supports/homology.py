@@ -121,9 +121,6 @@ class SparseRationalMatrix:
     def entries(self) -> dict[tuple[int, int], int | Fraction]:
         return {(r, j): v for j, col in enumerate(self.columns) for r, v in col.items()}
 
-    def column(self, j: int) -> dict[int, int | Fraction]:
-        return dict(self.columns[j])
-
     def is_zero(self) -> bool:
         return not any(self.columns)
 
@@ -205,10 +202,6 @@ class IntEchelon:
 
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
         vec = dict(vec)
@@ -743,9 +736,9 @@ class TopHomologyAction:
     once here.
     """
 
-    def __init__(self, c: FaceComplex, cc: RationalChainComplex | None = None):
+    def __init__(self, c: FaceComplex):
         self.complex = c
-        self.cc = cc or boundary_complex(c)
+        self.cc = boundary_complex(c)
         self.basis = top_cycle_basis(self.cc)
         self._pivots = {min(vec): i for i, vec in enumerate(self.basis)}
         self.top = self.cc.top_dim

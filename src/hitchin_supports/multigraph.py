@@ -20,6 +20,14 @@ class GraphError(ValueError):
     """Malformed graph data or an unknown edge label."""
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a union-find forest, halving its path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
@@ -82,18 +90,11 @@ class Multigraph:
 
     def component_count(self, *, without: frozenset | set = frozenset()) -> int:
         parent = list(range(self.vertex_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         count = self.vertex_count
         for u, v, lab in self.edges:
             if lab in without:
                 continue
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 count -= 1
@@ -259,19 +260,12 @@ def cycle_space(graph: Multigraph) -> CycleSpaceBasis:
     under its canonical orientation, +-1 along the forest path closing it up.
     """
     parent_uf = list(range(graph.vertex_count))
-
-    def find(x: int) -> int:
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
-
     by_label = {lab: (u, v) for u, v, lab in graph.edges}
     forest: list[int] = []
     chords: list[int] = []
     for lab in sorted(by_label):
         u, v = by_label[lab]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent_uf, u), _find(parent_uf, v)
         if ru != rv:
             parent_uf[ru] = rv
             forest.append(lab)

@@ -7,7 +7,6 @@ ingredients from the actual complexes.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -86,36 +85,43 @@ def doubling_reduce(graph: Multigraph) -> tuple[Multigraph, int]:
     return Multigraph(graph.vertex_count, tuple(keep)), shift
 
 
-def cographic_top_betti(graph: Multigraph, rng: random.Random | None = None) -> int:
+def cographic_top_betti(graph: Multigraph) -> int:
     """Reduced Betti number of the cographic complex in degree delta - 1,
     computed through the doubling reduction."""
     reduced, shift = doubling_reduce(graph)
     degree = delta_aff(graph) - 1 - shift
-    profile = reduced_homology(boundary_complex(cographic_complex(reduced)), rng=rng)
+    profile = reduced_homology(boundary_complex(cographic_complex(reduced)))
     return profile.betti_number(degree)
 
 
-def stalk_dimension(
-    p: HitchinPartition,
-    r: int,
-    homology_threshold: int = HOMOLOGY_EDGE_THRESHOLD,
-) -> int:
+def _top_betti(graph: Multigraph, threshold: int) -> tuple[int, str | None]:
+    """Top cographic Betti number of a dual graph, and a warning.
+
+    The number comes from the complex when the doubling reduction leaves at
+    most ``threshold`` edges.  Above that size it is the (k-1)! closed form for
+    the graph's k vertices, and the warning says that the complex was skipped.
+    """
+    reduced, _ = doubling_reduce(graph)
+    if reduced.edge_count > threshold:
+        return math.factorial(graph.vertex_count - 1), (
+            "homology verification skipped: reduced dual graph has "
+            f"{reduced.edge_count} edges (threshold {threshold})"
+        )
+    return cographic_top_betti(graph), None
+
+
+def stalk_dimension(p: HitchinPartition, r: int) -> int:
     """Stalk rank at perversity r: top cographic Betti number times a binomial.
 
     The Betti factor is recomputed from the complex whenever the doubling
-    reduction leaves at most ``homology_threshold`` edges, and falls back to
-    the (k-1)! closed form above that size.
+    reduction leaves at most ``HOMOLOGY_EDGE_THRESHOLD`` edges, and falls back
+    to the (k-1)! closed form above that size.
     """
     delta = delta_aff_formula(p)
     lo, hi = perversity_range(p)
     if not lo <= r <= hi:
         raise GraphError("outside perversity range")
-    graph = build_dual_graph(p)
-    reduced, _ = doubling_reduce(graph)
-    if reduced.edge_count <= homology_threshold:
-        betti = cographic_top_betti(graph)
-    else:
-        betti = math.factorial(p.k - 1)
+    betti, _ = _top_betti(build_dual_graph(p), HOMOLOGY_EDGE_THRESHOLD)
     return betti * math.comb(normalized_h1_dim(p), r - delta)
 
 
@@ -207,18 +213,11 @@ def support_report(
             if local_system_rank(p, i) != local_system_rank(p, width - i):
                 raise VerificationError("rank symmetry fails")
     if verify_level == "homology":
-        reduced, _ = doubling_reduce(graph)
-        if reduced.edge_count <= homology_threshold:
-            betti = cographic_top_betti(graph)
-            if betti != top_rank:
-                raise VerificationError(
-                    f"top homology rank {betti} disagrees with (k-1)! = {top_rank}"
-                )
-            homology_checked = True
-        else:
-            warning = (
-                "homology verification skipped: reduced dual graph has "
-                f"{reduced.edge_count} edges (threshold {homology_threshold})"
+        betti, warning = _top_betti(graph, homology_threshold)
+        homology_checked = warning is None
+        if betti != top_rank:
+            raise VerificationError(
+                f"top homology rank {betti} disagrees with (k-1)! = {top_rank}"
             )
 
     alphas = p.multiplicities()

@@ -65,7 +65,6 @@ def test_model_dimensions_three_parts():
 def test_index_weights_layout():
     m = build_graded_model(HitchinPartition(2, (1, 1)))
     assert m.index_weights() == (0,) + (1,) * 8 + (2,)
-    assert m.twists == (0, 0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -453,8 +453,7 @@ def test_triangle_boundary_shape_and_signs():
     assert (b1.rows, b1.cols) == (3, 3)
     assert all(abs(v) == 1 for v in b1.entries.values())
     # column of edge (0,1): -1 at vertex 0... sign convention: face (0,1) -> (1,) - (0,)
-    col = b1.column(0)
-    assert col == {0: Fraction(-1), 1: Fraction(1)}
+    assert b1.columns[0] == {0: Fraction(-1), 1: Fraction(1)}
 
 
 def test_k4_cographic_boundary_shapes():
