@@ -26,8 +26,10 @@ Each degree is one pass of the edge operators, one target subset J at a time:
 the images N_r x of the basis of every block I with I + r = J are computed
 once, those from J - max J give the RREF basis of the block of J, and all of
 them, reduced into it, give d's entries at J.  Every component N_r x must lie
-in its block, and d o d = 0 is checked on every column.  The weight summands'
-ranks read the stored matrices.  The highest-weight summand in exterior degree
+in its block, and d o d = 0 is checked on every column.  Each weight summand
+is restricted from the stored matrices and ranked from d_0 upward by the
+clearing pass that ranks boundary maps, ``cleared_ranks``, which relies on
+that check.  The highest-weight summand in exterior degree
 delta is the cographic cochain complex up to a +-1 gauge, so the action of a
 graph automorphism on its cohomology is the finite twist det S(sigma), sigma
 on the cycle space, times the simplicial action on cographic top homology.
@@ -55,7 +57,7 @@ from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import cographic_complex
-from .homology import IntEchelon, SparseRationalMatrix, TopHomologyAction, _rref_reduce, exact_rank
+from .homology import HomologyError, IntEchelon, SparseRationalMatrix, TopHomologyAction, cleared_ranks, coords_in_rref
 from .multigraph import (
     CycleSpaceBasis,
     GraphError,
@@ -428,9 +430,10 @@ def _assemble(
                         continue
                     if not basis:
                         raise CksError("differential leaves the complex: no block for its target")
-                    coords, residual = _rref_reduce(img, basis, pivots)
-                    if residual:
-                        raise CksError("differential leaves the complex: image outside its block")
+                    try:
+                        coords = coords_in_rref(img, basis, pivots)
+                    except HomologyError:
+                        raise CksError("differential leaves the complex: image outside its block") from None
                     col = columns[j]
                     for pos, c in coords.items():
                         col[rows + pos] = sign * c
@@ -510,7 +513,13 @@ def _weight_slices(piece: CksPiece) -> dict[int, dict[int, list[int]]]:
 def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = None) -> CksCohomology:
     """Exact cohomology dimensions of the full graded-model complex and of its
     highest-weight summand (shifted weight i + delta): each piece's, weighed
-    by its multiplicity and shifted by its j."""
+    by its multiplicity and shifted by its j.
+
+    Each weight summand is ranked by ``cleared_ranks`` from d_0 upward: d_k
+    is restricted to the summand's degree-k columns, and its rows are
+    renumbered to their places among the summand's degree-(k+1) columns (d
+    preserves the shifted weight, so no row falls outside).
+    """
     delta = instance.delta
     degrees: dict[int, int] = {k: 0 for k in range(0, delta + 1)}
     top: dict[int, int] = {k: 0 for k in range(0, delta + 1)}
@@ -518,28 +527,20 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
 
     for j, mult, piece in instance.pieces:
         for shifted, per_degree in sorted(_weight_slices(piece).items()):
-            ks = sorted(per_degree)
-            ranks = {k: _slice_differential_rank(piece.differentials[k], per_degree[k], rng) for k in ks}
-            for k in ks:
-                h = len(per_degree[k]) - ranks[k] - ranks.get(k - 1, 0)
+            cols = [per_degree.get(k, []) for k in range(max(per_degree) + 2)]
+            maps = []
+            for k, d in enumerate(piece.differentials[: len(cols) - 1]):
+                row = {c: pos for pos, c in enumerate(cols[k + 1])}
+                columns = tuple({row[r]: v for r, v in d.columns[c].items()} for c in cols[k])
+                maps.append(SparseRationalMatrix(len(row), columns))
+            ranks = [0] + cleared_ranks(maps, rng)  # ranks[k] is the rank of d_(k-1)
+            for k in per_degree:
+                h = len(cols[k]) - ranks[k] - ranks[k + 1]
                 if h:
                     degrees[k] = degrees.get(k, 0) + mult * h
                     if shifted + j == w_top:
                         top[k] = top.get(k, 0) + mult * h
     return CksCohomology(instance.exterior_degree, delta, degrees, top)
-
-
-def _slice_differential_rank(d: SparseRationalMatrix, cols: list[int], rng: random.Random | None) -> int:
-    """Rank of a differential on the columns of one weight summand.
-
-    Its rows are renumbered to the ones those columns hit, so the choice
-    between exact and modular elimination follows the size of the slice.
-    """
-    row_index: dict[int, int] = {}
-    columns = tuple(
-        {row_index.setdefault(r, len(row_index)): v for r, v in d.columns[c].items()} for c in cols
-    )
-    return exact_rank(SparseRationalMatrix(len(row_index), columns), rng=rng)
 
 
 # ---------------------------------------------------------------------------

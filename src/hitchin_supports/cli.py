@@ -149,13 +149,11 @@ def _complex_for(args: argparse.Namespace):
 
 def cmd_complex(args: argparse.Namespace) -> int:
     complex_, source = _complex_for(args)
-    profile = reduced_homology(boundary_complex(complex_))
     doc = {
         "kind": args.kind,
         "source": source,
         "f_vector": list(complex_.f_vector()),
-        "betti": {str(d): b for d, b in sorted(profile.betti.items())},
-        "euler": profile.euler,
+        **reduced_homology(boundary_complex(complex_)).to_json_dict(),
     }
     if args.faces:
         doc["faces"] = {

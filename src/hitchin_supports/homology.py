@@ -16,21 +16,9 @@ different elimination order, and above it on the matrix itself.  Everything
 here is reduced homology: the empty face is a cell in dimension -1, so the
 empty complex has Betti number 1 there and nowhere else.
 
-The boundary maps are ranked from the top degree down, with clearing (Chen and
-Kerber, "Persistent homology computation with a twist", EuroCG 2011; Bauer,
-Kerber and Reininghaus, "Clear and compress: computing persistent homology in
-chunks", 2014): before ∂_d is ranked, every column whose d-face was a pivot
-coordinate of the modular pass that ranked ∂_(d+1) is dropped.  The pivot
-rows R and pivot columns C of its unit steps give a non-singular block
-∂_(d+1)[R, C], and ∂_d ∂_(d+1) = 0 gives
-∂_d[:, R] = -∂_d[:, Rᶜ] ∂_(d+1)[Rᶜ, C] ∂_(d+1)[R, C]⁻¹, so the dropped
-columns lie in the span of the kept ones and the rank over Q is unchanged.  A
-block whose determinant is a unit mod p1 p2 has a non-zero integer
-determinant, so the pivots serve even when a prime loses rank or a non-unit
-lead cuts the pass short.  The lemma relies on ∂∘∂ = 0, which
-``boundary_complex`` checks.  The side limit above applies to the cleared
-matrix, so a map whose cleared sides both fall to 500 or fewer also gets the
-elimination over Z.
+Every complex of sparse maps is ranked with clearing by ``cleared_ranks``,
+whose docstring states the lemma: the boundary maps from the top degree down,
+and each weight summand of a CKS complex from d_0 upward.
 
 Faces are keyed by their ground-set bit masks, written once in
 ``_face_mask``.  ``boundary_complex`` finds the facet of a face without cell
@@ -233,17 +221,19 @@ class IntEchelon:
         return [reduced[lead] for lead in order]
 
 
-def _rref_reduce(
+def coords_in_rref(
     vec: Mapping[int, int | Fraction], basis: Sequence[dict[int, int]], pivots: Mapping[int, int]
-) -> tuple[dict[int, int | Fraction], dict[int, int | Fraction]]:
-    """Sparse coordinates of a vector along an RREF basis, and the residual
-    left after subtracting them (zero exactly when the vector lies in the span).
+) -> dict[int, int | Fraction]:
+    """Sparse coordinates ``{position: value}`` of a vector along an RREF
+    basis; raises if the vector lies outside the span.
 
     ``pivots`` maps the pivot (lowest index) of each basis vector to its
     position in ``basis``; callers build it once per basis.  No other basis
     vector has an entry at a pivot, so the coordinate along a basis vector is
     the entry of ``vec`` at its pivot, and only the pivots ``vec`` holds are
-    visited.  Coordinates are non-zero, ``int`` where they are integral.
+    visited.  The vector lies in the span exactly when nothing is left after
+    subtracting them.  Coordinates are non-zero, ``int`` where they are
+    integral.
     """
     residual = {k: v for k, v in vec.items() if v}
     coords: dict[int, int | Fraction] = {}
@@ -260,16 +250,6 @@ def _rref_reduce(
                 residual[k] = s
             else:
                 residual.pop(k, None)
-    return coords, residual
-
-
-def coords_in_rref(
-    vec: Mapping[int, int | Fraction], basis: Sequence[dict[int, int]], pivots: Mapping[int, int]
-) -> dict[int, int | Fraction]:
-    """Sparse coordinates ``{position: value}`` of a vector in an RREF basis,
-    with ``pivots`` as for ``_rref_reduce``; raises if the vector lies outside
-    the span."""
-    coords, residual = _rref_reduce(vec, basis, pivots)
     if residual:
         raise HomologyError("vector not in subspace")
     return coords
@@ -506,6 +486,35 @@ def exact_rank_int(
     return _eliminate(live)
 
 
+def cleared_ranks(maps: Sequence[SparseRationalMatrix], rng: random.Random | None = None) -> list[int]:
+    """Ranks over Q of maps m_0, m_1, ..., where the rows of m_i are the
+    columns of m_(i+1) and every composite m_(i+1) m_i is zero, with clearing
+    (Chen and Kerber, "Persistent homology computation with a twist", EuroCG
+    2011; Bauer, Kerber and Reininghaus, "Clear and compress: computing
+    persistent homology in chunks", 2014).
+
+    m_(i+1) is ranked on its columns that were not pivot rows of the modular
+    pass that ranked m_i.  Those pivot rows R and the matching pivot columns
+    C give a non-singular block m_i[R, C], and m_(i+1) m_i = 0 gives
+    m_(i+1)[:, R] = -m_(i+1)[:, Rᶜ] m_i[Rᶜ, C] m_i[R, C]⁻¹, so the dropped
+    columns lie in the span of the kept ones and the rank over Q is
+    unchanged.  A block whose determinant is a unit mod p1 p2 has a non-zero
+    integer determinant, so the pivots serve even when a prime loses rank or
+    a non-unit lead cuts the pass short.  Each kept matrix gets the full
+    check of ``exact_rank``, and its side limit applies to the kept size, so
+    a map whose kept sides both fall to 500 or fewer is also eliminated over
+    Z.  The lemma relies on the zero composites, which the callers check:
+    ``boundary_complex`` for ∂∘∂ and the CKS assembly for d∘d.
+    """
+    ranks = []
+    cleared: set[int] = set()
+    for m in maps:
+        kept = SparseRationalMatrix(m.rows, tuple(c for j, c in enumerate(m.columns) if j not in cleared))
+        cleared = set()
+        ranks.append(exact_rank(kept, rng=rng, pivots=cleared))
+    return ranks
+
+
 # ---------------------------------------------------------------------------
 # chain complexes
 # ---------------------------------------------------------------------------
@@ -647,32 +656,15 @@ def _at_power_of_two(col: Mapping[int, int | Fraction], b: int) -> int:
 
 
 def reduced_homology(cc: RationalChainComplex, rng: random.Random | None = None) -> HomologyProfile:
-    """Reduced Betti numbers from exact ranks of the boundary maps.
-
-    The maps are ranked from the top degree down, with clearing: ∂_d is ranked
-    on its columns whose d-faces were not pivot rows of the modular pass that
-    ranked ∂_(d+1).  Those pivot rows R and the matching pivot columns C
-    give a non-singular block ∂_(d+1)[R, C], and ∂_d ∂_(d+1) = 0 gives
-    ∂_d[:, R] = -∂_d[:, Rᶜ] ∂_(d+1)[Rᶜ, C] ∂_(d+1)[R, C]⁻¹, so the rank over
-    Q is that of the kept columns (Chen and Kerber, EuroCG 2011; Bauer, Kerber
-    and Reininghaus, 2014).  This relies on ∂∘∂ = 0, which
-    ``boundary_complex`` checks.  Each cleared matrix gets the full check of
-    ``exact_rank``, and its side limit applies to the cleared size, so a map
-    whose cleared sides both fall to 500 or fewer is also eliminated over Z.
-    """
-    ranks: dict[int, int] = {}
-    cleared: set[int] = set()
-    for d in range(cc.top_dim, -1, -1):
-        m = cc.boundaries[d]
-        kept = SparseRationalMatrix(m.rows, tuple(c for j, c in enumerate(m.columns) if j not in cleared))
-        cleared = set()
-        ranks[d] = exact_rank(kept, rng=rng, pivots=cleared)
+    """Reduced Betti numbers from exact ranks of the boundary maps, ranked
+    from the top degree down by ``cleared_ranks``."""
+    ranks = cleared_ranks(cc.boundaries[::-1], rng)[::-1] + [0]  # ranks[d] of ∂_d
     betti: dict[int, int] = {}
-    b_minus1 = 1 - ranks.get(0, 0)
+    b_minus1 = 1 - ranks[0]
     if b_minus1:
         betti[-1] = b_minus1
     for d in range(cc.top_dim + 1):
-        b = cc.chain_dim(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        b = cc.chain_dim(d) - ranks[d] - ranks[d + 1]
         if b:
             betti[d] = b
     euler = sum(-b if d % 2 else b for d, b in betti.items())

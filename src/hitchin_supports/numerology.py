@@ -209,9 +209,6 @@ def support_report(
         graph = build_dual_graph(p)
         if delta_aff(graph) != delta:
             raise VerificationError("delta formula disagrees with the dual graph")
-        for i in range(0, width + 1):
-            if local_system_rank(p, i) != local_system_rank(p, width - i):
-                raise VerificationError("rank symmetry fails")
     if verify_level == "homology":
         betti, warning = _top_betti(graph, homology_threshold)
         homology_checked = warning is None

@@ -22,7 +22,8 @@ from hitchin_supports.cks import (
     _reduced_model,
 )
 from hitchin_supports.complexes import cographic_complex
-from hitchin_supports.homology import SparseRationalMatrix, TopHomologyAction
+from hitchin_supports import homology
+from hitchin_supports.homology import SparseRationalMatrix, TopHomologyAction, exact_rank
 from hitchin_supports.multigraph import HitchinPartition, Multigraph
 from hitchin_supports.numerology import cographic_top_betti
 from hitchin_supports.selftest import random_connected_multigraph
@@ -327,6 +328,47 @@ def test_build_cks_reproduces_the_pinned_tables(genus, parts, i):
     assert coh.degrees == dict(enumerate(degrees))
     assert coh.top_weight == dict(enumerate(top_weight))
     assert {k: inst.term_dimension(k) for k in inst.terms} == dict(enumerate(terms))
+
+
+def test_weight_summands_are_ranked_with_clearing(monkeypatch):
+    # g = 2, (1,1,1,1), wedge^3: 2,520 non-zero columns across all weight
+    # slices of d; clearing hands the rank routine fewer of them
+    inst = build_cks(build_graded_model(HitchinPartition(2, (1, 1, 1, 1))), 3)
+    slice_columns = sum(1 for _, _, piece in inst.pieces for d in piece.differentials for col in d.columns if col)
+    assert slice_columns == 2520
+    ranked = []
+    real = homology.exact_rank
+
+    def recording(m, rng=None, pivots=None):
+        ranked.append(sum(1 for col in m.columns if col))
+        return real(m, rng=rng, pivots=pivots)
+
+    monkeypatch.setattr(homology, "exact_rank", recording)
+    coh = cks_cohomology(inst)
+    assert 0 < sum(ranked) < slice_columns
+    degrees, top_weight, _ = PINNED_CKS_TABLES[(2, (1, 1, 1, 1), 3)]
+    assert coh.degrees == dict(enumerate(degrees))
+    assert coh.top_weight == dict(enumerate(top_weight))
+
+
+@pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))
+def test_cleared_ranks_of_every_weight_summand_equal_the_uncleared_ranks(monkeypatch, genus, parts, i):
+    summands = []
+    real = cks_module.cleared_ranks
+
+    def recording(maps, rng=None):
+        ranks = real(maps, rng)
+        summands.append((maps, ranks))
+        return ranks
+
+    monkeypatch.setattr(cks_module, "cleared_ranks", recording)
+    cks_cohomology(build_cks(build_graded_model(HitchinPartition(genus, parts)), i))
+    assert summands
+    for maps, ranks in summands:
+        for lower, upper in zip(maps, maps[1:]):
+            assert lower.rows == upper.cols
+            assert upper.matmul(lower).is_zero()
+        assert ranks == [exact_rank(m) for m in maps]
 
 
 def test_an_image_missing_a_vector_is_caught(monkeypatch):
