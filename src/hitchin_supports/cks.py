@@ -20,19 +20,22 @@ complex
 
 with signed component maps ``N_r`` computes the stalk cohomology this package
 reports.  Every stored basis vector is homogeneous for the ambient block
-weight (W0: 0, Gr1: 1, Gr2: 2), the differentials preserve the shifted weight
-``ambient + 2k``, and all cohomology is computed one weight summand at a time.
-Each degree is one pass of the edge operators, one target subset J at a time:
-the images N_r x of the basis of every block I with I + r = J are computed
-once, those from J - max J give the RREF basis of the block of J, and all of
-them, reduced into it, give d's entries at J.  Every component N_r x must lie
-in its block, and d o d = 0 is checked on every column.  Each weight summand
-is restricted from the stored matrices and ranked from d_0 upward by the
-clearing pass that ranks boundary maps, ``cleared_ranks``, which relies on
-that check.  The highest-weight summand in exterior degree
-delta is the cographic cochain complex up to a +-1 gauge, so the action of a
-graph automorphism on its cohomology is the finite twist det S(sigma), sigma
-on the cycle space, times the simplicial action on cographic top homology.
+weight (W0: 0, Gr1: 1, Gr2: 2), and the differentials preserve the shifted
+weight ``ambient + 2k``, so the complex splits into weight summands.  Each
+summand is assembled as its own piece, started from the degree-0 wedges of
+one ambient weight, and its cohomology is the ranks of exactly the maps the
+assembly stored.  Each degree is one pass of the edge operators, one target
+subset J at a time: the images N_r x of the basis of every block I with
+I + r = J are computed once, those from J - max J give the RREF basis of the
+block of J, and all of them, reduced into it, give d's entries at J.  Every
+component N_r x must lie in its block, every basis vector in degree k must
+have ambient weight ``weight - 2k``, and d o d = 0 is checked on every
+column.  Each piece is ranked from d_0 upward by the clearing pass that
+ranks boundary maps, ``cleared_ranks``, which relies on that check.  The
+highest-weight summand in exterior degree delta is the cographic cochain
+complex up to a +-1 gauge, so the action of a graph automorphism on its
+cohomology is the finite twist det S(sigma), sigma on the cycle space, times
+the simplicial action on cographic top homology.
 
 This is the complex of Cattani, Kaplan and Schmid ("L^2 and intersection
 cohomologies for a polarizable variation of Hodge structure", Invent. Math.
@@ -53,6 +56,7 @@ import itertools
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -98,9 +102,6 @@ class GradedH1Model:
     _nilpotent: dict[int, SparseRationalMatrix] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # "reduced" -> _reduced_model, "action" -> the TopHomologyAction of the
-    # cographic complex that top_weight_action twists, built on first use
-    _derived: dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def delta(self) -> int:
@@ -123,6 +124,17 @@ class GradedH1Model:
 
     def labels(self) -> tuple[int, ...]:
         return self.graph.labels()
+
+    @cached_property
+    def reduced(self) -> GradedH1Model:
+        """The model with the inert middle block removed (same cycle data)."""
+        return GradedH1Model(None, self.graph, (0,) * self.graph.vertex_count, self.cycles, self.edge_vectors)
+
+    @cached_property
+    def cographic_action(self) -> TopHomologyAction:
+        """The simplicial action on the top homology of the cographic complex,
+        which ``top_weight_action`` twists."""
+        return TopHomologyAction(cographic_complex(self.graph))
 
 
 def build_graded_model(p: HitchinPartition) -> GradedH1Model:
@@ -192,8 +204,6 @@ class WedgeBasis:
         else:
             self.tuples = tuple(itertools.combinations(range(dimension), degree))
         self.index = {t: i for i, t in enumerate(self.tuples)}
-        self.dimension = dimension
-        self.degree = degree
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -272,33 +282,23 @@ def _check_exterior(model: GradedH1Model, i: int, limit: int) -> None:
 
 @dataclass(frozen=True)
 class CksBlock:
-    """One summand Im N_I of a term, with its inclusion as an explicit basis.
-
-    Read the basis through ``vectors()``: each vector is in ambient wedge
-    coordinates, RREF over the integers and homogeneous of ambient weight
-    ``weights[local]``.  Only the degree-0 block of a complex assembled on a
-    whole exterior power has ``basis=None``: its unit vectors are made on
-    demand, since at C(20, 5) = 15,504 wedges of wedge^5 (W0 + W2) at
-    delta = 10 the materialised dicts would cost about 3 MB.
-    """
+    """The part of one summand Im N_I that lies in one piece, with its
+    inclusion as an explicit basis: ambient wedge coordinates, RREF over the
+    integers, every vector of the piece's ambient weight in that degree."""
 
     subset: tuple[int, ...]
-    basis: tuple[dict[int, int], ...] | None
-    weights: tuple[int, ...]
+    basis: tuple[dict[int, int], ...]
 
     def dim(self) -> int:
-        return len(self.weights)
-
-    def vectors(self) -> Iterable[dict[int, int]]:
-        if self.basis is None:
-            return ({i: 1} for i in range(self.dim()))
-        return self.basis
+        return len(self.basis)
 
 
 @dataclass(frozen=True)
 class CksPiece:
-    """One assembled complex: the images of N_I on the span of the degree-0
-    block, in one exterior power of one model, checked by ``_assemble``.
+    """One weight summand of the complex on one exterior power: the images
+    of N_I on the span of the degree-0 wedges of ambient weight ``weight``,
+    checked by ``_assemble``.  The blocks of ``terms[k]`` have ambient weight
+    ``weight - 2k``.
 
     ``differentials[k]`` is d_k in block coordinates: its columns are the
     basis vectors of ``terms[k]`` and its rows those of ``terms[k + 1]``, each
@@ -308,10 +308,8 @@ class CksPiece:
     d_(k+1) d_k = 0 holds on every column.
     """
 
-    model: GradedH1Model
-    exterior_degree: int
+    weight: int
     terms: Mapping[int, tuple[CksBlock, ...]]
-    wedges: WedgeBasis = field(compare=False, repr=False)
     differentials: tuple[SparseRationalMatrix, ...] = field(compare=False, repr=False)
 
     def term_dimension(self, k: int) -> int:
@@ -320,12 +318,14 @@ class CksPiece:
 
 @dataclass(frozen=True)
 class CKSComplexInstance:
-    """The complex on wedge^i H as a Kuenneth sum of assembled pieces.
+    """The complex on wedge^i H as a Kuenneth sum of assembled weight summands.
 
     Each entry of ``pieces`` is ``(j, C(gr1_dim, j), piece)``: ``piece`` is
-    the complex on wedge^(i-j) (W0 + W2), which wedge^j Gr1 multiplies and
-    whose weights it shifts by j.  ``terms`` lists the blocks of every piece
-    once, so ``term_dimension`` and the cohomology weigh them by multiplicity.
+    one weight summand of the complex on wedge^(i-j) (W0 + W2), which
+    wedge^j Gr1 multiplies and whose weight it shifts by j.  The entries run
+    over j, then over ascending weight.  ``terms`` lists the blocks of every
+    piece once, so ``term_dimension`` and the cohomology weigh them by
+    multiplicity.
     """
 
     model: GradedH1Model
@@ -361,43 +361,56 @@ def build_cks(
     m = i - j <= 2 delta, are assembled, once each on the reduced model.
     """
     _check_exterior(model, exterior_degree, wedge_limit)
-    reduced = _reduced_model(model)
+    reduced = model.reduced
     low = max(0, exterior_degree - reduced.dimension)
     pieces = tuple(
-        (j, comb(model.gr1_dim, j), _whole_complex(reduced, exterior_degree - j))
+        (j, comb(model.gr1_dim, j), piece)
         for j in range(low, min(model.gr1_dim, exterior_degree) + 1)
+        for piece in _weight_summands(reduced, exterior_degree - j)
     )
     return CKSComplexInstance(model, exterior_degree, pieces)
 
 
 def _direct_cks(model: GradedH1Model, exterior_degree: int) -> CKSComplexInstance:
     """Reference for ``build_cks``: the complex assembled on the whole
-    wedge^i H, as the one-piece sum (j = 0, multiplicity 1)."""
+    wedge^i H, as the sum of its weight summands (j = 0, multiplicity 1)."""
     _check_exterior(model, exterior_degree, DEFAULT_WEDGE_LIMIT)
-    return CKSComplexInstance(model, exterior_degree, ((0, 1, _whole_complex(model, exterior_degree)),))
+    pieces = tuple((0, 1, piece) for piece in _weight_summands(model, exterior_degree))
+    return CKSComplexInstance(model, exterior_degree, pieces)
 
 
-def _whole_complex(model: GradedH1Model, exterior_degree: int) -> CksPiece:
-    """The complex started from all of wedge^i of the model."""
+def _weight_summands(model: GradedH1Model, exterior_degree: int) -> tuple[CksPiece, ...]:
+    """The complex started from all of wedge^i of the model, one piece per
+    ambient weight of the degree-0 wedges, in ascending weight.  The edge
+    operators and the wedge basis are built once for all the pieces."""
     wedges = WedgeBasis(model.dimension, exterior_degree)
     weights = wedges.weights(model.index_weights())
-    return _assemble(model, wedges, weights, CksBlock((), None, weights))
+    starts: dict[int, list[dict[int, int]]] = {}
+    for idx, w in enumerate(weights):
+        starts.setdefault(w, []).append({idx: 1})
+    ops = nilpotent_family(model)
+    return tuple(_assemble(ops, wedges, weights, w, tuple(starts[w])) for w in sorted(starts))
 
 
 def _assemble(
-    model: GradedH1Model, wedges: WedgeBasis, wedge_weights: Sequence[int], start: CksBlock
+    ops: Mapping[int, SparseRationalMatrix],
+    wedges: WedgeBasis,
+    wedge_weights: Sequence[int],
+    weight: int,
+    start: tuple[dict[int, int], ...],
 ) -> CksPiece:
-    """The images of N_I on the span of the degree-0 block ``start``, checked
-    for homogeneity and for d o d = 0.
+    """The images of N_I on the span of the degree-0 basis ``start``, all of
+    ambient weight ``weight``, checked for the grading and for d o d = 0.
 
     Each degree is one pass of the edge operators, one target J at a time,
     holding only that target's images: every basis vector x of a block I with
     J = I + r is sent to N_r x once.  The images from the block of J - max J
-    span the block of J (its RREF basis), and every image, reduced into that
-    basis with the insertion sign of r, is a column entry of d at the rows of J.
+    span the block of J (its RREF basis), whose vectors in degree k + 1 must
+    have ambient weight ``weight - 2(k + 1)``, and every image, reduced into
+    that basis with the insertion sign of r, is a column entry of d at the
+    rows of J.
     """
-    ops = nilpotent_family(model)
-    terms: dict[int, tuple[CksBlock, ...]] = {0: (start,)}
+    terms: dict[int, tuple[CksBlock, ...]] = {0: (CksBlock((), start),)}
     mats = []
     for k in itertools.count():
         sources = terms[k]
@@ -408,11 +421,12 @@ def _assemble(
                     by_target.setdefault(tuple(sorted(blk.subset + (r,))), []).append((idx, r))
         offsets = list(itertools.accumulate((blk.dim() for blk in sources), initial=0))
         columns: list[dict[int, int]] = [{} for _ in range(offsets[-1])]
+        graded = {weight - 2 * (k + 1)}
         blocks = []
         rows = 0
         for target in sorted(by_target):
             images = [
-                (idx, r, [apply_derivation(wedges, ops[r].columns, x) for x in sources[idx].vectors()])
+                (idx, r, [apply_derivation(wedges, ops[r].columns, x) for x in sources[idx].basis])
                 for idx, r in by_target[target]
             ]
             ech = IntEchelon()
@@ -421,7 +435,8 @@ def _assemble(
                     for img in imgs:
                         ech.insert(img)
             basis = tuple(ech.rref_basis())
-            _check_homogeneous(basis, wedge_weights)
+            if basis and {wedge_weights[i] for vec in basis for i in vec} != graded:
+                raise CksError("differential breaks the weight grading")
             pivots = {min(v): pos for pos, v in enumerate(basis)}
             for idx, r, imgs in images:
                 sign = _insertion_sign(sources[idx].subset, r)
@@ -438,7 +453,7 @@ def _assemble(
                     for pos, c in coords.items():
                         col[rows + pos] = sign * c
             if basis:
-                blocks.append(CksBlock(target, basis, tuple(wedge_weights[min(v)] for v in basis)))
+                blocks.append(CksBlock(target, basis))
                 rows += len(basis)
         mats.append(SparseRationalMatrix(rows, tuple(columns)))
         if not blocks:
@@ -447,14 +462,7 @@ def _assemble(
     for lower, upper in zip(mats[1:], mats):
         if not lower.matmul(upper).is_zero():
             raise CksError("differential does not square to zero")
-    return CksPiece(model, wedges.degree, terms, wedges, tuple(mats))
-
-
-def _check_homogeneous(basis, wedge_weights) -> None:
-    for vec in basis:
-        ws = {wedge_weights[i] for i in vec}
-        if len(ws) != 1:
-            raise CksError("image basis vector is not weight-homogeneous")
+    return CksPiece(weight, terms, tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +481,9 @@ def top_weight_dimensions(instance: CKSComplexInstance) -> dict[int, int]:
     w_top = instance.exterior_degree + instance.delta
     dims = {k: 0 for k in instance.terms}
     for j, mult, piece in instance.pieces:
-        for k, cols in _weight_slices(piece).get(w_top - j, {}).items():
-            dims[k] += mult * len(cols)
+        if piece.weight + j == w_top:
+            for k in piece.terms:
+                dims[k] += mult * piece.term_dimension(k)
     return dims
 
 
@@ -499,26 +508,13 @@ class CksCohomology:
         }
 
 
-def _weight_slices(piece: CksPiece) -> dict[int, dict[int, list[int]]]:
-    """shifted weight -> degree -> block coordinates of the basis vectors of
-    that weight, the columns of ``piece.differentials[degree]`` in the slice."""
-    slices: dict[int, dict[int, list[int]]] = {}
-    for k, blocks in piece.terms.items():
-        weights = (w for blk in blocks for w in blk.weights)
-        for col, w_amb in enumerate(weights):
-            slices.setdefault(w_amb + 2 * k, {}).setdefault(k, []).append(col)
-    return slices
-
-
 def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = None) -> CksCohomology:
     """Exact cohomology dimensions of the full graded-model complex and of its
     highest-weight summand (shifted weight i + delta): each piece's, weighed
     by its multiplicity and shifted by its j.
 
-    Each weight summand is ranked by ``cleared_ranks`` from d_0 upward: d_k
-    is restricted to the summand's degree-k columns, and its rows are
-    renumbered to their places among the summand's degree-(k+1) columns (d
-    preserves the shifted weight, so no row falls outside).
+    Each piece is one weight summand, ranked by ``cleared_ranks`` from d_0
+    upward on exactly the maps its assembly stored.
     """
     delta = instance.delta
     degrees: dict[int, int] = {k: 0 for k in range(0, delta + 1)}
@@ -526,20 +522,13 @@ def cks_cohomology(instance: CKSComplexInstance, rng: random.Random | None = Non
     w_top = instance.exterior_degree + delta
 
     for j, mult, piece in instance.pieces:
-        for shifted, per_degree in sorted(_weight_slices(piece).items()):
-            cols = [per_degree.get(k, []) for k in range(max(per_degree) + 2)]
-            maps = []
-            for k, d in enumerate(piece.differentials[: len(cols) - 1]):
-                row = {c: pos for pos, c in enumerate(cols[k + 1])}
-                columns = tuple({row[r]: v for r, v in d.columns[c].items()} for c in cols[k])
-                maps.append(SparseRationalMatrix(len(row), columns))
-            ranks = [0] + cleared_ranks(maps, rng)  # ranks[k] is the rank of d_(k-1)
-            for k in per_degree:
-                h = len(cols[k]) - ranks[k] - ranks[k + 1]
-                if h:
-                    degrees[k] = degrees.get(k, 0) + mult * h
-                    if shifted + j == w_top:
-                        top[k] = top.get(k, 0) + mult * h
+        ranks = [0] + cleared_ranks(piece.differentials, rng)  # ranks[k] is the rank of d_(k-1)
+        for k in piece.terms:
+            h = piece.term_dimension(k) - ranks[k] - ranks[k + 1]
+            if h:
+                degrees[k] = degrees.get(k, 0) + mult * h
+                if piece.weight + j == w_top:
+                    top[k] = top.get(k, 0) + mult * h
     return CksCohomology(instance.exterior_degree, delta, degrees, top)
 
 
@@ -579,25 +568,5 @@ def top_weight_action(model: GradedH1Model, perm: Sequence[int]) -> SparseRation
     cells = cell_permutation(perm, model.graph)
     twist = sign_of_type(cycle_type(perm)) * sign_of_type(cycle_type(cells))
     twist *= prod(sign for _, sign in action.values())
-    simplicial = model._derived.get("action")
-    if simplicial is None:
-        simplicial = model._derived["action"] = TopHomologyAction(cographic_complex(model.graph))
-    mat = simplicial.matrix(cells)
+    mat = model.cographic_action.matrix(cells)
     return SparseRationalMatrix(mat.rows, tuple({i: twist * v for i, v in col.items()} for col in mat.columns))
-
-
-def _reduced_model(model: GradedH1Model) -> GradedH1Model:
-    """The model with the inert middle block removed (same cycle data), built
-    once per model."""
-    reduced = model._derived.get("reduced")
-    if reduced is None:
-        reduced = GradedH1Model(
-            None,
-            model.graph,
-            (0,) * model.graph.vertex_count,
-            model.cycles,
-            model.edge_vectors,
-        )
-        model._derived["reduced"] = reduced
-    return reduced
-

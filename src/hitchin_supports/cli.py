@@ -322,11 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(ck)
 
     st = sub.add_parser("selftest", help="run the seeded property suites")
-    st.add_argument("--max-edges", type=positive, default=10)
-    st.add_argument("--count", type=positive, default=30)
+    st.add_argument("--max-edges", type=positive, default=SelftestConfig.max_edges)
+    st.add_argument("--count", type=positive, default=SelftestConfig.count)
     st.add_argument("--only", choices=sorted(PROPERTIES), default=None)
     # r = 7 would enumerate the 1,866,256 faces of the cographic complex of K_7
-    st.add_argument("--r", type=int, choices=range(2, 7), default=4)
+    st.add_argument("--r", type=int, choices=range(2, 7), default=SelftestConfig.r)
     st.add_argument("--seed", type=int, default=0)
     common(st)
 

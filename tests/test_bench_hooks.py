@@ -62,7 +62,10 @@ def test_a_traced_cks_operation_has_rank_and_conversion_time():
         result = workloads.run_op(hitchin_supports, SMALLEST_CKS_OP)
     finally:
         t.uninstall()
-    assert workloads.mismatch(SMALLEST_CKS_OP, result, workloads.expected("cks-monodromy", SMALLEST_CKS_OP)) is None
+    expected = workloads.expected("cks-monodromy", SMALLEST_CKS_OP)
+    assert workloads.mismatch(SMALLEST_CKS_OP, result, expected) is None
     metrics = tracer.layer_metrics(t.spans, t.counts)
     assert metrics["cks.rank_s"] > 0
     assert metrics["homology.to_int_s"] > 0
+    assert metrics["cks.blocks"] > 0
+    assert metrics["cks.term_dim"] == sum(expected["term_dimensions"].values())

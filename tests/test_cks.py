@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -19,7 +21,6 @@ from hitchin_supports.cks import (
     top_weight_action,
     WedgeBasis,
     _direct_cks,
-    _reduced_model,
 )
 from hitchin_supports.complexes import cographic_complex
 from hitchin_supports import homology
@@ -246,10 +247,13 @@ def test_term_dimensions_count_connected_subsets():
     # |I| = 1 blocks exist for every edge of the three-part dual graph
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     inst = _direct_cks(m, 2)
-    assert len(inst.terms[1]) == 6
-    subsets = {blk.subset for blk in inst.terms[2]}
+    assert {blk.subset for blk in inst.terms[1]} == {(lab,) for lab in m.labels()}
     # all 15 pairs keep the graph connected, so all appear
-    assert len(subsets) == 15
+    assert {blk.subset for blk in inst.terms[2]} == set(itertools.combinations(m.labels(), 2))
+    # within one weight summand each subset has at most one block
+    for _, _, piece in inst.pieces:
+        for blocks in piece.terms.values():
+            assert len({blk.subset for blk in blocks}) == len(blocks)
 
 
 def test_top_weight_slice_is_cographic_chain_complex_tensor_middle():
@@ -269,14 +273,13 @@ def test_top_weight_slice_is_cographic_chain_complex_tensor_middle():
         for k in range(m.delta + 1):
             f_count = f_vec[k] if k < len(f_vec) else 0
             assert dims.get(k, 0) == f_count * factor, (i, k)
-        # per-block: one top-weight line per non-disconnecting subset
-        for k, blocks in inst.terms.items():
+        # per-block: one top-weight line per non-disconnecting subset, all
+        # in the one piece of the highest weight
+        (top,) = [piece for _, _, piece in inst.pieces if piece.weight == i + m.delta]
+        for k, blocks in top.terms.items():
+            assert len(blocks) == (f_vec[k] if k < len(f_vec) else 0), (i, k)
             for blk in blocks:
-                if blk.basis is None:
-                    continue
-                want = i + m.delta - 2 * k
-                local = sum(1 for w in blk.weights if w == want)
-                assert local == factor, (i, blk.subset)
+                assert blk.dim() == factor, (i, blk.subset)
 
 
 KUNNETH_MODELS = {
@@ -298,8 +301,12 @@ def test_kunneth_split_matches_the_direct_complex(name):
     m = make()
     for i in range(top_degree + 1):
         split, direct = build_cks(m, i), _direct_cks(m, i)
-        assert len(direct.pieces) == 1
-        assert len(split.pieces) == min(m.gr1_dim, i) + 1 - max(0, i - 2 * m.delta)
+        assert [j for j, _, _ in direct.pieces] == [0] * len(direct.pieces)
+        assert sorted({j for j, _, _ in split.pieces}) == list(range(max(0, i - 2 * m.delta), min(m.gr1_dim, i) + 1))
+        # one piece per weight of the degree-0 wedges, over j then ascending weight
+        for inst in (split, direct):
+            keys = [(j, piece.weight) for j, _, piece in inst.pieces]
+            assert keys == sorted(set(keys)), i
         assert list(split.terms) == list(direct.terms), i
         for k in direct.terms:
             assert split.term_dimension(k) == direct.term_dimension(k), (i, k)
@@ -351,6 +358,25 @@ def test_weight_summands_are_ranked_with_clearing(monkeypatch):
     assert coh.top_weight == dict(enumerate(top_weight))
 
 
+# (calls, sha256) of every matrix handed to homology.exact_rank, entries in
+# order, while cks_cohomology ranks the complexes of PINNED_CKS_TABLES
+PINNED_RANK_INPUTS = (146, "76ca83646b29526227c3430a8f20882688e824d189c6506d31c13f719c9ef48e")
+
+
+def test_the_rank_routine_receives_the_pinned_matrices(monkeypatch):
+    calls = []
+    real = homology.exact_rank
+
+    def recording(m, rng=None, pivots=None):
+        calls.append((m.rows, [list(c.items()) for c in m.columns]))
+        return real(m, rng=rng, pivots=pivots)
+
+    monkeypatch.setattr(homology, "exact_rank", recording)
+    for genus, parts, i in PINNED_CKS_TABLES:
+        cks_cohomology(build_cks(build_graded_model(HitchinPartition(genus, parts)), i))
+    assert (len(calls), hashlib.sha256(json.dumps(calls).encode()).hexdigest()) == PINNED_RANK_INPUTS
+
+
 @pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))
 def test_cleared_ranks_of_every_weight_summand_equal_the_uncleared_ranks(monkeypatch, genus, parts, i):
     summands = []
@@ -388,6 +414,25 @@ def test_an_image_with_no_block_is_caught(monkeypatch):
     monkeypatch.setattr(cks_module.IntEchelon, "rref_basis", drop_lines)
     with pytest.raises(CksError, match="differential leaves the complex: no block for its target"):
         build_cks(build_graded_model(HitchinPartition(2, (1, 1, 1))), 3)
+
+
+def test_an_operator_that_breaks_the_weight_grading_is_caught(monkeypatch):
+    # one edge operator also sends a Gr1 class into W0, as it sends a cycle:
+    # weight drops by 1, not 2.  The operators still square and multiply to
+    # zero, so only the grading check sees it
+    family = cks_module.nilpotent_family
+
+    def skewed(model):
+        ops = dict(family(model))
+        lab = min(ops)
+        cols = [dict(col) for col in ops[lab].columns]
+        cols[model.delta] = dict(next(col for col in cols if col))  # the first Gr1 class
+        ops[lab] = SparseRationalMatrix(model.dimension, tuple(cols))
+        return ops
+
+    monkeypatch.setattr(cks_module, "nilpotent_family", skewed)
+    with pytest.raises(CksError, match="differential breaks the weight grading"):
+        _direct_cks(build_graded_model(HitchinPartition(2, (1, 1))), 2)
 
 
 def test_an_unsigned_differential_fails_the_square_zero_check(monkeypatch):
@@ -488,16 +533,13 @@ def test_top_weight_slice_is_the_cographic_cochain_complex_up_to_a_gauge(genus, 
     # one line per cographic face, the coboundary pattern I -> I + r with
     # entries +-1, and one sign per line turning them into insertion signs
     m = build_graded_model(HitchinPartition(genus, parts))
-    (_, _, piece), = build_cks(_reduced_model(m), m.delta).pieces
+    (piece,) = [piece for _, _, piece in build_cks(m.reduced, m.delta).pieces if piece.weight == 2 * m.delta]
     lines = {}  # degree -> subset -> column of the top-weight line
     for k, blocks in piece.terms.items():
-        col = 0
-        for blk in blocks:
-            for w in blk.weights:
-                if w == 2 * m.delta - 2 * k:
-                    assert blk.subset not in lines.setdefault(k, {})
-                    lines[k][blk.subset] = col
-                col += 1
+        for col, blk in enumerate(blocks):
+            assert blk.dim() == 1
+            assert blk.subset not in lines.setdefault(k, {})
+            lines[k][blk.subset] = col
     cographic = cographic_complex(m.graph)
     faces = {(): 0} | {
         tuple(cographic.ground_set[i] for i in face): len(face)
@@ -640,4 +682,8 @@ def test_top_weight_action_is_built_once_per_model(monkeypatch):
     assert top_weight_action(m, (0, 2, 1)).rows == first.rows
     assert len(built) == 1
     assert assembled == []
-    assert build_cks(m, 2).pieces[0][2].model is _reduced_model(m)
+    # the reduced model is built once too, and build_cks assembles on it
+    assert m.reduced is m.reduced
+    build_cks(m, 2)
+    assert assembled
+    assert all(op is m.reduced._nilpotent[lab] for args in assembled for lab, op in args[0].items())
