@@ -17,7 +17,6 @@ from .multigraph import (
     delta_aff,
     double_edges,
     graph_from_json,
-    graph_to_json,
 )
 from .complexes import (
     FaceComplex,
@@ -31,7 +30,6 @@ from .homology import (
     SparseRationalMatrix,
     boundary_complex,
     exact_rank,
-    induced_map_on_top_homology,
     reduced_homology,
 )
 from .cks import (
@@ -118,8 +116,6 @@ __all__ = [
     "double_edges",
     "exact_rank",
     "graph_from_json",
-    "graph_to_json",
-    "induced_map_on_top_homology",
     "nonspanning_complex",
     "partition_order_complex",
     "reduced_homology",

@@ -1,7 +1,7 @@
 """Exact reduced simplicial homology over the rationals.
 
-Every matrix is a ``SparseRationalMatrix`` stored by columns, with ``int``
-entries where they are integral; boundary matrices have entries +-1.  Every
+Every matrix is a ``SparseRationalMatrix``, a matrix over Q stored by
+columns with ``int`` entries; boundary matrices have entries +-1.  Every
 rank comes from one sparse elimination kernel with Markowitz pivoting, run
 either fraction-free over Z or over Z/(p1 p2) for two random primes above
 2**30.  The modular pass carries both primes at once (Z/(p1 p2) = F_p1 x F_p2):
@@ -33,6 +33,10 @@ The top homology and its automorphism action avoid copies: ``IntEchelon``
 updates its working vector in place at each step, and ``TopHomologyAction``
 keys the top faces by their masks, so the image of a face under a
 permutation is one lookup and its orientation sign a popcount per cell.
+The RREF bases that coordinates are read along (top-cycle bases, CKS block
+bases) have had lead entry 1 on every complex measured, so ``coords_in_rref``
+reads a coordinate off a pivot without dividing, and a basis vector whose
+lead is not 1 is an error rather than a fraction.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import functools
 import heapq
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -60,38 +63,17 @@ class HomologyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _exact(v: int | Fraction) -> int | Fraction:
-    """The value as an ``int`` when it is integral, as a ``Fraction`` otherwise."""
-    if type(v) is int:
-        return v
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
 @dataclass(frozen=True)
 class SparseRationalMatrix:
-    """Sparse matrix over Q stored by columns, each ``{row: nonzero entry}``.
+    """Sparse matrix over Q stored by columns, each ``{row: nonzero int}``.
 
-    Entries are ``int`` where they are integral and ``Fraction`` otherwise, so
-    boundary maps and edge operators stay in integer arithmetic; equal values
-    compare equal either way.  Columns may be shared, so callers must not
+    Entries are ``int``: every map the library builds is integral, and ranks
+    are still ranks over Q.  Columns may be shared, so callers must not
     mutate them.
     """
 
     rows: int
-    columns: tuple[dict[int, int | Fraction], ...]
-
-    @classmethod
-    def from_entries(
-        cls, rows: int, cols: int, entries: Mapping[tuple[int, int], int | Fraction]
-    ) -> "SparseRationalMatrix":
-        columns: list[dict[int, int | Fraction]] = [{} for _ in range(cols)]
-        for (r, c), val in entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise HomologyError(f"entry out of range: {(r, c)}")
-            if val:
-                columns[c][r] = _exact(val)
-        return cls(rows, tuple(columns))
+    columns: tuple[dict[int, int], ...]
 
     @staticmethod
     def identity(n: int) -> "SparseRationalMatrix":
@@ -106,7 +88,7 @@ class SparseRationalMatrix:
         return sum(map(len, self.columns))
 
     @property
-    def entries(self) -> dict[tuple[int, int], int | Fraction]:
+    def entries(self) -> dict[tuple[int, int], int]:
         return {(r, j): v for j, col in enumerate(self.columns) for r, v in col.items()}
 
     def is_zero(self) -> bool:
@@ -117,15 +99,15 @@ class SparseRationalMatrix:
             raise HomologyError("shape mismatch in matmul")
         out = []
         for col in other.columns:
-            acc: dict[int, int | Fraction] = {}
+            acc: dict[int, int] = {}
             for k, w in col.items():
                 for r, v in self.columns[k].items():
                     acc[r] = acc.get(r, 0) + v * w
-            out.append({r: _exact(v) for r, v in acc.items() if v})
+            out.append({r: v for r, v in acc.items() if v})
         return SparseRationalMatrix(self.rows, tuple(out))
 
     def transpose(self) -> "SparseRationalMatrix":
-        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.rows)]
+        out: list[dict[int, int]] = [{} for _ in range(self.rows)]
         for j, col in enumerate(self.columns):
             for r, v in col.items():
                 out[r][j] = v
@@ -173,14 +155,6 @@ def _cancel(vec: dict[int, int], at: int, pivot: Mapping[int, int]) -> None:
             del vec[k]
 
 
-def clear_denominators(vec: Mapping[int, int | Fraction]) -> dict[int, int]:
-    """The primitive integer vector on the line of a rational vector."""
-    denom = 1
-    for v in vec.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return normalize_int_vec({k: int(v * denom) for k, v in vec.items()})
-
-
 class IntEchelon:
     """Incremental integer echelon form of a growing set of sparse vectors.
 
@@ -222,30 +196,31 @@ class IntEchelon:
 
 
 def coords_in_rref(
-    vec: Mapping[int, int | Fraction], basis: Sequence[dict[int, int]], pivots: Mapping[int, int]
-) -> dict[int, int | Fraction]:
-    """Sparse coordinates ``{position: value}`` of a vector along an RREF
-    basis; raises if the vector lies outside the span.
+    vec: Mapping[int, int], basis: Sequence[dict[int, int]], pivots: Mapping[int, int]
+) -> dict[int, int]:
+    """Sparse coordinates ``{position: value}`` of an integer vector along an
+    RREF basis with lead entries 1; raises if the vector lies outside the span.
 
     ``pivots`` maps the pivot (lowest index) of each basis vector to its
     position in ``basis``; callers build it once per basis.  No other basis
-    vector has an entry at a pivot, so the coordinate along a basis vector is
-    the entry of ``vec`` at its pivot, and only the pivots ``vec`` holds are
-    visited.  The vector lies in the span exactly when nothing is left after
-    subtracting them.  Coordinates are non-zero, ``int`` where they are
-    integral.
+    vector has an entry at a pivot and the lead there is 1, so the coordinate
+    along a basis vector is the entry of ``vec`` at its pivot, and only the
+    pivots ``vec`` holds are visited.  The vector lies in the span exactly
+    when nothing is left after subtracting them.  A visited basis vector whose
+    lead is not 1 raises ``HomologyError``.  Coordinates are non-zero.
     """
     residual = {k: v for k, v in vec.items() if v}
-    coords: dict[int, int | Fraction] = {}
+    coords: dict[int, int] = {}
     for p, v in vec.items():
         pos = pivots.get(p)
         if pos is None or not v:
             continue
         b = basis[pos]
-        c = v // b[p] if type(v) is int and v % b[p] == 0 else _exact(Fraction(v, b[p]))
-        coords[pos] = c
+        if b[p] != 1:
+            raise HomologyError(f"basis vector {pos} has lead {b[p]}, not 1")
+        coords[pos] = v
         for k, bv in b.items():
-            s = residual.get(k, 0) - c * bv
+            s = residual.get(k, 0) - v * bv
             if s:
                 residual[k] = s
             else:
@@ -436,16 +411,12 @@ def exact_rank(
     pass alone.  A disagreement, or a lead of the modular pass that is not a
     unit mod p1*p2 (one prime may have lost rank), escalates to another
     elimination over Z: on the transpose below the limit, on the matrix
-    itself above it.  A non-integral matrix first has its columns scaled to
-    primitive integer vectors.  ``pivots``, when given, receives the pivot
-    rows of the modular pass (see ``exact_rank_int``).
+    itself above it.  ``pivots``, when given, receives the pivot rows of the
+    modular pass (see ``exact_rank_int``).
     """
     if not m.nnz:
         return 0
-    cols = m.columns
-    if any(type(v) is not int for col in cols for v in col.values()):
-        cols = [clear_denominators(col) for col in cols]
-    return exact_rank_int(cols, m.rows, rng=rng, pivots=pivots)
+    return exact_rank_int(m.columns, m.rows, rng=rng, pivots=pivots)
 
 
 def exact_rank_int(
@@ -476,9 +447,9 @@ def exact_rank_int(
     except _NonUnitPivot:
         r_mod = None
     if max(n_rows, len(live)) <= EXACT_SIDE_LIMIT:
-        r_exact = _eliminate(live)
-        if r_mod == r_exact:
-            return r_exact
+        r_over_z = _eliminate(live)
+        if r_mod == r_over_z:
+            return r_over_z
         # a different elimination order over Z settles the disagreement
         return _eliminate(SparseRationalMatrix(n_rows, tuple(live)).transpose().columns)
     if r_mod is not None:
@@ -642,7 +613,7 @@ def _verify_square_zero(cc: RationalChainComplex, rng: random.Random | None) -> 
                 raise HomologyError("boundary squared is nonzero")
 
 
-def _at_power_of_two(col: Mapping[int, int | Fraction], b: int) -> int:
+def _at_power_of_two(col: Mapping[int, int], b: int) -> int:
     """A column of +-1 entries as the int Σ_r v 2**(b r)."""
     x = 0
     for r, v in col.items():
@@ -797,11 +768,6 @@ class TopHomologyAction:
             columns.append(coords_in_rref(img, self.basis, self._pivots))
         return SparseRationalMatrix(len(self.basis), tuple(columns))
 
-    def trace(self, perm: Sequence[int]) -> Fraction:
+    def trace(self, perm: Sequence[int]) -> int:
         columns = self.matrix(perm).columns
-        return Fraction(sum(col.get(j, 0) for j, col in enumerate(columns)))
-
-
-def induced_map_on_top_homology(c: FaceComplex, perm: Sequence[int]) -> SparseRationalMatrix:
-    """Matrix of a simplicial automorphism on the canonical top-cycle basis."""
-    return TopHomologyAction(c).matrix(perm)
+        return sum(col.get(j, 0) for j, col in enumerate(columns))

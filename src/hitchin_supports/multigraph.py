@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 class GraphError(ValueError):
@@ -160,17 +160,6 @@ class CycleSpaceBasis:
     def edge_class(self, label: int) -> tuple[int, ...]:
         """Coordinates of the H^1-class of the dual edge functional."""
         return tuple(c.get(label, 0) for c in self.cycles)
-
-    def cocycle_quotient(self, labels: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """Matrix of the quotient map dual-edge-space -> H^1, columns in label order."""
-        return tuple(tuple(c.get(lab, 0) for lab in labels) for c in self.cycles)
-
-    def pairing_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Pairing of the cycle basis against the edge-class images in H^1."""
-        return tuple(
-            tuple(sum(ci[e] * cj.get(e, 0) for e in ci) for cj in self.cycles)
-            for ci in self.cycles
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +313,6 @@ def cycle_space(graph: Multigraph) -> CycleSpaceBasis:
 # ---------------------------------------------------------------------------
 # JSON interface
 # ---------------------------------------------------------------------------
-
-
-def graph_to_json(graph: Multigraph) -> str:
-    """Serialize as {"vertices": k, "edges": [[u, v], ...]} in label order."""
-    ordered = sorted(graph.edges, key=lambda e: e[2])
-    doc = {"vertices": graph.vertex_count, "edges": [[u, v] for u, v, _ in ordered]}
-    return json.dumps(doc, sort_keys=True)
 
 
 def graph_from_json(text: str) -> Multigraph:

@@ -31,6 +31,7 @@ from .homology import (
     boundary_complex,
     euler_from_f_vector,
     reduced_homology,
+    top_cycle_basis,
 )
 from .multigraph import (
     HitchinPartition,
@@ -40,7 +41,7 @@ from .multigraph import (
     delta_aff,
     double_edges,
 )
-from .numerology import delta_aff_formula, local_system_rank, normalized_h1_dim
+from .numerology import delta_aff_formula
 from .symgroup import (
     cell_permutation,
     complete_graph,
@@ -74,9 +75,9 @@ def random_connected_multigraph(rng: random.Random, max_edges: int) -> Multigrap
     return Multigraph(v, tuple(edges))
 
 
-def random_partition(rng: random.Random, max_n: int = 8) -> HitchinPartition:
+def random_partition(rng: random.Random) -> HitchinPartition:
     genus = rng.randrange(2, 7)
-    n = rng.randrange(1, max_n + 1)
+    n = rng.randrange(1, 9)
     parts = []
     remaining = n
     while remaining:
@@ -303,14 +304,19 @@ def _cks_tables(instance) -> tuple:
     return {k: instance.term_dimension(k) for k in instance.terms}, coh.degrees, coh.top_weight
 
 
-def prop_rank_symmetry(rng, cfg):
+def prop_unit_leads(rng, cfg):
+    """Every top-cycle basis vector of the cographic and non-spanning
+    complexes has lead 1, which ``coords_in_rref`` relies on."""
     for _ in range(cfg.count):
-        p = random_partition(rng, max_n=6)
-        width = normalized_h1_dim(p)
-        for i in range(width + 1):
-            if local_system_rank(p, i) != local_system_rank(p, width - i):
-                return False, f"partition {p.parts} at g={p.genus}, i={i}"
-    return True, f"{cfg.count} random partitions"
+        g = random_connected_multigraph(rng, min(cfg.max_edges, 9))
+        complexes = [("cographic", cographic_complex(g))]
+        if g.vertex_count >= 2:
+            complexes.append(("nonspanning", nonspanning_complex(g)))
+        for kind, c in complexes:
+            leads = {vec[min(vec)] for vec in top_cycle_basis(boundary_complex(c))}
+            if leads - {1}:
+                return False, f"{kind} complex of {g.edges}: leads {sorted(leads)}"
+    return True, f"{cfg.count} random graphs"
 
 
 PROPERTIES = {
@@ -328,7 +334,7 @@ PROPERTIES = {
     "nilpotent_commute": prop_nilpotent_commute,
     "vanishing": prop_vanishing,
     "kunneth": prop_kunneth,
-    "rank_symmetry": prop_rank_symmetry,
+    "unit_leads": prop_unit_leads,
 }
 
 

@@ -337,6 +337,14 @@ def test_build_cks_reproduces_the_pinned_tables(genus, parts, i):
     assert {k: inst.term_dimension(k) for k in inst.terms} == dict(enumerate(terms))
 
 
+@pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))
+def test_block_basis_leads_are_one(genus, parts, i):
+    # coords_in_rref reads the entries of d off the pivots of these bases
+    inst = build_cks(build_graded_model(HitchinPartition(genus, parts)), i)
+    leads = [vec[min(vec)] for blocks in inst.terms.values() for blk in blocks for vec in blk.basis]
+    assert leads and set(leads) == {1}
+
+
 def test_weight_summands_are_ranked_with_clearing(monkeypatch):
     # g = 2, (1,1,1,1), wedge^3: 2,520 non-zero columns across all weight
     # slices of d; clearing hands the rank routine fewer of them

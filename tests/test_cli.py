@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hitchin_supports import cli
+from hitchin_supports import cli, selftest
 from hitchin_supports.cli import main
 from hitchin_supports.selftest import SelftestConfig, run_selftest
 
@@ -237,6 +237,18 @@ def test_selftest_single_property(capsys):
 def test_doubling_passes_on_seeds_that_draw_an_edgeless_graph(seed):
     report = run_selftest(SelftestConfig(seed=seed), only="doubling")
     assert report["all_pass"], report["results"]
+
+
+def test_unit_leads_fails_on_a_lead_other_than_one(monkeypatch):
+    real = selftest.top_cycle_basis
+
+    def doubled(cc):
+        return [{k: 2 * v for k, v in vec.items()} for vec in real(cc)]
+
+    monkeypatch.setattr(selftest, "top_cycle_basis", doubled)
+    report = run_selftest(SelftestConfig(seed=1), only="unit_leads")
+    assert not report["all_pass"]
+    assert "leads [2]" in report["results"][0]["detail"]
 
 
 def test_identical_flags_are_byte_identical(capsys):

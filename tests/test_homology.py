@@ -19,7 +19,6 @@ from hitchin_supports.homology import (
     coords_in_rref,
     euler_from_f_vector,
     exact_rank,
-    induced_map_on_top_homology,
     reduced_homology,
     top_cycle_basis,
 )
@@ -49,32 +48,30 @@ def triangle_boundary_complex() -> FaceComplex:
 # ---------------------------------------------------------------------------
 
 
+def int_columns(cols: int, entries) -> list[dict[int, int]]:
+    out = [{} for _ in range(cols)]
+    for (r, c), v in entries.items():
+        out[c][r] = v
+    return out
+
+
+def from_entries(rows: int, cols: int, entries) -> SparseRationalMatrix:
+    return SparseRationalMatrix(rows, tuple(int_columns(cols, {k: v for k, v in entries.items() if v})))
+
+
 def test_rank_of_zero_matrix():
-    m = SparseRationalMatrix.from_entries(4, 7, {})
+    m = from_entries(4, 7, {})
     assert exact_rank(m) == 0
 
 
-def test_from_entries_rejects_an_entry_out_of_range():
-    for key in ((2, 0), (0, 3), (-1, 0), (0, -1)):
-        with pytest.raises(HomologyError, match="out of range"):
-            SparseRationalMatrix.from_entries(2, 3, {key: 1})
-
-
-def random_mixed_entries(rng: random.Random, rows: int, cols: int) -> dict:
-    """About half the cells filled, with ints, integral Fractions and proper ones."""
-    entries = {}
-    for r in range(rows):
-        for c in range(cols):
-            if rng.random() < 0.5:
-                kind = rng.randrange(3)
-                v = rng.randrange(-4, 5)
-                if kind == 0:
-                    entries[(r, c)] = v
-                elif kind == 1:
-                    entries[(r, c)] = Fraction(v)
-                else:
-                    entries[(r, c)] = Fraction(v, rng.randrange(2, 6))
-    return entries
+def random_int_entries(rng: random.Random, rows: int, cols: int) -> dict:
+    """About half the cells filled with small non-zero ints."""
+    return {
+        (r, c): rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        for r in range(rows)
+        for c in range(cols)
+        if rng.random() < 0.5
+    }
 
 
 def dense(rows: int, cols: int, entries) -> list[list[Fraction]]:
@@ -85,9 +82,9 @@ def test_matmul_and_transpose_match_a_dense_reference():
     rng = random.Random(29)
     for _ in range(40):
         n, k, m = rng.randrange(0, 7), rng.randrange(0, 7), rng.randrange(0, 7)
-        a_entries, b_entries = random_mixed_entries(rng, n, k), random_mixed_entries(rng, k, m)
-        a = SparseRationalMatrix.from_entries(n, k, a_entries)
-        b = SparseRationalMatrix.from_entries(k, m, b_entries)
+        a_entries, b_entries = random_int_entries(rng, n, k), random_int_entries(rng, k, m)
+        a = from_entries(n, k, a_entries)
+        b = from_entries(k, m, b_entries)
         da, db = dense(n, k, a_entries), dense(k, m, b_entries)
         product = [
             [sum((da[r][i] * db[i][c] for i in range(k)), Fraction(0)) for c in range(m)]
@@ -96,17 +93,13 @@ def test_matmul_and_transpose_match_a_dense_reference():
         ab = a.matmul(b)
         assert (ab.rows, ab.cols) == (n, m)
         assert dense(n, m, ab.entries) == product
-        assert ab == SparseRationalMatrix.from_entries(
-            n, m, {(r, c): v for r in range(n) for c in range(m) if (v := product[r][c])}
-        )
+        assert ab == from_entries(n, m, {(r, c): int(product[r][c]) for r in range(n) for c in range(m)})
         at = a.transpose()
         assert (at.rows, at.cols) == (k, n)
         assert dense(k, n, at.entries) == [[da[r][c] for r in range(n)] for c in range(k)]
         assert at.transpose() == a
         for mat in (a, ab, at):
-            for v in mat.entries.values():
-                # integral entries are stored as int, the others as Fraction
-                assert v and (type(v) is int) == (Fraction(v).denominator == 1)
+            assert all(v and type(v) is int for v in mat.entries.values())
 
 
 def test_rank_of_identity():
@@ -118,36 +111,19 @@ def test_rank_of_triangle_boundary():
     assert exact_rank(cc.boundaries[1]) == 2
 
 
-def test_rank_with_rational_entries():
-    m = SparseRationalMatrix.from_entries(
-        2,
-        3,
-        {
-            (0, 0): Fraction(1, 2),
-            (0, 1): Fraction(1, 3),
-            (1, 0): Fraction(3, 2),
-            (1, 1): Fraction(1),
-            (0, 2): Fraction(5, 6),
-            (1, 2): Fraction(5, 2),
-        },
-    )
-    # second row is 3x the first: rank 1
-    assert exact_rank(m) == 1
-
-
 def test_rank_above_exact_threshold_uses_modular_path():
     # 600 > the pure-exact side limit; banded full-rank plus duplicated columns
     n = 600
     entries = {}
     for i in range(n):
-        entries[(i, i)] = Fraction(2)
+        entries[(i, i)] = 2
         if i + 1 < n:
-            entries[(i, i + 1)] = Fraction(-3)
-    m = SparseRationalMatrix.from_entries(n, n, entries)
+            entries[(i, i + 1)] = -3
+    m = from_entries(n, n, entries)
     assert exact_rank(m) == n
     duplicated = {(r, c): v for (r, c), v in entries.items()}
     duplicated.update({(r, c + n): v for (r, c), v in entries.items()})
-    m2 = SparseRationalMatrix.from_entries(n, 2 * n, duplicated)
+    m2 = from_entries(n, 2 * n, duplicated)
     assert exact_rank(m2) == n
 
 
@@ -160,10 +136,10 @@ def test_rank_random_matrices_match_dense_reference():
         for r in range(rows):
             for c in range(cols):
                 if rng.random() < 0.5:
-                    entries[(r, c)] = Fraction(rng.randrange(-4, 5))
-        m = SparseRationalMatrix.from_entries(rows, cols, entries)
+                    entries[(r, c)] = rng.randrange(-4, 5)
+        m = from_entries(rows, cols, entries)
         # dense reference elimination
-        dense = [[entries.get((r, c), Fraction(0)) for c in range(cols)] for r in range(rows)]
+        dense = [[Fraction(entries.get((r, c), 0)) for c in range(cols)] for r in range(rows)]
         rank = 0
         for c in range(cols):
             piv = next((r for r in range(rank, rows) if dense[r][c]), None)
@@ -193,13 +169,6 @@ def dense_rank(rows: int, cols: int, entries) -> int:
                 dense[r] = [x - f * y for x, y in zip(dense[r], dense[rank])]
         rank += 1
     return rank
-
-
-def int_columns(cols: int, entries) -> list[dict[int, int]]:
-    out = [{} for _ in range(cols)]
-    for (r, c), v in entries.items():
-        out[c][r] = v
-    return out
 
 
 def test_kernel_matches_dense_reference_on_fill_heavy_matrices():
@@ -724,15 +693,15 @@ def test_clearing_with_pivots_from_a_prime_that_loses_rank(monkeypatch):
 
 def test_identity_permutation_gives_identity_matrix():
     c = cographic_complex(complete_graph(3))
-    mat = induced_map_on_top_homology(c, (0, 1, 2))
+    mat = TopHomologyAction(c).matrix((0, 1, 2))
     assert mat == SparseRationalMatrix.identity(2)
 
 
 def test_swap_of_s0_points_acts_by_minus_one():
     c = points_complex(2)
-    mat = induced_map_on_top_homology(c, (1, 0))
+    mat = TopHomologyAction(c).matrix((1, 0))
     assert (mat.rows, mat.cols) == (1, 1)
-    assert mat.entries == {(0, 0): Fraction(-1)}
+    assert mat.entries == {(0, 0): -1}
 
 
 def test_three_cycle_on_k3_top_homology():
@@ -741,7 +710,7 @@ def test_three_cycle_on_k3_top_homology():
     action = TopHomologyAction(c)
     # vertex 3-cycle (0 1 2) maps edge {0,1}->{1,2}->{0,2}->{0,1}: cell perm (2, 0, 1)
     mat = action.matrix((2, 0, 1))
-    assert action.trace((2, 0, 1)) == Fraction(-1)
+    assert action.trace((2, 0, 1)) == -1
     squared = mat.matmul(mat)
     cubed = squared.matmul(mat)
     assert cubed == SparseRationalMatrix.identity(2)
@@ -765,7 +734,7 @@ def test_induced_maps_compose_as_a_representation():
 def test_non_automorphism_is_rejected():
     c = cographic_complex(complete_graph(4))
     with pytest.raises(HomologyError):
-        induced_map_on_top_homology(c, (1, 0, 2, 3, 4, 5))
+        TopHomologyAction(c).matrix((1, 0, 2, 3, 4, 5))
 
 
 def test_top_cycle_basis_is_canonical_and_integral():
@@ -780,6 +749,16 @@ def test_top_cycle_basis_is_canonical_and_integral():
         for v in vec.values():
             g = gcd(g, abs(v))
         assert g == 1
+
+
+@pytest.mark.parametrize("kind", ["cographic", "partition"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_top_cycle_basis_leads_are_one(kind, n):
+    # coords_in_rref reads coordinates off the pivots of these bases
+    c = cographic_complex(complete_graph(n)) if kind == "cographic" else partition_order_complex(n)
+    basis = top_cycle_basis(boundary_complex(c))
+    assert len(basis) == math.factorial(n - 1)
+    assert all(vec[min(vec)] == 1 for vec in basis)
 
 
 def _top_cycle_cases():
@@ -841,35 +820,53 @@ def _dense_solve(basis, vec):
     return [rows[i][m] for i in range(m)]
 
 
+def _random_unit_lead_rref(rng: random.Random, n: int) -> list[dict[int, int]]:
+    """An RREF basis in n coordinates: lead 1 at each pivot, no entry at the
+    other pivots, small ints after the pivot elsewhere."""
+    leads = sorted(rng.sample(range(n), rng.randint(1, n)))
+    basis = []
+    for p in leads:
+        vec = {p: 1}
+        for k in range(p + 1, n):
+            if k not in leads and rng.random() < 0.6:
+                vec[k] = rng.choice((-3, -2, -1, 1, 2, 3))
+        basis.append(vec)
+    return basis
+
+
 def test_coords_in_rref_matches_a_dense_solve():
     rng = random.Random(8)
-    fractional = outside = 0
+    inside = outside = 0
     for _ in range(60):
         n = rng.randint(2, 9)
-        ech = IntEchelon()
-        for _ in range(rng.randint(1, n)):
-            support = rng.sample(range(n), rng.randint(1, n))
-            ech.insert({k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in support})
-        basis = ech.rref_basis()
+        basis = _random_unit_lead_rref(rng, n)
         pivots = {min(v): i for i, v in enumerate(basis)}
-        inside: dict[int, Fraction] = {}
+        combo: dict[int, int] = {}
         for b in basis:
-            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            c = rng.randint(-4, 4)
             for k, v in b.items():
-                inside[k] = inside.get(k, 0) + c * v
+                combo[k] = combo.get(k, 0) + c * v
         probe = {k: rng.randint(-2, 2) for k in range(n)}
-        for vec in ({k: v for k, v in inside.items() if v}, {k: v for k, v in probe.items() if v}):
+        for vec in ({k: v for k, v in combo.items() if v}, {k: v for k, v in probe.items() if v}):
             solution = _dense_solve(basis, vec)
             if solution is None:
                 outside += 1
-                with pytest.raises(HomologyError):
+                with pytest.raises(HomologyError, match="not in subspace"):
                     coords_in_rref(vec, basis, pivots)
                 continue
+            inside += 1
             coords = coords_in_rref(vec, basis, pivots)
             assert coords == {i: c for i, c in enumerate(solution) if c}
-            assert all(type(c) is int or c.denominator != 1 for c in coords.values())
-            fractional += any(type(c) is Fraction for c in coords.values())
-    assert fractional and outside
+            assert all(type(c) is int for c in coords.values())
+    assert inside and outside
+
+
+def test_coords_in_rref_rejects_a_lead_other_than_one():
+    basis = [{0: 2, 2: 1}, {1: 1, 2: -1}]
+    pivots = {0: 0, 1: 1}
+    assert coords_in_rref({1: 3, 2: -3}, basis, pivots) == {1: 3}  # the lead-2 vector is not visited
+    with pytest.raises(HomologyError, match="lead 2"):
+        coords_in_rref({0: 2, 2: 1}, basis, pivots)
 
 
 def _fraction_rref(vectors, n: int) -> list[dict[int, int]]:
