@@ -11,9 +11,7 @@ from .multigraph import (
     HitchinPartition,
     Multigraph,
     build_dual_graph,
-    contract_edge,
     cycle_space,
-    delete_edge,
     delta_aff,
     double_edges,
     graph_from_json,
@@ -62,7 +60,6 @@ from .numerology import (
     SupportReport,
     VerificationError,
     delta_aff_formula,
-    doubling_reduce,
     local_system_rank,
     stalk_dimension,
     support_report,
@@ -83,7 +80,6 @@ __all__ = [
     "character_inner_product",
     "cks_cohomology",
     "delta_aff_formula",
-    "doubling_reduce",
     "edge_action",
     "image_NI",
     "induced_character_oracle",
@@ -109,9 +105,7 @@ __all__ = [
     "boundary_complex",
     "build_dual_graph",
     "cographic_complex",
-    "contract_edge",
     "cycle_space",
-    "delete_edge",
     "delta_aff",
     "double_edges",
     "exact_rank",

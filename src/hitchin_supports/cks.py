@@ -93,7 +93,6 @@ class GradedH1Model:
     cohomology (W0); the two coincide in the chord bases.
     """
 
-    partition: HitchinPartition | None
     graph: Multigraph
     component_genera: tuple[int, ...]
     cycles: CycleSpaceBasis
@@ -128,7 +127,7 @@ class GradedH1Model:
     @cached_property
     def reduced(self) -> GradedH1Model:
         """The model with the inert middle block removed (same cycle data)."""
-        return GradedH1Model(None, self.graph, (0,) * self.graph.vertex_count, self.cycles, self.edge_vectors)
+        return GradedH1Model(self.graph, (0,) * self.graph.vertex_count, self.cycles, self.edge_vectors)
 
     @cached_property
     def cographic_action(self) -> TopHomologyAction:
@@ -157,7 +156,7 @@ def _model_from_graph(graph: Multigraph, genera: tuple[int, ...], partition) -> 
         raise GraphError("graph must be connected")
     cycles = cycle_space(graph)
     vectors = {lab: cycles.edge_class(lab) for lab in graph.labels()}
-    model = GradedH1Model(partition, graph, genera, cycles, vectors)
+    model = GradedH1Model(graph, genera, cycles, vectors)
     if partition is not None:
         # arithmetic-genus cross-check: total dimension = 2 (n^2 (g-1) + 1)
         expected = 2 * (partition.n**2 * (partition.genus - 1) + 1)

@@ -31,7 +31,6 @@ from .multigraph import (
     graph_from_json,
 )
 from .numerology import (
-    HOMOLOGY_EDGE_THRESHOLD,
     VerificationError,
     cographic_top_betti,
     support_report,
@@ -115,7 +114,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     rep = support_report(
         HitchinPartition(args.genus, args.partition),
         verify_level=args.verify,
-        homology_threshold=args.homology_threshold,
         degree=args.degree,
     )
     doc = rep.to_json_dict()
@@ -194,7 +192,7 @@ def cmd_cks(args: argparse.Namespace) -> int:
     model = build_graded_model(p)
     inst = build_cks(model, args.exterior, wedge_limit=args.wedge_limit)
     coh = cks_cohomology(inst)
-    # expected highest-weight profile from the cographic complex
+    # expected highest-weight profile from the top cographic Betti number
     expected = {k: 0 for k in range(model.delta + 1)}
     if args.exterior >= model.delta:
         betti = cographic_top_betti(model.graph)
@@ -296,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--partition", type=_partition, required=True, help="comma separated parts, e.g. 1,1")
     rp.add_argument("--verify", choices=("none", "formula", "homology"), default="formula")
     rp.add_argument("--degree", type=int, default=None, help="bundle degree, must be coprime to n")
-    rp.add_argument("--homology-threshold", type=non_negative, default=HOMOLOGY_EDGE_THRESHOLD)
     common(rp)
 
     cp = sub.add_parser("complex", help="f-vector and Betti table of a complex")

@@ -642,14 +642,6 @@ def reduced_homology(cc: RationalChainComplex, rng: random.Random | None = None)
     return HomologyProfile(betti, euler)
 
 
-def euler_from_f_vector(c: FaceComplex) -> int:
-    """Reduced Euler characteristic straight from face counts."""
-    total = -1  # empty face at dimension -1
-    for d, faces in enumerate(c.faces_by_dim):
-        total += (-1) ** d * len(faces)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # top homology and induced maps
 # ---------------------------------------------------------------------------

@@ -2,11 +2,10 @@
 and spanning-forest cycle/cocycle bases.
 
 Vertices are integers ``0 .. vertex_count-1``.  Edges carry distinct integer
-labels that survive subgraph surgery (deletion, contraction, doubling), so
-parallel edges and loops stay individually addressable.  Every edge is stored
-with the canonical orientation ``u -> v`` where ``u <= v``; loops keep their
-single endpoint twice.  All graph values are immutable and all operations are
-pure functions.
+labels that survive edge removal and doubling, so parallel edges and loops
+stay individually addressable.  Every edge is stored with the canonical
+orientation ``u -> v`` where ``u <= v``; loops keep their single endpoint
+twice.  All graph values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -26,6 +25,18 @@ def _find(parent: list[int], x: int) -> int:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def _component_count(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """Components of the graph on ``vertex_count`` vertices with these edges."""
+    parent = list(range(vertex_count))
+    count = vertex_count
+    for u, v in pairs:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            count -= 1
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +81,6 @@ class Multigraph:
     def labels(self) -> tuple[int, ...]:
         return tuple(sorted(e[2] for e in self.edges))
 
-    def endpoints(self, label: int) -> tuple[int, int]:
-        """Canonical oriented endpoints (u, v) with u <= v."""
-        for u, v, lab in self.edges:
-            if lab == label:
-                return (u, v)
-        raise GraphError(f"no such edge: {label}")
-
     def edge_classes(self) -> dict[tuple[int, int], list[int]]:
         """Parallel classes: unordered endpoint pair -> labels in sorted order."""
         classes: dict[tuple[int, int], list[int]] = {}
@@ -89,16 +93,8 @@ class Multigraph:
     # -- connectivity ---------------------------------------------------------
 
     def component_count(self, *, without: frozenset | set = frozenset()) -> int:
-        parent = list(range(self.vertex_count))
-        count = self.vertex_count
-        for u, v, lab in self.edges:
-            if lab in without:
-                continue
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-                count -= 1
-        return count
+        kept = ((u, v) for u, v, lab in self.edges if lab not in without)
+        return _component_count(self.vertex_count, kept)
 
     def is_connected(self, *, without: frozenset | set = frozenset()) -> bool:
         if self.vertex_count == 0:
@@ -212,34 +208,6 @@ def double_edges(
         label_map[lab] = next_label
         next_label += 1
     return Multigraph(graph.vertex_count, tuple(new_edges)), label_map
-
-
-def contract_edge(graph: Multigraph, label: int) -> Multigraph:
-    """Identify the endpoints of ``label`` and drop it; loops contract to deletion.
-
-    The larger endpoint is merged into the smaller and vertices above it shift
-    down by one, keeping indices contiguous.  All other labels are retained.
-    """
-    u, v = graph.endpoints(label)
-    rest = tuple(e for e in graph.edges if e[2] != label)
-    if u == v:
-        return Multigraph(graph.vertex_count, rest)
-
-    def relabel(w: int) -> int:
-        if w == v:
-            return u
-        return w - 1 if w > v else w
-
-    edges = tuple((relabel(a), relabel(b), lab) for a, b, lab in rest)
-    return Multigraph(graph.vertex_count - 1, edges)
-
-
-def delete_edge(graph: Multigraph, label: int) -> Multigraph:
-    """Drop one edge, keeping all vertices."""
-    graph.endpoints(label)
-    return Multigraph(
-        graph.vertex_count, tuple(e for e in graph.edges if e[2] != label)
-    )
 
 
 def cycle_space(graph: Multigraph) -> CycleSpaceBasis:

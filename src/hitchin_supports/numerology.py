@@ -1,7 +1,7 @@
 """Closed-form invariants of the support strata and the headline report:
 dimensions, the affine delta invariant, perversity ranges, local-system
-ranks, and monodromy data, with optional recomputation of the homological
-ingredients from the actual complexes.
+ranks, and monodromy data, with the rank factor (k-1)! optionally
+recomputed as the Tutte evaluation T_G(1, 0) of the dual graph.
 """
 
 from __future__ import annotations
@@ -10,17 +10,17 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .complexes import cographic_complex
-from .homology import boundary_complex, reduced_homology
 from .multigraph import (
     GraphError,
     HitchinPartition,
     Multigraph,
+    _component_count,
     build_dual_graph,
     delta_aff,
 )
 
-HOMOLOGY_EDGE_THRESHOLD = 12  # verify through complexes when the reduced graph is this small
+# deletion-contraction recurses once per simple edge, at most C(12, 2) = 66 deep
+TUTTE_VERTEX_LIMIT = 12
 
 
 class VerificationError(RuntimeError):
@@ -67,45 +67,59 @@ def local_system_rank(p: HitchinPartition, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# doubling reduction and homological stalks
+# the rank factor and homological stalks
 # ---------------------------------------------------------------------------
 
 
-def doubling_reduce(graph: Multigraph) -> tuple[Multigraph, int]:
-    """Strip parallel copies beyond the first, counting the removed edges.
-
-    Top homology degrees shift by the count: reduced Betti b_l of the input
-    complex equals b_{l - shift} of the reduced graph's complex.
-    """
-    keep: list[tuple[int, int, int]] = []
-    shift = 0
-    for (u, v), labels in sorted(graph.edge_classes().items()):
-        keep.append((u, v, labels[0]))
-        shift += len(labels) - 1
-    return Multigraph(graph.vertex_count, tuple(keep)), shift
-
-
 def cographic_top_betti(graph: Multigraph) -> int:
-    """Reduced Betti number of the cographic complex in degree delta - 1,
-    computed through the doubling reduction."""
-    reduced, shift = doubling_reduce(graph)
-    degree = delta_aff(graph) - 1 - shift
-    profile = reduced_homology(boundary_complex(cographic_complex(reduced)))
-    return profile.betti_number(degree)
+    """Reduced Betti number of the cographic complex in degree delta - 1.
+
+    That number is the Tutte evaluation T_G(1, 0) (Bjoerner, "The homology
+    and shellability of matroids and geometric lattices", 1992), computed by
+    deletion-contraction of the largest edge, memoised on the vertex count and
+    the simple edge set.  A loop is a cone point, so it gives 0.  A parallel
+    copy contracts to a loop, so at (1, 0) it drops out and only simple edges
+    are kept.  A disconnected state counts 0, so a bridge contributes its
+    contraction alone; checking each deletion for it keeps a tree linear
+    instead of exploring both branches of every bridge.
+    """
+    if not graph.is_connected():
+        raise GraphError("graph must be connected")
+    if any(u == v for u, v, _ in graph.edges):
+        return 0
+    memo: dict[tuple[int, frozenset], int] = {}
+
+    def tutte(vertex_count: int, edges: frozenset) -> int:
+        if not edges:
+            return int(vertex_count <= 1)
+        key = (vertex_count, edges)
+        if key not in memo:
+            edge = max(edges)
+            rest = edges - {edge}
+            u, v = edge  # contract v into u, shifting the vertices above v down
+
+            def merge(w: int) -> int:
+                return u if w == v else w - (w > v)
+
+            contracted = frozenset(tuple(sorted((merge(a), merge(b)))) for a, b in rest)
+            deleted = tutte(vertex_count, rest) if _component_count(vertex_count, rest) == 1 else 0
+            memo[key] = deleted + tutte(vertex_count - 1, contracted)
+        return memo[key]
+
+    return tutte(graph.vertex_count, frozenset((u, v) for u, v, _ in graph.edges))
 
 
-def _top_betti(graph: Multigraph, threshold: int) -> tuple[int, str | None]:
+def _top_betti(graph: Multigraph) -> tuple[int, str | None]:
     """Top cographic Betti number of a dual graph, and a warning.
 
-    The number comes from the complex when the doubling reduction leaves at
-    most ``threshold`` edges.  Above that size it is the (k-1)! closed form for
-    the graph's k vertices, and the warning says that the complex was skipped.
+    The number is T_G(1, 0) when the graph has at most ``TUTTE_VERTEX_LIMIT``
+    vertices.  Above that size it is the (k-1)! closed form for the graph's k
+    vertices, and the warning says that the verification was skipped.
     """
-    reduced, _ = doubling_reduce(graph)
-    if reduced.edge_count > threshold:
+    if graph.vertex_count > TUTTE_VERTEX_LIMIT:
         return math.factorial(graph.vertex_count - 1), (
-            "homology verification skipped: reduced dual graph has "
-            f"{reduced.edge_count} edges (threshold {threshold})"
+            f"homology verification skipped: dual graph has {graph.vertex_count} "
+            f"vertices (limit {TUTTE_VERTEX_LIMIT})"
         )
     return cographic_top_betti(graph), None
 
@@ -113,15 +127,14 @@ def _top_betti(graph: Multigraph, threshold: int) -> tuple[int, str | None]:
 def stalk_dimension(p: HitchinPartition, r: int) -> int:
     """Stalk rank at perversity r: top cographic Betti number times a binomial.
 
-    The Betti factor is recomputed from the complex whenever the doubling
-    reduction leaves at most ``HOMOLOGY_EDGE_THRESHOLD`` edges, and falls back
-    to the (k-1)! closed form above that size.
+    The Betti factor is T_G(1, 0) of the dual graph whenever it has at most
+    ``TUTTE_VERTEX_LIMIT`` vertices, and the (k-1)! closed form above that.
     """
     delta = delta_aff_formula(p)
     lo, hi = perversity_range(p)
     if not lo <= r <= hi:
         raise GraphError("outside perversity range")
-    betti, _ = _top_betti(build_dual_graph(p), HOMOLOGY_EDGE_THRESHOLD)
+    betti, _ = _top_betti(build_dual_graph(p))
     return betti * math.comb(normalized_h1_dim(p), r - delta)
 
 
@@ -180,7 +193,6 @@ class SupportReport:
 def support_report(
     p: HitchinPartition,
     verify_level: str = "formula",
-    homology_threshold: int = HOMOLOGY_EDGE_THRESHOLD,
     degree: int | None = None,
 ) -> SupportReport:
     """Assemble the full numerology for one stratum.
@@ -189,8 +201,9 @@ def support_report(
       * ``none``     -- formulas only;
       * ``formula``  -- also check the delta formula against the dual graph;
       * ``homology`` -- additionally recompute the rank factor (k-1)! as the
-        top Betti number of the actual cographic complex (degraded to formulas
-        with a warning when the reduced graph is too large).  The stalk ranks
+        top Betti number of the cographic complex, T_G(1, 0) of the dual
+        graph (degraded to formulas with a warning when the graph has more
+        than ``TUTTE_VERTEX_LIMIT`` vertices).  The stalk ranks
         (k-1)! C(width, i) follow from that Betti check, so they are not
         compared again.
     """
@@ -210,7 +223,7 @@ def support_report(
         if delta_aff(graph) != delta:
             raise VerificationError("delta formula disagrees with the dual graph")
     if verify_level == "homology":
-        betti, warning = _top_betti(graph, homology_threshold)
+        betti, warning = _top_betti(graph)
         homology_checked = warning is None
         if betti != top_rank:
             raise VerificationError(

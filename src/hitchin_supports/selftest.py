@@ -29,7 +29,6 @@ from .homology import (
     SparseRationalMatrix,
     TopHomologyAction,
     boundary_complex,
-    euler_from_f_vector,
     reduced_homology,
     top_cycle_basis,
 )
@@ -41,7 +40,7 @@ from .multigraph import (
     delta_aff,
     double_edges,
 )
-from .numerology import delta_aff_formula
+from .numerology import cographic_top_betti, delta_aff_formula
 from .symgroup import (
     cell_permutation,
     complete_graph,
@@ -172,14 +171,16 @@ def prop_downward_closure(rng, cfg):
     return True, "closure on random graphs"
 
 
-def prop_euler(rng, cfg):
+def prop_tutte(rng, cfg):
+    """The deletion-contraction T_G(1, 0) against the top Betti number of
+    the eliminated cographic complex."""
     for _ in range(max(4, cfg.count // 3)):
         g = random_connected_multigraph(rng, min(cfg.max_edges, 9))
-        c = cographic_complex(g)
-        profile = reduced_homology(boundary_complex(c))
-        if profile.euler != euler_from_f_vector(c):
-            return False, f"euler mismatch on {g.edges}"
-    return True, "euler consistency"
+        profile = reduced_homology(boundary_complex(cographic_complex(g)))
+        tutte, betti = cographic_top_betti(g), profile.betti_number(delta_aff(g) - 1)
+        if tutte != betti:
+            return False, f"graph {g.edges}: T(1, 0) = {tutte}, top Betti number {betti}"
+    return True, "deletion-contraction against elimination"
 
 
 def prop_concentration(rng, cfg):
@@ -324,7 +325,7 @@ PROPERTIES = {
     "relabel": prop_relabel_invariance,
     "cycle_space": prop_cycle_space,
     "closure": prop_downward_closure,
-    "euler": prop_euler,
+    "tutte": prop_tutte,
     "concentration": prop_concentration,
     "doubling": prop_doubling,
     "alexander": prop_alexander,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -49,6 +50,31 @@ def test_report_homology_verification(capsys):
     doc = json.loads(out)
     assert doc["homology_checked"] is True
     assert doc["top_rank"] == 2
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_report_checks_the_rank_factor_up_to_twelve_parts(capsys, k):
+    code, out, err = run_cli(
+        capsys,
+        "report", "--genus", "2", "--partition", ",".join("1" * k), "--verify", "homology",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["homology_checked"] is True
+    assert doc["top_rank"] == math.factorial(k - 1)
+    assert "warning" not in doc
+
+
+def test_report_skips_the_check_above_twelve_parts_with_a_warning(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "report", "--genus", "2", "--partition", ",".join("1" * 13), "--verify", "homology",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["homology_checked"] is False
+    assert doc["top_rank"] == math.factorial(12)
+    assert doc["warning"] == "homology verification skipped: dual graph has 13 vertices (limit 12)"
 
 
 def test_report_usage_error(capsys):
@@ -324,6 +350,7 @@ PARSE_ERRORS = [
     (("character", "--r", "3", "--alphas", "-1,4"), "--alphas"),
     (("complex", "--r", "3", "--face-limit", "-1"), "--face-limit"),
     (("cks", "--genus", "2", "--partition", "1,1,1", "--exterior", "4", "--wedge-limit", "-5"), "--wedge-limit"),
+    # not a flag of report: refused as an unrecognized argument
     (("report", "--genus", "2", "--partition", "1,1", "--verify", "homology", "--homology-threshold", "-1"), "--homology-threshold"),
 ]
 BAD_INPUTS += [argv for argv, _ in PARSE_ERRORS]

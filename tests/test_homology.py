@@ -17,7 +17,6 @@ from hitchin_supports.homology import (
     TopHomologyAction,
     boundary_complex,
     coords_in_rref,
-    euler_from_f_vector,
     exact_rank,
     reduced_homology,
     top_cycle_basis,
@@ -611,16 +610,6 @@ def test_contractible_cone_has_no_reduced_homology():
     g = Multigraph(1, ((0, 0, 0),))
     profile = reduced_homology(boundary_complex(cographic_complex(g)))
     assert profile.betti == {}
-
-
-def test_euler_consistency_on_samples():
-    for c in (
-        cographic_complex(complete_graph(4)),
-        cographic_complex(parallel_graph(4)),
-        points_complex(3),
-    ):
-        profile = reduced_homology(boundary_complex(c))
-        assert profile.euler == euler_from_f_vector(c)
 
 
 def test_sphere_from_parallel_edges():

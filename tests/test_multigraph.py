@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +7,7 @@ from hitchin_supports.multigraph import (
     HitchinPartition,
     Multigraph,
     build_dual_graph,
-    contract_edge,
     cycle_space,
-    delete_edge,
     delta_aff,
     double_edges,
     graph_from_json,
@@ -157,47 +153,6 @@ def test_double_unknown_label():
         double_edges(complete_graph(3), {9})
 
 
-def test_contract_two_cycle_gives_loop():
-    g = parallel_graph(2)
-    out = contract_edge(g, 0)
-    assert out.vertex_count == 1
-    assert out.edges == ((0, 0, 1),)
-
-
-def test_contract_loop_just_deletes_it():
-    g = Multigraph(1, ((0, 0, 5),))
-    out = contract_edge(g, 5)
-    assert out.vertex_count == 1
-    assert out.edge_count == 0
-
-
-def test_contract_tree_edge_of_path():
-    g = path_graph(3)
-    out = contract_edge(g, 0)
-    assert out.vertex_count == 2
-    assert out.edge_count == 1
-
-
-def _canonical_form(g: Multigraph):
-    """Tiny isomorphism invariant-or-certificate for small graphs."""
-    best = None
-    for perm in itertools.permutations(range(g.vertex_count)):
-        pairs = sorted(
-            tuple(sorted((perm[u], perm[v]))) for u, v, _ in g.edges
-        )
-        key = tuple(pairs)
-        if best is None or key < best:
-            best = key
-    return (g.vertex_count, best)
-
-
-def test_delete_contract_commute_on_disjoint_edges():
-    g = complete_graph(4)
-    a = contract_edge(delete_edge(g, 5), 0)
-    b = delete_edge(contract_edge(g, 0), 5)
-    assert _canonical_form(a) == _canonical_form(b)
-
-
 # ---------------------------------------------------------------------------
 # cycle space
 # ---------------------------------------------------------------------------
@@ -252,7 +207,7 @@ def test_cycle_count_matches_delta_and_cycles_independent():
 def test_json_loader_assigns_labels_by_position():
     g = graph_from_json('{"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
     assert g.labels() == (0, 1, 2)
-    assert g.endpoints(1) == (1, 2)
+    assert g.edges[1] == (1, 2, 1)
 
 
 def test_json_rejects_garbage():

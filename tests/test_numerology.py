@@ -1,28 +1,33 @@
 import math
+import random
 
 import pytest
 
-from hitchin_supports import numerology
+from hitchin_supports import complexes
+from hitchin_supports.complexes import cographic_complex
+from hitchin_supports.homology import boundary_complex, reduced_homology
 from hitchin_supports.multigraph import (
     GraphError,
     HitchinPartition,
+    Multigraph,
     build_dual_graph,
     delta_aff,
+    double_edges,
 )
 from hitchin_supports.numerology import (
     cographic_top_betti,
     delta_aff_formula,
     dim_base,
     dim_total_space,
-    doubling_reduce,
     local_system_rank,
     normalized_h1_dim,
     perversity_range,
     stalk_dimension,
     support_report,
 )
+from hitchin_supports.selftest import random_connected_multigraph
 
-from conftest import complete_graph, parallel_graph
+from conftest import parallel_graph
 
 
 def all_partitions(n):
@@ -102,37 +107,47 @@ def test_rank_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# doubling reduction and stalks
+# the top cographic Betti number and stalks
 # ---------------------------------------------------------------------------
 
 
-def test_doubling_reduce_parallel_pair():
-    reduced, shift = doubling_reduce(parallel_graph(2))
-    assert reduced.edge_count == 1
-    assert shift == 1
+def _eliminated_top_betti(graph):
+    profile = reduced_homology(boundary_complex(cographic_complex(graph)))
+    return profile.betti_number(delta_aff(graph) - 1)
 
 
-def test_doubling_reduce_dual_graph_of_three_parts():
-    g = build_dual_graph(HitchinPartition(2, (1, 1, 1)))
-    reduced, shift = doubling_reduce(g)
-    assert reduced.edge_count == 3
-    assert reduced.vertex_count == 3
-    assert shift == 3
+def test_tutte_equals_the_eliminated_top_betti_number():
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_connected_multigraph(rng, 10)
+        assert cographic_top_betti(g) == _eliminated_top_betti(g), (seed, g.edges)
+        if g.edge_count:
+            subset = rng.sample(g.labels(), rng.randrange(1, min(3, g.edge_count) + 1))
+            doubled, _ = double_edges(g, subset)
+            assert cographic_top_betti(doubled) == _eliminated_top_betti(doubled), (seed, subset)
 
 
-def test_doubling_reduce_simple_graph_is_identity():
-    g = complete_graph(4)
-    reduced, shift = doubling_reduce(g)
-    assert reduced == g
-    assert shift == 0
-
-
-def test_cographic_top_betti_through_doubling():
+def test_cographic_top_betti_small_cases():
     # 2 vertices, 2 edges: one minus-one sphere worth of reduced homology
-    g = build_dual_graph(HitchinPartition(2, (1, 1)))
-    assert cographic_top_betti(g) == 1
-    g3 = build_dual_graph(HitchinPartition(2, (1, 1, 1)))
-    assert cographic_top_betti(g3) == 2
+    assert cographic_top_betti(build_dual_graph(HitchinPartition(2, (1, 1)))) == 1
+    assert cographic_top_betti(build_dual_graph(HitchinPartition(2, (1, 1, 1)))) == 2
+    assert cographic_top_betti(Multigraph(1, ())) == 1  # only the empty face
+    assert cographic_top_betti(Multigraph(1, ((0, 0, 0),))) == 0  # a loop is a cone point
+    assert cographic_top_betti(Multigraph(3, ((0, 1, 0), (1, 2, 1)))) == 1  # a tree
+    assert cographic_top_betti(parallel_graph(5)) == 1
+    with pytest.raises(GraphError, match="connected"):
+        cographic_top_betti(Multigraph(2, ()))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_cographic_top_betti_of_dual_graphs_is_k_minus_one_factorial(k):
+    assert cographic_top_betti(build_dual_graph(HitchinPartition(2, (1,) * k))) == math.factorial(k - 1)
+
+
+@pytest.mark.parametrize("genus, parts", [(3, (2, 1, 1)), (3, (3, 2, 1, 1)), (4, (2, 2, 1)), (4, (1, 1, 1, 1))])
+def test_cographic_top_betti_of_multi_part_dual_graphs(genus, parts):
+    graph = build_dual_graph(HitchinPartition(genus, parts))
+    assert cographic_top_betti(graph) == math.factorial(len(parts) - 1)
 
 
 def test_stalk_dimension_examples():
@@ -191,26 +206,23 @@ def test_report_homology_verification():
     assert rep.warning is None
 
 
-@pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1)])
-def test_report_builds_the_cographic_complex_once(monkeypatch, parts):
-    calls = []
-    build = numerology.cographic_complex
+@pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1), (1,) * 12])
+def test_report_builds_no_complex(monkeypatch, parts):
+    def refuse(*args, **kwargs):
+        raise AssertionError("support_report built a complex")
 
-    def counting(graph):
-        calls.append(graph)
-        return build(graph)
-
-    monkeypatch.setattr(numerology, "cographic_complex", counting)
-    assert support_report(HitchinPartition(2, parts), verify_level="homology").homology_checked
-    assert len(calls) == 1
+    # _depth_first enumerates the faces of every graph complex, however imported
+    monkeypatch.setattr(complexes, "cographic_complex", refuse)
+    monkeypatch.setattr(complexes, "_depth_first", refuse)
+    rep = support_report(HitchinPartition(2, parts), verify_level="homology")
+    assert rep.homology_checked and rep.warning is None
 
 
-def test_report_degrades_above_threshold_with_warning():
-    rep = support_report(
-        HitchinPartition(2, (1, 1, 1, 1)), verify_level="homology", homology_threshold=3
-    )
+def test_report_degrades_above_the_vertex_limit_with_warning():
+    rep = support_report(HitchinPartition(2, (1,) * 13), verify_level="homology")
     assert rep.homology_checked is False
-    assert rep.warning is not None
+    assert rep.top_rank == math.factorial(12)
+    assert rep.warning == "homology verification skipped: dual graph has 13 vertices (limit 12)"
 
 
 def test_report_constant_monodromy_flag_over_small_partitions():
