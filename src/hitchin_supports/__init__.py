@@ -43,13 +43,11 @@ from .cks import (
     nilpotent_family,
     picard_lefschetz,
     top_weight_action,
-    top_weight_dimensions,
 )
 from .symgroup import (
     ClassFunction,
     ProductClassFunction,
     SymgroupError,
-    character_inner_product,
     edge_action,
     induced_character_oracle,
     partition_lattice_character,
@@ -77,7 +75,6 @@ __all__ = [
     "VerificationError",
     "build_cks",
     "build_graded_model",
-    "character_inner_product",
     "cks_cohomology",
     "delta_aff_formula",
     "edge_action",
@@ -93,7 +90,6 @@ __all__ = [
     "support_report",
     "top_homology_character",
     "top_weight_action",
-    "top_weight_dimensions",
     "CycleSpaceBasis",
     "FaceComplex",
     "GraphError",

@@ -469,23 +469,6 @@ def _assemble(
 # ---------------------------------------------------------------------------
 
 
-def top_weight_dimensions(instance: CKSComplexInstance) -> dict[int, int]:
-    """Dimension of the highest-weight summand of each term.
-
-    Degree k collects the ambient weight i + delta - 2k vectors; for exterior
-    degrees at least delta this reproduces the face counts of the cographic
-    complex times the middle-block binomial, one line per non-disconnecting
-    edge subset.
-    """
-    w_top = instance.exterior_degree + instance.delta
-    dims = {k: 0 for k in instance.terms}
-    for j, mult, piece in instance.pieces:
-        if piece.weight + j == w_top:
-            for k in piece.terms:
-                dims[k] += mult * piece.term_dimension(k)
-    return dims
-
-
 @dataclass(frozen=True)
 class CksCohomology:
     exterior_degree: int

@@ -162,7 +162,6 @@ class SupportReport:
     verify_level: str
     homology_checked: bool
     warning: str | None = None
-    degree: int | None = None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -185,16 +184,10 @@ class SupportReport:
         }
         if self.warning:
             doc["warning"] = self.warning
-        if self.degree is not None:
-            doc["degree"] = self.degree
         return doc
 
 
-def support_report(
-    p: HitchinPartition,
-    verify_level: str = "formula",
-    degree: int | None = None,
-) -> SupportReport:
+def support_report(p: HitchinPartition, verify_level: str = "formula") -> SupportReport:
     """Assemble the full numerology for one stratum.
 
     ``verify_level``:
@@ -209,8 +202,6 @@ def support_report(
     """
     if verify_level not in ("none", "formula", "homology"):
         raise GraphError(f"unknown verify level: {verify_level}")
-    if degree is not None and math.gcd(degree, p.n) != 1:
-        raise GraphError("bundle degree must be coprime to n")
     delta = delta_aff_formula(p)
     lo, hi = perversity_range(p)
     width = normalized_h1_dim(p)
@@ -249,5 +240,4 @@ def support_report(
         verify_level=verify_level,
         homology_checked=homology_checked,
         warning=warning,
-        degree=degree,
     )

@@ -1,7 +1,8 @@
-"""Conjugacy classes and class functions of symmetric groups, the action on
-the cographic complex of the complete graph and on the order complex of the
-partition lattice, and the brute-force induced character used as an
-independent oracle for the top-homology representation.
+"""Conjugacy classes and integer class functions of symmetric groups, the
+action on the cographic complex of the complete graph and on the order complex
+of the partition lattice, and the brute-force induced character used as an
+independent oracle for the top-homology representation.  Every character value
+here is a trace, so class functions hold ``int`` values only.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .complexes import cographic_complex, partition_order_complex, proper_partitions
@@ -102,25 +102,16 @@ def inverse(p: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Map from cycle types of S_r to exact rational values."""
+    """Map from cycle types of S_r to integer values."""
 
     r: int
-    values: Mapping[tuple[int, ...], Fraction]
+    values: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
-        expected = set(partitions_of(self.r))
-        if set(self.values) != expected:
+        if set(self.values) != set(partitions_of(self.r)):
             raise SymgroupError("class function must be defined on all cycle types")
-        object.__setattr__(
-            self, "values", {lam: Fraction(v) for lam, v in self.values.items()}
-        )
-
-    def value(self, lam: Sequence[int]) -> Fraction:
-        return self.values[tuple(lam)]
-
-    @property
-    def dimension(self) -> Fraction:
-        return self.values[(1,) * self.r]
+        if any(type(v) is not int for v in self.values.values()):
+            raise SymgroupError("class function values must be int")
 
     def twist_by_sign(self) -> "ClassFunction":
         """Multiply by the sign character (the duality-side bookkeeping toggle)."""
@@ -130,7 +121,7 @@ class ClassFunction:
 
     def to_json_dict(self) -> dict:
         return {
-            "+".join(str(p) for p in lam): str(v) if v.denominator != 1 else int(v)
+            "+".join(str(p) for p in lam): v
             for lam, v in sorted(self.values.items(), reverse=True)
         }
 
@@ -140,44 +131,13 @@ class ProductClassFunction:
     """Class function on a product of symmetric groups S_a1 x ... x S_ak."""
 
     alphas: tuple[int, ...]
-    values: Mapping[tuple[tuple[int, ...], ...], Fraction]
-
-    def value(self, lams) -> Fraction:
-        return self.values[tuple(tuple(l) for l in lams)]
-
-    @property
-    def dimension(self) -> Fraction:
-        return self.values[tuple((1,) * a for a in self.alphas)]
+    values: Mapping[tuple[tuple[int, ...], ...], int]
 
     def to_json_dict(self) -> dict:
         return {
-            " x ".join("+".join(str(p) for p in lam) or "-" for lam in key): (
-                str(v) if v.denominator != 1 else int(v)
-            )
+            " x ".join("+".join(str(p) for p in lam) or "-" for lam in key): v
             for key, v in sorted(self.values.items(), reverse=True)
         }
-
-
-def character_inner_product(a, b) -> Fraction:
-    """Orthogonality pairing (1/|G|) sum of class_size * a * b over classes."""
-    if isinstance(a, ClassFunction) and isinstance(b, ClassFunction):
-        if a.r != b.r:
-            raise SymgroupError("class functions live on different groups")
-        order = math.factorial(a.r)
-        total = sum(
-            class_size(lam) * a.values[lam] * b.values[lam] for lam in a.values
-        )
-        return Fraction(total, order)
-    if isinstance(a, ProductClassFunction) and isinstance(b, ProductClassFunction):
-        if a.alphas != b.alphas:
-            raise SymgroupError("class functions live on different groups")
-        order = math.prod(math.factorial(x) for x in a.alphas)
-        total = Fraction(0)
-        for key, va in a.values.items():
-            size = math.prod(class_size(lam) for lam in key)
-            total += size * va * b.values[key]
-        return Fraction(total, order)
-    raise SymgroupError("mismatched class function kinds")
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +203,9 @@ def top_homology_character(r: int) -> ClassFunction:
     if not 2 <= r <= 6:
         raise SymgroupError("r must be between 2 and 6")
     if r == 2:
-        return ClassFunction(2, {lam: Fraction(0) for lam in partitions_of(2)})
+        return ClassFunction(2, {lam: 0 for lam in partitions_of(2)})
     graph = complete_graph(r)
-    action = TopHomologyAction(cographic_complex(graph))
-    values = {
-        lam: action.trace(cell_permutation(canonical_permutation(lam), graph))
-        for lam in partitions_of(r)
-    }
-    return ClassFunction(r, values)
+    return _class_traces(r, cographic_complex(graph), lambda perm: cell_permutation(perm, graph))
 
 
 def partition_cell_permutation(perm: Sequence[int], r: int) -> tuple[int, ...]:
@@ -277,12 +232,19 @@ def partition_lattice_character(r: int) -> ClassFunction:
     """
     if not 3 <= r <= 6:
         raise SymgroupError("r must be between 3 and 6")
-    action = TopHomologyAction(partition_order_complex(r))
-    values = {
-        lam: action.trace(partition_cell_permutation(canonical_permutation(lam), r))
-        for lam in partitions_of(r)
-    }
-    return ClassFunction(r, values)
+    return _class_traces(
+        r, partition_order_complex(r), lambda perm: partition_cell_permutation(perm, r)
+    )
+
+
+def _class_traces(r: int, complex_, cells) -> ClassFunction:
+    """The trace on the complex's top homology of one permutation per cycle
+    type of S_r; ``cells`` turns a permutation of the r points into the
+    permutation of the complex's ground cells."""
+    action = TopHomologyAction(complex_)
+    return ClassFunction(
+        r, {lam: action.trace(cells(canonical_permutation(lam))) for lam in partitions_of(r)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +275,9 @@ def induced_character_oracle(r: int) -> ClassFunction:
 
     The conjugates landing in the cyclic subgroup are counted element by
     element; the resulting sums of primitive roots of unity collapse to exact
-    integers through the Moebius function, and a floating-point evaluation of
-    the same sums double-checks each value to 1e-9.
+    integers through the Moebius function.  A class sum that r does not divide
+    raises, and a floating-point evaluation of the same sums double-checks
+    each value to 1e-9.
     """
     if not 2 <= r <= 6:
         raise SymgroupError("oracle brute-forces S_r, r must be between 2 and 6")
@@ -335,7 +298,7 @@ def induced_character_oracle(r: int) -> ClassFunction:
             if j is not None:
                 counts[j] += 1
         # sum of counts[j] * zeta^j is rational: group j by gcd with r
-        total = Fraction(0)
+        total = 0
         float_total = 0.0
         for m in range(1, r + 1):
             if r % m:
@@ -347,11 +310,13 @@ def induced_character_oracle(r: int) -> ClassFunction:
             if len(bucket) != 1:
                 raise SymgroupError("conjugacy counts must be constant on gcd classes")
             c = counts[js[0]]
-            total += Fraction(c * _mobius(r // m))
+            total += c * _mobius(r // m)
+        value, remainder = divmod(total, r)
+        if remainder:
+            raise SymgroupError("induced character value is not an integer")
         for j in range(r):
             float_total += counts[j] * math.cos(2 * math.pi * j / r)
-        value = total / r
-        if abs(float(value) - float_total / r) > 1e-9:
+        if abs(value - float_total / r) > 1e-9:
             raise SymgroupError("floating cross-check failed for induced character")
         values[lam] = value
     return ClassFunction(r, values)

@@ -261,21 +261,19 @@ def test_top_weight_slice_is_cographic_chain_complex_tensor_middle():
     # k-1 times C(gr1_dim, i - delta), and each block contributes one line
     from math import comb
 
-    from hitchin_supports.cks import top_weight_dimensions
     from hitchin_supports.complexes import cographic_complex
 
     m = build_graded_model(HitchinPartition(2, (1, 1)))
     for i in (1, 2, 3):
         inst = _direct_cks(m, i)
-        dims = top_weight_dimensions(inst)
         f_vec = cographic_complex(m.graph).f_vector()
         factor = comb(m.gr1_dim, i - m.delta)
+        # the highest weight is carried by one piece
+        (top,) = [piece for _, _, piece in inst.pieces if piece.weight == i + m.delta]
         for k in range(m.delta + 1):
             f_count = f_vec[k] if k < len(f_vec) else 0
-            assert dims.get(k, 0) == f_count * factor, (i, k)
-        # per-block: one top-weight line per non-disconnecting subset, all
-        # in the one piece of the highest weight
-        (top,) = [piece for _, _, piece in inst.pieces if piece.weight == i + m.delta]
+            assert top.term_dimension(k) == f_count * factor, (i, k)
+        # per-block: one top-weight line per non-disconnecting subset
         for k, blocks in top.terms.items():
             assert len(blocks) == (f_vec[k] if k < len(f_vec) else 0), (i, k)
             for blk in blocks:

@@ -352,6 +352,8 @@ PARSE_ERRORS = [
     (("cks", "--genus", "2", "--partition", "1,1,1", "--exterior", "4", "--wedge-limit", "-5"), "--wedge-limit"),
     # not a flag of report: refused as an unrecognized argument
     (("report", "--genus", "2", "--partition", "1,1", "--verify", "homology", "--homology-threshold", "-1"), "--homology-threshold"),
+    # no number depended on the bundle degree, so report no longer takes one
+    (("report", "--genus", "2", "--partition", "1,1", "--degree", "3"), "--degree"),
 ]
 BAD_INPUTS += [argv for argv, _ in PARSE_ERRORS]
 

@@ -245,13 +245,6 @@ def _partitions(n):
     return list(gen(n, n))
 
 
-def test_report_rejects_degree_sharing_a_factor():
-    with pytest.raises(GraphError, match="coprime"):
-        support_report(HitchinPartition(2, (1, 1)), degree=4)
-    rep = support_report(HitchinPartition(2, (1, 1)), degree=3)
-    assert rep.degree == 3
-
-
 def test_report_json_has_stable_fields():
     doc = support_report(HitchinPartition(2, (1, 1))).to_json_dict()
     assert doc["partition"] == [1, 1]

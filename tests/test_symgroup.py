@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from hitchin_supports import symgroup
 from hitchin_supports.symgroup import (
     ClassFunction,
+    ProductClassFunction,
     SymgroupError,
     canonical_permutation,
     cell_permutation,
-    character_inner_product,
     class_size,
     complete_graph,
     cycle_type,
@@ -21,6 +23,17 @@ from hitchin_supports.symgroup import (
     sign_of_type,
     top_homology_character,
 )
+
+
+def _inner(a, b) -> Fraction:
+    """Orthogonality pairing (1/|G|) sum over classes of class size * a * b,
+    on S_r or on a Young subgroup (a class there is one cycle type per factor)."""
+    assert type(a) is type(b) and a.values.keys() == b.values.keys()
+    sizes = {
+        key: math.prod(map(class_size, key)) if isinstance(a, ProductClassFunction) else class_size(key)
+        for key in a.values
+    }
+    return Fraction(sum(n * a.values[k] * b.values[k] for k, n in sizes.items()), sum(sizes.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -114,35 +127,27 @@ def test_top_character_r2_convention_is_zero():
 
 def test_top_character_r3_values():
     chi = top_homology_character(3)
-    assert chi.values == {
-        (1, 1, 1): Fraction(2),
-        (2, 1): Fraction(0),
-        (3,): Fraction(-1),
-    }
+    assert chi.values == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
 
 
 def test_top_character_r4_dimension():
     chi = top_homology_character(4)
-    assert chi.dimension == 6  # (r-1)!
+    assert chi.values[(1, 1, 1, 1)] == 6  # (r-1)!
 
 
 def test_oracle_r2_is_sign():
     chi = induced_character_oracle(2)
-    assert chi.values == {(1, 1): Fraction(1), (2,): Fraction(-1)}
+    assert chi.values == {(1, 1): 1, (2,): -1}
 
 
 def test_oracle_r3_values():
     chi = induced_character_oracle(3)
-    assert chi.values == {
-        (1, 1, 1): Fraction(2),
-        (2, 1): Fraction(0),
-        (3,): Fraction(-1),
-    }
+    assert chi.values == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
 
 
 def test_oracle_r4_identity_value():
     chi = induced_character_oracle(4)
-    assert chi.dimension == 6
+    assert chi.values[(1, 1, 1, 1)] == 6
 
 
 def test_top_character_equals_oracle_r3_r4():
@@ -154,7 +159,7 @@ def test_partition_lattice_character_equals_the_cographic_one():
     # two complexes on two ground sets, both sgn (x) Lie_r (Stanley 1982; Hanlon 1981)
     for r in (4, 5, 6):
         lattice = partition_lattice_character(r)
-        assert lattice.dimension == math.factorial(r - 1)
+        assert lattice.values[(1,) * r] == math.factorial(r - 1)
         assert lattice.values == top_homology_character(r).values, r
 
 
@@ -174,12 +179,48 @@ def test_partition_cell_permutation_acts_on_blocks():
 
 def test_character_is_irreducible_for_r3():
     chi = induced_character_oracle(3)
-    assert character_inner_product(chi, chi) == 1
+    assert _inner(chi, chi) == 1
 
 
 def test_trivial_character_inner_product():
-    triv = ClassFunction(3, {lam: Fraction(1) for lam in partitions_of(3)})
-    assert character_inner_product(triv, triv) == 1
+    triv = ClassFunction(3, {lam: 1 for lam in partitions_of(3)})
+    assert _inner(triv, triv) == 1
+
+
+CLASS_FUNCTIONS = {
+    **{f"top_homology_character({r})": partial(top_homology_character, r) for r in range(2, 7)},
+    **{f"partition_lattice_character({r})": partial(partition_lattice_character, r) for r in range(3, 7)},
+    **{f"induced_character_oracle({r})": partial(induced_character_oracle, r) for r in range(2, 7)},
+    "twist_by_sign": lambda: induced_character_oracle(4).twist_by_sign(),
+    "restrict_to_young": lambda: restrict_to_young(top_homology_character(4), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", CLASS_FUNCTIONS)
+def test_every_character_value_is_an_int(name):
+    chi = CLASS_FUNCTIONS[name]()
+    assert chi.values and all(type(v) is int for v in chi.values.values()), chi.values
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), Fraction(2), 2.0], ids=["half", "integral-fraction", "float"]
+)
+def test_class_function_refuses_a_value_that_is_not_an_int(value):
+    with pytest.raises(SymgroupError, match="int"):
+        ClassFunction(3, {(3,): value, (2, 1): 0, (1, 1, 1): 2})
+
+
+def test_oracle_refuses_a_class_sum_that_r_does_not_divide(monkeypatch):
+    # every count is a multiple of r (the centraliser of a power of the r-cycle
+    # holds the cycle), so only a Moebius value that is not an integer leaves a
+    # remainder; the remainder check must fire before the float cross-check
+    def unreachable(x):
+        raise AssertionError("the float cross-check ran first")
+
+    monkeypatch.setattr(symgroup, "_mobius", lambda n: Fraction(1, 2))
+    monkeypatch.setattr(symgroup.math, "cos", unreachable)
+    with pytest.raises(SymgroupError, match="not an integer"):
+        induced_character_oracle(3)
 
 
 def test_sign_twist_toggle():
@@ -199,21 +240,19 @@ def test_sign_twist_toggle():
 def test_restriction_to_s2_of_r3_character():
     chi = top_homology_character(3)
     res = restrict_to_young(chi, (2, 1))
-    assert res.value(((1, 1), (1,))) == 2
-    assert res.value(((2,), (1,))) == 0
+    assert res.values[((1, 1), (1,))] == 2
+    assert res.values[((2,), (1,))] == 0
     # decomposes as trivial + sign on S_2 x S_1
-    trivial = {((1, 1), (1,)): Fraction(1), ((2,), (1,)): Fraction(1)}
-    sign = {((1, 1), (1,)): Fraction(1), ((2,), (1,)): Fraction(-1)}
-    from hitchin_supports.symgroup import ProductClassFunction
-
-    assert character_inner_product(res, ProductClassFunction((2, 1), trivial)) == 1
-    assert character_inner_product(res, ProductClassFunction((2, 1), sign)) == 1
+    trivial = {((1, 1), (1,)): 1, ((2,), (1,)): 1}
+    sign = {((1, 1), (1,)): 1, ((2,), (1,)): -1}
+    assert _inner(res, ProductClassFunction((2, 1), trivial)) == 1
+    assert _inner(res, ProductClassFunction((2, 1), sign)) == 1
 
 
 def test_restriction_all_parts_distinct_gives_dimension():
     chi = top_homology_character(3)
     res = restrict_to_young(chi, (1, 1, 1))
-    assert res.dimension == chi.dimension
+    assert res.values[((1,), (1,), (1,))] == chi.values[(1, 1, 1)]
     assert len(res.values) == 1
 
 
