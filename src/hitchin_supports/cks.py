@@ -27,7 +27,11 @@ one ambient weight, and its cohomology is the ranks of exactly the maps the
 assembly stored.  Each degree is one pass of the edge operators, one target
 subset J at a time: the images N_r x of the basis of every block I with
 I + r = J are computed once, those from J - max J give the RREF basis of the
-block of J, and all of them, reduced into it, give d's entries at J.  Every
+block of J, and all of them, reduced into it, give d's entries at J.  An
+image N_r x is the sum of the columns N_r(e_w) of the wedges w in x, and the
+pieces of one exterior power share one column cache per operator, filled as
+they need columns and dropped when that exterior power is assembled, so
+``apply_derivation`` runs once per (operator, wedge) pair that occurs.  Every
 component N_r x must lie in its block, every basis vector in degree k must
 have ambient weight ``weight - 2k``, and d o d = 0 is checked on every
 column.  Each piece is ranked from d_0 upward by the clearing pass that
@@ -240,6 +244,32 @@ def apply_derivation(
     return out
 
 
+def _derived_image(
+    wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], cache: dict[int, dict[int, int]], vec: Mapping[int, int]
+) -> dict[int, int]:
+    """``apply_derivation(wedges, cols, vec)`` as the coefficient-weighted sum
+    of the single-wedge columns N(e_w) in ``cache``, each built by
+    ``apply_derivation`` the first time a vector holds w.
+
+    A column never repeats a target (the operators have no diagonal), so the
+    sum, taken over ``vec`` then over each column, adds the same terms in the
+    same order as ``apply_derivation`` and gives the same dict, key order
+    included.
+    """
+    out: dict[int, int] = {}
+    for widx, coeff in vec.items():
+        col = cache.get(widx)
+        if col is None:
+            col = cache[widx] = apply_derivation(wedges, cols, {widx: 1})
+        for target, val in col.items():
+            s = out.get(target, 0) + coeff * val
+            if s:
+                out[target] = s
+            else:
+                out.pop(target, None)
+    return out
+
+
 def image_NI(
     model: GradedH1Model,
     subset: Iterable[int],
@@ -258,9 +288,10 @@ def image_NI(
     basis = tuple({i: 1} for i in range(len(wedges)))
     for lab in order:
         cols = picard_lefschetz(model, lab).columns
+        cache: dict[int, dict[int, int]] = {}
         ech = IntEchelon()
         for vec in basis:
-            ech.insert(apply_derivation(wedges, cols, vec))
+            ech.insert(_derived_image(wedges, cols, cache, vec))
         basis = tuple(ech.rref_basis())
         if not basis:
             return ()
@@ -381,18 +412,22 @@ def _direct_cks(model: GradedH1Model, exterior_degree: int) -> CKSComplexInstanc
 def _weight_summands(model: GradedH1Model, exterior_degree: int) -> tuple[CksPiece, ...]:
     """The complex started from all of wedge^i of the model, one piece per
     ambient weight of the degree-0 wedges, in ascending weight.  The edge
-    operators and the wedge basis are built once for all the pieces."""
+    operators, the wedge basis and one column cache per operator,
+    ``{r: {wedge index: N_r(e_wedge)}}``, are built once for all the pieces;
+    the cache is filled as the pieces need columns and dropped on return."""
     wedges = WedgeBasis(model.dimension, exterior_degree)
     weights = wedges.weights(model.index_weights())
     starts: dict[int, list[dict[int, int]]] = {}
     for idx, w in enumerate(weights):
         starts.setdefault(w, []).append({idx: 1})
     ops = nilpotent_family(model)
-    return tuple(_assemble(ops, wedges, weights, w, tuple(starts[w])) for w in sorted(starts))
+    cache: dict[int, dict[int, dict[int, int]]] = {r: {} for r in ops}
+    return tuple(_assemble(ops, cache, wedges, weights, w, tuple(starts[w])) for w in sorted(starts))
 
 
 def _assemble(
     ops: Mapping[int, SparseRationalMatrix],
+    cache: Mapping[int, dict[int, dict[int, int]]],
     wedges: WedgeBasis,
     wedge_weights: Sequence[int],
     weight: int,
@@ -403,7 +438,9 @@ def _assemble(
 
     Each degree is one pass of the edge operators, one target J at a time,
     holding only that target's images: every basis vector x of a block I with
-    J = I + r is sent to N_r x once.  The images from the block of J - max J
+    J = I + r is sent to N_r x once, as the sum of the columns N_r(e_w) of
+    its wedges w in ``cache[r]``, the column cache that all the pieces of one
+    exterior power share.  The images from the block of J - max J
     span the block of J (its RREF basis), whose vectors in degree k + 1 must
     have ambient weight ``weight - 2(k + 1)``, and every image, reduced into
     that basis with the insertion sign of r, is a column entry of d at the
@@ -425,7 +462,7 @@ def _assemble(
         rows = 0
         for target in sorted(by_target):
             images = [
-                (idx, r, [apply_derivation(wedges, ops[r].columns, x) for x in sources[idx].basis])
+                (idx, r, [_derived_image(wedges, ops[r].columns, cache[r], x) for x in sources[idx].basis])
                 for idx, r in by_target[target]
             ]
             ech = IntEchelon()

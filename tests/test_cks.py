@@ -383,6 +383,36 @@ def test_the_rank_routine_receives_the_pinned_matrices(monkeypatch):
     assert (len(calls), hashlib.sha256(json.dumps(calls).encode()).hexdigest()) == PINNED_RANK_INPUTS
 
 
+def _piece_digest(instances):
+    # every stored differential (rows, then each column's (row, value) items
+    # in order) and every block's subset and basis, piece by piece
+    digest = hashlib.sha256()
+    for inst in instances:
+        for j, mult, piece in inst.pieces:
+            digest.update(repr((j, mult, piece.weight)).encode())
+            for k, blocks in piece.terms.items():
+                for blk in blocks:
+                    digest.update(repr((k, blk.subset, [list(vec.items()) for vec in blk.basis])).encode())
+            for m in piece.differentials:
+                digest.update(repr((m.rows, [list(col.items()) for col in m.columns])).encode())
+    return digest.hexdigest()
+
+
+# sha256 of the complete output of build_cks on the PINNED_CKS_TABLES strata
+# and of _direct_cks on g = 2, (2,1), wedge^3: exact_rank sees only the
+# columns that clearing keeps, so the rest of every piece is pinned here
+PINNED_CKS_OUTPUT = (
+    "61ea96a3d2ad5639c6ee9fb2e0f9e98c2f6f643114419f1d3611d35c30277b00",
+    "5357ad10831822bf6ce4324189f4e9d3c3e8c2de45b9f7ffd646eb8378b5dca8",
+)
+
+
+def test_assembly_keeps_every_block_and_differential_entry_in_order():
+    split = [build_cks(build_graded_model(HitchinPartition(g, p)), i) for g, p, i in sorted(PINNED_CKS_TABLES)]
+    direct = _direct_cks(build_graded_model(HitchinPartition(2, (2, 1))), 3)
+    assert (_piece_digest(split), _piece_digest([direct])) == PINNED_CKS_OUTPUT
+
+
 @pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))
 def test_cleared_ranks_of_every_weight_summand_equal_the_uncleared_ranks(monkeypatch, genus, parts, i):
     summands = []
@@ -463,26 +493,32 @@ def test_cohomology_reads_the_stored_differentials(monkeypatch):
     assert calls == []
 
 
-def test_each_edge_operator_is_applied_once_per_basis_vector(monkeypatch):
+def test_each_derivation_column_is_built_once_per_exterior_power(monkeypatch):
     calls = []
     derive = cks_module.apply_derivation
 
-    def counting(*args):
-        calls.append(args)
-        return derive(*args)
+    def counting(wedges, cols, vec):
+        calls.append((wedges, cols, vec))
+        return derive(wedges, cols, vec)
 
     monkeypatch.setattr(cks_module, "apply_derivation", counting)
     model = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     inst = build_cks(model, 4)
+    # every call derives one wedge, and no (exterior power, operator, wedge)
+    # column is built twice: the pieces of one exterior power share them
+    assert all(len(vec) == 1 and set(vec.values()) == {1} for _, _, vec in calls)
+    pairs = {(id(wedges), id(cols), widx) for wedges, cols, vec in calls for widx in vec}
+    assert len(pairs) == len(calls)
     labels = len(model.labels())
-    # every degree counts, the last one too: its images must all vanish
-    expected = sum(
+    # one call per basis vector and operator after its subset, every degree
+    # counted (3,102 here), is what the assembly would cost without the cache
+    per_basis_vector = sum(
         blk.dim() * (labels - len(blk.subset))
         for _, _, piece in inst.pieces
         for blocks in piece.terms.values()
         for blk in blocks
     )
-    assert len(calls) == expected
+    assert 0 < len(calls) < per_basis_vector
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,7 @@ GOLDEN = (
     ("cks --genus 2 --partition 1,1,1 --exterior 4", "686dbfb6ec979c102339f689d5a679b4fcbc339e84a1f296f419d0352d8a17c4"),
     ("cks --genus 2 --partition 1,1,1 --exterior 5", "736f489d699f8e88e0f2ec4bc4acc8ec37bb2ee4a47f12ef4e0cad0a354b5986"),
     ("cks --genus 2 --partition 1,1,1,1 --exterior 3", "f8cf2170594a43f5031288a21e142d3fd2851ba60ad459bb081bec0c8e03a579"),
+    ("cks --genus 2 --partition 1,1,1,1 --exterior 4", "f3c42d0ea8fdb8ac3e093668a1afd41398f66a73f4ec3fb9e14d20fcaa1a7401"),
     ("cks --genus 3 --partition 1,1 --exterior 4", "42497a63cd2266c0e9b8a283a4c2ed0f1eaa1dd30a57e63b8edd0af9fd6d6836"),
     ("cks --genus 2 --partition 2,1 --exterior 3", "e459a1c4df46a166d46db959bb2ae57d39a68436dbd0d6bacf784c157e3607fc"),
     ("report --genus 2 --partition 1,1,1,1,1 --verify homology", "7c619d2582fe588812298fc5b8cf58146ac921287c9809469e73cb0bd76596fb"),
