@@ -8,13 +8,18 @@ either fraction-free over Z or over Z/(p1 p2) for two random primes above
 when every lead it takes is a unit, its rank is the rank mod p1 and mod p2,
 and a non-unit lead counts as a disagreement.  It keeps its residues balanced,
 in (-p/2, p/2], and reduces a value only when it leaves that range, so +-1
-entries stay one-digit ints and a +-1 lead needs no inverse.  A matrix with
-both sides at most 500 is eliminated over Z and checked against the modular
-pass; a larger one accepts the modular pass alone.  Any disagreement escalates
-to another elimination over Z: below the limit on the transpose, which is a
-different elimination order, and above it on the matrix itself.  Everything
-here is reduced homology: the empty face is a cell in dimension -1, so the
-empty complex has Betti number 1 there and nowhere else.
+entries stay one-digit ints and a +-1 lead needs no inverse.  A modular pass
+that reduced no value and cleared only with +-1 leads stayed in Z: it took the
+steps of the pass over Z one by one, so its rank is the rank over Q at any
+size and no second pass runs.  Every boundary map and CKS weight summand
+measured stays in Z, the twelve maps above 500 of K_6, Π_6 and the
+non-spanning complex of K_6 included.  A pass that left Z is checked: a
+matrix with both sides at most 500 is eliminated over Z and compared with it,
+and a larger one accepts it alone.  Any disagreement escalates to another
+elimination over Z: below the limit on the transpose, which is a different
+elimination order, and above it on the matrix itself.  Everything here is
+reduced homology: the empty face is a cell in dimension -1, so the empty
+complex has Betti number 1 there and nowhere else.
 
 Every complex of sparse maps is ranked with clearing by ``cleared_ranks``,
 whose docstring states the lemma: the boundary maps from the top degree down,
@@ -50,7 +55,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .complexes import FaceComplex
 
-EXACT_SIDE_LIMIT = 500  # exact elimination checked mod p1 p2 below, the pass mod p1 p2 alone above
+EXACT_SIDE_LIMIT = 500  # a pass mod p1 p2 that left Z is checked over Z below, accepted alone above
 VERIFY_LIMIT = 400  # d o d checked on every column up to this many, on 20 samples above
 
 
@@ -281,7 +286,10 @@ def _balanced(v: int, p: int, half: int) -> int:
 
 
 def _eliminate(
-    vectors: Iterable[Mapping[int, int]], p: int | None = None, pivots: set[int] | None = None
+    vectors: Iterable[Mapping[int, int]],
+    p: int | None = None,
+    pivots: set[int] | None = None,
+    in_z: list[bool] | None = None,
 ) -> int:
     """Rank of a list of sparse integer vectors, by Markowitz elimination.
 
@@ -298,6 +306,12 @@ def _eliminate(
     is given; with the vectors chosen they index a block whose determinant is
     a unit mod ``p`` (non-zero over Z), also when ``_NonUnitPivot`` cuts the
     elimination short.
+
+    ``in_z``, when given, receives one flag as the elimination ends: whether it
+    stayed in Z, that is reduced no value (given or updated) mod ``p`` and
+    cleared with no lead other than +-1.  Such a pass is the elimination over
+    Z step for step (the same leads, scale 1, no content to divide out), so its
+    rank is the rank over Q.  A pass over Z always stays in Z.
     """
     # residues mod p stay balanced, in [low, half] = (-p/2, p/2], and are
     # reduced only when a value leaves that range, so +-1 entries stay +-1
@@ -305,11 +319,18 @@ def _eliminate(
     # canonical one in [0, p) is
     half = p >> 1 if p else 0
     low = half + 1 - p if p else 0
+    stayed = True  # no value was reduced mod p and no lead other than +-1 cleared
+
+    def reduced(v: int) -> int:
+        nonlocal stayed
+        stayed = False
+        return _balanced(v, p, half)
+
     rows: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}  # coordinate -> remaining vectors holding it
     for i, vec in enumerate(vectors):
         if p:
-            row = {k: r for k, v in vec.items() if (r := v if low <= v <= half else _balanced(v, p, half))}
+            row = {k: r for k, v in vec.items() if (r := v if low <= v <= half else reduced(v))}
         else:
             row = {k: v for k, v in vec.items() if v}
         if row:
@@ -341,6 +362,7 @@ def _eliminate(
             if pivot == -1:
                 row = {k: -v for k, v in row.items()}
             elif pivot != 1:
+                stayed = False
                 inv = pow(pivot, -1, p)
                 row = {k: _balanced(v * inv, p, half) for k, v in row.items()}
         elif pivot < 0:
@@ -361,13 +383,13 @@ def _eliminate(
                 if old is None:
                     new = -f * v
                     if p and not low <= new <= half:
-                        new = _balanced(new, p, half)
+                        new = reduced(new)
                     target[k] = new
                     holders[k].add(h)
                     continue
                 new = old - f * v
                 if p and not low <= new <= half:
-                    new = _balanced(new, p, half)
+                    new = reduced(new)
                 if new:
                     target[k] = new
                 else:
@@ -382,6 +404,8 @@ def _eliminate(
                     for k in target:
                         target[k] //= content
             heapq.heappush(queue, (len(target), h))
+    if in_z is not None:
+        in_z.append(stayed)
     return rank
 
 
@@ -406,9 +430,11 @@ def exact_rank(
     """Rank over Q.
 
     Both verification primes p1, p2 > 2**30 ride one elimination modulo
-    p1*p2.  Matrices with both sides at most 500 are eliminated over Z and
-    the result must agree with that pass; larger matrices accept the modular
-    pass alone.  A disagreement, or a lead of the modular pass that is not a
+    p1*p2.  If that pass stayed in Z (see ``_eliminate``) it was an exact
+    elimination over Z and its rank is returned, at any size.  Otherwise
+    matrices with both sides at most 500 are eliminated over Z and the result
+    must agree with the modular pass; larger matrices accept the modular pass
+    alone.  A disagreement, or a lead of the modular pass that is not a
     unit mod p1*p2 (one prime may have lost rank), escalates to another
     elimination over Z: on the transpose below the limit, on the matrix
     itself above it.  ``pivots``, when given, receives the pivot rows of the
@@ -428,12 +454,14 @@ def exact_rank_int(
     """Rank over Q of integer columns, checked as ``exact_rank`` describes.
 
     The primes are drawn from ``rng``; with ``rng`` None they depend on the
-    shape only and are drawn once per shape.  A modular pass whose leads were
-    all units mod p1*p2 has the same rank mod p1 and mod p2, so it stands for
-    two agreeing single-prime passes.  ``pivots``, when given, receives the
-    row indices the modular pass pivoted on, that is the leads of its
-    completed unit steps if a non-unit lead cut it short.  With some set C of
-    columns they index a block that is non-singular mod p1, hence over Q.
+    shape only and are drawn once per shape.  A modular pass that stayed in Z
+    is exact, so its rank is a proof.  One that left Z but whose leads were
+    all units mod p1*p2 has the same rank mod p1 and mod p2: it stands for two
+    agreeing single-prime passes, which is what is accepted above the side
+    limit.  ``pivots``, when given, receives the row indices the modular pass
+    pivoted on, that is the leads of its completed unit steps if a non-unit
+    lead cut it short.  With some set C of columns they index a block that is
+    non-singular mod p1, hence over Q.
     """
     live = [c for c in cols if c]
     if not live or n_rows == 0:
@@ -442,10 +470,13 @@ def exact_rank_int(
         p1, p2 = _default_prime_pair(0x5EED ^ (1_000_003 * n_rows + 7_919 * len(live)))
     else:
         p1, p2 = _prime_pair(rng)
+    in_z: list[bool] = []
     try:
-        r_mod = _eliminate(live, p1 * p2, pivots)
+        r_mod = _eliminate(live, p1 * p2, pivots, in_z)
     except _NonUnitPivot:
         r_mod = None
+    if in_z == [True]:
+        return r_mod  # an elimination over Z with unit leads: exact at any size
     if max(n_rows, len(live)) <= EXACT_SIDE_LIMIT:
         r_over_z = _eliminate(live)
         if r_mod == r_over_z:
@@ -471,9 +502,10 @@ def cleared_ranks(maps: Sequence[SparseRationalMatrix], rng: random.Random | Non
     columns lie in the span of the kept ones and the rank over Q is
     unchanged.  A block whose determinant is a unit mod p1 p2 has a non-zero
     integer determinant, so the pivots serve even when a prime loses rank or
-    a non-unit lead cuts the pass short.  Each kept matrix gets the full
-    check of ``exact_rank``, and its side limit applies to the kept size, so
-    a map whose kept sides both fall to 500 or fewer is also eliminated over
+    a non-unit lead cuts the pass short.  Each kept matrix is ranked by
+    ``exact_rank``: exact when its modular pass stayed in Z, else checked as
+    that docstring says, with the side limit applied to the kept size, so a
+    map whose kept sides both fall to 500 or fewer is also eliminated over
     Z.  The lemma relies on the zero composites, which the callers check:
     ``boundary_complex`` for ∂∘∂ and the CKS assembly for d∘d.
     """

@@ -30,7 +30,7 @@ from hitchin_supports.numerology import cographic_top_betti
 from hitchin_supports.selftest import random_connected_multigraph
 from hitchin_supports.symgroup import SymgroupError, cell_permutation, compose
 
-from conftest import parallel_graph
+from conftest import parallel_graph, record_rank_passes
 
 
 def path_model():
@@ -431,6 +431,18 @@ def test_cleared_ranks_of_every_weight_summand_equal_the_uncleared_ranks(monkeyp
             assert lower.rows == upper.cols
             assert upper.matmul(lower).is_zero()
         assert ranks == [exact_rank(m) for m in maps]
+
+
+def test_every_cleared_rank_of_the_pinned_strata_is_one_pass_that_stayed_in_z(monkeypatch):
+    # the derivation matrices are not +-1, yet every lead that clears is, and
+    # no value leaves (-p/2, p/2]: the modular pass is the exact elimination
+    records = record_rank_passes(monkeypatch)
+    for genus, parts, i in PINNED_CKS_TABLES:
+        cks_cohomology(build_cks(build_graded_model(HitchinPartition(genus, parts)), i))
+    assert len(records) == 79
+    for shape, fields, rank, over_z, same_pivots in records:
+        assert len(fields) == 1 and fields[0] is not None, shape
+        assert rank == over_z and same_pivots, shape
 
 
 def test_an_image_missing_a_vector_is_caught(monkeypatch):

@@ -24,7 +24,7 @@ from hitchin_supports.homology import (
 from hitchin_supports.multigraph import Multigraph
 from hitchin_supports.selftest import random_connected_multigraph
 
-from conftest import complete_graph, parallel_graph
+from conftest import complete_graph, parallel_graph, record_rank_passes
 
 
 def points_complex(n: int) -> FaceComplex:
@@ -238,10 +238,10 @@ def test_modular_disagreement_escalates_to_an_exact_rank(monkeypatch, n):
     eliminate = homology._eliminate
     fields, raised = [], []
 
-    def recording(vectors, p=None, pivots=None):
+    def recording(vectors, p=None, pivots=None, in_z=None):
         fields.append(p)
         try:
-            return eliminate(vectors, p, pivots)
+            return eliminate(vectors, p, pivots, in_z)
         except homology._NonUnitPivot:
             raised.append(p)
             raise
@@ -253,6 +253,49 @@ def test_modular_disagreement_escalates_to_an_exact_rank(monkeypatch, n):
     # below the side limit: exact pass, then its rerun on the transpose
     assert fields.count(None) == (2 if n <= homology.EXACT_SIDE_LIMIT else 1)
     assert len(fields) == 1 + fields.count(None)
+
+
+LEFT_Z = {
+    # leads 2 clear the band from row 0 down, each the only entry of its vector
+    "banded": ([{i: 2, i - 1: -3} if i else {0: 2} for i in range(40)] + [{0: 2}], 40, 40),
+    # an input entry outside (-p/2, p/2]
+    "2**70": ([{0: 2**70, 1: 1}, {0: 1}], 2, 2),
+    # a lead 2 whose vector holds nothing else: the inverse is the only step off Z
+    "bare lead 2": ([{0: 2}, {0: 3, 1: 1}], 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEFT_Z))
+def test_a_modular_pass_that_left_z_is_checked_by_a_pass_over_z(monkeypatch, case):
+    columns, rows, rank = LEFT_Z[case]
+    p = math.prod(homology._prime_pair(random.Random(5)))
+    flag: list[bool] = []
+    assert homology._eliminate(columns, p, None, flag) == rank and flag == [False]
+    records = record_rank_passes(monkeypatch)
+    assert homology.exact_rank_int(columns, rows) == rank
+    [(_, fields, _, over_z, _)] = records
+    assert fields[0] is not None and fields[1:] == [None] and over_z == rank
+
+
+def test_an_entry_that_vanishes_mod_p_is_not_taken_for_an_exact_zero(monkeypatch):
+    # p1 p2 reduces to 0, so the modular pass sees rank 0; it left Z, so the
+    # pass over Z runs, disagrees, and the transpose settles the rank at 1
+    p = math.prod(homology._prime_pair(random.Random(5)))
+    records = record_rank_passes(monkeypatch)
+    assert homology.exact_rank_int([{0: p}], 1, rng=random.Random(5)) == 1
+    assert records[0][1] == [p, None, None]
+
+
+def test_every_cleared_boundary_rank_is_one_pass_that_stayed_in_z(monkeypatch):
+    # +-1 leads and no value reduced mod p1 p2: the modular pass is an exact
+    # elimination over Z, above the side limit too (K_6 - e has five such maps)
+    records = record_rank_passes(monkeypatch)
+    for c in _clearing_cases():
+        reduced_homology(boundary_complex(c))
+    assert sum(max(shape) > homology.EXACT_SIDE_LIMIT for shape, *_ in records) == 5
+    for shape, fields, rank, over_z, same_pivots in records:
+        assert len(fields) == 1 and fields[0] is not None, shape
+        assert rank == over_z and same_pivots, shape
 
 
 def test_joint_pass_equals_both_single_prime_passes_or_raises():
