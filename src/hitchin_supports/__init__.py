@@ -24,8 +24,8 @@ from .complexes import (
 )
 from .homology import (
     HomologyProfile,
-    RationalChainComplex,
-    SparseRationalMatrix,
+    IntChainComplex,
+    SparseIntMatrix,
     boundary_complex,
     exact_rank,
     reduced_homology,
@@ -59,7 +59,6 @@ from .numerology import (
     VerificationError,
     delta_aff_formula,
     local_system_rank,
-    stalk_dimension,
     support_report,
 )
 
@@ -86,7 +85,6 @@ __all__ = [
     "partition_lattice_character",
     "picard_lefschetz",
     "restrict_to_young",
-    "stalk_dimension",
     "support_report",
     "top_homology_character",
     "top_weight_action",
@@ -96,8 +94,8 @@ __all__ = [
     "HitchinPartition",
     "HomologyProfile",
     "Multigraph",
-    "RationalChainComplex",
-    "SparseRationalMatrix",
+    "IntChainComplex",
+    "SparseIntMatrix",
     "boundary_complex",
     "build_dual_graph",
     "cographic_complex",

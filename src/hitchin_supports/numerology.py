@@ -67,7 +67,7 @@ def local_system_rank(p: HitchinPartition, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the rank factor and homological stalks
+# the top cographic Betti number
 # ---------------------------------------------------------------------------
 
 
@@ -122,20 +122,6 @@ def _top_betti(graph: Multigraph) -> tuple[int, str | None]:
             f"vertices (limit {TUTTE_VERTEX_LIMIT})"
         )
     return cographic_top_betti(graph), None
-
-
-def stalk_dimension(p: HitchinPartition, r: int) -> int:
-    """Stalk rank at perversity r: top cographic Betti number times a binomial.
-
-    The Betti factor is T_G(1, 0) of the dual graph whenever it has at most
-    ``TUTTE_VERTEX_LIMIT`` vertices, and the (k-1)! closed form above that.
-    """
-    delta = delta_aff_formula(p)
-    lo, hi = perversity_range(p)
-    if not lo <= r <= hi:
-        raise GraphError("outside perversity range")
-    betti, _ = _top_betti(build_dual_graph(p))
-    return betti * math.comb(normalized_h1_dim(p), r - delta)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .complexes import (
     partition_order_complex,
 )
 from .homology import (
-    SparseRationalMatrix,
+    SparseIntMatrix,
     TopHomologyAction,
     boundary_complex,
     reduced_homology,
@@ -240,7 +240,7 @@ def prop_representation_laws(rng, cfg):
     g = complete_graph(4)
     action = TopHomologyAction(cographic_complex(g))
     identity = action.matrix(tuple(range(len(g.labels()))))
-    if identity != SparseRationalMatrix.identity(action.rank):
+    if identity != SparseIntMatrix.identity(action.rank):
         return False, "identity law fails"
     for _ in range(6):
         a = list(range(4))

@@ -47,32 +47,19 @@ def brute_face_sets(graph: Multigraph, kind: str) -> set:
     return out
 
 
-def record_rank_passes(monkeypatch) -> list[tuple]:
-    """Record every ``homology.exact_rank_int`` call made from now on.
-
-    Each record is (shape, fields of the ``_eliminate`` calls it made, its
-    rank, the rank over Z of its live columns, whether its pivots equal those
-    of a direct modular ``_eliminate`` in the field of its first call).  The
-    references run on unwrapped code after the call returns.
-    """
-    eliminate, rank_int = homology._eliminate, homology.exact_rank_int
-    fields: list = []
+def record_rank_leads(monkeypatch) -> list[tuple]:
+    """Record every ``homology.exact_rank_int`` call made from now on, as
+    (shape, rank, the leads its elimination took)."""
+    rank_int = homology.exact_rank_int
     records: list[tuple] = []
 
-    def recording(vectors, p=None, pivots=None, in_z=None):
-        fields.append(p)
-        return eliminate(vectors, p, pivots, in_z)
-
-    def checking(cols, n_rows, rng=None, pivots=None):
-        fields.clear()
-        rank = rank_int(cols, n_rows, rng, pivots)
-        live = [c for c in cols if c]
-        direct: set[int] = set()
-        if fields and fields[0] is not None:
-            eliminate(live, fields[0], direct)
-        records.append(((n_rows, len(live)), list(fields), rank, eliminate(live), pivots == direct))
+    def recording(cols, n_rows, pivots=None):
+        leads: dict[int, int] = {}
+        rank = rank_int(cols, n_rows, leads)
+        if pivots is not None:
+            pivots.update(leads)
+        records.append(((n_rows, len(cols)), rank, list(leads.values())))
         return rank
 
-    monkeypatch.setattr(homology, "_eliminate", recording)
-    monkeypatch.setattr(homology, "exact_rank_int", checking)
+    monkeypatch.setattr(homology, "exact_rank_int", recording)
     return records

@@ -69,3 +69,12 @@ def test_a_traced_cks_operation_has_rank_and_conversion_time():
     assert metrics["homology.to_int_s"] > 0
     assert metrics["cks.blocks"] > 0
     assert metrics["cks.term_dim"] == sum(expected["term_dimensions"].values())
+
+
+def test_run_op_results_do_not_depend_on_the_seed():
+    # the seed only feeds ``run_op``'s rng, which no rank draws from
+    _, graph, _ = workloads.inputs("random-multigraphs", 1)[-1]
+    for kind, arg in (("cographic", graph), ("order", 6), SMALLEST_CKS_OP[:2]):
+        seeded = workloads.run_op(hitchin_supports, (kind, arg, 7))
+        assert seeded == workloads.run_op(hitchin_supports, (kind, arg, None)), kind
+        assert seeded == workloads.run_op(hitchin_supports, (kind, arg, 8)), kind

@@ -24,13 +24,13 @@ from hitchin_supports.cks import (
 )
 from hitchin_supports.complexes import cographic_complex
 from hitchin_supports import homology
-from hitchin_supports.homology import SparseRationalMatrix, TopHomologyAction, exact_rank
+from hitchin_supports.homology import SparseIntMatrix, TopHomologyAction, exact_rank
 from hitchin_supports.multigraph import HitchinPartition, Multigraph
 from hitchin_supports.numerology import cographic_top_betti
 from hitchin_supports.selftest import random_connected_multigraph
 from hitchin_supports.symgroup import SymgroupError, cell_permutation, compose
 
-from conftest import parallel_graph, record_rank_passes
+from conftest import parallel_graph, record_rank_leads
 
 
 def path_model():
@@ -352,9 +352,9 @@ def test_weight_summands_are_ranked_with_clearing(monkeypatch):
     ranked = []
     real = homology.exact_rank
 
-    def recording(m, rng=None, pivots=None):
+    def recording(m, pivots=None):
         ranked.append(sum(1 for col in m.columns if col))
-        return real(m, rng=rng, pivots=pivots)
+        return real(m, pivots=pivots)
 
     monkeypatch.setattr(homology, "exact_rank", recording)
     coh = cks_cohomology(inst)
@@ -373,9 +373,9 @@ def test_the_rank_routine_receives_the_pinned_matrices(monkeypatch):
     calls = []
     real = homology.exact_rank
 
-    def recording(m, rng=None, pivots=None):
+    def recording(m, pivots=None):
         calls.append((m.rows, [list(c.items()) for c in m.columns]))
-        return real(m, rng=rng, pivots=pivots)
+        return real(m, pivots=pivots)
 
     monkeypatch.setattr(homology, "exact_rank", recording)
     for genus, parts, i in PINNED_CKS_TABLES:
@@ -418,8 +418,8 @@ def test_cleared_ranks_of_every_weight_summand_equal_the_uncleared_ranks(monkeyp
     summands = []
     real = cks_module.cleared_ranks
 
-    def recording(maps, rng=None):
-        ranks = real(maps, rng)
+    def recording(maps):
+        ranks = real(maps)
         summands.append((maps, ranks))
         return ranks
 
@@ -433,16 +433,15 @@ def test_cleared_ranks_of_every_weight_summand_equal_the_uncleared_ranks(monkeyp
         assert ranks == [exact_rank(m) for m in maps]
 
 
-def test_every_cleared_rank_of_the_pinned_strata_is_one_pass_that_stayed_in_z(monkeypatch):
-    # the derivation matrices are not +-1, yet every lead that clears is, and
-    # no value leaves (-p/2, p/2]: the modular pass is the exact elimination
-    records = record_rank_passes(monkeypatch)
+def test_every_cleared_rank_of_the_pinned_strata_clears_with_unit_leads(monkeypatch):
+    # the derivation matrices are not +-1, yet every lead the elimination
+    # takes is, so no vector is ever scaled
+    records = record_rank_leads(monkeypatch)
     for genus, parts, i in PINNED_CKS_TABLES:
         cks_cohomology(build_cks(build_graded_model(HitchinPartition(genus, parts)), i))
     assert len(records) == 79
-    for shape, fields, rank, over_z, same_pivots in records:
-        assert len(fields) == 1 and fields[0] is not None, shape
-        assert rank == over_z and same_pivots, shape
+    for shape, rank, leads in records:
+        assert len(leads) == rank and set(leads) <= {1, -1}, shape
 
 
 def test_an_image_missing_a_vector_is_caught(monkeypatch):
@@ -475,7 +474,7 @@ def test_an_operator_that_breaks_the_weight_grading_is_caught(monkeypatch):
         lab = min(ops)
         cols = [dict(col) for col in ops[lab].columns]
         cols[model.delta] = dict(next(col for col in cols if col))  # the first Gr1 class
-        ops[lab] = SparseRationalMatrix(model.dimension, tuple(cols))
+        ops[lab] = SparseIntMatrix(model.dimension, tuple(cols))
         return ops
 
     monkeypatch.setattr(cks_module, "nilpotent_family", skewed)
@@ -562,7 +561,7 @@ def test_vertex_swap_acts_by_sign_genus_three():
 def test_identity_acts_trivially_on_top_weight():
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     mat = top_weight_action(m, (0, 1, 2))
-    assert mat == SparseRationalMatrix.identity(mat.rows)
+    assert mat == SparseIntMatrix.identity(mat.rows)
     assert mat.rows == 2  # rank (k-1)! = 2
 
 
@@ -570,7 +569,7 @@ def test_three_cycle_top_weight_action_has_finite_order():
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     mat = top_weight_action(m, (1, 2, 0))
     cubed = mat.matmul(mat).matmul(mat)
-    assert cubed == SparseRationalMatrix.identity(mat.rows)
+    assert cubed == SparseIntMatrix.identity(mat.rows)
 
 
 def test_top_weight_action_composes_as_a_representation():
@@ -658,7 +657,7 @@ def test_top_weight_action_on_a_delta_eight_stratum():
     assert m.delta == 8
     identity = top_weight_action(m, (0, 1, 2))
     assert identity.rows == cographic_top_betti(m.graph) == 2
-    assert identity == SparseRationalMatrix.identity(identity.rows)
+    assert identity == SparseIntMatrix.identity(identity.rows)
     swap = top_weight_action(m, (0, 2, 1))
     assert swap.matmul(swap) == identity
 

@@ -12,8 +12,8 @@ from hitchin_supports.complexes import FaceComplex, cographic_complex, nonspanni
 from hitchin_supports.homology import (
     HomologyError,
     IntEchelon,
-    RationalChainComplex,
-    SparseRationalMatrix,
+    IntChainComplex,
+    SparseIntMatrix,
     TopHomologyAction,
     boundary_complex,
     coords_in_rref,
@@ -24,7 +24,7 @@ from hitchin_supports.homology import (
 from hitchin_supports.multigraph import Multigraph
 from hitchin_supports.selftest import random_connected_multigraph
 
-from conftest import complete_graph, parallel_graph, record_rank_passes
+from conftest import complete_graph, parallel_graph, record_rank_leads
 
 
 def points_complex(n: int) -> FaceComplex:
@@ -54,8 +54,8 @@ def int_columns(cols: int, entries) -> list[dict[int, int]]:
     return out
 
 
-def from_entries(rows: int, cols: int, entries) -> SparseRationalMatrix:
-    return SparseRationalMatrix(rows, tuple(int_columns(cols, {k: v for k, v in entries.items() if v})))
+def from_entries(rows: int, cols: int, entries) -> SparseIntMatrix:
+    return SparseIntMatrix(rows, tuple(int_columns(cols, {k: v for k, v in entries.items() if v})))
 
 
 def test_rank_of_zero_matrix():
@@ -102,7 +102,7 @@ def test_matmul_and_transpose_match_a_dense_reference():
 
 
 def test_rank_of_identity():
-    assert exact_rank(SparseRationalMatrix.identity(5)) == 5
+    assert exact_rank(SparseIntMatrix.identity(5)) == 5
 
 
 def test_rank_of_triangle_boundary():
@@ -110,8 +110,8 @@ def test_rank_of_triangle_boundary():
     assert exact_rank(cc.boundaries[1]) == 2
 
 
-def test_rank_above_exact_threshold_uses_modular_path():
-    # 600 > the pure-exact side limit; banded full-rank plus duplicated columns
+def test_rank_of_a_banded_matrix_of_side_600_and_its_doubled_columns():
+    # banded full-rank plus duplicated columns: leads 2 and -3 scale rows
     n = 600
     entries = {}
     for i in range(n):
@@ -172,7 +172,6 @@ def dense_rank(rows: int, cols: int, entries) -> int:
 
 def test_kernel_matches_dense_reference_on_fill_heavy_matrices():
     rng = random.Random(11)
-    p = 2**31 - 1
     for _ in range(40):
         rows, cols = rng.randrange(1, 31), rng.randrange(1, 31)
         density = rng.uniform(0.5, 1.0)
@@ -192,258 +191,40 @@ def test_kernel_matches_dense_reference_on_fill_heavy_matrices():
         rank = dense_rank(rows, cols, entries)
         columns = int_columns(cols, entries)
         assert homology._eliminate(columns) == rank
-        assert homology._eliminate(SparseRationalMatrix(rows, tuple(columns)).transpose().columns) == rank
-        assert homology._eliminate(columns, p) == rank
-        assert homology.exact_rank_int(columns, rows, rng=random.Random(rows)) == rank
+        assert homology._eliminate(SparseIntMatrix(rows, tuple(columns)).transpose().columns) == rank
+        assert homology.exact_rank_int(columns, rows) == rank
 
 
-def test_kernel_mod_p_drops_on_multiples_of_p():
-    rng = random.Random(13)
-    p = 2**31 - 1
-    for _ in range(20):
-        rows, cols = rng.randrange(2, 25), rng.randrange(2, 25)
-        # fewer columns survive mod p than the rank over Q of a random matrix
-        kept = set(rng.sample(range(cols), rng.randrange(0, min(rows, cols))))
-        entries = {}
-        for r in range(rows):
-            for c in range(cols):
-                v = rng.randrange(-5, 6)
-                if v:
-                    entries[(r, c)] = v if c in kept else p * v
-        columns = int_columns(cols, entries)
-        small = {(r, c): v for (r, c), v in entries.items() if c in kept}
-        rank, rank_mod_p = dense_rank(rows, cols, entries), dense_rank(rows, cols, small)
-        assert rank_mod_p < rank
-        assert homology._eliminate(columns) == rank
-        assert homology._eliminate(columns, p) == rank_mod_p
+P1, P2 = 2**31 - 1, 2**30 + 3  # primes
 
 
-P1 = 2**31 - 1
+def _banded(n: int) -> list[dict[int, int]]:
+    """(2, -3) on the diagonal and above it: rank n over Q."""
+    return [{i: 2, i - 1: -3} if i else {0: 2} for i in range(n)]
 
 
-@pytest.mark.parametrize("n", [40, 600])
-def test_modular_disagreement_escalates_to_an_exact_rank(monkeypatch, n):
-    # banded (2, -3) with one column repeated: rank n over Q and at every odd
-    # prime; the extra column p1 * e_n is held by no other vector, so it adds
-    # 1 to the rank over Q and mod p2 but not mod p1
-    columns = [{i: 2, i - 1: -3} if i else {0: 2} for i in range(n)] + [{0: 2}, {n: P1}]
-    real = homology.random_prime_above_2_30
-    draws = []
-
-    def p1_first(rng):
-        draws.append(rng)
-        return P1 if len(draws) == 1 else real(rng)
-
-    monkeypatch.setattr(homology, "random_prime_above_2_30", p1_first)
-    eliminate = homology._eliminate
-    fields, raised = [], []
-
-    def recording(vectors, p=None, pivots=None, in_z=None):
-        fields.append(p)
-        try:
-            return eliminate(vectors, p, pivots, in_z)
-        except homology._NonUnitPivot:
-            raised.append(p)
-            raise
-
-    monkeypatch.setattr(homology, "_eliminate", recording)
-    assert homology.exact_rank_int(columns, n + 1, rng=random.Random(n)) == n + 1
-    assert len(raised) == 1 and raised[0] % P1 == 0 and raised[0] != P1
-    assert fields[0] == raised[0]  # the one modular pass comes first
-    # below the side limit: exact pass, then its rerun on the transpose
-    assert fields.count(None) == (2 if n <= homology.EXACT_SIDE_LIMIT else 1)
-    assert len(fields) == 1 + fields.count(None)
-
-
-LEFT_Z = {
-    # leads 2 clear the band from row 0 down, each the only entry of its vector
-    "banded": ([{i: 2, i - 1: -3} if i else {0: 2} for i in range(40)] + [{0: 2}], 40, 40),
-    # an input entry outside (-p/2, p/2]
+NON_UNIT_INPUTS = {
+    # an entry far above every machine word
     "2**70": ([{0: 2**70, 1: 1}, {0: 1}], 2, 2),
-    # a lead 2 whose vector holds nothing else: the inverse is the only step off Z
+    # a lead 2 whose vector holds nothing else
     "bare lead 2": ([{0: 2}, {0: 3, 1: 1}], 2, 2),
+    # leads 2 clear the band from row 0 down, each the only entry of its vector
+    "banded 40": (_banded(40) + [{0: 2}], 40, 40),
+    # one column repeated, and a column P1 e_n that no other vector holds
+    "banded 40 and a column P1 e_40": (_banded(40) + [{0: 2}, {40: P1}], 41, 41),
+    "banded 600 and a column P1 e_600": (_banded(600) + [{0: 2}, {600: P1}], 601, 601),
+    # a product of two primes is no zero over Z
+    "P1 P2": ([{0: P1 * P2}], 1, 1),
 }
 
 
-@pytest.mark.parametrize("case", sorted(LEFT_Z))
-def test_a_modular_pass_that_left_z_is_checked_by_a_pass_over_z(monkeypatch, case):
-    columns, rows, rank = LEFT_Z[case]
-    p = math.prod(homology._prime_pair(random.Random(5)))
-    flag: list[bool] = []
-    assert homology._eliminate(columns, p, None, flag) == rank and flag == [False]
-    records = record_rank_passes(monkeypatch)
-    assert homology.exact_rank_int(columns, rows) == rank
-    [(_, fields, _, over_z, _)] = records
-    assert fields[0] is not None and fields[1:] == [None] and over_z == rank
-
-
-def test_an_entry_that_vanishes_mod_p_is_not_taken_for_an_exact_zero(monkeypatch):
-    # p1 p2 reduces to 0, so the modular pass sees rank 0; it left Z, so the
-    # pass over Z runs, disagrees, and the transpose settles the rank at 1
-    p = math.prod(homology._prime_pair(random.Random(5)))
-    records = record_rank_passes(monkeypatch)
-    assert homology.exact_rank_int([{0: p}], 1, rng=random.Random(5)) == 1
-    assert records[0][1] == [p, None, None]
-
-
-def test_every_cleared_boundary_rank_is_one_pass_that_stayed_in_z(monkeypatch):
-    # +-1 leads and no value reduced mod p1 p2: the modular pass is an exact
-    # elimination over Z, above the side limit too (K_6 - e has five such maps)
-    records = record_rank_passes(monkeypatch)
-    for c in _clearing_cases():
-        reduced_homology(boundary_complex(c))
-    assert sum(max(shape) > homology.EXACT_SIDE_LIMIT for shape, *_ in records) == 5
-    for shape, fields, rank, over_z, same_pivots in records:
-        assert len(fields) == 1 and fields[0] is not None, shape
-        assert rank == over_z and same_pivots, shape
-
-
-def test_joint_pass_equals_both_single_prime_passes_or_raises():
-    p2 = 2**30 + 3  # prime
-    assert homology._is_probable_prime(p2)
-    rng = random.Random(43)
-    outcomes = {"equal": 0, "raised": 0}
-    for _ in range(150):
-        rows, cols = rng.randrange(1, 12), rng.randrange(1, 12)
-        columns = []
-        for _ in range(cols):
-            col = {r: v for r in range(rows) if rng.random() < 0.5 and (v := rng.randrange(-4, 5))}
-            scale = rng.choice((1, 1, 1, P1, p2))
-            columns.append({r: scale * v for r, v in col.items()})
-        joint: set[int] = set()
-        try:
-            rank = homology._eliminate(columns, P1 * p2, joint)
-        except homology._NonUnitPivot:
-            outcomes["raised"] += 1
-            continue
-        outcomes["equal"] += 1
-        assert rank == len(joint) == homology._eliminate(columns, P1) == homology._eliminate(columns, p2)
-    assert min(outcomes.values()) > 10, outcomes
-
-
-def test_joint_pass_raises_on_a_lone_multiple_of_one_prime():
-    p2 = 2**30 + 3
-    for columns in ([{0: P1}], [{3: -p2}], [{0: 1, 1: 1}, {0: P1}]):
-        with pytest.raises(homology._NonUnitPivot):
-            homology._eliminate(columns, P1 * p2)
-    # a unit lead clears the multiple away: no raise, rank 1 at both primes
-    assert homology._eliminate([{0: 1}, {0: P1}], P1 * p2) == 1
-
-
-def _rank_mod_prime(columns, rows: int, q: int) -> int:
-    """Textbook Gaussian elimination of the dense matrix over F_q."""
-    dense = [[col.get(r, 0) % q for col in columns] for r in range(rows)]
-    rank = 0
-    for c in range(len(columns)):
-        piv = next((r for r in range(rank, rows) if dense[r][c]), None)
-        if piv is None:
-            continue
-        dense[rank], dense[piv] = dense[piv], dense[rank]
-        inv = pow(dense[rank][c], -1, q)
-        for r in range(rank + 1, rows):
-            if dense[r][c]:
-                f = dense[r][c] * inv % q
-                dense[r] = [(x - f * y) % q for x, y in zip(dense[r], dense[rank])]
-        rank += 1
-    return rank
-
-
-def test_balanced_residues_give_the_textbook_rank_mod_each_prime():
-    p2 = 2**30 + 3
-    p = P1 * p2
-    half = p // 2  # -1/2 mod p
-    rng = random.Random(71)
-    outcomes = {"equal": 0, "raised": 0}
-    lower = 0
-    for _ in range(120):
-        rows, cols, inner = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(1, 5)
-        # a product of rank at most ``inner`` mod p, each entry written as its
-        # residue in [0, p) or that minus p: entries near +-p/2 and +-p/4,
-        # and +-1 written as 1 - p and p - 1, so the rank over Q is larger
-        a = [[rng.choice((0, 1, -1, half, -half)) for _ in range(inner)] for _ in range(rows)]
-        b = [[rng.choice((0, 1, -1, half, -half)) for _ in range(cols)] for _ in range(inner)]
-        entries = {}
-        for r in range(rows):
-            for c in range(cols):
-                if v := sum(a[r][t] * b[t][c] for t in range(inner)) % p:
-                    entries[(r, c)] = rng.choice((v, v - p))
-        columns = int_columns(cols, entries)
-        pivots: set[int] = set()
-        try:
-            rank = homology._eliminate(columns, p, pivots)
-        except homology._NonUnitPivot:
-            outcomes["raised"] += 1
-            continue
-        outcomes["equal"] += 1
-        assert rank == len(pivots) == _rank_mod_prime(columns, rows, P1) == _rank_mod_prime(columns, rows, p2)
-        # the pivot rows are independent modulo each prime
-        chosen = [{r: v for r, v in col.items() if r in pivots} for col in columns]
-        assert _rank_mod_prime(chosen, rows, P1) == _rank_mod_prime(chosen, rows, p2) == rank
-        lower += rank < dense_rank(rows, cols, entries)
-    assert outcomes["equal"] > 100 and lower > 30, (outcomes, lower)
-    # a lead of -P1 is balanced as itself and still not a unit, whether it is
-    # given or arises in the pass from 1 - P1 - 1
-    for columns in ([{0: -P1}], [{0: 1, 1: 1}, {0: 1, 1: 1 - P1}]):
-        with pytest.raises(homology._NonUnitPivot):
-            homology._eliminate(columns, p)
-
-
-def test_default_primes_are_drawn_once_per_shape(monkeypatch):
-    homology._default_prime_pair.cache_clear()
-    draws = []
-    real = homology.random_prime_above_2_30
-
-    def counting(rng):
-        draws.append(rng)
-        return real(rng)
-
-    monkeypatch.setattr(homology, "random_prime_above_2_30", counting)
-    columns = [{0: 1, 1: 2}, {1: 3}]
-    for _ in range(3):
-        assert homology.exact_rank_int(columns, 2) == 2
-    assert len(draws) == 2
-    homology.exact_rank_int(columns, 3)  # another shape draws afresh
-    assert len(draws) == 4
-    # the pair is the one an rng seeded as documented draws
-    seed = 0x5EED ^ (1_000_003 * 2 + 7_919 * 2)
-    assert homology._default_prime_pair(seed) == homology._prime_pair(random.Random(seed))
-    # an explicit rng is drawn from on every call
-    homology.exact_rank_int(columns, 2, rng=random.Random(1))
-    assert len(draws) == 8
-    homology._default_prime_pair.cache_clear()
-
-
-def _strong_probable_prime(n: int, a: int) -> bool:
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    x = pow(a, d, n)
-    if x in (1, n - 1):
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def test_four_base_primality_agrees_with_twelve_bases_below_2_31():
-    def twelve_base(n):
-        if any(n % a == 0 for a in TWELVE_BASES):
-            return n in TWELVE_BASES
-        return all(_strong_probable_prime(n, a) for a in TWELVE_BASES)
-
-    rng = random.Random(1993)
-    for _ in range(200_000):
-        n = rng.randrange(2**30 + 1, 2**31, 2)
-        assert homology._is_probable_prime(n) == twelve_base(n), n
-    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; and 2, 3, 5, 7
-    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751):
-        assert not homology._is_probable_prime(n), n
-    assert all(_strong_probable_prime(3_215_031_751, a) for a in (2, 3, 5, 7))
+@pytest.mark.parametrize("case", sorted(NON_UNIT_INPUTS))
+def test_rank_of_large_and_non_unit_entries_matches_a_dense_reference(case):
+    columns, rows, rank = NON_UNIT_INPUTS[case]
+    entries = {(r, c): v for c, col in enumerate(columns) for r, v in col.items()}
+    assert dense_rank(rows, len(columns), entries) == rank
+    pivots: dict[int, int] = {}
+    assert homology.exact_rank_int(columns, rows, pivots) == len(pivots) == rank
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +254,13 @@ def test_k4_cographic_boundary_shapes():
     assert shapes == [(1, 6), (6, 15), (15, 16)]
 
 
-def _with_column(cc: RationalChainComplex, d: int, j: int, col: dict) -> RationalChainComplex:
+def _with_column(cc: IntChainComplex, d: int, j: int, col: dict) -> IntChainComplex:
     m = cc.boundaries[d]
-    mat = SparseRationalMatrix(m.rows, m.columns[:j] + (col,) + m.columns[j + 1 :])
-    return RationalChainComplex(cc.complex, cc.boundaries[:d] + (mat,) + cc.boundaries[d + 1 :])
+    mat = SparseIntMatrix(m.rows, m.columns[:j] + (col,) + m.columns[j + 1 :])
+    return IntChainComplex(cc.complex, cc.boundaries[:d] + (mat,) + cc.boundaries[d + 1 :])
 
 
-def _entry_mutations(cc: RationalChainComplex, mutate):
+def _entry_mutations(cc: IntChainComplex, mutate):
     """The complex with one boundary column replaced by ``mutate(col, r, rows)``,
     for each entry r of each column, and the degree of the changed map;
     ``mutate`` returns None to skip an entry."""
@@ -491,7 +272,7 @@ def _entry_mutations(cc: RationalChainComplex, mutate):
                     yield d, _with_column(cc, d, j, new)
 
 
-def _flipped_entries(cc: RationalChainComplex):
+def _flipped_entries(cc: IntChainComplex):
     return _entry_mutations(cc, lambda col, r, rows: {**col, r: -col[r]})
 
 
@@ -526,7 +307,7 @@ def test_square_zero_check_samples_from_the_rng_as_before():
     assert rng.random() == expected.random()
 
 
-def _accumulated_square_is_zero(cc: RationalChainComplex) -> bool:
+def _accumulated_square_is_zero(cc: IntChainComplex) -> bool:
     """Reference: every column of every ∂_(d-1) ∂_d accumulated entry by entry."""
     for d in range(1, cc.top_dim + 1):
         lower = cc.boundaries[d - 1].columns
@@ -540,7 +321,7 @@ def _accumulated_square_is_zero(cc: RationalChainComplex) -> bool:
     return True
 
 
-def _caught_as_the_reference_says(cc: RationalChainComplex) -> bool:
+def _caught_as_the_reference_says(cc: IntChainComplex) -> bool:
     """Run the check, which must raise exactly when the reference finds a
     non-zero column; return whether it raised."""
     if _accumulated_square_is_zero(cc):
@@ -577,9 +358,9 @@ def test_square_zero_check_separates_a_row_hit_by_every_entry_of_a_column(n):
     # all n entries of the column land on row 0 with sign +1 and one of them
     # also puts -1 on row 1: the product column is (n, -1), whose value at
     # 2**b is n - 2**b, zero for a lane with 2**b = n
-    lower = SparseRationalMatrix(2, ({0: 1, 1: -1},) + tuple({0: 1} for _ in range(n - 1)))
-    upper = SparseRationalMatrix(n, ({k: 1 for k in range(n)},))
-    assert _caught_as_the_reference_says(RationalChainComplex(FaceComplex((), ()), (lower, upper)))
+    lower = SparseIntMatrix(2, ({0: 1, 1: -1},) + tuple({0: 1} for _ in range(n - 1)))
+    upper = SparseIntMatrix(n, ({k: 1 for k in range(n)},))
+    assert _caught_as_the_reference_says(IntChainComplex(FaceComplex((), ()), (lower, upper)))
 
 
 @pytest.mark.parametrize("value", [2, Fraction(1, 2)])
@@ -662,7 +443,7 @@ def test_sphere_from_parallel_edges():
         assert profile.betti == {m - 2: 1}
 
 
-def _betti_from_uncleared_ranks(cc: RationalChainComplex) -> dict[int, int]:
+def _betti_from_uncleared_ranks(cc: IntChainComplex) -> dict[int, int]:
     ranks = [exact_rank(m) for m in cc.boundaries]
     betti = {-1: 1 - (ranks[0] if ranks else 0)}
     for d in range(cc.top_dim + 1):
@@ -687,35 +468,40 @@ def test_cleared_betti_numbers_equal_those_of_the_uncleared_ranks():
         assert dict(reduced_homology(cc).betti) == _betti_from_uncleared_ranks(cc), c.f_vector()
 
 
-def test_clearing_with_pivots_from_a_prime_that_loses_rank(monkeypatch):
+def test_every_cleared_boundary_rank_clears_with_unit_leads(monkeypatch):
+    # every lead of every elimination is +-1, so no vector is ever scaled,
+    # above 500 rows or columns too (K_6 - e has five such maps)
+    records = record_rank_leads(monkeypatch)
+    for c in _clearing_cases():
+        reduced_homology(boundary_complex(c))
+    assert len(records) == 191
+    assert sum(max(shape) > 500 for shape, *_ in records) == 5
+    for shape, rank, leads in records:
+        assert len(leads) == rank and set(leads) <= {1, -1}, shape
+
+
+def test_clearing_with_pivots_whose_leads_are_not_units():
     # every other column of K_5's top boundary times p: the same ranks over Q
-    # and d o d = 0, but mod p those columns vanish and the pivots are fewer
+    # and d o d = 0, and the elimination takes leads +-p, which still index a
+    # block with a non-zero integer determinant
     p = 2**31 - 1
     cc = boundary_complex(cographic_complex(complete_graph(5)))
     top, below = cc.boundaries[-1], cc.boundaries[-2]
-    scaled = SparseRationalMatrix(
+    scaled = SparseIntMatrix(
         top.rows, tuple({r: p * v for r, v in col.items()} if j % 2 else col for j, col in enumerate(top.columns))
     )
     assert below.matmul(scaled).is_zero()
-    pivots: set[int] = set()
-    assert homology._eliminate(scaled.columns, p, pivots) == len(pivots) < exact_rank(scaled) == exact_rank(top)
-    kept = SparseRationalMatrix(below.rows, tuple(c for j, c in enumerate(below.columns) if j not in pivots))
+    pivots: dict[int, int] = {}
+    assert exact_rank(scaled, pivots) == len(pivots) == exact_rank(top)
+    assert {p, -p} <= set(pivots.values())
+    kept = SparseIntMatrix(below.rows, tuple(c for j, c in enumerate(below.columns) if j not in pivots))
     assert exact_rank(kept) == exact_rank(below)
 
-    # the same through reduced_homology, with p as every first prime drawn
+    # the same through reduced_homology
     expected = _betti_from_uncleared_ranks(cc)
     assert expected == {5: 24}
-    draws = []
-    real = homology.random_prime_above_2_30
-
-    def p_first(rng):
-        draws.append(rng)
-        return p if len(draws) % 2 else real(rng)
-
-    monkeypatch.setattr(homology, "random_prime_above_2_30", p_first)
-    scaled_cc = RationalChainComplex(cc.complex, cc.boundaries[:-1] + (scaled,))
-    assert dict(reduced_homology(scaled_cc, rng=random.Random(3)).betti) == expected
-    assert len(draws) == 2 * len(cc.boundaries)
+    scaled_cc = IntChainComplex(cc.complex, cc.boundaries[:-1] + (scaled,))
+    assert dict(reduced_homology(scaled_cc).betti) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +512,7 @@ def test_clearing_with_pivots_from_a_prime_that_loses_rank(monkeypatch):
 def test_identity_permutation_gives_identity_matrix():
     c = cographic_complex(complete_graph(3))
     mat = TopHomologyAction(c).matrix((0, 1, 2))
-    assert mat == SparseRationalMatrix.identity(2)
+    assert mat == SparseIntMatrix.identity(2)
 
 
 def test_swap_of_s0_points_acts_by_minus_one():
@@ -745,7 +531,7 @@ def test_three_cycle_on_k3_top_homology():
     assert action.trace((2, 0, 1)) == -1
     squared = mat.matmul(mat)
     cubed = squared.matmul(mat)
-    assert cubed == SparseRationalMatrix.identity(2)
+    assert cubed == SparseIntMatrix.identity(2)
 
 
 def test_induced_maps_compose_as_a_representation():
@@ -760,7 +546,7 @@ def test_induced_maps_compose_as_a_representation():
     p2 = cell_permutation((0, 2, 3, 1), g)
     composed = tuple(p1[p2[i]] for i in range(len(p2)))
     assert action.matrix(p1).matmul(action.matrix(p2)) == action.matrix(composed)
-    assert action.matrix(tuple(range(len(labels)))) == SparseRationalMatrix.identity(6)
+    assert action.matrix(tuple(range(len(labels)))) == SparseIntMatrix.identity(6)
 
 
 def test_non_automorphism_is_rejected():
@@ -1008,7 +794,7 @@ def _reference_matrix(action, perm):
             mapped = [perm[i] for i in faces[j]]
             img[index[tuple(sorted(mapped))]] = _sort_sign(mapped) * coeff
         columns.append(coords_in_rref(img, action.basis, action._pivots))
-    return SparseRationalMatrix(len(action.basis), tuple(columns))
+    return SparseIntMatrix(len(action.basis), tuple(columns))
 
 
 def test_action_matrix_equals_per_entry_reference_on_k5():
@@ -1094,13 +880,13 @@ def test_lower_facet_sent_outside_is_rejected():
     assert not _every_face_maps_into(c, swap)
     with pytest.raises(HomologyError):
         action.matrix(swap)
-    assert action.matrix((0, 1, 2, 3, 5, 4)) == SparseRationalMatrix.identity(action.rank)
+    assert action.matrix((0, 1, 2, 3, 5, 4)) == SparseIntMatrix.identity(action.rank)
 
 
 def test_action_without_faces_is_the_identity():
     path = cographic_complex(Multigraph(3, ((0, 1, 0), (1, 2, 1))))  # every edge a bridge
     action = TopHomologyAction(path)
     assert action.top == -1
-    assert action.matrix((1, 0)) == SparseRationalMatrix.identity(1)
+    assert action.matrix((1, 0)) == SparseIntMatrix.identity(1)
     with pytest.raises(HomologyError):
         action.matrix((0, 0))

@@ -22,7 +22,6 @@ from hitchin_supports.numerology import (
     local_system_rank,
     normalized_h1_dim,
     perversity_range,
-    stalk_dimension,
     support_report,
 )
 from hitchin_supports.selftest import random_connected_multigraph
@@ -150,24 +149,17 @@ def test_cographic_top_betti_of_multi_part_dual_graphs(genus, parts):
     assert cographic_top_betti(graph) == math.factorial(len(parts) - 1)
 
 
-def test_stalk_dimension_examples():
+def test_local_system_rank_examples():
+    # delta = 1 on (1,1) and 4 on (1,1,1): the stalk at perversity r is
+    # local_system_rank(p, r - delta)
     p = HitchinPartition(2, (1, 1))
-    assert stalk_dimension(p, 1) == 1
-    assert stalk_dimension(p, 9) == 1  # top of the range
-    assert stalk_dimension(p, 5) == 70  # C(8, 4)
+    assert local_system_rank(p, 0) == 1
+    assert local_system_rank(p, 8) == 1  # top of the range
+    assert local_system_rank(p, 4) == 70  # C(8, 4)
     p3 = HitchinPartition(2, (1, 1, 1))
-    assert stalk_dimension(p3, 4) == 2
+    assert local_system_rank(p3, 0) == 2
     with pytest.raises(GraphError):
-        stalk_dimension(p, 0)
-
-
-def test_stalk_matches_rank_formula_across_range():
-    for parts in ((1, 1), (1, 1, 1)):
-        p = HitchinPartition(2, parts)
-        delta = delta_aff_formula(p)
-        lo, hi = perversity_range(p)
-        for r in range(lo, hi + 1):
-            assert stalk_dimension(p, r) == local_system_rank(p, r - delta)
+        local_system_rank(p, -1)
 
 
 # ---------------------------------------------------------------------------
