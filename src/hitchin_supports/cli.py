@@ -111,7 +111,7 @@ def _write(args: argparse.Namespace, title: str, doc: dict) -> None:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rep = support_report(HitchinPartition(args.genus, args.partition), verify_level=args.verify)
+    rep = support_report(HitchinPartition(args.genus, args.partition))
     doc = rep.to_json_dict()
     if rep.delta_aff == 0:
         doc["note"] = "codimension-zero stratum: the full base, no new support content"
@@ -288,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("report", help="stratum numerology report")
     rp.add_argument("--genus", type=int, required=True)
     rp.add_argument("--partition", type=_partition, required=True, help="comma separated parts, e.g. 1,1")
-    rp.add_argument("--verify", choices=("none", "formula", "homology"), default="formula")
     common(rp)
 
     cp = sub.add_parser("complex", help="f-vector and Betti table of a complex")

@@ -213,7 +213,7 @@ def test_criterion_11_constant_monodromy_flag():
     count = 0
     for n in range(1, 7):
         for parts in all_partitions(n):
-            rep = support_report(HitchinPartition(2, parts), verify_level="none")
+            rep = support_report(HitchinPartition(2, parts))
             assert rep.constant_monodromy == (len(set(parts)) == len(parts)), parts
             count += 1
     print(f"criterion 11 PASS: constant-monodromy flag exact on {count} partitions")
@@ -221,7 +221,7 @@ def test_criterion_11_constant_monodromy_flag():
 
 def test_criterion_12_determinism(capsys):
     invocations = (
-        ["report", "--genus", "2", "--partition", "1,1", "--verify", "homology"],
+        ["report", "--genus", "2", "--partition", "1,1"],
         ["complex", "--r", "4", "--kind", "nonspanning"],
         ["cks", "--genus", "2", "--partition", "1,1", "--exterior", "2"],
         ["report", "--genus", "3", "--partition", "2,1", "--format", "md"],

@@ -44,7 +44,7 @@ def test_report_trivial_partition_notes_full_base(capsys):
 def test_report_homology_verification(capsys):
     code, out, _ = run_cli(
         capsys,
-        "report", "--genus", "2", "--partition", "1,1,1", "--verify", "homology",
+        "report", "--genus", "2", "--partition", "1,1,1",
     )
     assert code == 0
     doc = json.loads(out)
@@ -52,11 +52,10 @@ def test_report_homology_verification(capsys):
     assert doc["top_rank"] == 2
 
 
-@pytest.mark.parametrize("k", range(1, 13))
-def test_report_checks_the_rank_factor_up_to_twelve_parts(capsys, k):
+@pytest.mark.parametrize("k", range(1, 21))
+def test_report_checks_the_rank_factor_up_to_twenty_parts(capsys, k):
     code, out, err = run_cli(
-        capsys,
-        "report", "--genus", "2", "--partition", ",".join("1" * k), "--verify", "homology",
+        capsys, "report", "--genus", "2", "--partition", ",".join("1" * k),
     )
     assert (code, err) == (0, "")
     doc = json.loads(out)
@@ -65,16 +64,15 @@ def test_report_checks_the_rank_factor_up_to_twelve_parts(capsys, k):
     assert "warning" not in doc
 
 
-def test_report_skips_the_check_above_twelve_parts_with_a_warning(capsys):
+def test_report_skips_the_check_above_twenty_parts_with_a_warning(capsys):
     code, out, _ = run_cli(
-        capsys,
-        "report", "--genus", "2", "--partition", ",".join("1" * 13), "--verify", "homology",
+        capsys, "report", "--genus", "2", "--partition", ",".join("1" * 21),
     )
     assert code == 0
     doc = json.loads(out)
     assert doc["homology_checked"] is False
-    assert doc["top_rank"] == math.factorial(12)
-    assert doc["warning"] == "homology verification skipped: dual graph has 13 vertices (limit 12)"
+    assert doc["top_rank"] == math.factorial(20)
+    assert doc["warning"] == "homology verification skipped: dual graph has 21 vertices (limit 20)"
 
 
 def test_report_usage_error(capsys):
@@ -351,9 +349,12 @@ PARSE_ERRORS = [
     (("complex", "--r", "3", "--face-limit", "-1"), "--face-limit"),
     (("cks", "--genus", "2", "--partition", "1,1,1", "--exterior", "4", "--wedge-limit", "-5"), "--wedge-limit"),
     # not a flag of report: refused as an unrecognized argument
-    (("report", "--genus", "2", "--partition", "1,1", "--verify", "homology", "--homology-threshold", "-1"), "--homology-threshold"),
+    (("report", "--genus", "2", "--partition", "1,1", "--homology-threshold", "-1"), "--homology-threshold"),
     # no number depended on the bundle degree, so report no longer takes one
     (("report", "--genus", "2", "--partition", "1,1", "--degree", "3"), "--degree"),
+    # report checks its rank factor on every run, so it has no verify levels
+    (("report", "--genus", "2", "--partition", "1,1", "--verify", "homology"), "--verify"),
+    (("report", "--genus", "2", "--partition", "1,1", "--verify", "none"), "--verify"),
 ]
 BAD_INPUTS += [argv for argv, _ in PARSE_ERRORS]
 
@@ -426,7 +427,7 @@ GOLDEN = (
     ("cks --genus 2 --partition 1,1,1,1 --exterior 4", "f3c42d0ea8fdb8ac3e093668a1afd41398f66a73f4ec3fb9e14d20fcaa1a7401"),
     ("cks --genus 3 --partition 1,1 --exterior 4", "42497a63cd2266c0e9b8a283a4c2ed0f1eaa1dd30a57e63b8edd0af9fd6d6836"),
     ("cks --genus 2 --partition 2,1 --exterior 3", "e459a1c4df46a166d46db959bb2ae57d39a68436dbd0d6bacf784c157e3607fc"),
-    ("report --genus 2 --partition 1,1,1,1,1 --verify homology", "7c619d2582fe588812298fc5b8cf58146ac921287c9809469e73cb0bd76596fb"),
+    ("report --genus 2 --partition 1,1,1,1,1", "9dd8c9b111619ced81f6853f3a867bf4edcb602d79fbc3b9200bdf2a282a39fc"),
 )
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hitchin_supports import complexes
+from hitchin_supports import complexes, numerology
 from hitchin_supports.complexes import cographic_complex
 from hitchin_supports.homology import boundary_complex, reduced_homology
 from hitchin_supports.multigraph import (
@@ -15,6 +15,7 @@ from hitchin_supports.multigraph import (
     double_edges,
 )
 from hitchin_supports.numerology import (
+    VerificationError,
     cographic_top_betti,
     delta_aff_formula,
     dim_base,
@@ -192,13 +193,13 @@ def test_report_trivial_partition():
 
 
 def test_report_homology_verification():
-    rep = support_report(HitchinPartition(2, (1, 1, 1)), verify_level="homology")
+    rep = support_report(HitchinPartition(2, (1, 1, 1)))
     assert rep.homology_checked is True
     assert rep.top_rank == 2
     assert rep.warning is None
 
 
-@pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1), (1,) * 12])
+@pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1), (1,) * 20])
 def test_report_builds_no_complex(monkeypatch, parts):
     def refuse(*args, **kwargs):
         raise AssertionError("support_report built a complex")
@@ -206,22 +207,37 @@ def test_report_builds_no_complex(monkeypatch, parts):
     # _depth_first enumerates the faces of every graph complex, however imported
     monkeypatch.setattr(complexes, "cographic_complex", refuse)
     monkeypatch.setattr(complexes, "_depth_first", refuse)
-    rep = support_report(HitchinPartition(2, parts), verify_level="homology")
+    rep = support_report(HitchinPartition(2, parts))
     assert rep.homology_checked and rep.warning is None
 
 
 def test_report_degrades_above_the_vertex_limit_with_warning():
-    rep = support_report(HitchinPartition(2, (1,) * 13), verify_level="homology")
+    rep = support_report(HitchinPartition(2, (1,) * 21))
     assert rep.homology_checked is False
-    assert rep.top_rank == math.factorial(12)
-    assert rep.warning == "homology verification skipped: dual graph has 13 vertices (limit 12)"
+    assert rep.top_rank == math.factorial(20)
+    assert rep.warning == "homology verification skipped: dual graph has 21 vertices (limit 20)"
+
+
+def test_report_refuses_a_rank_factor_that_disagrees_with_tutte(monkeypatch):
+    calls = []
+
+    def off_by_one(graph):
+        calls.append(graph.vertex_count)
+        return math.factorial(graph.vertex_count - 1) + 1
+
+    monkeypatch.setattr(numerology, "cographic_top_betti", off_by_one)
+    with pytest.raises(VerificationError, match="disagrees with"):
+        support_report(HitchinPartition(2, (2, 1, 1)))
+    # above the limit nothing is computed, so nothing is compared
+    rep = support_report(HitchinPartition(2, (1,) * 21))
+    assert (calls, rep.homology_checked) == ([3], False)
 
 
 def test_report_constant_monodromy_flag_over_small_partitions():
     for n in range(1, 7):
         for parts in _partitions(n):
             p = HitchinPartition(2, parts)
-            rep = support_report(p, verify_level="none")
+            rep = support_report(p)
             assert rep.constant_monodromy == (len(set(parts)) == len(parts))
 
 
@@ -238,7 +254,15 @@ def _partitions(n):
 
 
 def test_report_json_has_stable_fields():
+    fields = {
+        "genus", "partition", "n", "k", "dim_base", "dim_total", "delta_aff",
+        "codim_stratum", "perversity_range", "normalized_h1", "top_rank",
+        "local_system_ranks", "monodromy_group_order", "constant_monodromy",
+        "homology_checked",
+    }
     doc = support_report(HitchinPartition(2, (1, 1))).to_json_dict()
+    assert set(doc) == fields
     assert doc["partition"] == [1, 1]
     assert doc["local_system_ranks"]["1"] == 1
-    assert "warning" not in doc
+    assert set(support_report(HitchinPartition(2, (1,) * 20)).to_json_dict()) == fields
+    assert set(support_report(HitchinPartition(2, (1,) * 21)).to_json_dict()) == fields | {"warning"}
