@@ -100,10 +100,6 @@ class GradedH1Model:
     component_genera: tuple[int, ...]
     cycles: CycleSpaceBasis
     edge_vectors: Mapping[int, tuple[int, ...]]
-    # picard_lefschetz per edge label, built on first use
-    _nilpotent: dict[int, SparseIntMatrix] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def delta(self) -> int:
@@ -169,13 +165,7 @@ def _model_from_graph(graph: Multigraph, genera: tuple[int, ...], partition) -> 
 
 
 def picard_lefschetz(model: GradedH1Model, label: int) -> SparseIntMatrix:
-    """The monodromy logarithm of one node as an integer matrix on the model.
-
-    The matrix is cached on the model, so callers must not mutate its columns.
-    """
-    cached = model._nilpotent.get(label)
-    if cached is not None:
-        return cached
+    """The monodromy logarithm of one node as an integer matrix on the model."""
     vec = model.edge_vectors.get(label)
     if vec is None:
         raise GraphError(f"no such edge: {label}")
@@ -183,9 +173,7 @@ def picard_lefschetz(model: GradedH1Model, label: int) -> SparseIntMatrix:
     for b, vb in enumerate(vec):
         if vb:
             columns[model.gr2_offset + b] = {a: va * vb for a, va in enumerate(vec) if va}
-    op = SparseIntMatrix(model.dimension, tuple(columns))
-    model._nilpotent[label] = op
-    return op
+    return SparseIntMatrix(model.dimension, tuple(columns))
 
 
 def nilpotent_family(model: GradedH1Model) -> dict[int, SparseIntMatrix]:

@@ -7,6 +7,7 @@ report as the Tutte evaluation T_G(1, 0) of the dual graph.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -159,6 +160,30 @@ class SupportReport:
         return doc
 
 
+def _check_printable(k: int, width: int) -> None:
+    """Refuse a stratum whose largest stalk rank (k-1)! C(width, width // 2)
+    has more decimal digits than ``sys.get_int_max_str_digits()``, so that no
+    document fails to print after the work.  The digit count is estimated with
+    lgamma, before any binomial is formed, and decided exactly only when the
+    estimate lies within one digit of the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if not limit:
+        return
+    half = width // 2
+    log10 = (
+        math.lgamma(k) + math.lgamma(width + 1) - math.lgamma(half + 1) - math.lgamma(width - half + 1)
+    ) / math.log(10)
+    if abs(log10 - limit) < 1:
+        too_long = math.factorial(k - 1) * math.comb(width, half) >= 10**limit
+    else:
+        too_long = log10 > limit
+    if too_long:
+        raise GraphError(
+            f"stalk ranks reach about {int(log10) + 1} decimal digits, "
+            f"above the {limit}-digit limit of sys.get_int_max_str_digits()"
+        )
+
+
 def support_report(p: HitchinPartition) -> SupportReport:
     """Assemble the full numerology for one stratum, checked two ways.
 
@@ -167,11 +192,13 @@ def support_report(p: HitchinPartition) -> SupportReport:
     the dual graph.  Above ``TUTTE_VERTEX_LIMIT`` vertices the Betti check is
     skipped and the report carries a warning.  The stalk ranks
     (k-1)! C(width, i) follow from that Betti check, so they are not compared
-    again.
+    again; they are built as one row by C(w, i + 1) = C(w, i) (w - i)/(i + 1).
+    A stratum whose largest stalk rank could not be printed is refused first.
     """
     delta = delta_aff_formula(p)
     lo, hi = perversity_range(p)
     width = normalized_h1_dim(p)
+    _check_printable(p.k, width)
     top_rank = math.factorial(p.k - 1)
     graph = build_dual_graph(p)
     if delta_aff(graph) != delta:
@@ -185,6 +212,10 @@ def support_report(p: HitchinPartition) -> SupportReport:
     elif (betti := cographic_top_betti(graph)) != top_rank:
         raise VerificationError(f"top homology rank {betti} disagrees with (k-1)! = {top_rank}")
 
+    ranks, rank = {}, top_rank
+    for i in range(width + 1):
+        ranks[lo + i] = rank
+        rank = rank * (width - i) // (i + 1)
     alphas = p.multiplicities()
     return SupportReport(
         genus=p.genus,
@@ -198,7 +229,7 @@ def support_report(p: HitchinPartition) -> SupportReport:
         perversity_range=(lo, hi),
         normalized_h1=width,
         top_rank=top_rank,
-        local_system_ranks={r: local_system_rank(p, r - delta) for r in range(lo, hi + 1)},
+        local_system_ranks=ranks,
         monodromy_group_order=math.prod(math.factorial(a) for a in alphas.values()),
         constant_monodromy=all(a == 1 for a in alphas.values()),
         homology_checked=warning is None,

@@ -1,8 +1,8 @@
 """Conjugacy classes and integer class functions of symmetric groups, the
 action on the cographic complex of the complete graph and on the order complex
-of the partition lattice, and the brute-force induced character used as an
-independent oracle for the top-homology representation.  Every character value
-here is a trace, so class functions hold ``int`` values only.
+of the partition lattice, and Lie_r by Frobenius' formula for the induced
+character, the independent oracle for the top-homology representation.  Every
+character value here is a trace, so class functions hold ``int`` values only.
 """
 
 from __future__ import annotations
@@ -81,18 +81,6 @@ def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """p after q."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
-def inverse(p: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,54 +258,26 @@ def _mobius(n: int) -> int:
 
 
 def induced_character_oracle(r: int) -> ClassFunction:
-    """Character of the representation induced from a primitive character of
-    the cyclic group generated by an r-cycle, by explicit summation over S_r.
+    """Lie_r: the character of S_r induced from a faithful character omega of
+    the cyclic group C_r generated by an r-cycle, by Frobenius' formula.
 
-    The conjugates landing in the cyclic subgroup are counted element by
-    element; the resulting sums of primitive roots of unity collapse to exact
-    integers through the Moebius function.  A class sum that r does not divide
-    raises, and a floating-point evaluation of the same sums double-checks
-    each value to 1e-9.
+    Ind omega(s) = (1/r) * sum of omega(x s x^-1) over the x in S_r with
+    x s x^-1 in C_r.  Only the cycle types (d, ..., d) meet C_r, in its phi(d)
+    elements of order d; each of them is x s x^-1 for |C(s)| = r!/|class| of
+    the x, and omega sends them to the primitive d-th roots of unity, which sum
+    to mu(d).  So the value is mu(d) (r-1)!/|class| on type (d, ..., d) and 0
+    on every other type.  A quotient that is not exact raises.
     """
-    if not 2 <= r <= 6:
-        raise SymgroupError("oracle brute-forces S_r, r must be between 2 and 6")
-    cycle = tuple((i + 1) % r for i in range(r))  # the canonical r-cycle
-    powers: dict[tuple[int, ...], int] = {}
-    current = tuple(range(r))
-    for j in range(r):
-        powers[current] = j
-        current = compose(cycle, current)
-    everyone = list(itertools.permutations(range(r)))
+    if r < 1:
+        raise SymgroupError("r must be at least 1")
     values = {}
     for lam in partitions_of(r):
-        g = canonical_permutation(lam)
-        counts = [0] * r  # hits on each power of the cycle
-        for x in everyone:
-            conj = compose(compose(x, g), inverse(x))
-            j = powers.get(conj)
-            if j is not None:
-                counts[j] += 1
-        # sum of counts[j] * zeta^j is rational: group j by gcd with r
-        total = 0
-        float_total = 0.0
-        for m in range(1, r + 1):
-            if r % m:
-                continue
-            js = [j for j in range(r) if math.gcd(j, r) == m]  # gcd(0, r) = r
-            if not js:
-                continue
-            bucket = {counts[j] for j in js}
-            if len(bucket) != 1:
-                raise SymgroupError("conjugacy counts must be constant on gcd classes")
-            c = counts[js[0]]
-            total += c * _mobius(r // m)
-        value, remainder = divmod(total, r)
+        if len(set(lam)) > 1:
+            values[lam] = 0
+            continue
+        value, remainder = divmod(_mobius(lam[0]) * math.factorial(r - 1), class_size(lam))
         if remainder:
             raise SymgroupError("induced character value is not an integer")
-        for j in range(r):
-            float_total += counts[j] * math.cos(2 * math.pi * j / r)
-        if abs(value - float_total / r) > 1e-9:
-            raise SymgroupError("floating cross-check failed for induced character")
         values[lam] = value
     return ClassFunction(r, values)
 

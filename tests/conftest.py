@@ -5,6 +5,18 @@ from hitchin_supports.multigraph import Multigraph
 from hitchin_supports.symgroup import complete_graph  # noqa: F401  re-exported to the test modules
 
 
+def compose(p, q) -> tuple[int, ...]:
+    """The permutation p after q."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def inverse(p) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
 def parallel_graph(m: int) -> Multigraph:
     """Two vertices joined by m parallel edges."""
     return Multigraph(2, tuple((0, 1, i) for i in range(m)))

@@ -335,6 +335,9 @@ BAD_INPUTS = [
     ("complex", "--r", "3", "--seed", "1"),
     ("character", "--r", "3", "--seed", "1"),
     ("cks", "--genus", "2", "--partition", "1,1", "--exterior", "2", "--seed", "1"),
+    # stalk ranks past the int-to-string digit limit are refused before any binomial
+    ("report", "--genus", "3700", "--partition", "1,1"),
+    ("report", "--genus", "100000", "--partition", "1,1"),
 ]
 
 # rows the parser refuses, each with the flag its message names

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -231,6 +232,32 @@ def test_report_refuses_a_rank_factor_that_disagrees_with_tutte(monkeypatch):
     # above the limit nothing is computed, so nothing is compared
     rep = support_report(HitchinPartition(2, (1,) * 21))
     assert (calls, rep.homology_checked) == ([3], False)
+
+
+@pytest.mark.parametrize("genus, parts", [(250, (1, 1)), (2, (1, 1, 1, 1, 1))])
+def test_report_row_equals_local_system_rank_at_every_perversity(genus, parts):
+    p = HitchinPartition(genus, parts)
+    rep = support_report(p)
+    lo, hi = rep.perversity_range
+    assert list(rep.local_system_ranks) == list(range(lo, hi + 1))
+    assert [rep.local_system_ranks[lo + i] for i in range(hi - lo + 1)] == [
+        local_system_rank(p, i) for i in range(hi - lo + 1)
+    ]
+
+
+def test_report_refuses_stalk_ranks_longer_than_the_digit_limit():
+    # one part: width 2g, so C(14290, 7145) has 4,300 digits and C(14292, 7146) 4,301
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default
+    try:
+        rep = support_report(HitchinPartition(7145, (1,)))
+        assert len(str(max(rep.local_system_ranks.values()))) == 4300
+        with pytest.raises(GraphError, match="4301 decimal digits, above the 4300-digit limit"):
+            support_report(HitchinPartition(7146, (1,)))
+        with pytest.raises(GraphError, match="digit limit"):
+            support_report(HitchinPartition(100000, (1, 1)))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_report_constant_monodromy_flag_over_small_partitions():

@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from conftest import compose, inverse
 
 from hitchin_supports import symgroup
 from hitchin_supports.symgroup import (
@@ -64,7 +66,6 @@ def test_representative_traces_agree_across_class():
 
     from hitchin_supports.complexes import cographic_complex
     from hitchin_supports.homology import TopHomologyAction
-    from hitchin_supports.symgroup import compose, inverse
 
     rng = random.Random(3)
     g = complete_graph(4)
@@ -150,6 +151,49 @@ def test_oracle_r4_identity_value():
     assert chi.values[(1, 1, 1, 1)] == 6
 
 
+def _brute_force_induced(r: int) -> dict:
+    """Frobenius' formula term by term: (1/r) sum of omega(x s x^-1) over every
+    x in S_r with x s x^-1 a power c^j of the r-cycle, omega(c^j) = e^(2 pi i j/r);
+    the value is real, so the cosines are summed in floating point."""
+    cycle = tuple((i + 1) % r for i in range(r))
+    powers, current = {}, tuple(range(r))
+    for j in range(r):
+        powers[current] = j
+        current = compose(cycle, current)
+    everyone = list(itertools.permutations(range(r)))
+    values = {}
+    for lam in partitions_of(r):
+        g = canonical_permutation(lam)
+        hits = [powers.get(compose(compose(x, g), inverse(x))) for x in everyone]
+        total = sum(math.cos(2 * math.pi * j / r) for j in hits if j is not None) / r
+        values[lam] = round(total)
+        assert abs(total - values[lam]) < 1e-9, (r, lam, total)
+    return values
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_oracle_equals_a_brute_force_count_of_conjugates(r):
+    assert induced_character_oracle(r).values == _brute_force_induced(r)
+
+
+@pytest.mark.parametrize("r", range(2, 12))
+def test_oracle_has_degree_r_minus_1_factorial_and_no_trivial_part(r):
+    # Lie_r has dimension (r-1)!, never contains the trivial character, and
+    # contains the sign character only at r = 2, where it is the sign
+    chi = induced_character_oracle(r)
+    trivial = ClassFunction(r, {lam: 1 for lam in partitions_of(r)})
+    sign = ClassFunction(r, {lam: sign_of_type(lam) for lam in partitions_of(r)})
+    assert chi.values[(1,) * r] == math.factorial(r - 1)
+    assert _inner(chi, trivial) == 0
+    assert _inner(chi, sign) == (1 if r == 2 else 0)
+
+
+def test_oracle_refuses_r_below_1():
+    assert induced_character_oracle(1).values == {(1,): 1}
+    with pytest.raises(SymgroupError, match="at least 1"):
+        induced_character_oracle(0)
+
+
 def test_top_character_equals_oracle_r3_r4():
     for r in (3, 4):
         assert top_homology_character(r).values == induced_character_oracle(r).values
@@ -190,7 +234,7 @@ def test_trivial_character_inner_product():
 CLASS_FUNCTIONS = {
     **{f"top_homology_character({r})": partial(top_homology_character, r) for r in range(2, 7)},
     **{f"partition_lattice_character({r})": partial(partition_lattice_character, r) for r in range(3, 7)},
-    **{f"induced_character_oracle({r})": partial(induced_character_oracle, r) for r in range(2, 7)},
+    **{f"induced_character_oracle({r})": partial(induced_character_oracle, r) for r in range(2, 12)},
     "twist_by_sign": lambda: induced_character_oracle(4).twist_by_sign(),
     "restrict_to_young": lambda: restrict_to_young(top_homology_character(4), (2, 2)),
 }
@@ -211,14 +255,10 @@ def test_class_function_refuses_a_value_that_is_not_an_int(value):
 
 
 def test_oracle_refuses_a_class_sum_that_r_does_not_divide(monkeypatch):
-    # every count is a multiple of r (the centraliser of a power of the r-cycle
-    # holds the cycle), so only a Moebius value that is not an integer leaves a
-    # remainder; the remainder check must fire before the float cross-check
-    def unreachable(x):
-        raise AssertionError("the float cross-check ran first")
-
+    # on type (d, ..., d), |class| divides (r-1)!: the class holds a power of
+    # the r-cycle, whose centraliser holds the cycle.  So only a Moebius value
+    # that is not an integer leaves a remainder, first at type (3)
     monkeypatch.setattr(symgroup, "_mobius", lambda n: Fraction(1, 2))
-    monkeypatch.setattr(symgroup.math, "cos", unreachable)
     with pytest.raises(SymgroupError, match="not an integer"):
         induced_character_oracle(3)
 
