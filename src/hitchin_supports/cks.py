@@ -137,31 +137,24 @@ class GradedH1Model:
 
 def build_graded_model(p: HitchinPartition) -> GradedH1Model:
     """Model over the dual graph of the partition; component i carries genus
-    n_i^2 (g - 1) + 1."""
-    graph = build_dual_graph(p)
+    n_i^2 (g - 1) + 1.  The total dimension is checked against the
+    arithmetic genus: 2 (n^2 (g - 1) + 1)."""
     genera = tuple(ni * ni * (p.genus - 1) + 1 for ni in p.parts)
-    return _model_from_graph(graph, genera, partition=p)
+    model = model_from_graph(build_dual_graph(p), genera)
+    if model.dimension != 2 * (p.n**2 * (p.genus - 1) + 1):
+        raise CksError("model dimension disagrees with the genus formula")
+    return model
 
 
 def model_from_graph(graph: Multigraph, component_genera: Sequence[int]) -> GradedH1Model:
     """Model over an explicit connected dual graph with prescribed genera."""
     if len(component_genera) != graph.vertex_count:
         raise CksError("one genus per vertex required")
-    return _model_from_graph(graph, tuple(int(g) for g in component_genera), partition=None)
-
-
-def _model_from_graph(graph: Multigraph, genera: tuple[int, ...], partition) -> GradedH1Model:
     if not graph.is_connected():
         raise GraphError("graph must be connected")
     cycles = cycle_space(graph)
     vectors = {lab: cycles.edge_class(lab) for lab in graph.labels()}
-    model = GradedH1Model(graph, genera, cycles, vectors)
-    if partition is not None:
-        # arithmetic-genus cross-check: total dimension = 2 (n^2 (g-1) + 1)
-        expected = 2 * (partition.n**2 * (partition.genus - 1) + 1)
-        if model.dimension != expected:
-            raise CksError("model dimension disagrees with the genus formula")
-    return model
+    return GradedH1Model(graph, tuple(int(g) for g in component_genera), cycles, vectors)
 
 
 def picard_lefschetz(model: GradedH1Model, label: int) -> SparseIntMatrix:
@@ -189,10 +182,7 @@ class WedgeBasis:
     """Sorted-tuple basis of an exterior power, indexed lexicographically."""
 
     def __init__(self, dimension: int, degree: int):
-        if degree < 0 or degree > dimension:
-            self.tuples: tuple[tuple[int, ...], ...] = ()
-        else:
-            self.tuples = tuple(itertools.combinations(range(dimension), degree))
+        self.tuples = tuple(itertools.combinations(range(dimension), degree))
         self.index = {t: i for i, t in enumerate(self.tuples)}
 
     def __len__(self) -> int:
@@ -202,52 +192,45 @@ class WedgeBasis:
         return tuple(sum(index_weights[x] for x in t) for t in self.tuples)
 
 
-def apply_derivation(
-    wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], vec: Mapping[int, int]
-) -> dict[int, int]:
-    """Derivation extension of a model operator's columns, applied to a wedge vector."""
+def apply_derivation(wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], widx: int) -> dict[int, int]:
+    """The column N(e_w) of one wedge w = ``wedges.tuples[widx]`` under the
+    derivation extension of a model operator's columns: every factor of w in
+    turn replaced by each entry of its column, with the sign that sorts the
+    result.
+
+    The operators have no diagonal (each N_e maps Gr2 into W0), so no two
+    terms share a target and each entry is written once.
+    """
     out: dict[int, int] = {}
-    tuples = wedges.tuples
+    t = wedges.tuples[widx]
     index = wedges.index
-    for widx, coeff in vec.items():
-        t = tuples[widx]
-        for pos, src in enumerate(t):
-            col = cols[src]
-            if not col:
+    for pos, src in enumerate(t):
+        col = cols[src]
+        if not col:
+            continue
+        rest = t[:pos] + t[pos + 1 :]
+        for dst, val in col.items():
+            p = bisect_left(rest, dst)
+            if p < len(rest) and rest[p] == dst:
                 continue
-            rest = t[:pos] + t[pos + 1 :]
-            for dst, val in col.items():
-                p = bisect_left(rest, dst)
-                if p < len(rest) and rest[p] == dst:
-                    continue
-                image = rest[:p] + (dst,) + rest[p:]
-                sign = -1 if (pos + p) % 2 else 1
-                target = index[image]
-                s = out.get(target, 0) + sign * coeff * val
-                if s:
-                    out[target] = s
-                else:
-                    out.pop(target, None)
+            out[index[rest[:p] + (dst,) + rest[p:]]] = -val if (pos + p) % 2 else val
     return out
 
 
 def _derived_image(
     wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], cache: dict[int, dict[int, int]], vec: Mapping[int, int]
 ) -> dict[int, int]:
-    """``apply_derivation(wedges, cols, vec)`` as the coefficient-weighted sum
-    of the single-wedge columns N(e_w) in ``cache``, each built by
-    ``apply_derivation`` the first time a vector holds w.
-
-    A column never repeats a target (the operators have no diagonal), so the
-    sum, taken over ``vec`` then over each column, adds the same terms in the
-    same order as ``apply_derivation`` and gives the same dict, key order
-    included.
+    """The image of a wedge vector under the derivation extension of a model
+    operator, built one wedge at a time: the coefficient-weighted sum of the
+    single-wedge columns N(e_w) in ``cache``, each built by
+    ``apply_derivation`` the first time a vector holds w.  Terms that cancel
+    are dropped.
     """
     out: dict[int, int] = {}
     for widx, coeff in vec.items():
         col = cache.get(widx)
         if col is None:
-            col = cache[widx] = apply_derivation(wedges, cols, {widx: 1})
+            col = cache[widx] = apply_derivation(wedges, cols, widx)
         for target, val in col.items():
             s = out.get(target, 0) + coeff * val
             if s:

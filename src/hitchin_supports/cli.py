@@ -335,7 +335,10 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.anchors is not None and args.format != "md":
+            parser.error("--anchors needs --format md")
         return COMMANDS[args.subcommand](args)
     except (argparse.ArgumentError, GraphError, CksError, SymgroupError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -94,13 +94,6 @@ class SparseIntMatrix:
             out.append({r: v for r, v in acc.items() if v})
         return SparseIntMatrix(self.rows, tuple(out))
 
-    def transpose(self) -> "SparseIntMatrix":
-        out: list[dict[int, int]] = [{} for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for r, v in col.items():
-                out[r][j] = v
-        return SparseIntMatrix(self.cols, tuple(out))
-
 
 # ---------------------------------------------------------------------------
 # integer vector helpers (shared by rank, echelon and chain computations)
@@ -354,22 +347,14 @@ class IntChainComplex:
 
     ``boundaries[d]`` maps dimension-d chains to dimension-(d-1) chains for
     d = 0 .. top; ``boundaries[0]`` is the 1 x f_0 augmentation row onto the
-    empty face.
+    empty face.  So ``boundaries[d].cols`` is the number of d-faces.
     """
 
-    complex: FaceComplex
     boundaries: tuple[SparseIntMatrix, ...]
 
     @property
     def top_dim(self) -> int:
         return len(self.boundaries) - 1
-
-    def chain_dim(self, d: int) -> int:
-        if d == -1:
-            return 1
-        if 0 <= d <= self.top_dim:
-            return len(self.complex.faces_by_dim[d])
-        return 0
 
 
 @dataclass(frozen=True)
@@ -429,7 +414,7 @@ def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> IntCha
             raise HomologyError("complex is not downward closed") from None
         mats.append(SparseIntMatrix(len(prev_index) if d else 1, tuple(columns)))
         prev_index = index
-    cc = IntChainComplex(c, tuple(mats))
+    cc = IntChainComplex(tuple(mats))
     _verify_square_zero(cc, rng)
     return cc
 
@@ -497,7 +482,7 @@ def reduced_homology(cc: IntChainComplex, *, rng: object = None) -> HomologyProf
     if b_minus1:
         betti[-1] = b_minus1
     for d in range(cc.top_dim + 1):
-        b = cc.chain_dim(d) - ranks[d] - ranks[d + 1]
+        b = cc.boundaries[d].cols - ranks[d] - ranks[d + 1]
         if b:
             betti[d] = b
     euler = sum(-b if d % 2 else b for d, b in betti.items())

@@ -215,66 +215,57 @@ def cycle_space(graph: Multigraph) -> CycleSpaceBasis:
 
     Each non-forest edge (chord) defines one cycle vector: +1 on the chord
     under its canonical orientation, +-1 along the forest path closing it up.
+    Each forest component is rooted at its lowest vertex, and every other
+    vertex stores one step up: its depth, its parent, the forest edge to it,
+    and the sign of that edge walked towards the parent (+1 along the stored
+    ``u -> v`` orientation).  A chord ``u -> v`` is closed by the path from
+    ``v`` back to ``u``: the two ends climb, the deeper one first, until they
+    meet, with the steps from ``v``'s end taken at their sign and those from
+    ``u``'s end at the opposite one.  Every edge of the path is stepped over
+    exactly once, so each coefficient is written once and none is zero.
     """
     parent_uf = list(range(graph.vertex_count))
     by_label = {lab: (u, v) for u, v, lab in graph.edges}
     forest: list[int] = []
     chords: list[int] = []
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
     for lab in sorted(by_label):
         u, v = by_label[lab]
         ru, rv = _find(parent_uf, u), _find(parent_uf, v)
         if ru != rv:
             parent_uf[ru] = rv
             forest.append(lab)
+            adjacency[u].append((v, lab))
+            adjacency[v].append((u, lab))
         else:
             chords.append(lab)
 
-    # Root each forest component at its lowest vertex and record parent edges.
-    adjacency: dict[int, list[tuple[int, int]]] = {w: [] for w in range(graph.vertex_count)}
-    for lab in forest:
-        u, v = by_label[lab]
-        adjacency[u].append((v, lab))
-        adjacency[v].append((u, lab))
-    parent_edge: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, label)
-    depth: dict[int, int] = {}
+    up: dict[int, tuple[int, int, int, int]] = {}  # vertex -> (depth, parent, label, sign)
     for root in range(graph.vertex_count):
-        if root in depth:
+        if root in up:
             continue
-        depth[root] = 0
+        up[root] = (0, root, -1, 0)
         stack = [root]
         while stack:
             w = stack.pop()
+            depth = up[w][0] + 1
             for x, lab in adjacency[w]:
-                if x not in depth:
-                    depth[x] = depth[w] + 1
-                    parent_edge[x] = (w, lab)
+                if x not in up:
+                    up[x] = (depth, w, lab, 1 if by_label[lab] == (x, w) else -1)
                     stack.append(x)
-
-    def walk_up(x: int, target_depth: int, sign: int, vec: dict[int, int]) -> int:
-        # Traversing x -> parent adds the edge with +1 when it runs along the
-        # stored u -> v orientation and -1 against it.
-        while depth[x] > target_depth:
-            px, lab = parent_edge[x]
-            u, v = by_label[lab]
-            step = 1 if (x, px) == (u, v) else -1
-            vec[lab] = vec.get(lab, 0) + sign * step
-            x = px
-        return x
 
     cycles = []
     for lab in chords:
         u, v = by_label[lab]
-        vec: dict[int, int] = {lab: 1}
-        if u != v:
-            # Close the chord u -> v by the forest path from v back to u.
-            a, b = v, u
-            da, db = depth[a], depth[b]
-            a = walk_up(a, min(da, db), +1, vec)
-            b = walk_up(b, min(da, db), -1, vec)
-            while a != b:
-                a = walk_up(a, depth[a] - 1, +1, vec)
-                b = walk_up(b, depth[b] - 1, -1, vec)
-        cycles.append({k: c for k, c in vec.items() if c})
+        vec = {lab: 1}
+        while v != u:
+            if up[v][0] >= up[u][0]:
+                _, v, edge, sign = up[v]
+                vec[edge] = sign
+            else:
+                _, u, edge, sign = up[u]
+                vec[edge] = -sign
+        cycles.append(vec)
     return CycleSpaceBasis(frozenset(forest), tuple(chords), tuple(cycles))
 
 

@@ -17,16 +17,24 @@ def inverse(p) -> tuple[int, ...]:
     return tuple(out)
 
 
+def transpose(mat: homology.SparseIntMatrix) -> homology.SparseIntMatrix:
+    """The transpose of a column-stored integer matrix."""
+    out: list[dict[int, int]] = [{} for _ in range(mat.rows)]
+    for j, col in enumerate(mat.columns):
+        for r, v in col.items():
+            out[r][j] = v
+    return homology.SparseIntMatrix(mat.cols, tuple(out))
+
+
 def parallel_graph(m: int) -> Multigraph:
     """Two vertices joined by m parallel edges."""
     return Multigraph(2, tuple((0, 1, i) for i in range(m)))
 
 
-def brute_connected(vertex_count: int, pairs) -> bool:
-    """Reference connectivity by naive closure, independent of the package."""
-    if vertex_count == 0:
-        return True
-    reach = {0}
+def brute_reach(start: int, pairs) -> set:
+    """The vertices joined to ``start`` by the edges ``pairs``, by naive
+    closure, independent of the package."""
+    reach = {start}
     pairs = list(pairs)
     changed = True
     while changed:
@@ -35,7 +43,12 @@ def brute_connected(vertex_count: int, pairs) -> bool:
             if (u in reach) != (v in reach):
                 reach.update((u, v))
                 changed = True
-    return len(reach) == vertex_count
+    return reach
+
+
+def brute_connected(vertex_count: int, pairs) -> bool:
+    """Reference connectivity by naive closure, independent of the package."""
+    return vertex_count == 0 or len(brute_reach(0, pairs)) == vertex_count
 
 
 def brute_face_sets(graph: Multigraph, kind: str) -> set:

@@ -20,12 +20,13 @@ from hitchin_supports.cks import (
     signed_edge_action,
     top_weight_action,
     WedgeBasis,
+    _derived_image,
     _direct_cks,
 )
 from hitchin_supports.complexes import cographic_complex
 from hitchin_supports import homology
 from hitchin_supports.homology import SparseIntMatrix, TopHomologyAction, exact_rank
-from hitchin_supports.multigraph import HitchinPartition, Multigraph
+from hitchin_supports.multigraph import GraphError, HitchinPartition, Multigraph
 from hitchin_supports.numerology import cographic_top_betti
 from hitchin_supports.selftest import random_connected_multigraph
 from hitchin_supports.symgroup import SymgroupError, cell_permutation
@@ -121,9 +122,8 @@ def test_derivations_commute_on_wedge_two():
     cols_a = picard_lefschetz(m, 0).columns
     cols_b = picard_lefschetz(m, 3).columns
     for widx in range(0, len(wedges), 17):
-        v = {widx: 1}
-        ab = apply_derivation(wedges, cols_a, apply_derivation(wedges, cols_b, v))
-        ba = apply_derivation(wedges, cols_b, apply_derivation(wedges, cols_a, v))
+        ab = _derived_image(wedges, cols_a, {}, apply_derivation(wedges, cols_b, widx))
+        ba = _derived_image(wedges, cols_b, {}, apply_derivation(wedges, cols_a, widx))
         assert ab == ba
 
 
@@ -508,17 +508,15 @@ def test_each_derivation_column_is_built_once_per_exterior_power(monkeypatch):
     calls = []
     derive = cks_module.apply_derivation
 
-    def counting(wedges, cols, vec):
-        calls.append((wedges, cols, vec))
-        return derive(wedges, cols, vec)
+    def counting(wedges, cols, widx):
+        calls.append((wedges, cols, widx))
+        return derive(wedges, cols, widx)
 
     monkeypatch.setattr(cks_module, "apply_derivation", counting)
     model = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     inst = build_cks(model, 4)
-    # every call derives one wedge, and no (exterior power, operator, wedge)
-    # column is built twice: the pieces of one exterior power share them
-    assert all(len(vec) == 1 and set(vec.values()) == {1} for _, _, vec in calls)
-    pairs = {(id(wedges), id(cols), widx) for wedges, cols, vec in calls for widx in vec}
+    # no (exterior power, operator, wedge) column is built twice: the pieces of one exterior power share them
+    pairs = {(id(wedges), id(cols), widx) for wedges, cols, widx in calls}
     assert len(pairs) == len(calls)
     labels = len(model.labels())
     # one call per basis vector and operator after its subset, every degree
@@ -740,3 +738,20 @@ def test_top_weight_action_is_built_once_per_model(monkeypatch):
     build_cks(m, 2)
     assert assembled
     assert all(args[0] == nilpotent_family(m.reduced) for args in assembled)
+
+
+def test_unknown_labels_and_bad_models_are_refused():
+    m = build_graded_model(HitchinPartition(2, (1, 1)))
+    with pytest.raises(GraphError, match="no such edge: 99"):
+        picard_lefschetz(m, 99)
+    with pytest.raises(GraphError, match="no such edge: 99"):
+        image_NI(m, (0, 99), 1)
+    with pytest.raises(CksError, match="one genus per vertex required"):
+        model_from_graph(parallel_graph(2), (1,))
+    with pytest.raises(GraphError, match="graph must be connected"):
+        model_from_graph(Multigraph(3, ((0, 1, 0),)), (1, 1, 1))
+    # a tree has delta = 0, so there is no top-weight action to take
+    with pytest.raises(CksError, match="the action needs delta >= 1"):
+        top_weight_action(path_model(), (2, 1, 0))
+    with pytest.raises(SymgroupError, match="not a vertex permutation"):
+        signed_edge_action((0, 0), m.graph)

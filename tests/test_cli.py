@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hitchin_supports import cli, selftest
+from hitchin_supports import cli, numerology, selftest
 from hitchin_supports.cli import main
 from hitchin_supports.selftest import SelftestConfig, run_selftest
 
@@ -360,6 +360,9 @@ PARSE_ERRORS = [
     (("report", "--genus", "2", "--partition", "1,1", "--verify", "none"), "--verify"),
 ]
 BAD_INPUTS += [argv for argv, _ in PARSE_ERRORS]
+# the notes of --anchors only go into the markdown table, so a readable
+# anchors file is refused with json or csv
+BAD_INPUTS += [("anchors", '{"delta_aff": "note"}', "json"), ("anchors", '{"delta_aff": "note"}', "csv")]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS)
@@ -367,7 +370,8 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     if argv[0] == "anchors":
         anchors = tmp_path / "anchors.json"
         anchors.write_text(argv[1])
-        argv = ("report", "--genus", "2", "--partition", "1,1", "--format", "md", "--anchors", str(anchors))
+        fmt = argv[2] if len(argv) > 2 else "md"
+        argv = ("report", "--genus", "2", "--partition", "1,1", "--format", fmt, "--anchors", str(anchors))
     if argv[0] == "graph":
         graph = tmp_path / "graph.json"
         graph.write_text(argv[1])
@@ -378,6 +382,7 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert "--anchors" not in argv or "--anchors" in err
 
 
 @pytest.mark.parametrize("argv, flag", PARSE_ERRORS)
@@ -385,6 +390,28 @@ def test_parse_errors_name_their_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert flag in err
+
+
+# usage errors, each with its whole message
+LIBRARY_ERRORS = [
+    (("complex", "--kind", "flats", "--genus", "2", "--partition", "1,1"), "error: --kind flats needs --r\n"),
+    # the model of g = 2, (1,1) has dimension 10
+    (("cks", "--genus", "2", "--partition", "1,1", "--exterior", "11"), "error: exterior degree out of range\n"),
+    (("selftest", "--count", "x"), "error: argument --count: must be an integer >= 1, got 'x'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", LIBRARY_ERRORS, ids=["flats-without-r", "exterior-11", "count-x"])
+def test_usage_errors_print_their_message(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_report_exits_1_when_the_rank_factor_check_fails(capsys, monkeypatch):
+    # T_G(1,0) off by one, as in the in-process numerology test
+    monkeypatch.setattr(numerology, "cographic_top_betti", lambda graph: math.factorial(graph.vertex_count - 1) + 1)
+    code, out, err = run_cli(capsys, "report", "--genus", "2", "--partition", "1,1,1")
+    assert (code, out) == (1, "")
+    assert err == "verification failed: top homology rank 3 disagrees with (k-1)! = 2\n"
 
 
 def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):

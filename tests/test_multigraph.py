@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from hitchin_supports.multigraph import (
     graph_from_json,
 )
 
-from conftest import complete_graph, parallel_graph
+from conftest import brute_reach, complete_graph, parallel_graph
 
 
 def path_graph(n: int) -> Multigraph:
@@ -189,8 +191,58 @@ def test_cycle_space_k4_fundamental_cycles():
         assert not any(boundary)
 
 
+def scattered_multigraphs(count: int, seed: int = 5):
+    """Seeded multigraphs with loops, parallel edges, isolated vertices and
+    several components, labelled by distinct integers drawn from 0..999 in
+    no particular order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 10)
+        edges = []
+        for lab in rng.sample(range(1000), rng.randrange(0, 16)):
+            u = rng.randrange(n)
+            roll = rng.random()
+            if roll < 0.15:
+                v = u
+            elif roll < 0.4 and edges:
+                u, v, _ = rng.choice(edges)
+            else:
+                v = rng.randrange(n)
+            edges.append((u, v, lab))
+        yield Multigraph(n, tuple(edges))
+
+
+def test_cycle_space_is_the_fundamental_basis_of_the_lowest_label_forest():
+    graphs = list(scattered_multigraphs(300))
+    assert sum(any(u == v for u, v, _ in g.edges) for g in graphs) > 100
+    assert sum(len({(u, v) for u, v, _ in g.edges}) < g.edge_count for g in graphs) > 100
+    assert sum(g.component_count() > 1 for g in graphs) > 100
+    for g in graphs:
+        by_label = {lab: (u, v) for u, v, lab in g.edges}
+        # the greedy forest by brute force: an edge joins it when no lower
+        # forest edge already joins its ends
+        forest = []
+        for lab in sorted(by_label):
+            u, v = by_label[lab]
+            if v not in brute_reach(u, (by_label[f] for f in forest)):
+                forest.append(lab)
+        basis = cycle_space(g)
+        assert basis.forest == frozenset(forest), g.edges
+        assert basis.chords == tuple(lab for lab in sorted(by_label) if lab not in basis.forest)
+        for chord, cyc in zip(basis.chords, basis.cycles, strict=True):
+            assert cyc[chord] == 1
+            assert set(cyc) <= basis.forest | {chord}
+            assert all(cyc.values())
+            boundary = [0] * g.vertex_count
+            for lab, coeff in cyc.items():
+                u, v = by_label[lab]
+                boundary[v] += coeff
+                boundary[u] -= coeff
+            assert not any(boundary), (g.edges, chord)
+
+
 def test_cycle_count_matches_delta_and_cycles_independent():
-    for g in (complete_graph(4), parallel_graph(3), complete_graph(3)):
+    for g in (complete_graph(4), parallel_graph(3), complete_graph(3), *scattered_multigraphs(300)):
         basis = cycle_space(g)
         assert basis.rank == delta_aff(g)
         # each cycle holds its own chord with entry 1 and no other chord, so
