@@ -64,7 +64,7 @@ from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import cographic_complex
-from .homology import HomologyError, IntEchelon, SparseIntMatrix, TopHomologyAction, cleared_ranks, coords_in_rref
+from .homology import HomologyError, SparseIntMatrix, TopHomologyAction, cleared_ranks, coords_in_rref, rref_basis
 from .multigraph import (
     CycleSpaceBasis,
     GraphError,
@@ -246,9 +246,9 @@ def image_NI(
     exterior_degree: int,
     wedge_limit: int = DEFAULT_WEDGE_LIMIT,
 ) -> tuple[dict[int, int], ...]:
-    """Reduced basis of the image of the composed edge operators on the
-    exterior power; the empty subset returns the standard basis of the full
-    space."""
+    """RREF basis (``rref_basis``) of the image of the composed edge
+    operators on the exterior power; the empty subset returns the standard
+    basis of the full space."""
     _check_exterior(model, exterior_degree, wedge_limit)
     wedges = WedgeBasis(model.dimension, exterior_degree)
     order = sorted(set(subset))
@@ -259,10 +259,7 @@ def image_NI(
     for lab in order:
         cols = picard_lefschetz(model, lab).columns
         cache: dict[int, dict[int, int]] = {}
-        ech = IntEchelon()
-        for vec in basis:
-            ech.insert(_derived_image(wedges, cols, cache, vec))
-        basis = tuple(ech.rref_basis())
+        basis = rref_basis(_derived_image(wedges, cols, cache, vec) for vec in basis)
         if not basis:
             return ()
     return basis
@@ -435,12 +432,7 @@ def _assemble(
                 (idx, r, [_derived_image(wedges, ops[r].columns, cache[r], x) for x in sources[idx].basis])
                 for idx, r in by_target[target]
             ]
-            ech = IntEchelon()
-            for _, r, imgs in images:
-                if r == target[-1]:
-                    for img in imgs:
-                        ech.insert(img)
-            basis = tuple(ech.rref_basis())
+            basis = rref_basis(img for _, r, imgs in images if r == target[-1] for img in imgs)
             if basis and {wedge_weights[i] for vec in basis for i in vec} != graded:
                 raise CksError("differential breaks the weight grading")
             pivots = {min(v): pos for pos, v in enumerate(basis)}

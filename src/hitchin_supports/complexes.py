@@ -113,15 +113,28 @@ def _depth_first(
     return tuple(tuple(level) for level in levels if level)
 
 
+def _refuse_above(face_limit: int, lower_bound: int) -> None:
+    """Refuse a complex before anything is enumerated when a lower bound on
+    its non-empty faces already exceeds ``face_limit``."""
+    if lower_bound > face_limit:
+        raise GraphError(f"complex has more than {face_limit} faces")
+
+
 def _later(m: int) -> list[range]:
     return [range(e + 1, m) for e in range(m)]
 
 
 def cographic_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -> FaceComplex:
     """Independence complex of the bond matroid: edge subsets whose removal
-    keeps the graph connected."""
+    keeps the graph connected.
+
+    The complement of a spanning tree, δ = |E| - V + 1 edges, is a basis of
+    the bond matroid, so its 2**δ - 1 non-empty subsets are faces; a graph
+    with more than the face limit of them is refused before any mask is built.
+    """
     if not graph.is_connected():
         raise GraphError("graph must be connected")
+    _refuse_above(face_limit, (1 << len(graph.edges) - graph.vertex_count + 1) - 1)
     labels = graph.labels()
     bits = dict.fromkeys(labels, 0)
     cycles = cycle_space(graph).cycles
@@ -134,11 +147,17 @@ def cographic_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -
 
 
 def nonspanning_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -> FaceComplex:
-    """Edge subsets whose subgraph fails to connect all vertices."""
+    """Edge subsets whose subgraph fails to connect all vertices.
+
+    Fewer than V - 1 edges connect no V vertices, so the 2**(V-1) - 2
+    non-empty proper subsets of a spanning tree are faces; a graph with more
+    than the face limit of them is refused before anything is enumerated.
+    """
     if not graph.is_connected():
         raise GraphError("graph must be connected")
     if graph.vertex_count < 2:
         raise GraphError("non-spanning complex needs at least 2 vertices")
+    _refuse_above(face_limit, (1 << graph.vertex_count - 1) - 2)
     labels = graph.labels()
     vectors = [1 << u ^ 1 << v for u, v, _ in sorted(graph.edges, key=lambda e: e[2])]
     m = len(labels)
@@ -201,8 +220,16 @@ def partition_order_complex(r: int, face_limit: int = DEFAULT_FACE_LIMIT) -> Fac
     """Order complex of the partitions strictly between discrete and trivial.
 
     Ground cells are sorted finest-first, so chains are exactly the
-    index-increasing tuples of comparable cells.
+    index-increasing tuples of comparable cells.  For r >= 3 each maximal
+    chain of Pi_r is a face, and there are prod C(j, 2), j = 2..r, of them
+    (two of j blocks merge at each step); the product is taken term by term
+    and the complex refused, before any partition is listed, as soon as it
+    passes the face limit.
     """
+    chains = 1  # C(2, 2); Pi_2 has no faces, so no bound below r = 3
+    for j in range(3, r + 1):
+        chains *= j * (j - 1) // 2
+        _refuse_above(face_limit, chains)
     proper = proper_partitions(r)
     labels = tuple(partition_label(p) for p in proper)
     n = len(proper)

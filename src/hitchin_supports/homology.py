@@ -20,14 +20,15 @@ coefficient is a balanced base-2**b digit, and balanced digits are unique
 (the lowest non-zero one survives modulo the next power of 2**b), so the sum
 is zero exactly when the column is.
 
-The top homology and its automorphism action avoid copies: ``IntEchelon``
-updates its working vector in place at each step, and ``TopHomologyAction``
-keys the top faces by their masks, so the image of a face under a
-permutation is one lookup and its orientation sign a popcount per cell.
-The RREF bases that coordinates are read along (top-cycle bases, CKS block
-bases) have had lead entry 1 on every complex measured, so ``coords_in_rref``
-reads a coordinate off a pivot without dividing, and a basis vector whose
-lead is not 1 is an error rather than a fraction.
+One routine, ``rref_basis``, gives the RREF basis of a span (the CKS
+blocks); ``top_cycle_basis`` runs the same ``_cancel`` steps on the kernel.
+Both update one copy of each vector in place at every step, and
+``TopHomologyAction`` keys the top faces by their masks, so the image of a
+face under a permutation is one lookup and its orientation sign a popcount
+per cell.  The RREF bases that coordinates are read along (top-cycle bases,
+CKS block bases) have had lead entry 1 on every complex measured, so
+``coords_in_rref`` reads a coordinate off a pivot without dividing, and a
+basis vector whose lead is not 1 is an error rather than a fraction.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return sum(map(len, self.columns))
 
-    @property
-    def entries(self) -> dict[tuple[int, int], int]:
-        return {(r, j): v for j, col in enumerate(self.columns) for r, v in col.items()}
-
     def is_zero(self) -> bool:
         return not any(self.columns)
 
@@ -96,20 +93,18 @@ class SparseIntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# integer vector helpers (shared by rank, echelon and chain computations)
+# integer vector helpers and the RREF basis of a span
 # ---------------------------------------------------------------------------
 
 
 def normalize_int_vec(vec: dict[int, int]) -> dict[int, int]:
-    """Divide out the content and make the lowest-index entry positive."""
-    vec = {k: v for k, v in vec.items() if v}
-    if not vec:
-        return vec
-    g = 0
-    for v in vec.values():
-        g = gcd(g, abs(v))
-    lead = vec[min(vec)]
-    if lead < 0:
+    """Divide out the content and make the lowest-index entry positive.
+
+    ``vec`` must be non-empty with no zero entry, as every caller's is: a
+    residual that ``_cancel`` left holding a lead.
+    """
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
         g = -g
     return {k: v // g for k, v in vec.items()}
 
@@ -136,44 +131,37 @@ def _cancel(vec: dict[int, int], at: int, pivot: Mapping[int, int]) -> None:
             del vec[k]
 
 
-class IntEchelon:
-    """Incremental integer echelon form of a growing set of sparse vectors.
+def rref_basis(vectors: Iterable[Mapping[int, int]]) -> tuple[dict[int, int], ...]:
+    """The reduced row echelon basis of the span of integer vectors, ordered
+    by pivot (lowest index): integer-primitive, positive at its pivot, and
+    zero at every other pivot.  The RREF of a span is unique.
 
-    Pivot coordinate of a vector is its minimal index.  Vectors are kept
-    content-normalized, so all arithmetic stays in Z.
+    Each vector, which must have no zero entry, is copied and reduced at its
+    lowest coordinate with ``_cancel`` while a pivot holds that coordinate; a
+    non-zero residual becomes the pivot there, content-normalized, so all
+    arithmetic stays in Z.  Then, from the highest pivot down, each pivot is
+    cleared at the higher pivots it holds and normalized again.  The input
+    vectors are not changed.
     """
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
-
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vectors:
         vec = dict(vec)
         while vec:
             lead = min(vec)
-            pivot = self.pivots.get(lead)
+            pivot = pivots.get(lead)
             if pivot is None:
-                return vec
+                pivots[lead] = normalize_int_vec(vec)
+                break
             _cancel(vec, lead, pivot)
-        return vec
-
-    def insert(self, vec: dict[int, int]) -> bool:
-        residual = self.reduce(vec)
-        if not residual:
-            return False
-        self.pivots[min(residual)] = normalize_int_vec(residual)
-        return True
-
-    def rref_basis(self) -> list[dict[int, int]]:
-        """Fully reduced canonical basis, ordered by pivot coordinate."""
-        order = sorted(self.pivots)
-        reduced: dict[int, dict[int, int]] = {}
-        for lead in reversed(order):
-            vec = dict(self.pivots[lead])
-            for other in sorted(k for k in vec if k != lead and k in reduced):
-                if other in vec:
-                    _cancel(vec, other, reduced[other])
-            reduced[lead] = normalize_int_vec(vec)
-        return [reduced[lead] for lead in order]
+    order = sorted(pivots)
+    reduced: dict[int, dict[int, int]] = {}
+    for lead in reversed(order):
+        vec = pivots[lead]
+        for other in sorted(k for k in vec if k in reduced):
+            if other in vec:
+                _cancel(vec, other, reduced[other])
+        reduced[lead] = normalize_int_vec(vec)
+    return tuple(reduced[lead] for lead in order)
 
 
 def coords_in_rref(
@@ -188,13 +176,15 @@ def coords_in_rref(
     along a basis vector is the entry of ``vec`` at its pivot, and only the
     pivots ``vec`` holds are visited.  The vector lies in the span exactly
     when nothing is left after subtracting them.  A visited basis vector whose
-    lead is not 1 raises ``HomologyError``.  Coordinates are non-zero.
+    lead is not 1 raises ``HomologyError``.  ``vec`` must have no zero
+    entry, as every caller's has (images of signed top cycles and
+    ``_derived_image`` columns); coordinates are non-zero.
     """
-    residual = {k: v for k, v in vec.items() if v}
+    residual = dict(vec)
     coords: dict[int, int] = {}
     for p, v in vec.items():
         pos = pivots.get(p)
-        if pos is None or not v:
+        if pos is None:
             continue
         b = basis[pos]
         if b[p] != 1:
@@ -502,26 +492,29 @@ def top_cycle_basis(cc: IntChainComplex) -> list[dict[int, int]]:
     with positive leading entries; it is unique, hence reproducible.
 
     Each column j is extended by its unit vector past the rows and reduced
-    against the columns after it, for j from the last down to the first.  A
-    residual with a non-zero row part becomes a pivot, so the extended parts
-    of pivots hold only unit vectors of independent columns.  A residual
-    whose row part is zero is the kernel vector with pivot j: it holds e_j
-    plus later independent columns only, so it is zero at every other
-    dependent column, which is the reduced echelon form.
+    with ``_cancel`` at its lowest coordinate against the pivots of the
+    columns after it, for j from the last down to the first; it keeps e_j,
+    so it is never empty.  A residual with a non-zero row part becomes a
+    pivot, so the extended parts of pivots hold only unit vectors of
+    independent columns.  A residual whose row part is zero is the kernel
+    vector with pivot j: it holds e_j plus later independent columns only,
+    so it is zero at every other dependent column, which is the reduced
+    echelon form.
     """
     if cc.top_dim < 0:
         return [{0: 1}]  # the empty complex: H_{-1} spanned by the empty face
     top = cc.boundaries[cc.top_dim]
     shift = top.rows
-    ech = IntEchelon()
+    pivots: dict[int, dict[int, int]] = {}
     kernel = []
     for j in range(top.cols - 1, -1, -1):
-        residual = ech.reduce({**top.columns[j], shift + j: 1})
-        lead = min(residual)
+        vec = {**top.columns[j], shift + j: 1}
+        while (lead := min(vec)) in pivots:
+            _cancel(vec, lead, pivots[lead])
         if lead < shift:
-            ech.pivots[lead] = normalize_int_vec(residual)
+            pivots[lead] = normalize_int_vec(vec)
         else:
-            kernel.append(normalize_int_vec({k - shift: v for k, v in residual.items()}))
+            kernel.append(normalize_int_vec({k - shift: v for k, v in vec.items()}))
     kernel.reverse()
     return kernel
 

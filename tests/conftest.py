@@ -17,6 +17,11 @@ def inverse(p) -> tuple[int, ...]:
     return tuple(out)
 
 
+def entries(mat: homology.SparseIntMatrix) -> dict[tuple[int, int], int]:
+    """The non-zero entries of a column-stored matrix, keyed by (row, column)."""
+    return {(r, j): v for j, col in enumerate(mat.columns) for r, v in col.items()}
+
+
 def transpose(mat: homology.SparseIntMatrix) -> homology.SparseIntMatrix:
     """The transpose of a column-stored integer matrix."""
     out: list[dict[int, int]] = [{} for _ in range(mat.rows)]

@@ -398,10 +398,16 @@ LIBRARY_ERRORS = [
     # the model of g = 2, (1,1) has dimension 10
     (("cks", "--genus", "2", "--partition", "1,1", "--exterior", "11"), "error: exterior degree out of range\n"),
     (("selftest", "--count", "x"), "error: argument --count: must be an integer >= 1, got 'x'\n"),
+    # refused by their closed-form face bounds before anything is enumerated
+    (("complex", "--r", "60"), "error: complex has more than 500000 faces\n"),
+    (("complex", "--r", "9", "--kind", "flats"), "error: complex has more than 500000 faces\n"),
+    (("complex", "--r", "60", "--kind", "nonspanning"), "error: complex has more than 500000 faces\n"),
+    (("complex", "--genus", "100000", "--partition", "1,1"), "error: complex has more than 500000 faces\n"),
 ]
+LIBRARY_ERROR_IDS = ["flats-without-r", "exterior-11", "count-x", "k60", "pi9", "k60-nonspanning", "g100000"]
 
 
-@pytest.mark.parametrize("argv, err", LIBRARY_ERRORS, ids=["flats-without-r", "exterior-11", "count-x"])
+@pytest.mark.parametrize("argv, err", LIBRARY_ERRORS, ids=LIBRARY_ERROR_IDS)
 def test_usage_errors_print_their_message(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)
 

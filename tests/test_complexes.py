@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from hitchin_supports import complexes
 from hitchin_supports.complexes import (
     _coarser,
     _depth_first,
@@ -192,6 +194,74 @@ def test_face_limit_stops_a_level_while_it_grows():
     with pytest.raises(GraphError):
         cographic_complex(complete_graph(5), face_limit=726)
     assert sum(cographic_complex(complete_graph(5), face_limit=727).f_vector()) == 728
+
+
+class Enumerated(Exception):
+    """Raised by a patched enumeration step: the builder got past its bound."""
+
+
+def _refuse_enumeration(monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise Enumerated
+
+    for name in ("cycle_space", "_depth_first", "proper_partitions"):
+        monkeypatch.setattr(complexes, name, enumerated)
+
+
+def _path(v: int) -> Multigraph:
+    return Multigraph(v, tuple((u, u + 1, u) for u in range(v - 1)))
+
+
+def test_hopeless_complexes_are_refused_before_enumeration(monkeypatch):
+    # 2**171 - 1 cographic faces of K_20, 2**20 - 2 non-spanning faces of a
+    # 21-vertex tree, 1,587,600 maximal chains of Pi_8: none is enumerated
+    _refuse_enumeration(monkeypatch)
+    for build, arg in (
+        (cographic_complex, complete_graph(20)),
+        (nonspanning_complex, _path(21)),
+        (partition_order_complex, 8),
+    ):
+        with pytest.raises(GraphError, match="more than 500000 faces"):
+            build(arg)
+
+
+def _face_bound(kind: str, n: int) -> int:
+    """The closed-form lower bounds on the non-empty faces: 2**δ - 1 for the
+    cographic and 2**(V-1) - 2 for the non-spanning complex of K_n, and the
+    r!(r-1)!/2**(r-1) maximal chains of Pi_r."""
+    if kind == "flats":
+        return math.factorial(n) * math.factorial(n - 1) // 2 ** (n - 1)
+    if kind == "cographic":
+        return 2 ** (n * (n - 1) // 2 - n + 1) - 1
+    return 2 ** (n - 1) - 2
+
+
+def _build(kind: str, n: int, face_limit: int = complexes.DEFAULT_FACE_LIMIT):
+    if kind == "flats":
+        return partition_order_complex(n, face_limit)
+    build = cographic_complex if kind == "cographic" else nonspanning_complex
+    return build(complete_graph(n), face_limit)
+
+
+BOUND_CASES = [("cographic", n) for n in range(3, 7)] + [("nonspanning", n) for n in range(3, 7)]
+BOUND_CASES += [("flats", r) for r in range(3, 8)]
+
+
+def test_each_face_bound_refuses_exactly_above_its_value(monkeypatch):
+    _refuse_enumeration(monkeypatch)
+    for kind, n in BOUND_CASES + [("cographic", 8), ("flats", 8)]:
+        bound = _face_bound(kind, n)
+        with pytest.raises(GraphError, match=f"more than {bound - 1} faces"):
+            _build(kind, n, bound - 1)
+        with pytest.raises(Enumerated):
+            _build(kind, n, bound)
+    with pytest.raises(Enumerated):
+        partition_order_complex(2, 0)  # Pi_2 has no faces: no bound below r = 3
+
+
+@pytest.mark.parametrize("kind,n", BOUND_CASES)
+def test_each_face_bound_is_at_most_the_enumerated_count(kind, n):
+    assert _face_bound(kind, n) <= sum(_build(kind, n).f_vector()) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hitchin_supports import homology
 from hitchin_supports.complexes import FaceComplex, cographic_complex, nonspanning_complex, partition_order_complex
 from hitchin_supports.homology import (
     HomologyError,
-    IntEchelon,
     IntChainComplex,
     SparseIntMatrix,
     TopHomologyAction,
@@ -19,12 +18,13 @@ from hitchin_supports.homology import (
     coords_in_rref,
     exact_rank,
     reduced_homology,
+    rref_basis,
     top_cycle_basis,
 )
 from hitchin_supports.multigraph import Multigraph
 from hitchin_supports.selftest import random_connected_multigraph
 
-from conftest import complete_graph, parallel_graph, record_rank_leads, transpose
+from conftest import complete_graph, entries, parallel_graph, record_rank_leads, transpose
 
 
 def points_complex(n: int) -> FaceComplex:
@@ -91,14 +91,14 @@ def test_matmul_and_transpose_match_a_dense_reference():
         ]
         ab = a.matmul(b)
         assert (ab.rows, ab.cols) == (n, m)
-        assert dense(n, m, ab.entries) == product
+        assert dense(n, m, entries(ab)) == product
         assert ab == from_entries(n, m, {(r, c): int(product[r][c]) for r in range(n) for c in range(m)})
         at = transpose(a)
         assert (at.rows, at.cols) == (k, n)
-        assert dense(k, n, at.entries) == [[da[r][c] for r in range(n)] for c in range(k)]
+        assert dense(k, n, entries(at)) == [[da[r][c] for r in range(n)] for c in range(k)]
         assert transpose(at) == a
         for mat in (a, ab, at):
-            assert all(v and type(v) is int for v in mat.entries.values())
+            assert all(v and type(v) is int for v in entries(mat).values())
 
 
 def test_rank_of_identity():
@@ -236,14 +236,14 @@ def test_augmentation_of_two_points():
     cc = boundary_complex(points_complex(2))
     aug = cc.boundaries[0]
     assert (aug.rows, aug.cols) == (1, 2)
-    assert aug.entries == {(0, 0): 1, (0, 1): 1}
+    assert entries(aug) == {(0, 0): 1, (0, 1): 1}
 
 
 def test_triangle_boundary_shape_and_signs():
     cc = boundary_complex(triangle_boundary_complex())
     b1 = cc.boundaries[1]
     assert (b1.rows, b1.cols) == (3, 3)
-    assert all(abs(v) == 1 for v in b1.entries.values())
+    assert all(abs(v) == 1 for v in entries(b1).values())
     # column of edge (0,1): -1 at vertex 0... sign convention: face (0,1) -> (1,) - (0,)
     assert b1.columns[0] == {0: Fraction(-1), 1: Fraction(1)}
 
@@ -519,7 +519,7 @@ def test_swap_of_s0_points_acts_by_minus_one():
     c = points_complex(2)
     mat = TopHomologyAction(c).matrix((1, 0))
     assert (mat.rows, mat.cols) == (1, 1)
-    assert mat.entries == {(0, 0): -1}
+    assert entries(mat) == {(0, 0): -1}
 
 
 def test_three_cycle_on_k3_top_homology():
@@ -711,34 +711,31 @@ def _fraction_rref(vectors, n: int) -> list[dict[int, int]]:
     return basis
 
 
-def test_echelon_steps_leave_the_caller_vectors_and_pivots_alone():
+def test_rref_basis_leaves_its_inputs_alone_and_equals_the_fraction_rref(monkeypatch):
+    steps = []
+    cancel = homology._cancel
+
+    def recording(vec, at, pivot):
+        steps.append(vec[at] % pivot[at] != 0)  # the lead does not divide: a step that scales
+        cancel(vec, at, pivot)
+
+    monkeypatch.setattr(homology, "_cancel", recording)
     rng = random.Random(61)
-    scaled = 0
     for _ in range(80):
         n = rng.randint(1, 9)
         vectors = [
             {k: v for k in rng.sample(range(n), rng.randint(1, n)) if (v := rng.randint(-5, 5))}
             for _ in range(rng.randint(1, n + 2))
         ]
-        ech = IntEchelon()
-        for vec in vectors:
-            given = dict(vec)
-            stored = copy.deepcopy(ech.pivots)
-            residual = ech.reduce(vec)
-            assert vec == given and ech.pivots == stored
-            assert residual is not vec and all(residual is not pivot for pivot in stored.values())
-            ech.insert(vec)
-            assert vec == given
-            for lead, pivot in ech.pivots.items():
-                scaled += lead in vec and vec[lead] % pivot[lead] != 0
-        stored = copy.deepcopy(ech.pivots)
-        basis = ech.rref_basis()
-        assert ech.pivots == stored
-        assert basis == _fraction_rref(vectors, n)
+        given = copy.deepcopy(vectors)
+        basis = rref_basis(iter(vectors))
+        assert vectors == given
+        assert type(basis) is tuple and not any(b is v for b in basis for v in vectors)
+        assert list(basis) == _fraction_rref(vectors, n)
         for vec in basis:
             vec.clear()
-        assert ech.pivots == stored
-    assert scaled > 20  # leads that do not divide: the steps that scale
+        assert vectors == given and list(rref_basis(vectors)) == _fraction_rref(vectors, n)
+    assert sum(steps) > 20
 
 
 # ---------------------------------------------------------------------------
@@ -747,17 +744,14 @@ def test_echelon_steps_leave_the_caller_vectors_and_pivots_alone():
 
 
 def _forward_top_cycle_basis(cc):
-    """Columns extended by unit vectors, inserted first to last, then a full
-    RREF pass over the kernel pivots."""
+    """The RREF of the columns extended by unit vectors, first to last: its
+    vectors with leads past the rows are the kernel in RREF."""
     if cc.top_dim < 0:
         return [{0: 1}]
     top = cc.boundaries[cc.top_dim]
     shift = top.rows
-    ech = IntEchelon()
-    for j, col in enumerate(top.columns):
-        ech.insert({**col, shift + j: 1})
-    ech.pivots = {lead: vec for lead, vec in ech.pivots.items() if lead >= shift}
-    return [{k - shift: v for k, v in vec.items()} for vec in ech.rref_basis()]
+    basis = rref_basis({**col, shift + j: 1} for j, col in enumerate(top.columns))
+    return [{k - shift: v for k, v in vec.items()} for vec in basis if min(vec) >= shift]
 
 
 def test_top_cycle_basis_equals_forward_insertion_and_rref():
