@@ -11,10 +11,11 @@ The model is split into three blocks with fixed bases:
 The operator of an edge ``e`` kills ``W0`` and ``Gr1`` and sends a cycle ``t``
 to the pairing value against the dual edge functional times the class of that
 functional, so in the chord bases its only block is the rank-one outer product
-``v_e v_e^T`` with ``v_e = (c_j[e])_j``; squaring the edge coefficient makes
-the matrix independent of the edge orientation.  On an exterior power the
-operators act as commuting derivations, and for a subset ``I`` of edges the
-complex
+``v_e v_e^T`` with ``v_e = (c_j[e])_j``, the sparse column
+``CycleSpaceBasis.columns[e]`` that also gives the cographic masks; squaring
+the edge coefficient makes the matrix independent of the edge orientation.
+On an exterior power the operators act as commuting derivations, and for a
+subset ``I`` of edges the complex
 
     wedge^i  ->  (+) images of N_I over |I| = 1  ->  (+) over |I| = 2 -> ...
 
@@ -89,17 +90,16 @@ class CksError(ValueError):
 
 @dataclass(frozen=True)
 class GradedH1Model:
-    """Three-block graded model with per-edge pairing vectors.
+    """Three-block graded model over the cycle basis of its dual graph.
 
-    ``edge_vectors[label]`` holds the coordinates of the dual edge functional
-    both as a functional on the cycle space (Gr2) and as a class in graph
-    cohomology (W0); the two coincide in the chord bases.
+    ``cycles.columns[label]`` holds the sparse coordinates of the dual edge
+    functional both as a functional on the cycle space (Gr2) and as a class
+    in graph cohomology (W0); the two coincide in the chord bases.
     """
 
     graph: Multigraph
     component_genera: tuple[int, ...]
     cycles: CycleSpaceBasis
-    edge_vectors: Mapping[int, tuple[int, ...]]
 
     @property
     def delta(self) -> int:
@@ -126,7 +126,7 @@ class GradedH1Model:
     @cached_property
     def reduced(self) -> GradedH1Model:
         """The model with the inert middle block removed (same cycle data)."""
-        return GradedH1Model(self.graph, (0,) * self.graph.vertex_count, self.cycles, self.edge_vectors)
+        return GradedH1Model(self.graph, (0,) * self.graph.vertex_count, self.cycles)
 
     @cached_property
     def cographic_action(self) -> TopHomologyAction:
@@ -152,20 +152,19 @@ def model_from_graph(graph: Multigraph, component_genera: Sequence[int]) -> Grad
         raise CksError("one genus per vertex required")
     if not graph.is_connected():
         raise GraphError("graph must be connected")
-    cycles = cycle_space(graph)
-    vectors = {lab: cycles.edge_class(lab) for lab in graph.labels()}
-    return GradedH1Model(graph, tuple(int(g) for g in component_genera), cycles, vectors)
+    return GradedH1Model(graph, tuple(int(g) for g in component_genera), cycle_space(graph))
 
 
 def picard_lefschetz(model: GradedH1Model, label: int) -> SparseIntMatrix:
-    """The monodromy logarithm of one node as an integer matrix on the model."""
-    vec = model.edge_vectors.get(label)
+    """The monodromy logarithm of one node as an integer matrix on the model:
+    the outer product of the edge's sparse column with itself, over its
+    non-zeros only; every other column is one shared empty dict."""
+    vec = model.cycles.columns.get(label)
     if vec is None:
         raise GraphError(f"no such edge: {label}")
-    columns: list[dict[int, int]] = [{} for _ in range(model.dimension)]
-    for b, vb in enumerate(vec):
-        if vb:
-            columns[model.gr2_offset + b] = {a: va * vb for a, va in enumerate(vec) if va}
+    columns: list[dict[int, int]] = [{}] * model.dimension
+    for b, vb in vec.items():
+        columns[model.gr2_offset + b] = {a: va * vb for a, va in vec.items()}
     return SparseIntMatrix(model.dimension, tuple(columns))
 
 
@@ -249,11 +248,11 @@ def image_NI(
     """RREF basis (``rref_basis``) of the image of the composed edge
     operators on the exterior power; the empty subset returns the standard
     basis of the full space."""
-    _check_exterior(model, exterior_degree, wedge_limit)
+    check_exterior(model.dimension, exterior_degree, wedge_limit)
     wedges = WedgeBasis(model.dimension, exterior_degree)
     order = sorted(set(subset))
     for lab in order:
-        if lab not in model.edge_vectors:
+        if lab not in model.cycles.columns:
             raise GraphError(f"no such edge: {lab}")
     basis = tuple({i: 1} for i in range(len(wedges)))
     for lab in order:
@@ -265,10 +264,12 @@ def image_NI(
     return basis
 
 
-def _check_exterior(model: GradedH1Model, i: int, limit: int) -> None:
-    if i < 0 or i > model.dimension:
+def check_exterior(dimension: int, i: int, limit: int) -> None:
+    """Refuse exterior degree ``i`` of a model of this dimension when it is
+    out of range or its wedge basis, C(dimension, i), passes ``limit``."""
+    if i < 0 or i > dimension:
         raise CksError("exterior degree out of range")
-    if comb(model.dimension, i) > limit:
+    if comb(dimension, i) > limit:
         raise CksError("exterior degree too large")
 
 
@@ -357,7 +358,7 @@ def build_cks(
     The guards apply to wedge^i H, but only the pieces on wedge^m (W0 + W2),
     m = i - j <= 2 delta, are assembled, once each on the reduced model.
     """
-    _check_exterior(model, exterior_degree, wedge_limit)
+    check_exterior(model.dimension, exterior_degree, wedge_limit)
     reduced = model.reduced
     low = max(0, exterior_degree - reduced.dimension)
     pieces = tuple(
@@ -371,7 +372,7 @@ def build_cks(
 def _direct_cks(model: GradedH1Model, exterior_degree: int) -> CKSComplexInstance:
     """Reference for ``build_cks``: the complex assembled on the whole
     wedge^i H, as the sum of its weight summands (j = 0, multiplicity 1)."""
-    _check_exterior(model, exterior_degree, DEFAULT_WEDGE_LIMIT)
+    check_exterior(model.dimension, exterior_degree, DEFAULT_WEDGE_LIMIT)
     pieces = tuple((0, 1, piece) for piece in _weight_summands(model, exterior_degree))
     return CKSComplexInstance(model, exterior_degree, pieces)
 

@@ -16,7 +16,7 @@ import math
 import sys
 import traceback
 
-from .cks import DEFAULT_WEDGE_LIMIT, CksError, build_cks, build_graded_model, cks_cohomology
+from .cks import DEFAULT_WEDGE_LIMIT, CksError, build_cks, build_graded_model, check_exterior, cks_cohomology
 from .complexes import (
     DEFAULT_FACE_LIMIT,
     cographic_complex,
@@ -33,6 +33,7 @@ from .multigraph import (
 from .numerology import (
     VerificationError,
     cographic_top_betti,
+    dim_base,
     support_report,
 )
 from .selftest import PROPERTIES, SelftestConfig, run_selftest
@@ -185,6 +186,8 @@ def cmd_character(args: argparse.Namespace) -> int:
 
 def cmd_cks(args: argparse.Namespace) -> int:
     p = HitchinPartition(args.genus, args.partition)
+    # the model has dimension 2 dim_base(p); refuse before its graph is built
+    check_exterior(2 * dim_base(p), args.exterior, args.wedge_limit)
     model = build_graded_model(p)
     inst = build_cks(model, args.exterior, wedge_limit=args.wedge_limit)
     coh = cks_cohomology(inst)

@@ -10,12 +10,13 @@ up (a k-simplex corresponds to a cardinality-(k+1) edge subset).
 Both graph complexes are read off binary matroids (Oxley, *Matroid Theory*,
 sections 2.3 and 5.1).  The bond matroid M*(G) is represented over GF(2) by
 the cycle space: edge e gets the bit mask of the fundamental cycles of a
-spanning forest that contain it, so bridges get 0 and loops a bit of their
-own, and a subset is a cographic face exactly when its masks are linearly
-independent.  The cycle matroid M(G) is represented by the incidence vectors
-``1 << u ^ 1 << v``, whose rank on a subset is V minus the number of
-components of its spanning subgraph, so the non-spanning faces are the
-subsets of rank at most V - 2.
+spanning forest that contain it, read off its sparse column
+``CycleSpaceBasis.columns[e]`` (the same columns give the CKS edge
+operators), so bridges get 0 and loops a bit of their own, and a subset is a
+cographic face exactly when its masks are linearly independent.  The cycle
+matroid M(G) is represented by the incidence vectors ``1 << u ^ 1 << v``,
+whose rank on a subset is V minus the number of components of its spanning
+subgraph, so the non-spanning faces are the subsets of rank at most V - 2.
 """
 
 from __future__ import annotations
@@ -136,13 +137,9 @@ def cographic_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -
         raise GraphError("graph must be connected")
     _refuse_above(face_limit, (1 << len(graph.edges) - graph.vertex_count + 1) - 1)
     labels = graph.labels()
-    bits = dict.fromkeys(labels, 0)
-    cycles = cycle_space(graph).cycles
-    for j, cycle in enumerate(cycles):
-        for lab in cycle:
-            bits[lab] |= 1 << j
-    vectors = [bits[lab] for lab in labels]
-    faces = _depth_first(_later(len(labels)), vectors, face_limit, max_rank=len(cycles), max_nullity=0)
+    basis = cycle_space(graph)
+    vectors = [sum(1 << j for j in basis.columns[lab]) for lab in labels]
+    faces = _depth_first(_later(len(labels)), vectors, face_limit, max_rank=basis.rank, max_nullity=0)
     return FaceComplex(labels, faces)
 
 
@@ -185,15 +182,6 @@ def set_partitions(r: int) -> list[tuple[tuple[int, ...], ...]]:
         blocks = tuple(tuple(blk) for blk in sorted(p, key=lambda b: b[0]))
         out.append(blocks)
     return out
-
-
-def refines(p: tuple, q: tuple) -> bool:
-    """True when every block of p sits inside a block of q (p at least as fine)."""
-    where = {}
-    for bi, blk in enumerate(q):
-        for x in blk:
-            where[x] = bi
-    return all(len({where[x] for x in blk}) == 1 for blk in p)
 
 
 def _block_of(p: tuple) -> tuple[int, ...]:

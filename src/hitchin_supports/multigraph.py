@@ -142,20 +142,20 @@ class CycleSpaceBasis:
     ``cycles[j]`` is a signed edge-incidence vector (label -> coefficient) with
     entry +1 on its defining chord ``chords[j]``.  The same numbers present the
     cohomology of the graph: the class of the dual functional of edge ``e`` in
-    the chord-dual basis of H^1 is the column ``(cycles[j][e])_j``.
+    the chord-dual basis of H^1 is the column ``columns[e]``, the sparse
+    ``{j: cycles[j][e]}`` in increasing j with no zero entry (``{}`` for a
+    bridge).  ``columns`` is the transpose of ``cycles``, with every label
+    as a key.
     """
 
     forest: frozenset
     chords: tuple[int, ...]
     cycles: tuple[Mapping[int, int], ...]
+    columns: Mapping[int, Mapping[int, int]]
 
     @property
     def rank(self) -> int:
         return len(self.chords)
-
-    def edge_class(self, label: int) -> tuple[int, ...]:
-        """Coordinates of the H^1-class of the dual edge functional."""
-        return tuple(c.get(label, 0) for c in self.cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,8 @@ def cycle_space(graph: Multigraph) -> CycleSpaceBasis:
     ``v`` back to ``u``: the two ends climb, the deeper one first, until they
     meet, with the steps from ``v``'s end taken at their sign and those from
     ``u``'s end at the opposite one.  Every edge of the path is stepped over
-    exactly once, so each coefficient is written once and none is zero.
+    exactly once, so each coefficient is written once and none is zero; the
+    same step writes it into the edge's column.
     """
     parent_uf = list(range(graph.vertex_count))
     by_label = {lab: (u, v) for u, v, lab in graph.edges}
@@ -255,18 +256,20 @@ def cycle_space(graph: Multigraph) -> CycleSpaceBasis:
                     stack.append(x)
 
     cycles = []
-    for lab in chords:
+    columns: dict[int, dict[int, int]] = {lab: {} for lab in sorted(by_label)}
+    for j, lab in enumerate(chords):
         u, v = by_label[lab]
         vec = {lab: 1}
+        columns[lab][j] = 1
         while v != u:
             if up[v][0] >= up[u][0]:
                 _, v, edge, sign = up[v]
-                vec[edge] = sign
             else:
                 _, u, edge, sign = up[u]
-                vec[edge] = -sign
+                sign = -sign
+            vec[edge] = columns[edge][j] = sign
         cycles.append(vec)
-    return CycleSpaceBasis(frozenset(forest), tuple(chords), tuple(cycles))
+    return CycleSpaceBasis(frozenset(forest), tuple(chords), tuple(cycles), columns)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,16 @@ def transpose(mat: homology.SparseIntMatrix) -> homology.SparseIntMatrix:
     return homology.SparseIntMatrix(mat.cols, tuple(out))
 
 
+def refines(p: tuple, q: tuple) -> bool:
+    """True when every block of the set partition p sits inside a block of q
+    (p at least as fine)."""
+    where = {}
+    for bi, blk in enumerate(q):
+        for x in blk:
+            where[x] = bi
+    return all(len({where[x] for x in blk}) == 1 for blk in p)
+
+
 def parallel_graph(m: int) -> Multigraph:
     """Two vertices joined by m parallel edges."""
     return Multigraph(2, tuple((0, 1, i) for i in range(m)))

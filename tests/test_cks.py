@@ -325,6 +325,25 @@ PINNED_CKS_TABLES = {
 }
 
 
+@pytest.mark.parametrize("genus, parts", sorted({(g, p) for g, p, _ in PINNED_CKS_TABLES}))
+def test_picard_lefschetz_is_the_dense_outer_product_of_the_cycle_coordinates(genus, parts):
+    m = build_graded_model(HitchinPartition(genus, parts))
+    for model in (m, m.reduced):
+        for lab in model.labels():
+            v = [cyc.get(lab, 0) for cyc in model.cycles.cycles]
+            dense = [[0] * model.dimension for _ in range(model.dimension)]
+            for a, b in itertools.product(range(model.delta), repeat=2):
+                dense[a][model.gr2_offset + b] = v[a] * v[b]
+            op = picard_lefschetz(model, lab)
+            assert op.rows == op.cols == model.dimension
+            # entries in increasing row order, as the pinned assembly reads them
+            assert [list(col.items()) for col in op.columns] == [
+                [(a, dense[a][c]) for a in range(model.dimension) if dense[a][c]] for c in range(model.dimension)
+            ]
+            # the empty columns are one shared dict
+            assert len({id(col) for col in op.columns if not col}) == 1
+
+
 @pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))
 def test_build_cks_reproduces_the_pinned_tables(genus, parts, i):
     degrees, top_weight, terms = PINNED_CKS_TABLES[(genus, parts, i)]

@@ -403,12 +403,28 @@ LIBRARY_ERRORS = [
     (("complex", "--r", "9", "--kind", "flats"), "error: complex has more than 500000 faces\n"),
     (("complex", "--r", "60", "--kind", "nonspanning"), "error: complex has more than 500000 faces\n"),
     (("complex", "--genus", "100000", "--partition", "1,1"), "error: complex has more than 500000 faces\n"),
+    # C(799994, 2) wedges: refused from the closed-form model dimension
+    (("cks", "--genus", "100000", "--partition", "1,1", "--exterior", "2"), "error: exterior degree too large\n"),
 ]
-LIBRARY_ERROR_IDS = ["flats-without-r", "exterior-11", "count-x", "k60", "pi9", "k60-nonspanning", "g100000"]
+LIBRARY_ERROR_IDS = ["flats-without-r", "exterior-11", "count-x", "k60", "pi9", "k60-nonspanning", "g100000", "g100000-cks"]
 
 
 @pytest.mark.parametrize("argv, err", LIBRARY_ERRORS, ids=LIBRARY_ERROR_IDS)
 def test_usage_errors_print_their_message(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "genus, exterior, err",
+    [("3000", "2", "error: exterior degree too large\n"), ("2", "11", "error: exterior degree out of range\n")],
+    ids=["g3000", "exterior-11"],
+)
+def test_cks_refuses_the_exterior_degree_before_building_the_model(capsys, monkeypatch, genus, exterior, err):
+    def unreachable(p):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "build_graded_model", unreachable)
+    argv = ("cks", "--genus", genus, "--partition", "1,1", "--exterior", exterior)
     assert run_cli(capsys, *argv) == (2, "", err)
 
 

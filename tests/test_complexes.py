@@ -12,13 +12,12 @@ from hitchin_supports.complexes import (
     nonspanning_complex,
     partition_order_complex,
     proper_partitions,
-    refines,
     set_partitions,
 )
 from hitchin_supports.multigraph import GraphError, Multigraph, delta_aff
 from hitchin_supports.selftest import _subsets_where
 
-from conftest import brute_face_sets, complete_graph, parallel_graph
+from conftest import brute_face_sets, complete_graph, parallel_graph, refines
 
 
 def faces_as_label_sets(c):

@@ -217,6 +217,7 @@ def test_cycle_space_is_the_fundamental_basis_of_the_lowest_label_forest():
     assert sum(any(u == v for u, v, _ in g.edges) for g in graphs) > 100
     assert sum(len({(u, v) for u, v, _ in g.edges}) < g.edge_count for g in graphs) > 100
     assert sum(g.component_count() > 1 for g in graphs) > 100
+    assert sum(any(g.component_count(without={lab}) > g.component_count() for *_, lab in g.edges) for g in graphs) > 100
     for g in graphs:
         by_label = {lab: (u, v) for u, v, lab in g.edges}
         # the greedy forest by brute force: an edge joins it when no lower
@@ -239,6 +240,17 @@ def test_cycle_space_is_the_fundamental_basis_of_the_lowest_label_forest():
                 boundary[v] += coeff
                 boundary[u] -= coeff
             assert not any(boundary), (g.edges, chord)
+        # the columns are the transpose of the cycles, keyed by every label,
+        # in increasing j, empty exactly on the bridges and holding no zero
+        assert set(basis.columns) == set(by_label)
+        for lab, col in basis.columns.items():
+            assert all(col.values()) and list(col) == sorted(col)
+            u, v = by_label[lab]
+            bridge = v not in brute_reach(u, (by_label[f] for f in by_label if f != lab))
+            assert (col == {}) == bridge, (g.edges, lab)
+            for j, cyc in enumerate(basis.cycles):
+                assert col.get(j, 0) == cyc.get(lab, 0)
+        assert sum(map(len, basis.columns.values())) == sum(map(len, basis.cycles))
 
 
 def test_cycle_count_matches_delta_and_cycles_independent():
