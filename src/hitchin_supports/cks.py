@@ -24,23 +24,22 @@ reports.  Every stored basis vector is homogeneous for the ambient block
 weight (W0: 0, Gr1: 1, Gr2: 2), and the differentials preserve the shifted
 weight ``ambient + 2k``, so the complex splits into weight summands.  Each
 summand is assembled as its own piece, started from the degree-0 wedges of
-one ambient weight, and its cohomology is the ranks of exactly the maps the
-assembly stored.  Each degree is one pass of the edge operators, one target
-subset J at a time: the images N_r x of the basis of every block I with
-I + r = J are computed once, those from J - max J give the RREF basis of the
-block of J, and all of them, reduced into it, give d's entries at J.  An
-image N_r x is the sum of the columns N_r(e_w) of the wedges w in x, and the
-pieces of one exterior power share one column cache per operator, filled as
-they need columns and dropped when that exterior power is assembled, so
-``apply_derivation`` runs once per (operator, wedge) pair that occurs.  Every
-component N_r x must lie in its block, every basis vector in degree k must
-have ambient weight ``weight - 2k``, and d o d = 0 is checked on every
-column.  Each piece is ranked from d_0 upward by the clearing pass that
-ranks boundary maps, ``cleared_ranks``, which relies on that check.  The
-highest-weight summand in exterior degree delta is the cographic cochain
-complex up to a +-1 gauge, so the action of a graph automorphism on its
-cohomology is the finite twist det S(sigma), sigma on the cycle space, times
-the simplicial action on cographic top homology.
+one ambient weight w; every operator lowers the ambient weight by 2
+(``picard_lefschetz`` leaves each column outside Gr2 empty), so the piece
+stores the maps between its non-empty degrees, none past w // 2, and its
+cohomology is their ranks.  ``_assemble`` builds each degree in one pass of
+the edge operators.  An image N_r x is the sum of the columns N_r(e_w) of the
+wedges w in x, and the pieces of one exterior power share one column cache
+per operator, filled as they need columns and dropped when that exterior
+power is assembled, so ``apply_derivation`` runs once per (operator, wedge)
+pair that occurs.  Every component N_r x must lie in its block, every basis
+vector in degree k must have ambient weight ``weight - 2k``, and d o d = 0 is
+checked on every column.  Each piece is ranked from d_0 upward by the
+clearing pass that ranks boundary maps, ``cleared_ranks``, which relies on
+that check.  The highest-weight summand in exterior degree delta is the
+cographic cochain complex up to a +-1 gauge, so the action of a graph
+automorphism on its cohomology is the finite twist det S(sigma), sigma on the
+cycle space, times the simplicial action on cographic top homology.
 
 This is the complex of Cattani, Kaplan and Schmid ("L^2 and intersection
 cohomologies for a polarizable variation of Hodge structure", Invent. Math.
@@ -300,10 +299,10 @@ class CksPiece:
 
     ``differentials[k]`` is d_k in block coordinates: its columns are the
     basis vectors of ``terms[k]`` and its rows those of ``terms[k + 1]``, each
-    term's blocks concatenated in order (the last degree's map has no rows).
-    d_k and the blocks of ``terms[k + 1]`` come from the same images N_r x,
-    each computed once: every one lies in the block of I + r, and
-    d_(k+1) d_k = 0 holds on every column.
+    term's blocks concatenated in order; no map leaves the last degree.  d_k
+    and the blocks of ``terms[k + 1]`` come from the same images N_r x, each
+    computed once: every one lies in the block of I + r, and d_(k+1) d_k = 0
+    holds on every column.
     """
 
     weight: int
@@ -406,17 +405,18 @@ def _assemble(
 
     Each degree is one pass of the edge operators, one target J at a time,
     holding only that target's images: every basis vector x of a block I with
-    J = I + r is sent to N_r x once, as the sum of the columns N_r(e_w) of
-    its wedges w in ``cache[r]``, the column cache that all the pieces of one
-    exterior power share.  The images from the block of J - max J
-    span the block of J (its RREF basis), whose vectors in degree k + 1 must
-    have ambient weight ``weight - 2(k + 1)``, and every image, reduced into
-    that basis with the insertion sign of r, is a column entry of d at the
-    rows of J.
+    J = I + r is sent to N_r x once, as the sum of the columns N_r(e_w) of its
+    wedges w in ``cache[r]``, the column cache that all the pieces of one
+    exterior power share.  The images from the block of J - max J span the
+    block of J (its RREF basis), whose vectors in degree k + 1 must have
+    ambient weight ``weight - 2(k + 1)``, and every image, reduced into that
+    basis with the insertion sign of r, is a column entry of d at the rows of
+    J.  No pass starts from degree ``weight // 2``: ``picard_lefschetz`` is
+    zero outside Gr2, so each operator lowers the ambient weight by 2.
     """
     terms: dict[int, tuple[CksBlock, ...]] = {0: (CksBlock((), start),)}
     mats = []
-    for k in itertools.count():
+    for k in range(weight // 2):
         sources = terms[k]
         by_target: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for idx, blk in enumerate(sources):
@@ -454,9 +454,9 @@ def _assemble(
             if basis:
                 blocks.append(CksBlock(target, basis))
                 rows += len(basis)
-        mats.append(SparseIntMatrix(rows, tuple(columns)))
         if not blocks:
             break
+        mats.append(SparseIntMatrix(rows, tuple(columns)))
         terms[k + 1] = tuple(blocks)
     for lower, upper in zip(mats[1:], mats):
         if not lower.matmul(upper).is_zero():
@@ -496,9 +496,9 @@ def cks_cohomology(instance: CKSComplexInstance, *, rng: object = None) -> CksCo
     by its multiplicity and shifted by its j.
 
     Each piece is one weight summand, ranked by ``cleared_ranks`` from d_0
-    upward on exactly the maps its assembly stored.  ``rng`` is accepted and
-    unused: no rank draws from an rng, but the benchmark's ``run_op`` still
-    passes one.  It goes when the benchmark stops passing it.
+    upward on the maps its assembly stored, none out of its last degree.
+    ``rng`` is unused; it goes when the benchmark's ``run_op`` stops passing
+    one.
     """
     delta = instance.delta
     degrees: dict[int, int] = {k: 0 for k in range(0, delta + 1)}
@@ -506,13 +506,13 @@ def cks_cohomology(instance: CKSComplexInstance, *, rng: object = None) -> CksCo
     w_top = instance.exterior_degree + delta
 
     for j, mult, piece in instance.pieces:
-        ranks = [0] + cleared_ranks(piece.differentials)  # ranks[k] is the rank of d_(k-1)
+        ranks = [0] + cleared_ranks(piece.differentials) + [0]  # ranks[k] is the rank of d_(k-1)
         for k in piece.terms:
             h = piece.term_dimension(k) - ranks[k] - ranks[k + 1]
             if h:
-                degrees[k] = degrees.get(k, 0) + mult * h
+                degrees[k] += mult * h
                 if piece.weight + j == w_top:
-                    top[k] = top.get(k, 0) + mult * h
+                    top[k] += mult * h
     return CksCohomology(instance.exterior_degree, delta, degrees, top)
 
 
