@@ -1,11 +1,13 @@
 """Exact reduced simplicial homology over the rationals.
 
 Every matrix is a ``SparseIntMatrix``, an integer matrix stored by columns;
-boundary matrices have entries +-1.  Every rank is the rank over Q of one
-fraction-free sparse elimination over Z with Markowitz pivoting, exact at any
-size: no modulus, no random draw and no second pass.  Everything here is
-reduced homology: the empty face is a cell in dimension -1, so the empty
-complex has Betti number 1 there and nowhere else.
+boundary matrices have entries +-1.  One fraction-free reduction over Z,
+``_reduce``, gives every rank, kernel and RREF basis: each vector is reduced
+at its lowest coordinate against the pivots stored so far, and a non-zero
+residual is stored, content-normalized, as the pivot there.  A rank is its
+number of pivots, exact at any size: no modulus, no random draw and no second
+pass.  Everything here is reduced homology: the empty face is a cell in
+dimension -1, so the empty complex has Betti number 1 there and nowhere else.
 
 Every complex of sparse maps is ranked with clearing by ``cleared_ranks``,
 whose docstring states the lemma: the boundary maps from the top degree down,
@@ -20,20 +22,21 @@ coefficient is a balanced base-2**b digit, and balanced digits are unique
 (the lowest non-zero one survives modulo the next power of 2**b), so the sum
 is zero exactly when the column is.
 
-One routine, ``rref_basis``, gives the RREF basis of a span (the CKS
-blocks); ``top_cycle_basis`` runs the same ``_cancel`` steps on the kernel.
-Both update one copy of each vector in place at every step, and
-``TopHomologyAction`` keys the top faces by their masks, so the image of a
-face under a permutation is one lookup and its orientation sign a popcount
-per cell.  The RREF bases that coordinates are read along (top-cycle bases,
-CKS block bases) have had lead entry 1 on every complex measured, so
-``coords_in_rref`` reads a coordinate off a pivot without dividing, and a
-basis vector whose lead is not 1 is an error rather than a fraction.
+``exact_rank_int`` reduces the columns of a map from the last to the first;
+``rref_basis`` back-substitutes the pivots of a span (the CKS blocks); and
+``top_cycle_basis`` reduces the columns of the top boundary, extended by unit
+vectors, so that the kernel comes out in RREF.  The reduction updates one copy
+of each vector in place at every step.  ``TopHomologyAction`` keys the top
+faces by their masks, so the image of a face under a permutation is one
+lookup and its orientation sign a popcount per cell.  The RREF bases that
+coordinates are read along (top-cycle bases, CKS block bases) have had lead
+entry 1 on every complex measured, so ``coords_in_rref`` reads a coordinate
+off a pivot without dividing, and a basis vector whose lead is not 1 is an
+error rather than a fraction.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -131,17 +134,17 @@ def _cancel(vec: dict[int, int], at: int, pivot: Mapping[int, int]) -> None:
             del vec[k]
 
 
-def rref_basis(vectors: Iterable[Mapping[int, int]]) -> tuple[dict[int, int], ...]:
-    """The reduced row echelon basis of the span of integer vectors, ordered
-    by pivot (lowest index): integer-primitive, positive at its pivot, and
-    zero at every other pivot.  The RREF of a span is unique.
+def _reduce(vectors: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
+    """The pivots ``{lead: pivot}`` of integer vectors, each vector reduced in
+    turn at its lowest coordinate.
 
-    Each vector, which must have no zero entry, is copied and reduced at its
-    lowest coordinate with ``_cancel`` while a pivot holds that coordinate; a
-    non-zero residual becomes the pivot there, content-normalized, so all
-    arithmetic stays in Z.  Then, from the highest pivot down, each pivot is
-    cleared at the higher pivots it holds and normalized again.  The input
-    vectors are not changed.
+    Each vector, which must have no zero entry, is copied and cleared with
+    ``_cancel`` at its lowest coordinate while a pivot holds that coordinate;
+    a non-zero residual becomes the pivot there, content-normalized, so all
+    arithmetic stays in Z.  A pivot is a non-zero multiple of its own vector
+    plus a combination of the vectors that became pivots before it, and it
+    has no entry below its lead.  The number of pivots is the rank over Q of
+    the vectors.  The input vectors are not changed.
     """
     pivots: dict[int, dict[int, int]] = {}
     for vec in vectors:
@@ -153,6 +156,19 @@ def rref_basis(vectors: Iterable[Mapping[int, int]]) -> tuple[dict[int, int], ..
                 pivots[lead] = normalize_int_vec(vec)
                 break
             _cancel(vec, lead, pivot)
+    return pivots
+
+
+def rref_basis(vectors: Iterable[Mapping[int, int]]) -> tuple[dict[int, int], ...]:
+    """The reduced row echelon basis of the span of integer vectors, ordered
+    by pivot (lowest index): integer-primitive, positive at its pivot, and
+    zero at every other pivot.  The RREF of a span is unique.
+
+    The vectors, which must have no zero entry, are reduced by ``_reduce``;
+    then, from the highest pivot down, each pivot is cleared at the higher
+    pivots it holds and normalized again.  The input vectors are not changed.
+    """
+    pivots = _reduce(vectors)
     order = sorted(pivots)
     reduced: dict[int, dict[int, int]] = {}
     for lead in reversed(order):
@@ -202,82 +218,8 @@ def coords_in_rref(
 
 
 # ---------------------------------------------------------------------------
-# rank over Q: one fraction-free elimination over Z
+# rank over Q: one fraction-free reduction over Z
 # ---------------------------------------------------------------------------
-
-
-def _eliminate(vectors: Iterable[Mapping[int, int]], pivots: dict[int, int] | None = None) -> int:
-    """Rank of a list of sparse integer vectors, by fraction-free Markowitz
-    elimination over Z.
-
-    Each step takes a shortest remaining vector (lowest index among equals)
-    and, within it, the coordinate held by the fewest remaining vectors, then
-    clears that coordinate from them; an updated vector that was scaled is
-    divided by its content.  A +-1 lead scales no vector.  ``pivots``, when
-    given, receives each coordinate chosen (one per unit of rank) with its
-    lead, the entry it held when chosen; with the vectors chosen these
-    coordinates index a block whose integer determinant is non-zero.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    holders: dict[int, set[int]] = {}  # coordinate -> remaining vectors holding it
-    for i, vec in enumerate(vectors):
-        row = {k: v for k, v in vec.items() if v}
-        if row:
-            rows[i] = row
-            for k in row:
-                holders.setdefault(k, set()).add(i)
-    queue = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(queue)
-    rank = 0
-    while queue:
-        length, i = heapq.heappop(queue)
-        row = rows.get(i)
-        if row is None or len(row) != length:
-            continue  # stale entry: the vector was eliminated or changed since
-        del rows[i]
-        lead = min(row, key=lambda k: len(holders[k]))
-        rank += 1
-        if pivots is not None:
-            pivots[lead] = row[lead]
-        for k in row:
-            holders[k].discard(i)
-        hits = holders.pop(lead)
-        if not hits:
-            continue
-        pivot = row.pop(lead)
-        if pivot < 0:
-            pivot = -pivot
-            row = {k: -v for k, v in row.items()}
-        for h in hits:
-            target = rows[h]
-            f = target.pop(lead)
-            g = gcd(f, pivot)
-            scale, f = pivot // g, f // g
-            if scale != 1:
-                for k in target:
-                    target[k] *= scale
-            for k, v in row.items():
-                old = target.get(k)
-                if old is None:
-                    target[k] = -f * v
-                    holders[k].add(h)
-                    continue
-                new = old - f * v
-                if new:
-                    target[k] = new
-                else:
-                    del target[k]
-                    holders[k].discard(h)
-            if not target:
-                del rows[h]
-                continue
-            if scale != 1:
-                content = gcd(*target.values())
-                if content != 1:
-                    for k in target:
-                        target[k] //= content
-            heapq.heappush(queue, (len(target), h))
-    return rank
 
 
 def exact_rank(m: SparseIntMatrix, pivots: dict[int, int] | None = None) -> int:
@@ -289,16 +231,20 @@ def exact_rank(m: SparseIntMatrix, pivots: dict[int, int] | None = None) -> int:
 
 
 def exact_rank_int(cols: Sequence[dict[int, int]], n_rows: int, pivots: dict[int, int] | None = None) -> int:
-    """Rank over Q of integer columns: one elimination over Z of the non-zero
-    ones (see ``_eliminate``), whose rank is exact at any size.  ``pivots``,
-    when given, receives the row indices it pivoted on, each with its lead;
-    with some set C of columns they index a block whose integer determinant
-    is non-zero.
+    """Rank over Q of integer columns: the number of pivots of ``_reduce`` on
+    the columns from the last to the first, zero entries dropped, which is
+    exact at any size.  ``pivots``, when given, receives the lead row of each
+    stored pivot with its lead there (positive, as the pivot is
+    content-normalized); with the columns C that became pivots these rows R
+    index a block m[R, C] whose integer determinant is non-zero (see
+    ``cleared_ranks``).
     """
-    live = [c for c in cols if c]
-    if not live or n_rows == 0:
+    if n_rows == 0:
         return 0
-    return _eliminate(live, pivots)
+    reduced = _reduce({k: v for k, v in col.items() if v} for col in reversed(cols))
+    if pivots is not None:
+        pivots.update((lead, vec[lead]) for lead, vec in reduced.items())
+    return len(reduced)
 
 
 def cleared_ranks(maps: Sequence[SparseIntMatrix]) -> list[int]:
@@ -308,11 +254,16 @@ def cleared_ranks(maps: Sequence[SparseIntMatrix]) -> list[int]:
     2011; Bauer, Kerber and Reininghaus, "Clear and compress: computing
     persistent homology in chunks", 2014).
 
-    m_(i+1) is ranked on its columns that were not pivot rows of the
-    elimination that ranked m_i.  The pivots of an elimination over Z index a
-    block m_i[R, C] whose integer determinant is non-zero, and m_(i+1) m_i = 0
-    gives m_(i+1)[:, R] = -m_(i+1)[:, Rᶜ] m_i[Rᶜ, C] m_i[R, C]⁻¹, so the
-    dropped columns lie in the span of the kept ones and the rank over Q is
+    m_(i+1) is ranked on its columns that were not pivot rows R, the leads
+    of the pivots that ranked m_i.  Let C be the columns of m_i that became
+    pivots.  Each stored pivot is s_j c_j plus a rational combination of the
+    pivots stored before it, with s_j non-zero, and has no entry below its
+    lead row.  So the pivots are P = m_i[:, C] T with T triangular and its
+    diagonal non-zero, and P[R] is triangular with the leads on its
+    diagonal: m_i[R, C] = P[R] T⁻¹ is invertible over Q.  Then
+    m_(i+1) m_i = 0 gives
+    m_(i+1)[:, R] = -m_(i+1)[:, Rᶜ] m_i[Rᶜ, C] m_i[R, C]⁻¹: the dropped
+    columns lie in the span of the kept ones and the rank over Q is
     unchanged.  Each kept matrix is ranked by ``exact_rank``.  The lemma
     relies on the zero composites, which the callers check:
     ``boundary_complex`` for ∂∘∂ and the CKS assembly for d∘d.
@@ -375,8 +326,7 @@ def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> IntCha
     The faces of each dimension are keyed by their ground-set bit masks, so
     the facet of a face without cell ``i`` is one lookup of
     ``mask ^ (1 << i)``; each column is filled in the face's cell order with
-    signs +1, -1, ..., an order that ``_eliminate`` uses to break ties between
-    pivots.  The identity d(d(x)) = 0 is checked on every column of
+    signs +1, -1, ....  The identity d(d(x)) = 0 is checked on every column of
     a boundary map with at most ``VERIFY_LIMIT`` columns and on 20 columns of
     a larger one drawn from ``rng``, each checked column of ∂_(d-1) ∂_d as
     one exact integer sum (see ``_verify_square_zero``).
@@ -491,32 +441,20 @@ def top_cycle_basis(cc: IntChainComplex) -> list[dict[int, int]]:
     reduced homology.  The basis is the RREF of the kernel, integer-primitive
     with positive leading entries; it is unique, hence reproducible.
 
-    Each column j is extended by its unit vector past the rows and reduced
-    with ``_cancel`` at its lowest coordinate against the pivots of the
-    columns after it, for j from the last down to the first; it keeps e_j,
-    so it is never empty.  A residual with a non-zero row part becomes a
-    pivot, so the extended parts of pivots hold only unit vectors of
-    independent columns.  A residual whose row part is zero is the kernel
-    vector with pivot j: it holds e_j plus later independent columns only,
-    so it is zero at every other dependent column, which is the reduced
-    echelon form.
+    The columns j, from the last down to the first, are extended by their
+    unit vectors e_j past the rows and reduced by ``_reduce``.  An extended
+    column is never empty.  A pivot whose lead is a row holds, past the rows,
+    only unit vectors of independent columns.  A pivot whose lead is past the
+    rows has a zero row part: it is the kernel vector with pivot j, holding
+    e_j plus later independent columns only, so it is zero at every other
+    dependent column, which is the reduced echelon form.
     """
     if cc.top_dim < 0:
         return [{0: 1}]  # the empty complex: H_{-1} spanned by the empty face
     top = cc.boundaries[cc.top_dim]
     shift = top.rows
-    pivots: dict[int, dict[int, int]] = {}
-    kernel = []
-    for j in range(top.cols - 1, -1, -1):
-        vec = {**top.columns[j], shift + j: 1}
-        while (lead := min(vec)) in pivots:
-            _cancel(vec, lead, pivots[lead])
-        if lead < shift:
-            pivots[lead] = normalize_int_vec(vec)
-        else:
-            kernel.append(normalize_int_vec({k - shift: v for k, v in vec.items()}))
-    kernel.reverse()
-    return kernel
+    pivots = _reduce({**top.columns[j], shift + j: 1} for j in range(top.cols - 1, -1, -1))
+    return [{k - shift: v for k, v in pivots[lead].items()} for lead in sorted(pivots) if lead >= shift]
 
 
 class TopHomologyAction:

@@ -89,7 +89,7 @@ def brute_face_sets(graph: Multigraph, kind: str) -> set:
 
 def record_rank_leads(monkeypatch) -> list[tuple]:
     """Record every ``homology.exact_rank_int`` call made from now on, as
-    (shape, rank, the leads its elimination took)."""
+    (shape, rank, the leads of the pivots its reduction stored)."""
     rank_int = homology.exact_rank_int
     records: list[tuple] = []
 

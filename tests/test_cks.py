@@ -385,7 +385,7 @@ def test_weight_summands_are_ranked_with_clearing(monkeypatch):
 
 # (calls, sha256) of every matrix handed to homology.exact_rank, entries in
 # order, while cks_cohomology ranks the complexes of PINNED_CKS_TABLES
-PINNED_RANK_INPUTS = (79, "5006ef0a5ab201911875344fc3022e077295405bb9fc07ded55a7d12fc3959a6")
+PINNED_RANK_INPUTS = (79, "6b624d4b65cabeacb0d9f0ff996adaf45aa40cb1c47c18ceae063a6155c8b9fc")
 
 
 def test_the_rank_routine_receives_the_pinned_matrices(monkeypatch):
@@ -493,8 +493,9 @@ def test_cleared_ranks_of_every_weight_summand_equal_the_uncleared_ranks(monkeyp
 
 
 def test_every_cleared_rank_of_the_pinned_strata_clears_with_unit_leads(monkeypatch):
-    # the derivation matrices are not +-1, yet every lead the elimination
-    # takes is, so no vector is ever scaled
+    # the derivation matrices are not +-1, yet every recorded lead, the lead
+    # of a stored, content-normalized pivot, is, so _cancel never scales a
+    # vector
     records = record_rank_leads(monkeypatch)
     for genus, parts, i in PINNED_CKS_TABLES:
         cks_cohomology(build_cks(build_graded_model(HitchinPartition(genus, parts)), i))

@@ -190,9 +190,8 @@ def test_kernel_matches_dense_reference_on_fill_heavy_matrices():
                     entries[(r, c)] = v
         rank = dense_rank(rows, cols, entries)
         columns = int_columns(cols, entries)
-        assert homology._eliminate(columns) == rank
-        assert homology._eliminate(transpose(SparseIntMatrix(rows, tuple(columns))).columns) == rank
         assert homology.exact_rank_int(columns, rows) == rank
+        assert homology.exact_rank_int(transpose(SparseIntMatrix(rows, tuple(columns))).columns, cols) == rank
 
 
 P1, P2 = 2**31 - 1, 2**30 + 3  # primes
@@ -376,8 +375,9 @@ def test_square_zero_check_rejects_an_entry_other_than_plus_or_minus_one(value):
 
 # sha256 of (rows, [list(col.items()) for col in columns]) over every
 # boundary map of cographic K_5, Π_5 and 40 seeded random multigraphs; the
-# order of a column's entries breaks Markowitz ties in the rank kernel, so it
-# is pinned along with the entries
+# rank reduction picks each lead as the lowest row, whatever the order of a
+# column's entries, but that order is pinned along with the entries all the
+# same, so that a change to the assembly shows here
 BOUNDARY_MATRICES_SHA256 = "39ffc15a6493823a1bee9a8da1ce8ba623eaae1f3e81943e9e05faa46785ef84"
 
 
@@ -469,8 +469,9 @@ def test_cleared_betti_numbers_equal_those_of_the_uncleared_ranks():
 
 
 def test_every_cleared_boundary_rank_clears_with_unit_leads(monkeypatch):
-    # every lead of every elimination is +-1, so no vector is ever scaled,
-    # above 500 rows or columns too (K_6 - e has five such maps)
+    # a recorded lead is the lead of a stored, content-normalized pivot, so
+    # +-1 everywhere means _cancel never scales a vector, above 500 rows or
+    # columns too (K_6 - e has five such maps)
     records = record_rank_leads(monkeypatch)
     for c in _clearing_cases():
         reduced_homology(boundary_complex(c))
@@ -481,19 +482,25 @@ def test_every_cleared_boundary_rank_clears_with_unit_leads(monkeypatch):
 
 
 def test_clearing_with_pivots_whose_leads_are_not_units():
-    # every other column of K_5's top boundary times p: the same ranks over Q
-    # and d o d = 0, and the elimination takes leads +-p, which still index a
-    # block with a non-zero integer determinant
+    # each odd column c_j of K_5's top boundary that has a right neighbour
+    # becomes p c_j + c_(j+1): the same ranks over Q and d o d = 0, and the
+    # stored pivots take leads p and p**2 (a column merely scaled by p would
+    # lose p to content normalization), which still index a block with a
+    # non-zero integer determinant
     p = 2**31 - 1
     cc = boundary_complex(cographic_complex(complete_graph(5)))
     top, below = cc.boundaries[-1], cc.boundaries[-2]
-    scaled = SparseIntMatrix(
-        top.rows, tuple({r: p * v for r, v in col.items()} if j % 2 else col for j, col in enumerate(top.columns))
-    )
+    columns = list(top.columns)
+    for j in range(1, len(columns) - 1, 2):
+        mixed = {r: p * v for r, v in columns[j].items()}
+        for r, v in columns[j + 1].items():
+            mixed[r] = mixed.get(r, 0) + v
+        columns[j] = {r: v for r, v in mixed.items() if v}
+    scaled = SparseIntMatrix(top.rows, tuple(columns))
     assert below.matmul(scaled).is_zero()
     pivots: dict[int, int] = {}
     assert exact_rank(scaled, pivots) == len(pivots) == exact_rank(top)
-    assert {p, -p} <= set(pivots.values())
+    assert {p, p**2} <= set(pivots.values())
     kept = SparseIntMatrix(below.rows, tuple(c for j, c in enumerate(below.columns) if j not in pivots))
     assert exact_rank(kept) == exact_rank(below)
 
@@ -502,6 +509,45 @@ def test_clearing_with_pivots_whose_leads_are_not_units():
     assert expected == {5: 24}
     scaled_cc = IntChainComplex(cc.boundaries[:-1] + (scaled,))
     assert dict(reduced_homology(scaled_cc).betti) == expected
+
+
+def test_the_pivot_rows_of_every_cleared_map_are_independent():
+    # the premise of the clearing lemma: the rows R that exact_rank reports
+    # have rank |R| = rank m, so some columns C make m[R, C] invertible
+    checked = 0
+    for c in _clearing_cases():
+        for m in boundary_complex(c).boundaries:
+            if max(m.rows, m.cols) > 250:
+                continue
+            pivots: dict[int, int] = {}
+            rank = exact_rank(m, pivots)
+            at = {r: i for i, r in enumerate(sorted(pivots))}
+            rows = {(at[r], j): v for j, col in enumerate(m.columns) for r, v in col.items() if r in at}
+            assert dense_rank(len(at), m.cols, rows) == len(at) == rank, (m.rows, m.cols)
+            checked += 1
+    assert checked == 184
+
+
+def test_rank_kernel_and_rref_basis_share_one_reduction(monkeypatch):
+    calls = []
+    reduce = homology._reduce
+
+    def counting(vectors):
+        calls.append(1)
+        return reduce(vectors)
+
+    monkeypatch.setattr(homology, "_reduce", counting)
+    cc = boundary_complex(cographic_complex(complete_graph(4)))
+    counts = []
+    for run in (
+        lambda: exact_rank(cc.boundaries[1]),
+        lambda: top_cycle_basis(cc),
+        lambda: rref_basis(cc.boundaries[2].columns),
+    ):
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
