@@ -22,6 +22,7 @@ subgraph, so the non-spanning faces are the subsets of rank at most V - 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from .multigraph import GraphError, Multigraph, cycle_space
 
 # Admits the order complex of Pi_7 (262,759 faces) and refuses the cographic
@@ -184,12 +185,6 @@ def set_partitions(r: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _block_of(p: tuple) -> tuple[int, ...]:
-    """Index of the block holding each element, elements in increasing order."""
-    where = {x: bi for bi, blk in enumerate(p) for x in blk}
-    return tuple(where[x] for x in sorted(where))
-
-
 def partition_label(blocks: tuple) -> str:
     return "|".join("".join(str(x) for x in blk) for blk in blocks)
 
@@ -225,18 +220,15 @@ def partition_order_complex(r: int, face_limit: int = DEFAULT_FACE_LIMIT) -> Fac
 
 
 def _coarser(proper: list) -> list[list[int]]:
-    """For each partition of a finest-first list, the later partitions with
-    fewer blocks that it refines, in increasing order.
+    """For each partition of a finest-first list, the later partitions that
+    it refines, in increasing order.
 
-    Each partition's block-of map is built once: p refines q exactly when the
-    pairs (block of x in p, block of x in q) number as many as the blocks of p.
+    Each partition gets the bit mask of its pairs: the x < y that share one of
+    its blocks, pair (x, y) at bit y (y - 1) / 2 + x, injective for every r
+    (blocks are sorted, so ``combinations`` yields x < y).  p refines q
+    exactly when every pair of p is a pair of q, one mask operation.  Distinct
+    partitions with nested pairs differ in block count, so each later q that
+    p refines is strictly coarser and no block count is compared.
     """
-    block_of = [_block_of(p) for p in proper]
-    return [
-        [
-            j
-            for j in range(i + 1, len(proper))
-            if len(proper[j]) < len(p) and len(set(zip(block_of[i], block_of[j]))) == len(p)
-        ]
-        for i, p in enumerate(proper)
-    ]
+    pairs = [sum(1 << y * (y - 1) // 2 + x for blk in p for x, y in combinations(blk, 2)) for p in proper]
+    return [[j for j in range(i + 1, len(proper)) if not mask & ~pairs[j]] for i, mask in enumerate(pairs)]

@@ -4,10 +4,11 @@ Every matrix is a ``SparseIntMatrix``, an integer matrix stored by columns;
 boundary matrices have entries +-1.  One fraction-free reduction over Z,
 ``_reduce``, gives every rank, kernel and RREF basis: each vector is reduced
 at its lowest coordinate against the pivots stored so far, and a non-zero
-residual is stored, content-normalized, as the pivot there.  A rank is its
-number of pivots, exact at any size: no modulus, no random draw and no second
-pass.  Everything here is reduced homology: the empty face is a cell in
-dimension -1, so the empty complex has Betti number 1 there and nowhere else.
+residual is stored, content-normalized, as the pivot there; one whose lead
+is +-1 has content 1 and is stored with no gcd.  A rank is its number of
+pivots, exact at any size: no modulus, no random draw and no second pass.
+Everything here is reduced homology: the empty face is a cell in dimension
+-1, so the empty complex has Betti number 1 there and nowhere else.
 
 Every complex of sparse maps is ranked with clearing by ``cleared_ranks``,
 whose docstring states the lemma: the boundary maps from the top degree down,
@@ -25,14 +26,15 @@ is zero exactly when the column is.
 ``exact_rank_int`` reduces the columns of a map from the last to the first;
 ``rref_basis`` back-substitutes the pivots of a span (the CKS blocks); and
 ``top_cycle_basis`` reduces the columns of the top boundary, extended by unit
-vectors, so that the kernel comes out in RREF.  The reduction updates one copy
-of each vector in place at every step.  ``TopHomologyAction`` keys the top
-faces by their masks, so the image of a face under a permutation is one
-lookup and its orientation sign a popcount per cell.  The RREF bases that
-coordinates are read along (top-cycle bases, CKS block bases) have had lead
-entry 1 on every complex measured, so ``coords_in_rref`` reads a coordinate
-off a pivot without dividing, and a basis vector whose lead is not 1 is an
-error rather than a fraction.
+vectors, so that the kernel comes out in RREF.  ``_reduce`` consumes the
+fresh vectors each caller passes, so a column is copied once and that copy
+is updated in place at every step.  ``TopHomologyAction`` keys the top faces
+by their masks, so the image of a face under a permutation is one lookup and
+its orientation sign a popcount per cell.  The RREF bases that coordinates
+are read along (top-cycle bases, CKS block bases) have had lead entry 1 on
+every complex measured, so ``coords_in_rref`` reads a coordinate off a pivot
+without dividing, and a basis vector whose lead is not 1 is an error rather
+than a fraction.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ class SparseIntMatrix:
 
 
 def normalize_int_vec(vec: dict[int, int]) -> dict[int, int]:
-    """Divide out the content and make the lowest-index entry positive.
+    """Divide out the content and make the lowest-index entry positive, in a
+    new vector; ``_reduce`` skips it at a lead of +-1, whose content is 1.
 
     ``vec`` must be non-empty with no zero entry, as every caller's is: a
     residual that ``_cancel`` left holding a lead.
@@ -134,26 +137,34 @@ def _cancel(vec: dict[int, int], at: int, pivot: Mapping[int, int]) -> None:
             del vec[k]
 
 
-def _reduce(vectors: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
+def _reduce(vectors: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """The pivots ``{lead: pivot}`` of integer vectors, each vector reduced in
     turn at its lowest coordinate.
 
-    Each vector, which must have no zero entry, is copied and cleared with
-    ``_cancel`` at its lowest coordinate while a pivot holds that coordinate;
-    a non-zero residual becomes the pivot there, content-normalized, so all
-    arithmetic stays in Z.  A pivot is a non-zero multiple of its own vector
-    plus a combination of the vectors that became pivots before it, and it
-    has no entry below its lead.  The number of pivots is the rank over Q of
-    the vectors.  The input vectors are not changed.
+    Each vector, which must have no zero entry, is cleared in place with
+    ``_cancel`` at its lowest coordinate while a pivot holds that coordinate,
+    so the vectors are consumed and callers pass fresh ones.  A non-zero
+    residual becomes the pivot there, content-normalized, so all arithmetic
+    stays in Z: a residual whose lead is +-1 has content 1, and a compact
+    copy of it is stored, negated at lead -1, with no gcd; any other goes
+    through ``normalize_int_vec``.  A pivot is a non-zero multiple of its own
+    vector plus a combination of the vectors that became pivots before it,
+    and it has no entry below its lead.  The number of pivots is the rank
+    over Q of the vectors.
     """
     pivots: dict[int, dict[int, int]] = {}
     for vec in vectors:
-        vec = dict(vec)
         while vec:
             lead = min(vec)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = normalize_int_vec(vec)
+                a = vec[lead]
+                if a == 1:
+                    pivots[lead] = dict(vec)
+                elif a == -1:
+                    pivots[lead] = {k: -v for k, v in vec.items()}
+                else:
+                    pivots[lead] = normalize_int_vec(vec)
                 break
             _cancel(vec, lead, pivot)
     return pivots
@@ -164,11 +175,12 @@ def rref_basis(vectors: Iterable[Mapping[int, int]]) -> tuple[dict[int, int], ..
     by pivot (lowest index): integer-primitive, positive at its pivot, and
     zero at every other pivot.  The RREF of a span is unique.
 
-    The vectors, which must have no zero entry, are reduced by ``_reduce``;
-    then, from the highest pivot down, each pivot is cleared at the higher
-    pivots it holds and normalized again.  The input vectors are not changed.
+    Copies of the vectors, which must have no zero entry, are reduced by
+    ``_reduce``, as the CKS assembly reads its images again; then, from the
+    highest pivot down, each pivot is cleared at the higher pivots it holds
+    and normalized again.  The input vectors are not changed.
     """
-    pivots = _reduce(vectors)
+    pivots = _reduce(map(dict, vectors))
     order = sorted(pivots)
     reduced: dict[int, dict[int, int]] = {}
     for lead in reversed(order):
@@ -233,8 +245,9 @@ def exact_rank(m: SparseIntMatrix, pivots: dict[int, int] | None = None) -> int:
 def exact_rank_int(cols: Sequence[dict[int, int]], n_rows: int, pivots: dict[int, int] | None = None) -> int:
     """Rank over Q of integer columns: the number of pivots of ``_reduce`` on
     the columns from the last to the first, zero entries dropped, which is
-    exact at any size.  ``pivots``, when given, receives the lead row of each
-    stored pivot with its lead there (positive, as the pivot is
+    exact at any size.  ``_reduce`` consumes the zero-filtered copies, so the
+    columns are not changed.  ``pivots``, when given, receives the lead row of
+    each stored pivot with its lead there (positive, as the pivot is
     content-normalized); with the columns C that became pivots these rows R
     index a block m[R, C] whose integer determinant is non-zero (see
     ``cleared_ranks``).

@@ -148,7 +148,7 @@ def test_order_complex_r4():
     assert c.verify_downward_closed()
 
 
-@pytest.mark.parametrize("r", [3, 4, 5, 6])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
 def test_coarser_lists_match_the_refinement_predicate(r):
     proper = proper_partitions(r)
     expected = [

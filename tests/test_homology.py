@@ -550,6 +550,68 @@ def test_rank_kernel_and_rref_basis_share_one_reduction(monkeypatch):
     assert counts == [1, 1, 1]
 
 
+def _vectors_with_leads(rng: random.Random, n: int) -> list[dict[int, int]]:
+    """Integer vectors whose leads are 1, -1, +-2 or +-6, every entry a
+    multiple of a divisor of the lead: vectors with content above 1 share it."""
+    vectors = []
+    for _ in range(rng.randint(1, n + 2)):
+        lead = rng.choice((1, -1, 2, -2, 6, -6))
+        content = rng.choice([g for g in (1, 2, 3, 6) if lead % g == 0])
+        at = rng.randrange(n)
+        vec = {at: lead}
+        for k in rng.sample(range(at + 1, n), rng.randint(0, n - at - 1)):
+            if v := content * rng.randint(-4, 4):
+                vec[k] = v
+        vectors.append(vec)
+    return vectors
+
+
+def test_reduce_stores_primitive_pivots_with_positive_leads_and_takes_no_gcd_at_a_unit_lead(monkeypatch):
+    normalized = []
+    normalize = homology.normalize_int_vec
+
+    def recording(vec):
+        normalized.append(vec[min(vec)])
+        return normalize(vec)
+
+    monkeypatch.setattr(homology, "normalize_int_vec", recording)
+    assert homology._reduce([{0: -1, 1: 2}]) == {0: {0: 1, 1: -2}}
+    assert homology._reduce([{0: -6, 2: 9}]) == {0: {0: 2, 2: -3}}
+    assert homology._reduce([{0: 1, 3: -4}, {0: 1, 1: -1, 3: -4}]) == {0: {0: 1, 3: -4}, 1: {1: 1}}
+    rng = random.Random(67)
+    leads = set()
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        vectors = _vectors_with_leads(rng, n)
+        entries = {(r, c): v for c, vec in enumerate(vectors) for r, v in vec.items()}
+        pivots = homology._reduce(copy.deepcopy(vectors))
+        for lead, pivot in pivots.items():
+            assert min(pivot) == lead and pivot[lead] > 0
+            assert math.gcd(*pivot.values()) == 1 and 0 not in pivot.values()
+        assert len(pivots) == dense_rank(n, len(vectors), entries)
+        leads.update(vec[min(vec)] for vec in vectors)
+    assert leads == {1, -1, 2, -2, 6, -6}
+    assert normalized and 1 not in normalized and -1 not in normalized
+
+
+def test_rank_rref_and_top_cycle_callers_keep_their_vectors():
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        vectors = _vectors_with_leads(rng, n)
+        vectors.append({k: 0 for k in range(n)})  # zero entries, dropped by exact_rank_int
+        given = copy.deepcopy(vectors)
+        homology.exact_rank_int(vectors, n)
+        assert vectors == given
+        basis = rref_basis(vectors[:-1])
+        assert vectors == given and not any(b is v for b in basis for v in vectors)
+    for c in (cographic_complex(complete_graph(5)), partition_order_complex(5), points_complex(3)):
+        cc = boundary_complex(c)
+        given = copy.deepcopy(cc.boundaries)
+        top_cycle_basis(cc)
+        assert cc.boundaries == given
+
+
 # ---------------------------------------------------------------------------
 # induced maps on top homology
 # ---------------------------------------------------------------------------
