@@ -58,10 +58,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import cographic_complex
 from .homology import HomologyError, SparseIntMatrix, TopHomologyAction, cleared_ranks, coords_in_rref, rref_basis
@@ -87,7 +86,6 @@ class CksError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GradedH1Model:
     """Three-block graded model over the cycle basis of its dual graph.
 
@@ -96,9 +94,10 @@ class GradedH1Model:
     in graph cohomology (W0); the two coincide in the chord bases.
     """
 
-    graph: Multigraph
-    component_genera: tuple[int, ...]
-    cycles: CycleSpaceBasis
+    def __init__(self, graph: Multigraph, component_genera: tuple[int, ...], cycles: CycleSpaceBasis):
+        self.graph = graph
+        self.component_genera = component_genera
+        self.cycles = cycles
 
     @property
     def delta(self) -> int:
@@ -277,8 +276,7 @@ def check_exterior(dimension: int, i: int, limit: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CksBlock:
+class CksBlock(NamedTuple):
     """The part of one summand Im N_I that lies in one piece, with its
     inclusion as an explicit basis: ambient wedge coordinates, RREF over the
     integers, every vector of the piece's ambient weight in that degree."""
@@ -290,8 +288,7 @@ class CksBlock:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class CksPiece:
+class CksPiece(NamedTuple):
     """One weight summand of the complex on one exterior power: the images
     of N_I on the span of the degree-0 wedges of ambient weight ``weight``,
     checked by ``_assemble``.  The blocks of ``terms[k]`` have ambient weight
@@ -307,14 +304,13 @@ class CksPiece:
 
     weight: int
     terms: Mapping[int, tuple[CksBlock, ...]]
-    differentials: tuple[SparseIntMatrix, ...] = field(compare=False, repr=False)
+    differentials: tuple[SparseIntMatrix, ...]
 
     def term_dimension(self, k: int) -> int:
         return sum(b.dim() for b in self.terms.get(k, ()))
 
 
-@dataclass(frozen=True)
-class CKSComplexInstance:
+class CKSComplexInstance(NamedTuple):
     """The complex on wedge^i H as a Kuenneth sum of assembled weight summands.
 
     Each entry of ``pieces`` is ``(j, C(gr1_dim, j), piece)``: ``piece`` is
@@ -469,8 +465,7 @@ def _assemble(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CksCohomology:
+class CksCohomology(NamedTuple):
     exterior_degree: int
     delta: int
     degrees: Mapping[int, int]

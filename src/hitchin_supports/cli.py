@@ -9,12 +9,10 @@ produce byte-identical documents.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-import traceback
 
 from .cks import DEFAULT_WEDGE_LIMIT, CksError, build_cks, build_graded_model, check_exterior, cks_cohomology
 from .complexes import (
@@ -60,6 +58,8 @@ def _emit_json(doc: dict) -> str:
 
 
 def _emit_csv(rows: list[tuple[str, str]]) -> str:
+    import csv  # only ``--format csv`` pays for it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["field", "value"])
@@ -350,6 +350,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"verification failed: {exc}\n")
         return VERIFY_ERROR
     except Exception:
+        import traceback  # only an internal error pays for it
+
         traceback.print_exc()
         return INTERNAL_ERROR
 

@@ -21,8 +21,9 @@ subgraph, so the non-spanning faces are the subsets of rank at most V - 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
+
 from .multigraph import GraphError, Multigraph, cycle_space
 
 # Admits the order complex of Pi_7 (262,759 faces) and refuses the cographic
@@ -31,8 +32,7 @@ from .multigraph import GraphError, Multigraph, cycle_space
 DEFAULT_FACE_LIMIT = 500_000
 
 
-@dataclass(frozen=True)
-class FaceComplex:
+class FaceComplex(NamedTuple):
     """An abstract simplicial complex presented by an explicit face list."""
 
     ground_set: tuple

@@ -40,9 +40,8 @@ than a fraction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import FaceComplex
 
@@ -58,8 +57,7 @@ class HomologyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
+class SparseIntMatrix(NamedTuple):
     """Sparse integer matrix stored by columns, each ``{row: nonzero int}``.
 
     Every map the library builds is integral, and its rank is the rank over
@@ -295,8 +293,7 @@ def cleared_ranks(maps: Sequence[SparseIntMatrix]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntChainComplex:
+class IntChainComplex(NamedTuple):
     """Graded boundary maps of a face complex, including the augmentation.
 
     ``boundaries[d]`` maps dimension-d chains to dimension-(d-1) chains for
@@ -311,8 +308,7 @@ class IntChainComplex:
         return len(self.boundaries) - 1
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Reduced Betti numbers per dimension (from -1 up)."""
 
     betti: Mapping[int, int]

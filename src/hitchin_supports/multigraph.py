@@ -5,14 +5,13 @@ Vertices are integers ``0 .. vertex_count-1``.  Edges carry distinct integer
 labels that survive edge removal and doubling, so parallel edges and loops
 stay individually addressable.  Every edge is stored with the canonical
 orientation ``u -> v`` where ``u <= v``; loops keep their single endpoint
-twice.  All graph values are immutable and all operations are pure functions.
+twice.  No operation changes a graph value in place; all are pure functions.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class GraphError(ValueError):
@@ -44,7 +43,6 @@ def _component_count(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Multigraph:
     """An undirected multigraph given by a labelled edge list.
 
@@ -53,16 +51,15 @@ class Multigraph:
     position.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = ("vertex_count", "edges")
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, int]]):
+        if vertex_count < 0:
             raise GraphError("vertex_count must be non-negative")
         normalized = []
         seen = set()
-        for u, v, label in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+        for u, v, label in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphError(f"edge endpoint out of range: {(u, v, label)}")
             if label in seen:
                 raise GraphError(f"duplicate edge label {label}")
@@ -70,7 +67,13 @@ class Multigraph:
             if u > v:
                 u, v = v, u
             normalized.append((u, v, label))
-        object.__setattr__(self, "edges", tuple(normalized))
+        self.vertex_count = vertex_count
+        self.edges: tuple[tuple[int, int, int], ...] = tuple(normalized)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Multigraph:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
 
     # -- basic accessors ----------------------------------------------------
 
@@ -102,22 +105,21 @@ class Multigraph:
         return self.component_count(without=without) == 1
 
 
-@dataclass(frozen=True)
 class HitchinPartition:
     """A partition n_1 >= ... >= n_k of n together with the base-curve genus."""
 
-    genus: int
-    parts: tuple[int, ...]
+    __slots__ = ("genus", "parts")
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if self.genus < 2:
+    def __init__(self, genus: int, parts: Iterable[int]):
+        parts = tuple(parts)
+        if genus < 2:
             raise GraphError("genus must be at least 2")
         if not parts or any(p < 1 for p in parts):
             raise GraphError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise GraphError("parts must be non-increasing")
-        object.__setattr__(self, "parts", parts)
+        self.genus = genus
+        self.parts: tuple[int, ...] = parts
 
     @property
     def n(self) -> int:
@@ -135,8 +137,7 @@ class HitchinPartition:
         return alpha
 
 
-@dataclass(frozen=True)
-class CycleSpaceBasis:
+class CycleSpaceBasis(NamedTuple):
     """Fundamental cycles of a lowest-label spanning forest.
 
     ``cycles[j]`` is a signed edge-incidence vector (label -> coefficient) with
@@ -277,15 +278,24 @@ def cycle_space(graph: Multigraph) -> CycleSpaceBasis:
 # ---------------------------------------------------------------------------
 
 
+_GRAPH_SHAPE = '{"vertices": k, "edges": [[u, v], ...]}'
+
+
 def graph_from_json(text: str) -> Multigraph:
-    """Load a graph, assigning labels 0..m-1 by edge-list position.  The vertex
-    count and the endpoints must be JSON integers; nothing is coerced."""
+    """Load a graph, assigning labels 0..m-1 by edge-list position.  The
+    document must be an object ``{"vertices": k, "edges": [[u, v], ...]}``;
+    the vertex count and the endpoints must be JSON integers, and nothing is
+    coerced."""
     try:
         doc = json.loads(text)
-        vertices = doc["vertices"]
-        pairs = doc["edges"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise GraphError(f"bad graph JSON: {exc}") from exc
+    if type(doc) is not dict:
+        raise GraphError(f"bad graph JSON: expected an object {_GRAPH_SHAPE}")
+    for key in ("vertices", "edges"):
+        if key not in doc:
+            raise GraphError(f'bad graph JSON: missing key "{key}" in {_GRAPH_SHAPE}')
+    vertices, pairs = doc["vertices"], doc["edges"]
     if type(vertices) is not int:
         raise GraphError(f"bad graph JSON: vertices must be an integer, not {vertices!r}")
     if type(pairs) is not list:

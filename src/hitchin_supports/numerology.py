@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .multigraph import (
     GraphError,
@@ -118,8 +117,7 @@ def cographic_top_betti(graph: Multigraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(NamedTuple):
     genus: int
     partition: tuple[int, ...]
     n: int

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .cks import (
     _direct_cks,
@@ -49,12 +48,19 @@ from .symgroup import (
 )
 
 
-@dataclass
 class SelftestConfig:
-    seed: int
-    max_edges: int = 10
-    count: int = 30
-    r: int = 4
+    """The seed and sizes of a selftest run; the parser reads its defaults
+    off the class."""
+
+    max_edges = 10
+    count = 30
+    r = 4
+
+    def __init__(self, seed: int, max_edges: int = max_edges, count: int = count, r: int = r):
+        self.seed = seed
+        self.max_edges = max_edges
+        self.count = count
+        self.r = r
 
 
 def random_connected_multigraph(rng: random.Random, max_edges: int) -> Multigraph:

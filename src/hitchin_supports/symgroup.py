@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import cographic_complex, partition_order_complex, proper_partitions
 from .homology import TopHomologyAction
@@ -88,18 +87,18 @@ def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """Map from cycle types of S_r to integer values."""
 
-    r: int
-    values: Mapping[tuple[int, ...], int]
+    __slots__ = ("r", "values")
 
-    def __post_init__(self):
-        if set(self.values) != set(partitions_of(self.r)):
+    def __init__(self, r: int, values: Mapping[tuple[int, ...], int]):
+        if set(values) != set(partitions_of(r)):
             raise SymgroupError("class function must be defined on all cycle types")
-        if any(type(v) is not int for v in self.values.values()):
+        if any(type(v) is not int for v in values.values()):
             raise SymgroupError("class function values must be int")
+        self.r = r
+        self.values = values
 
     def twist_by_sign(self) -> "ClassFunction":
         """Multiply by the sign character (the duality-side bookkeeping toggle)."""
@@ -114,8 +113,7 @@ class ClassFunction:
         }
 
 
-@dataclass(frozen=True)
-class ProductClassFunction:
+class ProductClassFunction(NamedTuple):
     """Class function on a product of symmetric groups S_a1 x ... x S_ak."""
 
     alphas: tuple[int, ...]

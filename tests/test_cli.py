@@ -320,6 +320,8 @@ BAD_INPUTS = [
     ("graph", '{"vertices": 2, "edges": [[0]]}'),
     ("graph", '{"vertices": "a", "edges": []}'),
     ("graph", '{"vertices": 2.9, "edges": [[0, 1.7], [true, 0]]}'),
+    ("graph", "[]"),
+    ("graph", '{"vertices": 2}'),
     ("complex", "--genus", "2", "--r", "3"),
     # K_5 has 727 non-empty faces; the default limit refuses K_7 the same way
     ("complex", "--r", "5", "--face-limit", "726"),

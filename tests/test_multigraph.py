@@ -307,6 +307,24 @@ def test_json_rejects_malformed_documents_without_coercion(text):
         graph_from_json(text)
 
 
+SHAPE = '{"vertices": k, "edges": [[u, v], ...]}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", f"bad graph JSON: expected an object {SHAPE}"),
+        ('"graph"', f"bad graph JSON: expected an object {SHAPE}"),
+        ('{"vertices": 2}', f'bad graph JSON: missing key "edges" in {SHAPE}'),
+        ('{"edges": []}', f'bad graph JSON: missing key "vertices" in {SHAPE}'),
+    ],
+)
+def test_json_names_the_expected_shape_or_the_missing_key(text, message):
+    with pytest.raises(GraphError) as exc:
+        graph_from_json(text)
+    assert str(exc.value) == message
+
+
 def test_json_rejects_out_of_range_data():
     with pytest.raises(GraphError):
         graph_from_json('{"vertices": -1, "edges": []}')
