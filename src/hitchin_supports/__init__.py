@@ -56,7 +56,6 @@ from .symgroup import (
 )
 from .numerology import (
     SupportReport,
-    VerificationError,
     delta_aff_formula,
     local_system_rank,
     support_report,
@@ -71,7 +70,6 @@ __all__ = [
     "ProductClassFunction",
     "SupportReport",
     "SymgroupError",
-    "VerificationError",
     "build_cks",
     "build_graded_model",
     "cks_cohomology",

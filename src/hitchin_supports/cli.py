@@ -1,9 +1,14 @@
 """Command-line surface: stratum reports, complex homology tables, character
 comparisons, monodromy-complex dimensions, and the seeded property suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (one
-``error:`` line), 3 internal error (with its traceback).  Identical flags
-produce byte-identical documents.
+Each document that checks a number against an independent route carries
+``checks``: a mapping from the field checked to ``{"route", "result"}``,
+with ``result`` EQUAL, DIFFER or ``SKIPPED: <reason>``.
+
+Exit codes: 0 success; 1 when some ``checks`` row is DIFFER (or a selftest
+property fails), with the document still printed and stderr empty; 2 usage
+error (one ``error:`` line); 3 internal error (with its traceback).
+Identical flags produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -28,13 +33,7 @@ from .multigraph import (
     build_dual_graph,
     graph_from_json,
 )
-from .numerology import (
-    VerificationError,
-    cographic_top_betti,
-    dim_base,
-    support_report,
-)
-from .selftest import PROPERTIES, SelftestConfig, run_selftest
+from .numerology import check_row, cographic_top_betti, dim_base, support_report
 from .symgroup import (
     SymgroupError,
     complete_graph,
@@ -91,8 +90,9 @@ def _markdown_table(title: str, doc: dict, anchors: dict | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(args: argparse.Namespace, title: str, doc: dict) -> None:
-    """Render ``doc`` in ``--format`` and write it to ``--output`` or stdout."""
+def _write(args: argparse.Namespace, title: str, doc: dict) -> int:
+    """Render ``doc`` in ``--format``, write it to ``--output`` or stdout, and
+    return the exit code: 1 when some row of its ``checks`` is DIFFER."""
     if args.format == "csv":
         text = _emit_csv(_flatten(doc))
     elif args.format == "md":
@@ -104,6 +104,8 @@ def _write(args: argparse.Namespace, title: str, doc: dict) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    differ = any(row["result"] == "DIFFER" for row in doc.get("checks", {}).values())
+    return VERIFY_ERROR if differ else 0
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +118,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     doc = rep.to_json_dict()
     if rep.delta_aff == 0:
         doc["note"] = "codimension-zero stratum: the full base, no new support content"
-    _write(args, "Support stratum report", doc)
-    return 0
+    return _write(args, "Support stratum report", doc)
 
 
 def _complex_for(args: argparse.Namespace):
@@ -155,14 +156,7 @@ def cmd_complex(args: argparse.Namespace) -> int:
             str(d): [list(f) for f in faces]
             for d, faces in enumerate(complex_.faces_by_dim)
         }
-    _write(args, "Complex homology", doc)
-    return 0
-
-
-CHARACTER_STATEMENT = (
-    "top_homology is the sign twist of induced, sgn (x) Lie_r (Stanley, JCTA 32 (1982); "
-    "Hanlon (1981); Wachs, Poset topology (2007), sec. 4.4)"
-)
+    return _write(args, "Complex homology", doc)
 
 
 def cmd_character(args: argparse.Namespace) -> int:
@@ -170,18 +164,20 @@ def cmd_character(args: argparse.Namespace) -> int:
     oracle = induced_character_oracle(args.r)
     # the oracle is Lie_r; it equals its sign twist exactly when r is not 2 mod 4
     equal = top.values == oracle.twist_by_sign().values
+    route = (
+        "top_homology is the sign twist of induced, sgn (x) Lie_r (Stanley, JCTA 32 (1982); "
+        "Hanlon (1981); Wachs, Poset topology (2007), sec. 4.4)"
+    )
     doc = {
         "r": args.r,
         "top_homology": top.to_json_dict(),
         "induced": oracle.to_json_dict(),
-        "statement": CHARACTER_STATEMENT,
-        "verdict": "EQUAL" if equal else "DIFFER",
+        "checks": {"top_homology": check_row(route, equal)},
     }
     if args.alphas is not None:
         doc["restriction"] = restrict_to_young(top, args.alphas).to_json_dict()
         doc["alphas"] = list(args.alphas)
-    _write(args, "Top homology character", doc)
-    return 0 if equal else VERIFY_ERROR
+    return _write(args, "Top homology character", doc)
 
 
 def cmd_cks(args: argparse.Namespace) -> int:
@@ -198,10 +194,11 @@ def cmd_cks(args: argparse.Namespace) -> int:
         expected[model.delta] = betti * math.comb(
             model.gr1_dim, args.exterior - model.delta
         )
-    agreement = all(
+    equal = all(
         coh.top_weight.get(k, 0) == expected.get(k, 0)
         for k in set(coh.top_weight) | set(expected)
     )
+    route = "expected_top_weight: T_G(1,0) of the dual graph (Bjoerner 1992) times C(gr1_dim, exterior - delta)"
     doc = coh.to_json_dict()
     doc.update(
         {
@@ -209,15 +206,20 @@ def cmd_cks(args: argparse.Namespace) -> int:
             "partition": list(p.parts),
             "term_dimensions": {str(k): inst.term_dimension(k) for k in sorted(inst.terms)},
             "expected_top_weight": {str(k): v for k, v in sorted(expected.items())},
-            "cross_check": "EQUAL" if agreement else "DIFFER",
+            "checks": {"top_weight": check_row(route, equal)},
         }
     )
-    _write(args, "Monodromy complex dimensions", doc)
-    return 0 if agreement else VERIFY_ERROR
+    return _write(args, "Monodromy complex dimensions", doc)
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    conf = SelftestConfig(seed=args.seed, max_edges=args.max_edges, count=args.count, r=args.r)
+    from .selftest import PROPERTIES, SelftestConfig, run_selftest  # off the start-up path
+
+    if args.only is not None and args.only not in PROPERTIES:
+        choices = ", ".join(map(repr, sorted(PROPERTIES)))
+        raise argparse.ArgumentError(None, f"argument --only: invalid choice: {args.only!r} (choose from {choices})")
+    sizes = {name: getattr(args, name) for name in ("max_edges", "count", "r") if getattr(args, name) is not None}
+    conf = SelftestConfig(args.seed, **sizes)
     doc = run_selftest(conf, only=args.only)
     for result in doc["results"]:
         status = "PASS" if result["pass"] else "FAIL"
@@ -316,11 +318,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(ck)
 
     st = sub.add_parser("selftest", help="run the seeded property suites")
-    st.add_argument("--max-edges", type=positive, default=SelftestConfig.max_edges)
-    st.add_argument("--count", type=positive, default=SelftestConfig.count)
-    st.add_argument("--only", choices=sorted(PROPERTIES), default=None)
+    # the sizes default to SelftestConfig's, and --only is checked against
+    # PROPERTIES, in cmd_selftest: selftest is not imported at start-up
+    st.add_argument("--max-edges", type=positive, default=None)
+    st.add_argument("--count", type=positive, default=None)
+    st.add_argument("--only", default=None)
     # r = 7 would enumerate the 1,866,256 faces of the cographic complex of K_7
-    st.add_argument("--r", type=int, choices=range(2, 7), default=SelftestConfig.r)
+    st.add_argument("--r", type=int, choices=range(2, 7), default=None)
     st.add_argument("--seed", type=int, default=0)
     common(st)
 
@@ -346,9 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     except (argparse.ArgumentError, GraphError, CksError, SymgroupError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except VerificationError as exc:
-        sys.stderr.write(f"verification failed: {exc}\n")
-        return VERIFY_ERROR
     except Exception:
         import traceback  # only an internal error pays for it
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 from .cks import (
     _direct_cks,
@@ -48,19 +49,13 @@ from .symgroup import (
 )
 
 
-class SelftestConfig:
-    """The seed and sizes of a selftest run; the parser reads its defaults
-    off the class."""
+class SelftestConfig(NamedTuple):
+    """The seed and sizes of a selftest run."""
 
-    max_edges = 10
-    count = 30
-    r = 4
-
-    def __init__(self, seed: int, max_edges: int = max_edges, count: int = count, r: int = r):
-        self.seed = seed
-        self.max_edges = max_edges
-        self.count = count
-        self.r = r
+    seed: int
+    max_edges: int = 10
+    count: int = 30
+    r: int = 4
 
 
 def random_connected_multigraph(rng: random.Random, max_edges: int) -> Multigraph:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hitchin_supports import cli, numerology, selftest
+from hitchin_supports import cli, numerology, selftest, symgroup
 from hitchin_supports.cli import main
 from hitchin_supports.selftest import SelftestConfig, run_selftest
 
@@ -48,7 +48,7 @@ def test_report_homology_verification(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["homology_checked"] is True
+    assert doc["checks"]["top_rank"]["result"] == "EQUAL"
     assert doc["top_rank"] == 2
 
 
@@ -59,20 +59,19 @@ def test_report_checks_the_rank_factor_up_to_twenty_parts(capsys, k):
     )
     assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert doc["homology_checked"] is True
+    assert {row: check["result"] for row, check in doc["checks"].items()} == {"delta_aff": "EQUAL", "top_rank": "EQUAL"}
     assert doc["top_rank"] == math.factorial(k - 1)
-    assert "warning" not in doc
 
 
 def test_report_skips_the_check_above_twenty_parts_with_a_warning(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "report", "--genus", "2", "--partition", ",".join("1" * 21),
     )
-    assert code == 0
+    assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert doc["homology_checked"] is False
     assert doc["top_rank"] == math.factorial(20)
-    assert doc["warning"] == "homology verification skipped: dual graph has 21 vertices (limit 20)"
+    assert doc["checks"]["top_rank"]["result"] == "SKIPPED: dual graph has 21 vertices (limit 20)"
+    assert doc["checks"]["delta_aff"]["result"] == "EQUAL"
 
 
 def test_report_usage_error(capsys):
@@ -88,6 +87,7 @@ def test_report_csv(capsys):
     assert code == 0
     assert out.splitlines()[0] == "field,value"
     assert any(line.startswith("delta_aff,1") for line in out.splitlines())
+    assert "checks.top_rank.result,EQUAL" in out.splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def test_character_r3(capsys):
     code, out, _ = run_cli(capsys, "character", "--r", "3")
     assert code == 0
     doc = json.loads(out)
-    assert doc["verdict"] == "EQUAL"
+    assert doc["checks"]["top_homology"]["result"] == "EQUAL"
     assert doc["top_homology"] == {"1+1+1": 2, "2+1": 0, "3": -1}
 
 
@@ -168,8 +168,8 @@ def test_character_r6_compares_with_the_sign_twist(capsys):
     code, out, _ = run_cli(capsys, "character", "--r", "6")
     assert code == 0
     doc = json.loads(out)
-    assert doc["verdict"] == "EQUAL"
-    assert "sgn (x) Lie_r" in doc["statement"]
+    assert doc["checks"]["top_homology"]["result"] == "EQUAL"
+    assert "sgn (x) Lie_r" in doc["checks"]["top_homology"]["route"]
     # r = 6 is the first r where Lie_r and its sign twist differ
     assert doc["top_homology"]["6"] == -1 and doc["induced"]["6"] == 1
 
@@ -208,7 +208,7 @@ def test_cks_two_parts(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["top_weight"] == {"0": 0, "1": 1}
-    assert doc["cross_check"] == "EQUAL"
+    assert doc["checks"]["top_weight"]["result"] == "EQUAL"
 
 
 def test_cks_exterior_zero(capsys):
@@ -227,7 +227,7 @@ def test_cks_three_parts_exterior_four(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["top_weight"]["4"] == 2
-    assert doc["cross_check"] == "EQUAL"
+    assert doc["checks"]["top_weight"]["result"] == "EQUAL"
 
 
 def test_cks_wedge_limit_guard(capsys):
@@ -296,14 +296,16 @@ def test_output_to_file(tmp_path, capsys):
 
 def test_markdown_anchors(tmp_path, capsys):
     anchors = tmp_path / "anchors.json"
-    anchors.write_text('{"delta_aff": "support range lower end"}')
+    anchors.write_text('{"delta_aff": "support range lower end", "checks": "independent routes"}')
     code, out, _ = run_cli(
         capsys,
         "report", "--genus", "2", "--partition", "1,1",
         "--format", "md", "--anchors", str(anchors),
     )
     assert code == 0
-    assert "support range lower end" in out
+    assert "| delta_aff | 1 | support range lower end |" in out.splitlines()
+    noted = [line.split(" | ")[0] for line in out.splitlines() if line.endswith(" | independent routes |")]
+    assert noted == ["| checks.delta_aff.result", "| checks.delta_aff.route", "| checks.top_rank.result", "| checks.top_rank.route"]
 
 
 BAD_INPUTS = [
@@ -430,12 +432,34 @@ def test_cks_refuses_the_exterior_degree_before_building_the_model(capsys, monke
     assert run_cli(capsys, *argv) == (2, "", err)
 
 
-def test_report_exits_1_when_the_rank_factor_check_fails(capsys, monkeypatch):
+# each row's independent route, replaced by a wrong one: (module, name, wrong
+# route, command, row); a row no wrong route can turn DIFFER checks nothing
+DIFFER_ROWS = [
+    (numerology, "delta_aff", lambda graph: 0, "report --genus 2 --partition 1,1,1", "delta_aff"),
     # T_G(1,0) off by one, as in the in-process numerology test
-    monkeypatch.setattr(numerology, "cographic_top_betti", lambda graph: math.factorial(graph.vertex_count - 1) + 1)
-    code, out, err = run_cli(capsys, "report", "--genus", "2", "--partition", "1,1,1")
-    assert (code, out) == (1, "")
-    assert err == "verification failed: top homology rank 3 disagrees with (k-1)! = 2\n"
+    (
+        numerology, "cographic_top_betti", lambda graph: math.factorial(graph.vertex_count - 1) + 1,
+        "report --genus 2 --partition 1,1,1", "top_rank",
+    ),
+    # r = 6 is the first r where Lie_r and its sign twist differ
+    (
+        cli, "induced_character_oracle", lambda r: symgroup.induced_character_oracle(r).twist_by_sign(),
+        "character --r 6", "top_homology",
+    ),
+    (cli, "cographic_top_betti", lambda graph: 0, "cks --genus 2 --partition 1,1,1 --exterior 4", "top_weight"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, wrong, command, row", DIFFER_ROWS, ids=[f"{c.split()[0]}-{row}" for *_, c, row in DIFFER_ROWS]
+)
+def test_a_differ_row_exits_1_and_prints_the_document(capsys, monkeypatch, module, name, wrong, command, row):
+    monkeypatch.setattr(module, name, wrong)
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (1, "")
+    results = {key: check["result"] for key, check in json.loads(out)["checks"].items()}
+    assert results.pop(row) == "DIFFER"
+    assert set(results.values()) <= {"EQUAL"}
 
 
 def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
@@ -469,19 +493,19 @@ def test_internal_error_exits_3_with_its_traceback(capsys, monkeypatch):
 # sha256 of the stdout of documents that must stay byte-identical: a change to
 # the exact kernels that reorders a dict or moves a number fails here
 GOLDEN = (
-    ("character --r 3", "bd87b473ac89fa0babacebb9931f1726b965387facb486e5910a4555b7b85a35"),
-    ("character --r 4", "01913449101d6b662269288106f215501ff2e4b538d8398dff0a7c0b61b36653"),
-    ("character --r 5", "cb0d31e1ae84f02900afcf94e229a7c772b832e5a0d560c95620f72bd32c3df3"),
-    ("character --r 6", "2207c77bae39850a8c49fd25af62b0d73d49308887cf15f089ddfba9866cdd18"),
+    ("character --r 3", "d1b52412e83fedf9a020cadd794c4ec8abb6d5dd0944c89b26d1574414646eb0"),
+    ("character --r 4", "308ed80dfa52e22b9dbc79e0312671d6b5a7664c4b411ad199f0306c4c6cb082"),
+    ("character --r 5", "648204e53011d3c9eb71bcf4b1159a1d247770f6250fc8c685c9e1acac6d8492"),
+    ("character --r 6", "f6dbd1aa37af68a7564b393b49a3d98fdbc69bcee7609b8ccef827b2a983e78a"),
     ("complex --r 5", "45d68c4da21b37139e71d2e0aa0fcd66a9a12fa3f71c782b87ace13231b77b6c"),
     ("complex --r 6 --kind flats", "4ce1e9587f2275a125c7cea6397c386729f73d9c3eaac058a53c81c98fdb6298"),
-    ("cks --genus 2 --partition 1,1,1 --exterior 4", "686dbfb6ec979c102339f689d5a679b4fcbc339e84a1f296f419d0352d8a17c4"),
-    ("cks --genus 2 --partition 1,1,1 --exterior 5", "736f489d699f8e88e0f2ec4bc4acc8ec37bb2ee4a47f12ef4e0cad0a354b5986"),
-    ("cks --genus 2 --partition 1,1,1,1 --exterior 3", "f8cf2170594a43f5031288a21e142d3fd2851ba60ad459bb081bec0c8e03a579"),
-    ("cks --genus 2 --partition 1,1,1,1 --exterior 4", "f3c42d0ea8fdb8ac3e093668a1afd41398f66a73f4ec3fb9e14d20fcaa1a7401"),
-    ("cks --genus 3 --partition 1,1 --exterior 4", "42497a63cd2266c0e9b8a283a4c2ed0f1eaa1dd30a57e63b8edd0af9fd6d6836"),
-    ("cks --genus 2 --partition 2,1 --exterior 3", "e459a1c4df46a166d46db959bb2ae57d39a68436dbd0d6bacf784c157e3607fc"),
-    ("report --genus 2 --partition 1,1,1,1,1", "9dd8c9b111619ced81f6853f3a867bf4edcb602d79fbc3b9200bdf2a282a39fc"),
+    ("cks --genus 2 --partition 1,1,1 --exterior 4", "0a74fe55e0d8c76c1d5a8dafc53bb3f70bdc16c8001f6cbe1ec9d47713c6637d"),
+    ("cks --genus 2 --partition 1,1,1 --exterior 5", "9b710bb0f62b0f111254a3cf095005e4154884ebad7b823559cd8f427700f7df"),
+    ("cks --genus 2 --partition 1,1,1,1 --exterior 3", "e80d00b43a08e7dff44049f0e27fd98e46c8de2c0914e2756619004ff78071f5"),
+    ("cks --genus 2 --partition 1,1,1,1 --exterior 4", "3bacb5b483aeb632f6b577cad2a22043d0a09a589724cbf9d218b96a72bfbfca"),
+    ("cks --genus 3 --partition 1,1 --exterior 4", "e488159c62d425cf6cb9d843360b921be5dd9602234a9679a754820199904944"),
+    ("cks --genus 2 --partition 2,1 --exterior 3", "eb6897ececa853fbf92dafb7d86170c70fa3c1a015e51792c0751653297f07c4"),
+    ("report --genus 2 --partition 1,1,1,1,1", "87e25aec042cb50faa7970aede359893d859c3f400ead67e7f6cf7163aaf74bf"),
 )
 
 

@@ -16,7 +16,6 @@ from hitchin_supports.multigraph import (
     double_edges,
 )
 from hitchin_supports.numerology import (
-    VerificationError,
     cographic_top_betti,
     delta_aff_formula,
     dim_base,
@@ -195,9 +194,8 @@ def test_report_trivial_partition():
 
 def test_report_homology_verification():
     rep = support_report(HitchinPartition(2, (1, 1, 1)))
-    assert rep.homology_checked is True
+    assert rep.checks["top_rank"]["result"] == "EQUAL"
     assert rep.top_rank == 2
-    assert rep.warning is None
 
 
 @pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1), (1,) * 20])
@@ -209,17 +207,16 @@ def test_report_builds_no_complex(monkeypatch, parts):
     monkeypatch.setattr(complexes, "cographic_complex", refuse)
     monkeypatch.setattr(complexes, "_depth_first", refuse)
     rep = support_report(HitchinPartition(2, parts))
-    assert rep.homology_checked and rep.warning is None
+    assert [row["result"] for row in rep.checks.values()] == ["EQUAL", "EQUAL"]
 
 
 def test_report_degrades_above_the_vertex_limit_with_warning():
     rep = support_report(HitchinPartition(2, (1,) * 21))
-    assert rep.homology_checked is False
     assert rep.top_rank == math.factorial(20)
-    assert rep.warning == "homology verification skipped: dual graph has 21 vertices (limit 20)"
+    assert rep.checks["top_rank"]["result"] == "SKIPPED: dual graph has 21 vertices (limit 20)"
 
 
-def test_report_refuses_a_rank_factor_that_disagrees_with_tutte(monkeypatch):
+def test_report_marks_a_rank_factor_that_disagrees_with_tutte_differ(monkeypatch):
     calls = []
 
     def off_by_one(graph):
@@ -227,11 +224,12 @@ def test_report_refuses_a_rank_factor_that_disagrees_with_tutte(monkeypatch):
         return math.factorial(graph.vertex_count - 1) + 1
 
     monkeypatch.setattr(numerology, "cographic_top_betti", off_by_one)
-    with pytest.raises(VerificationError, match="disagrees with"):
-        support_report(HitchinPartition(2, (2, 1, 1)))
+    rep = support_report(HitchinPartition(2, (2, 1, 1)))
+    assert (rep.checks["top_rank"]["result"], rep.top_rank) == ("DIFFER", 2)
     # above the limit nothing is computed, so nothing is compared
     rep = support_report(HitchinPartition(2, (1,) * 21))
-    assert (calls, rep.homology_checked) == ([3], False)
+    assert calls == [3]
+    assert rep.checks["top_rank"]["result"].startswith("SKIPPED: ")
 
 
 @pytest.mark.parametrize("genus, parts", [(250, (1, 1)), (2, (1, 1, 1, 1, 1))])
@@ -285,11 +283,11 @@ def test_report_json_has_stable_fields():
         "genus", "partition", "n", "k", "dim_base", "dim_total", "delta_aff",
         "codim_stratum", "perversity_range", "normalized_h1", "top_rank",
         "local_system_ranks", "monodromy_group_order", "constant_monodromy",
-        "homology_checked",
+        "checks",
     }
     doc = support_report(HitchinPartition(2, (1, 1))).to_json_dict()
     assert set(doc) == fields
     assert doc["partition"] == [1, 1]
     assert doc["local_system_ranks"]["1"] == 1
     assert set(support_report(HitchinPartition(2, (1,) * 20)).to_json_dict()) == fields
-    assert set(support_report(HitchinPartition(2, (1,) * 21)).to_json_dict()) == fields | {"warning"}
+    assert set(support_report(HitchinPartition(2, (1,) * 21)).to_json_dict()) == fields

@@ -79,7 +79,7 @@ def _check_model(m, fields):
 
 def _check_selftest_config(cfg, fields):
     _stored_as_given(cfg, fields)
-    assert (SelftestConfig.max_edges, SelftestConfig.count, SelftestConfig.r) == (10, 30, 4)
+    assert SelftestConfig._field_defaults == {"max_edges": 10, "count": 30, "r": 4}
     defaults = SelftestConfig(seed=7)
     assert (defaults.seed, defaults.max_edges, defaults.count, defaults.r) == (7, 10, 30, 4)
 
@@ -124,7 +124,7 @@ def _record_cases():
 
 SUPPORT_REPORT_FIELDS = (
     "genus partition n k dim_base dim_total delta_aff codim_stratum perversity_range normalized_h1 "
-    "top_rank local_system_ranks monodromy_group_order constant_monodromy homology_checked warning"
+    "top_rank local_system_ranks monodromy_group_order constant_monodromy checks"
 )
 RECORD_CASES = _record_cases()
 

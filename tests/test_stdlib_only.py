@@ -42,8 +42,9 @@ def test_no_module_imports_dataclasses():
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     """``import hitchin_supports.cli`` in a fresh interpreter loads none of
-    these; ``csv`` and ``traceback`` are imported where they are used."""
-    unloaded = ("dataclasses", "inspect", "csv", "traceback")
+    these; ``csv``, ``traceback`` and ``selftest`` are imported where they
+    are used."""
+    unloaded = ("dataclasses", "inspect", "csv", "traceback", "hitchin_supports.selftest")
     code = f"import sys, hitchin_supports.cli; print(sorted(set({unloaded!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
