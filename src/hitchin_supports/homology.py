@@ -15,26 +15,30 @@ whose docstring states the lemma: the boundary maps from the top degree down,
 and each weight summand of a CKS complex from d_0 upward.
 
 Faces are keyed by their ground-set bit masks, written once in
-``_face_mask``.  ``boundary_complex`` finds the facet of a face without cell
-i as the one lookup ``mask ^ (1 << i)``, and checks each column of ∂_(d-1) ∂_d
-as one integer sum: the ±1 columns of ∂_(d-1) evaluated at 2**b, added with
-the column's signs.  With 2**(b-1) above the column's length every
-coefficient is a balanced base-2**b digit, and balanced digits are unique
-(the lowest non-zero one survives modulo the next power of 2**b), so the sum
-is zero exactly when the column is.
+``_face_mask``.  ``_boundary_map`` builds ∂_d, finding the facet of a face
+without cell i as the one lookup ``mask ^ (1 << i)``: ``boundary_complex``
+calls it in every dimension, ``TopHomologyAction`` only for ∂_(top-1) and
+∂_top.  Both check each column of ∂_(d-1) ∂_d they build (all up to
+``VERIFY_LIMIT`` columns, 20 sampled above) as one integer sum: the ±1
+columns of ∂_(d-1) evaluated at 2**b, added with the column's signs.  With
+2**(b-1) above the column's length every coefficient is a balanced base-2**b
+digit, and balanced digits are unique (the lowest non-zero one survives
+modulo the next power of 2**b), so the sum is zero exactly when the column
+is.
 
 ``exact_rank_int`` reduces the columns of a map from the last to the first;
 ``rref_basis`` back-substitutes the pivots of a span (the CKS blocks); and
-``top_cycle_basis`` reduces the columns of the top boundary, extended by unit
-vectors, so that the kernel comes out in RREF.  ``_reduce`` consumes the
-fresh vectors each caller passes, so a column is copied once and that copy
-is updated in place at every step.  ``TopHomologyAction`` keys the top faces
-by their masks, so the image of a face under a permutation is one lookup and
-its orientation sign a popcount per cell.  The RREF bases that coordinates
-are read along (top-cycle bases, CKS block bases) have had lead entry 1 on
-every complex measured, so ``coords_in_rref`` reads a coordinate off a pivot
-without dividing, and a basis vector whose lead is not 1 is an error rather
-than a fraction.
+``top_cycle_basis`` reduces the columns of the top boundary, extended by
+unit vectors, so that the kernel comes out in RREF.  ``_reduce`` consumes
+the fresh vectors each caller passes, so a column is copied once and that
+copy is updated in place at every step.  ``TopHomologyAction`` keys the top
+faces by their masks, so the image of a face under a permutation is one
+lookup and its orientation sign a popcount per cell; the facets below the
+top are the d-faces that no mask ``mask ^ (1 << i)`` of a (d+1)-face hits.
+The RREF bases that coordinates are read along (top-cycle bases, CKS block
+bases) have had lead entry 1 on every complex measured, so
+``coords_in_rref`` reads a coordinate off a pivot without dividing, and a
+basis vector whose lead is not 1 is an error rather than a fraction.
 """
 
 from __future__ import annotations
@@ -329,48 +333,47 @@ def _face_mask(face: Iterable[int], bit: Sequence[int]) -> int:
     return sum(map(bit.__getitem__, face))
 
 
-def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> IntChainComplex:
-    """Boundary matrices with alternating signs over the lexicographic face order.
+def _boundary_map(levels: Sequence, masks: Sequence[Sequence[int]], bit: Sequence[int], d: int) -> SparseIntMatrix:
+    """∂_d of the complex whose d-faces are ``levels[d]``, with bit masks
+    ``masks[d]`` (``bit[i]`` the bit of cell ``i``); ∂_0 is the augmentation.
+    The facet of a face without cell ``i`` is one lookup of ``mask ^ bit[i]``
+    among the (d-1)-faces, a miss raises, and each column is filled in the
+    face's cell order with signs +1, -1, ....
+    """
+    if d == 0:
+        return SparseIntMatrix(1, tuple({0: 1} for _ in levels[0]))
+    index = {m: j for j, m in enumerate(masks[d - 1])}
+    columns = []
+    try:
+        for face, mask in zip(levels[d], masks[d]):
+            col = {}
+            sign = 1
+            for i in face:
+                col[index[mask ^ bit[i]]] = sign
+                sign = -sign
+            columns.append(col)
+    except KeyError:
+        raise HomologyError("complex is not downward closed") from None
+    return SparseIntMatrix(len(index), tuple(columns))
 
-    The faces of each dimension are keyed by their ground-set bit masks, so
-    the facet of a face without cell ``i`` is one lookup of
-    ``mask ^ (1 << i)``; each column is filled in the face's cell order with
-    signs +1, -1, ....  The identity d(d(x)) = 0 is checked on every column of
-    a boundary map with at most ``VERIFY_LIMIT`` columns and on 20 columns of
-    a larger one drawn from ``rng``, each checked column of ∂_(d-1) ∂_d as
-    one exact integer sum (see ``_verify_square_zero``).
+
+def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> IntChainComplex:
+    """Boundary matrices with alternating signs over the lexicographic face
+    order, one ``_boundary_map`` per dimension.  d(d(x)) = 0 is checked on
+    every column of a map with at most ``VERIFY_LIMIT`` columns and on 20
+    columns of a larger one drawn from ``rng`` (``_verify_square_zero``).
     """
     bit = [1 << i for i in range(len(c.ground_set))]
-    mats: list[SparseIntMatrix] = []
-    prev_index: dict[int, int] = {}  # mask -> index of the faces one dimension down
-    for d, faces in enumerate(c.faces_by_dim):
-        index: dict[int, int] = {}
-        columns = []
-        try:
-            for j, face in enumerate(faces):
-                mask = _face_mask(face, bit)
-                index[mask] = j
-                if d == 0:
-                    columns.append({0: 1})
-                    continue
-                col = {}
-                sign = 1
-                for i in face:
-                    col[prev_index[mask ^ bit[i]]] = sign
-                    sign = -sign
-                columns.append(col)
-        except KeyError:
-            raise HomologyError("complex is not downward closed") from None
-        mats.append(SparseIntMatrix(len(prev_index) if d else 1, tuple(columns)))
-        prev_index = index
-    cc = IntChainComplex(tuple(mats))
-    _verify_square_zero(cc, rng)
+    masks = [[_face_mask(f, bit) for f in faces] for faces in c.faces_by_dim]
+    cc = IntChainComplex(tuple(_boundary_map(c.faces_by_dim, masks, bit, d) for d in range(len(masks))))
+    _verify_square_zero(cc.boundaries, rng)
     return cc
 
 
-def _verify_square_zero(cc: IntChainComplex, rng: random.Random | None) -> None:
-    """Check ∂_(d-1) ∂_d = 0 on every column of a map with at most
-    ``VERIFY_LIMIT`` columns and on 20 columns drawn from ``rng`` above that.
+def _verify_square_zero(maps: Sequence[SparseIntMatrix], rng: random.Random | None) -> None:
+    """Check ∂_(d-1) ∂_d = 0 for consecutive ``maps`` ∂_(d-1), ∂_d on every
+    column of a map with at most ``VERIFY_LIMIT`` columns and on 20 columns
+    drawn from ``rng`` above that.
 
     A checked column is evaluated at 2**b (Kronecker substitution): lower
     column k becomes the int Σ_r v 2**(b r), built once per map when first
@@ -381,11 +384,11 @@ def _verify_square_zero(cc: IntChainComplex, rng: random.Random | None) -> None:
     exactly when the column of ∂_(d-1) ∂_d does.
     """
     rng = rng or random.Random(17)
-    for d in range(1, cc.top_dim + 1):
-        upper = cc.boundaries[d].columns
+    for d in range(1, len(maps)):
+        upper = maps[d].columns
         if len(upper) > VERIFY_LIMIT:
             upper = tuple(upper[rng.randrange(len(upper))] for _ in range(20))
-        lower = cc.boundaries[d - 1].columns
+        lower = maps[d - 1].columns
         b = max(map(len, upper), default=0).bit_length() + 1
         at: list[int | None] = [None] * len(lower)  # lower column k evaluated at 2**b
         for col in upper:
@@ -443,8 +446,9 @@ def reduced_homology(cc: IntChainComplex, *, rng: object = None) -> HomologyProf
 # ---------------------------------------------------------------------------
 
 
-def top_cycle_basis(cc: IntChainComplex) -> list[dict[int, int]]:
-    """Canonical basis of the kernel of the top boundary map.
+def top_cycle_basis(boundaries: Sequence[SparseIntMatrix]) -> list[dict[int, int]]:
+    """Canonical basis of the kernel of the top boundary map, the last of
+    ``boundaries``.
 
     There are no chains above the top dimension, so this kernel is the top
     reduced homology.  The basis is the RREF of the kernel, integer-primitive
@@ -458,9 +462,9 @@ def top_cycle_basis(cc: IntChainComplex) -> list[dict[int, int]]:
     e_j plus later independent columns only, so it is zero at every other
     dependent column, which is the reduced echelon form.
     """
-    if cc.top_dim < 0:
+    if not boundaries:
         return [{0: 1}]  # the empty complex: H_{-1} spanned by the empty face
-    top = cc.boundaries[cc.top_dim]
+    top = boundaries[-1]
     shift = top.rows
     pivots = _reduce({**top.columns[j], shift + j: 1} for j in range(top.cols - 1, -1, -1))
     return [{k - shift: v for k, v in pivots[lead].items()} for lead in sorted(pivots) if lead >= shift]
@@ -469,35 +473,38 @@ def top_cycle_basis(cc: IntChainComplex) -> list[dict[int, int]]:
 class TopHomologyAction:
     """Action of simplicial automorphisms on a fixed top-cycle basis.
 
+    Only ∂_(top-1) and ∂_top are built (``_boundary_map``), and ∂∘∂ = 0 is
+    checked on that pair as ``boundary_complex`` checks each of its pairs.
     ``matrix`` checks that a ground-set permutation is an automorphism on the
     facets only: a bijection of the ground set that maps every facet into the
     complex maps every face into it (faces lie in facets, and the complex is
     downward closed), injectively, so onto the finite set of faces of each
     size.  Top faces are checked as the face table is built; the facets below
-    the top, the faces that are no row of the boundary map above, are listed
-    once here.
+    the top, the d-faces that no mask ``mask ^ bit[i]`` of a (d+1)-face hits,
+    are listed once here, and a hit that is no d-face raises.
     """
 
     def __init__(self, c: FaceComplex):
         self.complex = c
-        self.cc = boundary_complex(c)
-        self.basis = top_cycle_basis(self.cc)
-        self._pivots = {min(vec): i for i, vec in enumerate(self.basis)}
-        self.top = self.cc.top_dim
-        # top faces as ground-set bit masks: (cells, mask) in face order, and
-        # the index of each mask
+        levels = c.faces_by_dim
+        self.top = top = len(levels) - 1
         bit = [1 << i for i in range(len(c.ground_set))]
-        self._top_faces = (
-            [(f, _face_mask(f, bit)) for f in c.faces_by_dim[self.top]] if self.top >= 0 else []
-        )
+        masks = [[_face_mask(f, bit) for f in faces] for faces in levels]
+        maps = [_boundary_map(levels, masks, bit, d) for d in range(max(top - 1, 0), top + 1)]
+        _verify_square_zero(maps, None)
+        self.basis = top_cycle_basis(maps)
+        self._pivots = {min(vec): i for i, vec in enumerate(self.basis)}
+        # top faces as (cells, mask) in face order, and the index of each mask
+        self._top_faces = list(zip(levels[top], masks[top])) if top >= 0 else []
         self._face_index = {mask: i for i, (_, mask) in enumerate(self._top_faces)}
         self._lower_facets = []  # (facets of one dimension, all faces of it) below the top
-        for d in range(self.top):
-            faces = c.faces_by_dim[d]
-            covered = {r for col in self.cc.boundaries[d + 1].columns for r in col}
-            if len(covered) < len(faces):
-                facets = tuple(f for i, f in enumerate(faces) if i not in covered)
-                self._lower_facets.append((facets, set(faces)))
+        for d in range(top):
+            covered = {mask ^ bit[i] for face, mask in zip(levels[d + 1], masks[d + 1]) for i in face}
+            if not covered.issubset(masks[d]):
+                raise HomologyError("complex is not downward closed")
+            facets = tuple(f for f, mask in zip(levels[d], masks[d]) if mask not in covered)
+            if facets:
+                self._lower_facets.append((facets, set(levels[d])))
 
     @property
     def rank(self) -> int:

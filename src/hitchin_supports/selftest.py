@@ -315,7 +315,7 @@ def prop_unit_leads(rng, cfg):
         if g.vertex_count >= 2:
             complexes.append(("nonspanning", nonspanning_complex(g)))
         for kind, c in complexes:
-            leads = {vec[min(vec)] for vec in top_cycle_basis(boundary_complex(c))}
+            leads = {vec[min(vec)] for vec in top_cycle_basis(boundary_complex(c).boundaries)}
             if leads - {1}:
                 return False, f"{kind} complex of {g.edges}: leads {sorted(leads)}"
     return True, f"{cfg.count} random graphs"

@@ -278,11 +278,11 @@ def _flipped_entries(cc: IntChainComplex):
 def test_square_zero_check_rejects_every_single_sign_flip():
     cc = boundary_complex(cographic_complex(complete_graph(4)))
     assert max(m.cols for m in cc.boundaries) <= homology.VERIFY_LIMIT
-    homology._verify_square_zero(cc, None)
+    homology._verify_square_zero(cc.boundaries, None)
     count = 0
     for d, bad in _flipped_entries(cc):
         with pytest.raises(HomologyError, match="boundary squared"):
-            homology._verify_square_zero(bad, None)
+            homology._verify_square_zero(bad.boundaries, None)
         count += 1
     assert count == sum(m.nnz for m in cc.boundaries)
 
@@ -297,7 +297,7 @@ def test_square_zero_check_samples_from_the_rng_as_before():
     )
     assert [m.cols > homology.VERIFY_LIMIT for m in cc.boundaries] == [False, True, False]
     rng = random.Random(5)
-    homology._verify_square_zero(cc, rng)
+    homology._verify_square_zero(cc.boundaries, rng)
     expected = random.Random(5)
     for m in cc.boundaries[1:]:
         if m.cols > homology.VERIFY_LIMIT:
@@ -324,10 +324,10 @@ def _caught_as_the_reference_says(cc: IntChainComplex) -> bool:
     """Run the check, which must raise exactly when the reference finds a
     non-zero column; return whether it raised."""
     if _accumulated_square_is_zero(cc):
-        homology._verify_square_zero(cc, None)
+        homology._verify_square_zero(cc.boundaries, None)
         return False
     with pytest.raises(HomologyError, match="boundary squared"):
-        homology._verify_square_zero(cc, None)
+        homology._verify_square_zero(cc.boundaries, None)
     return True
 
 
@@ -368,7 +368,7 @@ def test_square_zero_check_rejects_an_entry_other_than_plus_or_minus_one(value):
     count = 0
     for _, bad in _entry_mutations(cc, lambda col, r, rows: {**col, r: value}):
         with pytest.raises(HomologyError, match="not \\+-1"):
-            homology._verify_square_zero(bad, None)
+            homology._verify_square_zero(bad.boundaries, None)
         count += 1
     assert count == sum(m.nnz for m in cc.boundaries)
 
@@ -541,7 +541,7 @@ def test_rank_kernel_and_rref_basis_share_one_reduction(monkeypatch):
     counts = []
     for run in (
         lambda: exact_rank(cc.boundaries[1]),
-        lambda: top_cycle_basis(cc),
+        lambda: top_cycle_basis(cc.boundaries),
         lambda: rref_basis(cc.boundaries[2].columns),
     ):
         calls.clear()
@@ -608,7 +608,7 @@ def test_rank_rref_and_top_cycle_callers_keep_their_vectors():
     for c in (cographic_complex(complete_graph(5)), partition_order_complex(5), points_complex(3)):
         cc = boundary_complex(c)
         given = copy.deepcopy(cc.boundaries)
-        top_cycle_basis(cc)
+        top_cycle_basis(cc.boundaries)
         assert cc.boundaries == given
 
 
@@ -665,7 +665,7 @@ def test_non_automorphism_is_rejected():
 
 def test_top_cycle_basis_is_canonical_and_integral():
     cc = boundary_complex(cographic_complex(complete_graph(4)))
-    basis = top_cycle_basis(cc)
+    basis = top_cycle_basis(cc.boundaries)
     assert len(basis) == 6
     for vec in basis:
         assert vec[min(vec)] > 0
@@ -682,7 +682,7 @@ def test_top_cycle_basis_is_canonical_and_integral():
 def test_top_cycle_basis_leads_are_one(kind, n):
     # coords_in_rref reads coordinates off the pivots of these bases
     c = cographic_complex(complete_graph(n)) if kind == "cographic" else partition_order_complex(n)
-    basis = top_cycle_basis(boundary_complex(c))
+    basis = top_cycle_basis(boundary_complex(c).boundaries)
     assert len(basis) == math.factorial(n - 1)
     assert all(vec[min(vec)] == 1 for vec in basis)
 
@@ -703,7 +703,7 @@ def test_top_cycle_basis_is_the_rref_kernel_of_the_top_boundary():
 
     for c in _top_cycle_cases():
         cc = boundary_complex(c)
-        basis = top_cycle_basis(cc)
+        basis = top_cycle_basis(cc.boundaries)
         assert len(basis) == reduced_homology(cc).betti_number(cc.top_dim), c
         if cc.top_dim < 0:
             assert basis == [{0: 1}]
@@ -871,7 +871,7 @@ def test_top_cycle_basis_equals_forward_insertion_and_rref():
     cases += [cographic_complex(random_connected_multigraph(rng, 8)) for _ in range(60)]
     for c in cases:
         cc = boundary_complex(c)
-        assert top_cycle_basis(cc) == _forward_top_cycle_basis(cc), c.f_vector()
+        assert top_cycle_basis(cc.boundaries) == _forward_top_cycle_basis(cc), c.f_vector()
 
 
 def _sort_sign(values) -> int:
@@ -944,9 +944,8 @@ def _every_face_maps_into(c, perm):
     return all(tuple(sorted(perm[i] for i in face)) in face_set for face in face_set)
 
 
-def test_facet_check_agrees_with_the_check_on_every_face():
-
-    rng = random.Random(23)
+def _closures_and_graph_complexes(rng):
+    """30 closures of random facets, 15 random cographic complexes and Π_4."""
     complexes = []
     for _ in range(30):
         n = rng.randint(3, 6)
@@ -955,6 +954,12 @@ def test_facet_check_agrees_with_the_check_on_every_face():
     for _ in range(15):
         complexes.append(cographic_complex(random_connected_multigraph(rng, 6)))
     complexes.append(partition_order_complex(4))
+    return complexes
+
+
+def test_facet_check_agrees_with_the_check_on_every_face():
+    rng = random.Random(23)
+    complexes = _closures_and_graph_complexes(rng)
     outcomes = set()
     for c in complexes:
         action = TopHomologyAction(c)
@@ -971,6 +976,74 @@ def test_facet_check_agrees_with_the_check_on_every_face():
             assert accepted == expected, (c.faces_by_dim, perm)
             outcomes.add(accepted)
     assert outcomes == {True, False}
+
+
+def _lower_facets_from_the_rows(c, cc):
+    """The facets below the top read off the rows of the full complex's maps:
+    the d-faces that are no row of ∂_(d+1)."""
+    out = []
+    for d in range(cc.top_dim):
+        faces = c.faces_by_dim[d]
+        covered = {r for col in cc.boundaries[d + 1].columns for r in col}
+        if len(covered) < len(faces):
+            out.append((tuple(f for i, f in enumerate(faces) if i not in covered), set(faces)))
+    return out
+
+
+def test_the_two_map_action_equals_the_full_complex():
+    complexes = [cographic_complex(complete_graph(5)), partition_order_complex(5)]
+    complexes += _closures_and_graph_complexes(random.Random(23))
+    assert len(complexes) == 48
+    tops = set()
+    for c in complexes:
+        action, cc = TopHomologyAction(c), boundary_complex(c)
+        assert action.top == cc.top_dim
+        assert action.basis == top_cycle_basis(cc.boundaries), c.faces_by_dim
+        assert action._lower_facets == _lower_facets_from_the_rows(c, cc), c.faces_by_dim
+        tops.add(min(cc.top_dim, 2))
+    assert tops == {-1, 0, 1, 2}  # no map, ∂_0 alone, the pair onto ∂_0, and higher
+
+
+@pytest.mark.parametrize("missing", [(3,), (2, 3)])
+def test_action_rejects_a_complex_not_downward_closed_below_the_top_pair(missing):
+    # the closure of a tetrahedron less one vertex (dimension top - 3, which
+    # neither built map reads) or one edge (read as a row of ∂_(top-1))
+    levels = _closure([(0, 1, 2, 3)])
+    bad = FaceComplex((0, 1, 2, 3), tuple(tuple(f for f in faces if f != missing) for faces in levels))
+    assert sum(map(len, bad.faces_by_dim)) == 14
+    with pytest.raises(HomologyError, match="not downward closed"):
+        boundary_complex(bad)
+    with pytest.raises(HomologyError, match="not downward closed"):
+        TopHomologyAction(bad)
+
+
+def _entry_lists(maps):
+    return [(m.rows, [list(col.items()) for col in m.columns]) for m in maps]
+
+
+def test_action_builds_only_the_top_pair_of_maps(monkeypatch):
+    path = cographic_complex(Multigraph(3, ((0, 1, 0), (1, 2, 1))))  # no faces: no map
+    cases = [cographic_complex(complete_graph(5)), partition_order_complex(5), points_complex(2), path]
+    expected = [boundary_complex(c).boundaries[-2:] for c in cases]
+    assert [len(maps) for maps in expected] == [2, 2, 1, 0]
+    received = []
+    real = homology._verify_square_zero
+
+    def recorded(maps, rng):
+        received.append(tuple(maps))
+        real(maps, rng)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("boundary_complex called")
+
+    monkeypatch.setattr(homology, "_verify_square_zero", recorded)
+    monkeypatch.setattr(homology, "boundary_complex", refused)
+    for c, maps in zip(cases, expected):
+        received.clear()
+        action = TopHomologyAction(c)
+        action.matrix(tuple(range(len(c.ground_set))))
+        assert len(received) == 1
+        assert _entry_lists(received[0]) == _entry_lists(maps)
 
 
 def test_lower_facet_sent_outside_is_rejected():
