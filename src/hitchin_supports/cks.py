@@ -34,12 +34,13 @@ per operator, filled as they need columns and dropped when that exterior
 power is assembled, so ``apply_derivation`` runs once per (operator, wedge)
 pair that occurs.  Every component N_r x must lie in its block, every basis
 vector in degree k must have ambient weight ``weight - 2k``, and d o d = 0 is
-checked on every column.  Each piece is ranked from d_0 upward by the
-clearing pass that ranks boundary maps, ``cleared_ranks``, which relies on
-that check.  The highest-weight summand in exterior degree delta is the
-cographic cochain complex up to a +-1 gauge, so the action of a graph
-automorphism on its cohomology is the finite twist det S(sigma), sigma on the
-cycle space, times the simplicial action on cographic top homology.
+checked on every column.  The cohomology of each piece is
+``cleared_homology`` of its terms and maps from d_0 upward, the clearing pass
+that ranks boundary maps, which relies on that check.  The highest-weight
+summand in exterior degree delta is the cographic cochain complex up to a +-1
+gauge, so the action of a graph automorphism on its cohomology is the finite
+twist det S(sigma), sigma on the cycle space, times the simplicial action on
+cographic top homology.
 
 This is the complex of Cattani, Kaplan and Schmid ("L^2 and intersection
 cohomologies for a polarizable variation of Hodge structure", Invent. Math.
@@ -63,7 +64,7 @@ from math import comb, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import cographic_complex
-from .homology import HomologyError, SparseIntMatrix, TopHomologyAction, cleared_ranks, coords_in_rref, rref_basis
+from .homology import HomologyError, SparseIntMatrix, TopHomologyAction, cleared_homology, coords_in_rref, rref_basis
 from .multigraph import (
     CycleSpaceBasis,
     GraphError,
@@ -237,16 +238,12 @@ def _derived_image(
     return out
 
 
-def image_NI(
-    model: GradedH1Model,
-    subset: Iterable[int],
-    exterior_degree: int,
-    wedge_limit: int = DEFAULT_WEDGE_LIMIT,
-) -> tuple[dict[int, int], ...]:
+def image_NI(model: GradedH1Model, subset: Iterable[int], exterior_degree: int) -> tuple[dict[int, int], ...]:
     """RREF basis (``rref_basis``) of the image of the composed edge
     operators on the exterior power; the empty subset returns the standard
-    basis of the full space."""
-    check_exterior(model.dimension, exterior_degree, wedge_limit)
+    basis of the full space.  A wedge basis past ``DEFAULT_WEDGE_LIMIT`` is
+    refused."""
+    check_exterior(model.dimension, exterior_degree, DEFAULT_WEDGE_LIMIT)
     wedges = WedgeBasis(model.dimension, exterior_degree)
     order = sorted(set(subset))
     for lab in order:
@@ -490,8 +487,8 @@ def cks_cohomology(instance: CKSComplexInstance, *, rng: object = None) -> CksCo
     highest-weight summand (shifted weight i + delta): each piece's, weighed
     by its multiplicity and shifted by its j.
 
-    Each piece is one weight summand, ranked by ``cleared_ranks`` from d_0
-    upward on the maps its assembly stored, none out of its last degree.
+    Each piece is one weight summand, whose cohomology is ``cleared_homology``
+    of its term dimensions and the maps its assembly stored, from d_0 upward.
     ``rng`` is unused; it goes when the benchmark's ``run_op`` stops passing
     one.
     """
@@ -501,9 +498,8 @@ def cks_cohomology(instance: CKSComplexInstance, *, rng: object = None) -> CksCo
     w_top = instance.exterior_degree + delta
 
     for j, mult, piece in instance.pieces:
-        ranks = [0] + cleared_ranks(piece.differentials) + [0]  # ranks[k] is the rank of d_(k-1)
-        for k in piece.terms:
-            h = piece.term_dimension(k) - ranks[k] - ranks[k + 1]
+        dims = [piece.term_dimension(k) for k in piece.terms]
+        for k, h in enumerate(cleared_homology(dims, piece.differentials)):
             if h:
                 degrees[k] += mult * h
                 if piece.weight + j == w_top:

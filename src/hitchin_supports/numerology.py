@@ -144,20 +144,10 @@ class SupportReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "genus": self.genus,
+            **self._asdict(),
             "partition": list(self.partition),
-            "n": self.n,
-            "k": self.k,
-            "dim_base": self.dim_base,
-            "dim_total": self.dim_total,
-            "delta_aff": self.delta_aff,
-            "codim_stratum": self.codim_stratum,
             "perversity_range": list(self.perversity_range),
-            "normalized_h1": self.normalized_h1,
-            "top_rank": self.top_rank,
             "local_system_ranks": {str(r): v for r, v in sorted(self.local_system_ranks.items())},
-            "monodromy_group_order": self.monodromy_group_order,
-            "constant_monodromy": self.constant_monodromy,
             "checks": dict(self.checks),
         }
 

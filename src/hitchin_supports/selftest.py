@@ -154,7 +154,7 @@ def _subsets_where(g: Multigraph, keeps) -> tuple:
 def prop_downward_closure(rng, cfg):
     """Closure of both graph complexes, and their faces against a union-find
     test of every edge subset."""
-    for _ in range(cfg.count // 2):
+    for _ in range(max(1, cfg.count // 2)):
         g = random_connected_multigraph(rng, min(cfg.max_edges, 8))
         cographic = cographic_complex(g)
         if not cographic.verify_downward_closed():

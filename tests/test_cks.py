@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -179,7 +180,12 @@ def test_image_dimension_single_edge():
 def test_wedge_limit_guard():
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     with pytest.raises(CksError, match="too large"):
-        image_NI(m, (0,), 10, wedge_limit=10)
+        build_cks(m, 10, wedge_limit=10)
+    # image_NI refuses at the default limit: C(38, 10) wedges on g = 3
+    big = build_graded_model(HitchinPartition(3, (1, 1, 1)))
+    assert math.comb(big.dimension, 10) > cks_module.DEFAULT_WEDGE_LIMIT
+    with pytest.raises(CksError, match="too large"):
+        image_NI(big, (0,), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -474,22 +480,27 @@ def test_assembly_derives_no_image_that_the_grading_forces_to_zero(monkeypatch):
 
 @pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))
 def test_cleared_ranks_of_every_weight_summand_equal_the_uncleared_ranks(monkeypatch, genus, parts, i):
+    # cks_cohomology goes through homology's cleared_homology once per piece,
+    # and its homology is that of the uncleared ranks
     summands = []
-    real = cks_module.cleared_ranks
+    real = cks_module.cleared_homology
 
-    def recording(maps):
-        ranks = real(maps)
-        summands.append((maps, ranks))
-        return ranks
+    def recording(dims, maps):
+        result = real(dims, maps)
+        summands.append((dims, maps, result))
+        return result
 
-    monkeypatch.setattr(cks_module, "cleared_ranks", recording)
-    cks_cohomology(build_cks(build_graded_model(HitchinPartition(genus, parts)), i))
-    assert summands
-    for maps, ranks in summands:
+    monkeypatch.setattr(cks_module, "cleared_homology", recording)
+    instance = build_cks(build_graded_model(HitchinPartition(genus, parts)), i)
+    cks_cohomology(instance)
+    assert [maps for _, maps, _ in summands] == [piece.differentials for _, _, piece in instance.pieces]
+    for dims, maps, result in summands:
+        assert [(m.cols, m.rows) for m in maps] == list(zip(dims, dims[1:]))
         for lower, upper in zip(maps, maps[1:]):
             assert lower.rows == upper.cols
             assert upper.matmul(lower).is_zero()
-        assert ranks == [exact_rank(m) for m in maps]
+        ranks = [0] + [exact_rank(m) for m in maps] + [0]
+        assert result == [dim - ranks[k] - ranks[k + 1] for k, dim in enumerate(dims)]
 
 
 def test_every_cleared_rank_of_the_pinned_strata_clears_with_unit_leads(monkeypatch):

@@ -275,6 +275,20 @@ def test_unit_leads_fails_on_a_lead_other_than_one(monkeypatch):
     assert "leads [2]" in report["results"][0]["detail"]
 
 
+def test_closure_checks_a_graph_at_count_one(monkeypatch):
+    built = []
+    real = selftest.cographic_complex
+
+    def recording(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(selftest, "cographic_complex", recording)
+    report = run_selftest(SelftestConfig(1, count=1), only="closure")
+    assert report["all_pass"], report["results"]
+    assert built
+
+
 def test_identical_flags_are_byte_identical(capsys):
     args = ("report", "--genus", "2", "--partition", "2,1", "--format", "json")
     code1, out1, _ = run_cli(capsys, *args)

@@ -15,6 +15,7 @@ from hitchin_supports.homology import (
     SparseIntMatrix,
     TopHomologyAction,
     boundary_complex,
+    cleared_homology,
     coords_in_rref,
     exact_rank,
     reduced_homology,
@@ -466,6 +467,37 @@ def test_cleared_betti_numbers_equal_those_of_the_uncleared_ranks():
     for c in _clearing_cases():
         cc = boundary_complex(c)
         assert dict(reduced_homology(cc).betti) == _betti_from_uncleared_ranks(cc), c.f_vector()
+
+
+def test_cleared_homology_of_hand_made_chains():
+    # no maps: the one space is its own homology
+    assert cleared_homology([3], []) == [3]
+    assert cleared_homology([0], []) == [0]
+    # one map Q^3 -> Q^2 of rank 1
+    m = SparseIntMatrix(2, ({0: 1, 1: 2}, {0: 2, 1: 4}, {}))
+    assert cleared_homology([3, 2], [m]) == [2, 1]
+    # 0 -> Q -> Q^2 -> Q -> 0, exact: (1, -1) spans the kernel of (1 1)
+    inject = SparseIntMatrix(2, ({0: 1, 1: -1},))
+    project = SparseIntMatrix(1, ({0: 1}, {0: 1}))
+    assert project.matmul(inject).is_zero()
+    assert cleared_homology([1, 2, 1], [inject, project]) == [0, 0, 0]
+
+
+def test_reduced_homology_goes_through_cleared_homology(monkeypatch):
+    calls = []
+    real = homology.cleared_homology
+
+    def recording(dims, maps):
+        calls.append((list(dims), tuple(maps)))
+        return real(dims, maps)
+
+    monkeypatch.setattr(homology, "cleared_homology", recording)
+    cc = boundary_complex(cographic_complex(complete_graph(5)))
+    assert dict(reduced_homology(cc).betti) == {5: 24}
+    assert calls == [([m.cols for m in cc.boundaries[::-1]] + [1], cc.boundaries[::-1])]
+    calls.clear()
+    assert dict(reduced_homology(IntChainComplex(())).betti) == {-1: 1}
+    assert calls == [([1], ())]
 
 
 def test_every_cleared_boundary_rank_clears_with_unit_leads(monkeypatch):
