@@ -27,12 +27,14 @@ summand is assembled as its own piece, started from the degree-0 wedges of
 one ambient weight w; every operator lowers the ambient weight by 2
 (``picard_lefschetz`` leaves each column outside Gr2 empty), so the piece
 stores the maps between its non-empty degrees, none past w // 2, and its
-cohomology is their ranks.  ``_assemble`` builds each degree in one pass of
-the edge operators.  An image N_r x is the sum of the columns N_r(e_w) of the
-wedges w in x, and the pieces of one exterior power share one column cache
-per operator, filled as they need columns and dropped when that exterior
-power is assembled, so ``apply_derivation`` runs once per (operator, wedge)
-pair that occurs.  Every component N_r x must lie in its block, every basis
+cohomology is their ranks.  ``_assemble`` builds each degree in one pass
+over its source blocks, in lexicographic order of their subsets, where the
+pair (I, r) with r > max I gives the block of I + r before any other pair
+reaches it.  An image N_r x is the sum of the columns N_r(e_w) of the wedges
+w in x, and the pieces of one exterior power share one column cache per
+operator, filled as they need columns and dropped when that exterior power
+is assembled, so ``apply_derivation`` runs once per (operator, wedge) pair
+that occurs.  Every component N_r x must lie in its block, every basis
 vector in degree k must have ambient weight ``weight - 2k``, and d o d = 0 is
 checked on every column.  The cohomology of each piece is
 ``cleared_homology`` of its terms and maps from d_0 upward, the clearing pass
@@ -396,43 +398,41 @@ def _assemble(
     """The images of N_I on the span of the degree-0 basis ``start``, all of
     ambient weight ``weight``, checked for the grading and for d o d = 0.
 
-    Each degree is one pass of the edge operators, one target J at a time,
-    holding only that target's images: every basis vector x of a block I with
-    J = I + r is sent to N_r x once, as the sum of the columns N_r(e_w) of its
-    wedges w in ``cache[r]``, the column cache that all the pieces of one
-    exterior power share.  The images from the block of J - max J span the
-    block of J (its RREF basis), whose vectors in degree k + 1 must have
-    ambient weight ``weight - 2(k + 1)``, and every image, reduced into that
-    basis with the insertion sign of r, is a column entry of d at the rows of
-    J.  No pass starts from degree ``weight // 2``: ``picard_lefschetz`` is
-    zero outside Gr2, so each operator lowers the ambient weight by 2.
+    Each degree is one pass over the source blocks in order.  For a block I
+    and each operator r outside I, every basis vector x is sent to N_r x once,
+    summed from the columns N_r(e_w) in ``cache[r]``, which all the pieces of
+    one exterior power share.  If I is empty or r > max I, the pair defines
+    J = I + r: its images span the block of J (their RREF basis, of ambient
+    weight ``weight - 2(k + 1)``).  Every image, reduced into that basis with
+    the insertion sign of r, fills x's column of d at the rows of J.  The
+    sources are in lexicographic order of their subsets, and J - max J is the
+    first of the subsets I with I + r = J, so J is defined before any other
+    pair reaches it and the blocks come out sorted.  No pass starts from
+    degree ``weight // 2``: each operator lowers the ambient weight by 2.
     """
     terms: dict[int, tuple[CksBlock, ...]] = {0: (CksBlock((), start),)}
     mats = []
     for k in range(weight // 2):
-        sources = terms[k]
-        by_target: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for idx, blk in enumerate(sources):
-            for r in ops:
-                if r not in blk.subset:
-                    by_target.setdefault(tuple(sorted(blk.subset + (r,))), []).append((idx, r))
-        offsets = list(itertools.accumulate((blk.dim() for blk in sources), initial=0))
-        columns: list[dict[int, int]] = [{} for _ in range(offsets[-1])]
-        graded = {weight - 2 * (k + 1)}
-        blocks = []
+        targets: dict[tuple[int, ...], tuple[int, tuple[dict[int, int], ...], dict[int, int]]] = {}
+        columns: list[dict[int, int]] = []
         rows = 0
-        for target in sorted(by_target):
-            images = [
-                (idx, r, [_derived_image(wedges, ops[r].columns, cache[r], x) for x in sources[idx].basis])
-                for idx, r in by_target[target]
-            ]
-            basis = rref_basis(img for _, r, imgs in images if r == target[-1] for img in imgs)
-            if basis and {wedge_weights[i] for vec in basis for i in vec} != graded:
-                raise CksError("differential breaks the weight grading")
-            pivots = {min(v): pos for pos, v in enumerate(basis)}
-            for idx, r, imgs in images:
-                sign = _insertion_sign(sources[idx].subset, r)
-                for j, img in enumerate(imgs, offsets[idx]):
+        for blk in terms[k]:
+            cols: list[dict[int, int]] = [{} for _ in blk.basis]
+            for r in ops:
+                if r in blk.subset:
+                    continue
+                imgs = [_derived_image(wedges, ops[r].columns, cache[r], x) for x in blk.basis]
+                target = tuple(sorted(blk.subset + (r,)))
+                if not blk.subset or r > blk.subset[-1]:
+                    basis = rref_basis(imgs)
+                    if basis:
+                        if {wedge_weights[i] for vec in basis for i in vec} != {weight - 2 * (k + 1)}:
+                            raise CksError("differential breaks the weight grading")
+                        targets[target] = (rows, basis, {min(v): pos for pos, v in enumerate(basis)})
+                        rows += len(basis)
+                offset, basis, pivots = targets.get(target, (0, (), {}))
+                sign = _insertion_sign(blk.subset, r)
+                for col, img in zip(cols, imgs):
                     if not img:
                         continue
                     if not basis:
@@ -441,16 +441,13 @@ def _assemble(
                         coords = coords_in_rref(img, basis, pivots)
                     except HomologyError:
                         raise CksError("differential leaves the complex: image outside its block") from None
-                    col = columns[j]
                     for pos, c in coords.items():
-                        col[rows + pos] = sign * c
-            if basis:
-                blocks.append(CksBlock(target, basis))
-                rows += len(basis)
-        if not blocks:
+                        col[offset + pos] = sign * c
+            columns += cols
+        if not targets:
             break
         mats.append(SparseIntMatrix(rows, tuple(columns)))
-        terms[k + 1] = tuple(blocks)
+        terms[k + 1] = tuple(CksBlock(target, basis) for target, (_, basis, _) in targets.items())
     for lower, upper in zip(mats[1:], mats):
         if not lower.matmul(upper).is_zero():
             raise CksError("differential does not square to zero")

@@ -495,29 +495,22 @@ class TopHomologyAction:
         # top faces as (cells, mask) in face order, and the index of each mask
         self._top_faces = list(zip(levels[top], masks[top])) if top >= 0 else []
         self._face_index = {mask: i for i, (_, mask) in enumerate(self._top_faces)}
-        self._lower_facets = []  # (facets of one dimension, all faces of it) below the top
+        self._lower_facets = []  # (facets of one dimension, the masks of all its faces) below the top
         for d in range(top):
             covered = {mask ^ bit[i] for face, mask in zip(levels[d + 1], masks[d + 1]) for i in face}
             if not covered.issubset(masks[d]):
                 raise HomologyError("complex is not downward closed")
             facets = tuple(f for f, mask in zip(levels[d], masks[d]) if mask not in covered)
             if facets:
-                self._lower_facets.append((facets, set(levels[d])))
+                self._lower_facets.append((facets, set(masks[d])))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def _check_automorphism(self, perm: Sequence[int]) -> None:
-        if sorted(perm) != list(range(len(self.complex.ground_set))):
-            raise HomologyError("not a permutation of the cells")
-        for facets, face_set in self._lower_facets:
-            for face in facets:
-                if tuple(sorted(perm[i] for i in face)) not in face_set:
-                    raise HomologyError("permutation is not a simplicial automorphism")
-
     def _face_table(self, perm: Sequence[int]) -> list[tuple[int, int]]:
-        """Index and orientation sign of the image of each top face.
+        """Index and orientation sign of the image of each top face, once the
+        image of every facet below the top is found to be a face.
 
         The image of a face is looked up by its bit mask, the sum of
         ``1 << perm[i]`` over its cells.  Its sign is the parity of the
@@ -527,6 +520,9 @@ class TopHomologyAction:
         """
         n = len(perm)
         image_bit = [1 << q for q in perm]
+        for facets, face_masks in self._lower_facets:
+            if any(_face_mask(face, image_bit) not in face_masks for face in facets):
+                raise HomologyError("permutation is not a simplicial automorphism")
         later = [sum(1 << c for c in range(a + 1, n) if perm[c] < perm[a]) for a in range(n)]
         face_index = self._face_index
         table = []
@@ -539,7 +535,8 @@ class TopHomologyAction:
         return table
 
     def matrix(self, perm: Sequence[int]) -> SparseIntMatrix:
-        self._check_automorphism(perm)
+        if sorted(perm) != list(range(len(self.complex.ground_set))):
+            raise HomologyError("not a permutation of the cells")
         if self.top < 0:
             return SparseIntMatrix.identity(len(self.basis))
         table = self._face_table(perm)

@@ -236,6 +236,35 @@ def test_cks_distinct_parts_top_weight():
     assert all(coh.degrees.get(k, 0) == 0 for k in coh.degrees if k > 3)
 
 
+def test_negative_edge_labels_give_the_same_complex_as_their_ranks():
+    # the assembly orders subsets by label, and labels may be negative: a
+    # graph with labels drawn from -20..19 has the complex of the graph whose
+    # labels are their ranks 0..m-1
+    rng = random.Random(5)
+    negative_cycles = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        ends = [(rng.randrange(v), v) for v in range(1, n)]
+        ends += [rng.choice(ends) for _ in range(rng.randint(1, 3))]  # parallel edges
+        labels = rng.sample(range(-20, 20), len(ends))
+        rank = {lab: i for i, lab in enumerate(sorted(labels))}
+        genera = [rng.randint(0, 1) for _ in range(n)]
+        drawn = model_from_graph(Multigraph(n, tuple((u, v, lab) for (u, v), lab in zip(ends, labels))), genera)
+        ranked = model_from_graph(Multigraph(n, tuple((u, v, rank[lab]) for (u, v), lab in zip(ends, labels))), genera)
+        negative_cycles += any(lab < 0 and drawn.cycles.columns[lab] for lab in labels)
+        for i in range(1, min(4, drawn.dimension) + 1):
+            a, b = build_cks(drawn, i), build_cks(ranked, i)
+            assert [a.term_dimension(k) for k in range(drawn.delta + 1)] == [
+                b.term_dimension(k) for k in range(drawn.delta + 1)
+            ], (ends, labels, i)
+            assert [tuple(rank[lab] for lab in blk.subset) for blks in a.terms.values() for blk in blks] == [
+                blk.subset for blks in b.terms.values() for blk in blks
+            ], (ends, labels, i)
+            ca, cb = cks_cohomology(a), cks_cohomology(b)
+            assert (ca.degrees, ca.top_weight) == (cb.degrees, cb.top_weight), (ends, labels, i)
+    assert negative_cycles > 30  # a negative label on a cycle defines a block from the empty subset
+
+
 def test_cks_exterior_zero_top_weight_vanishes():
     m = build_graded_model(HitchinPartition(2, (1, 1)))
     coh = cks_cohomology(build_cks(m, 0))

@@ -6,6 +6,7 @@ import pytest
 
 from hitchin_supports import complexes
 from hitchin_supports.complexes import (
+    FaceComplex,
     _coarser,
     _depth_first,
     cographic_complex,
@@ -60,6 +61,13 @@ def test_cographic_max_face_size_is_delta():
     for g in (complete_graph(4), complete_graph(5), parallel_graph(4)):
         c = cographic_complex(g)
         assert c.dim == delta_aff(g) - 1
+
+
+def test_a_complex_missing_a_facet_is_not_downward_closed():
+    # the triangle's edges without the vertex 2 that two of them contain
+    faces = (((0,), (1,)), ((0, 1), (0, 2), (1, 2)))
+    assert not FaceComplex((0, 1, 2), faces).verify_downward_closed()
+    assert FaceComplex((0, 1, 2), (faces[0] + ((2,),), faces[1])).verify_downward_closed()
 
 
 def test_cographic_requires_connected():

@@ -102,6 +102,11 @@ def test_matmul_and_transpose_match_a_dense_reference():
             assert all(v and type(v) is int for v in entries(mat).values())
 
 
+def test_matmul_refuses_a_shape_mismatch():
+    with pytest.raises(HomologyError, match="shape mismatch"):
+        SparseIntMatrix.identity(2).matmul(SparseIntMatrix.identity(3))
+
+
 def test_rank_of_identity():
     assert exact_rank(SparseIntMatrix.identity(5)) == 5
 
@@ -1011,14 +1016,16 @@ def test_facet_check_agrees_with_the_check_on_every_face():
 
 
 def _lower_facets_from_the_rows(c, cc):
-    """The facets below the top read off the rows of the full complex's maps:
-    the d-faces that are no row of ∂_(d+1)."""
+    """The facets below the top read off the rows of the full complex's maps
+    (the d-faces that are no row of ∂_(d+1)), with the bit masks of all the
+    d-faces."""
     out = []
     for d in range(cc.top_dim):
         faces = c.faces_by_dim[d]
         covered = {r for col in cc.boundaries[d + 1].columns for r in col}
         if len(covered) < len(faces):
-            out.append((tuple(f for i, f in enumerate(faces) if i not in covered), set(faces)))
+            masks = {sum(1 << i for i in f) for f in faces}
+            out.append((tuple(f for i, f in enumerate(faces) if i not in covered), masks))
     return out
 
 
@@ -1085,7 +1092,7 @@ def test_lower_facet_sent_outside_is_rejected():
     action = TopHomologyAction(c)
     swap = (0, 1, 2, 4, 3, 5)
     assert not _every_face_maps_into(c, swap)
-    with pytest.raises(HomologyError):
+    with pytest.raises(HomologyError, match="not a simplicial automorphism"):
         action.matrix(swap)
     assert action.matrix((0, 1, 2, 3, 5, 4)) == SparseIntMatrix.identity(action.rank)
 
@@ -1095,5 +1102,5 @@ def test_action_without_faces_is_the_identity():
     action = TopHomologyAction(path)
     assert action.top == -1
     assert action.matrix((1, 0)) == SparseIntMatrix.identity(1)
-    with pytest.raises(HomologyError):
+    with pytest.raises(HomologyError, match="not a permutation of the cells"):
         action.matrix((0, 0))

@@ -115,6 +115,13 @@ def test_delta_formula_against_graph(genus, raw_parts):
     assert delta_aff(g) == expected
 
 
+def test_a_graph_equals_only_a_graph():
+    g = Multigraph(1, ())
+    assert g == Multigraph(1, ())
+    assert (g == "x") is False  # NotImplemented on both sides falls back to identity
+    assert g != Multigraph(2, ())
+
+
 def test_delta_invariant_under_relabeling():
     g = complete_graph(4)
     shuffled = Multigraph(

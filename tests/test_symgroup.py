@@ -126,6 +126,12 @@ def test_top_character_r2_convention_is_zero():
     assert all(v == 0 for v in chi.values.values())
 
 
+@pytest.mark.parametrize("r", [1, 7])
+def test_top_character_refuses_r_outside_2_to_6(r):
+    with pytest.raises(SymgroupError, match="between 2 and 6"):
+        top_homology_character(r)
+
+
 def test_top_character_r3_values():
     chi = top_homology_character(3)
     assert chi.values == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
