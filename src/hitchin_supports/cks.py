@@ -31,18 +31,18 @@ cohomology is their ranks.  ``_assemble`` builds each degree in one pass
 over its source blocks, in lexicographic order of their subsets, where the
 pair (I, r) with r > max I gives the block of I + r before any other pair
 reaches it.  An image N_r x is the sum of the columns N_r(e_w) of the wedges
-w in x, and the pieces of one exterior power share one column cache per
-operator, filled as they need columns and dropped when that exterior power
-is assembled, so ``apply_derivation`` runs once per (operator, wedge) pair
-that occurs.  Every component N_r x must lie in its block, every basis
-vector in degree k must have ambient weight ``weight - 2k``, and d o d = 0 is
-checked on every column.  The cohomology of each piece is
-``cleared_homology`` of its terms and maps from d_0 upward, the clearing pass
-that ranks boundary maps, which relies on that check.  The highest-weight
-summand in exterior degree delta is the cographic cochain complex up to a +-1
-gauge, so the action of a graph automorphism on its cohomology is the finite
-twist det S(sigma), sigma on the cycle space, times the simplicial action on
-cographic top homology.
+w in x, and N_r(e_w) = 0 unless w holds an index N_r reads, so each vector
+is pushed once through the operators that read its wedges, from a per-wedge
+column cache the pieces of one exterior power share: ``apply_derivation``
+runs once per (wedge, reading operator) pair.  Every component N_r x must
+lie in its block, every basis vector in degree k must have ambient weight
+``weight - 2k``, and d o d = 0 is checked on every column.  The cohomology of
+each piece is ``cleared_homology`` of its terms and maps from d_0 upward, the
+clearing pass that ranks boundary maps, which relies on that check.  The
+highest-weight summand in exterior degree delta is the cographic cochain
+complex up to a +-1 gauge, so the action of a graph automorphism on its
+cohomology is the finite twist det S(sigma), sigma on the cycle space, times
+the simplicial action on cographic top homology.
 
 This is the complex of Cattani, Kaplan and Schmid ("L^2 and intersection
 cohomologies for a polarizable variation of Hodge structure", Invent. Math.
@@ -217,27 +217,45 @@ def apply_derivation(wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], widx
     return out
 
 
-def _derived_image(
-    wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], cache: dict[int, dict[int, int]], vec: Mapping[int, int]
-) -> dict[int, int]:
-    """The image of a wedge vector under the derivation extension of a model
-    operator, built one wedge at a time: the coefficient-weighted sum of the
-    single-wedge columns N(e_w) in ``cache``, each built by
-    ``apply_derivation`` the first time a vector holds w.  Terms that cancel
-    are dropped.
-    """
-    out: dict[int, int] = {}
-    for widx, coeff in vec.items():
-        col = cache.get(widx)
-        if col is None:
-            col = cache[widx] = apply_derivation(wedges, cols, widx)
-        for target, val in col.items():
-            s = out.get(target, 0) + coeff * val
-            if s:
-                out[target] = s
-            else:
-                out.pop(target, None)
-    return out
+class _Derivations:
+    """The derivation extensions of the operators ``ops`` on one exterior
+    power.  ``readers[t]`` lists the r whose matrix has a non-empty column t,
+    and ``cache[w]`` holds the non-empty columns N_r(e_w) of the r that read
+    an index of the wedge w, built by ``apply_derivation`` when a vector first
+    holds w."""
+
+    def __init__(self, wedges: WedgeBasis, ops: Mapping[int, SparseIntMatrix]):
+        self.wedges, self.ops = wedges, ops
+        self.readers: dict[int, list[int]] = {}
+        for r, op in ops.items():
+            for t in itertools.compress(itertools.count(), op.columns):
+                self.readers.setdefault(t, []).append(r)
+        self.cache: dict[int, dict[int, dict[int, int]]] = {}
+
+    def images(self, vec: Mapping[int, int], skip: Sequence[int] = ()) -> dict[int, dict[int, int]]:
+        """``{r: N_r vec}`` for the r outside ``skip`` that read an index of a
+        wedge of ``vec`` (every other r sends it to zero), in one walk of its
+        wedges: coefficient-weighted sums of cached columns, with the terms
+        that cancel dropped."""
+        out: dict[int, dict[int, int]] = {}
+        cache = self.cache
+        for widx, coeff in vec.items():
+            cols = cache.get(widx)
+            if cols is None:
+                reading = dict.fromkeys(r for t in self.wedges.tuples[widx] for r in self.readers.get(t, ()))
+                derived = ((r, apply_derivation(self.wedges, self.ops[r].columns, widx)) for r in reading)
+                cols = cache[widx] = {r: col for r, col in derived if col}
+            for r, col in cols.items():
+                if r in skip:
+                    continue
+                img = out.setdefault(r, {})
+                for target, val in col.items():
+                    s = img.get(target, 0) + coeff * val
+                    if s:
+                        img[target] = s
+                    else:
+                        del img[target]
+        return out
 
 
 def image_NI(model: GradedH1Model, subset: Iterable[int], exterior_degree: int) -> tuple[dict[int, int], ...]:
@@ -253,9 +271,8 @@ def image_NI(model: GradedH1Model, subset: Iterable[int], exterior_degree: int) 
             raise GraphError(f"no such edge: {lab}")
     basis = tuple({i: 1} for i in range(len(wedges)))
     for lab in order:
-        cols = picard_lefschetz(model, lab).columns
-        cache: dict[int, dict[int, int]] = {}
-        basis = rref_basis(_derived_image(wedges, cols, cache, vec) for vec in basis)
+        derive = _Derivations(wedges, {lab: picard_lefschetz(model, lab)})
+        basis = rref_basis(derive.images(vec).get(lab, {}) for vec in basis)
         if not basis:
             return ()
     return basis
@@ -373,38 +390,33 @@ def _direct_cks(model: GradedH1Model, exterior_degree: int) -> CKSComplexInstanc
 
 def _weight_summands(model: GradedH1Model, exterior_degree: int) -> tuple[CksPiece, ...]:
     """The complex started from all of wedge^i of the model, one piece per
-    ambient weight of the degree-0 wedges, in ascending weight.  The edge
-    operators, the wedge basis and one column cache per operator,
-    ``{r: {wedge index: N_r(e_wedge)}}``, are built once for all the pieces;
-    the cache is filled as the pieces need columns and dropped on return."""
+    ambient weight of the degree-0 wedges, in ascending weight, with one
+    ``_Derivations`` for all the pieces: the index t -> {r reading t} and the
+    per-wedge cache ``{wedge: {r: N_r(e_wedge)}}``, filled as the pieces need
+    columns and dropped on return."""
     wedges = WedgeBasis(model.dimension, exterior_degree)
     weights = wedges.weights(model.index_weights())
     starts: dict[int, list[dict[int, int]]] = {}
     for idx, w in enumerate(weights):
         starts.setdefault(w, []).append({idx: 1})
-    ops = nilpotent_family(model)
-    cache: dict[int, dict[int, dict[int, int]]] = {r: {} for r in ops}
-    return tuple(_assemble(ops, cache, wedges, weights, w, tuple(starts[w])) for w in sorted(starts))
+    derive = _Derivations(wedges, nilpotent_family(model))
+    return tuple(_assemble(derive, weights, w, tuple(starts[w])) for w in sorted(starts))
 
 
 def _assemble(
-    ops: Mapping[int, SparseIntMatrix],
-    cache: Mapping[int, dict[int, dict[int, int]]],
-    wedges: WedgeBasis,
-    wedge_weights: Sequence[int],
-    weight: int,
-    start: tuple[dict[int, int], ...],
+    derive: _Derivations, wedge_weights: Sequence[int], weight: int, start: tuple[dict[int, int], ...]
 ) -> CksPiece:
     """The images of N_I on the span of the degree-0 basis ``start``, all of
     ambient weight ``weight``, checked for the grading and for d o d = 0.
 
-    Each degree is one pass over the source blocks in order.  For a block I
-    and each operator r outside I, every basis vector x is sent to N_r x once,
-    summed from the columns N_r(e_w) in ``cache[r]``, which all the pieces of
-    one exterior power share.  If I is empty or r > max I, the pair defines
-    J = I + r: its images span the block of J (their RREF basis, of ambient
-    weight ``weight - 2(k + 1)``).  Every image, reduced into that basis with
-    the insertion sign of r, fills x's column of d at the rows of J.  The
+    Each degree is one pass over the source blocks in order.  For a block I,
+    every basis vector x is pushed once through the operators outside I that
+    read its wedges (``derive.images``), which gives every N_r x that can be
+    non-zero.  Then for each operator r in ``ops`` order with a non-zero
+    image: if I is empty or r > max I, the pair defines J = I + r, and its
+    images span the block of J (their RREF basis, of ambient weight
+    ``weight - 2(k + 1)``).  Every non-zero image, reduced into that basis
+    with the insertion sign of r, fills x's column of d at the rows of J.  The
     sources are in lexicographic order of their subsets, and J - max J is the
     first of the subsets I with I + r = J, so J is defined before any other
     pair reaches it and the blocks come out sorted.  No pass starts from
@@ -418,25 +430,26 @@ def _assemble(
         rows = 0
         for blk in terms[k]:
             cols: list[dict[int, int]] = [{} for _ in blk.basis]
-            for r in ops:
-                if r in blk.subset:
-                    continue
-                imgs = [_derived_image(wedges, ops[r].columns, cache[r], x) for x in blk.basis]
+            pushed: dict[int, list[tuple[dict[int, int], dict[int, int]]]] = {}
+            for col, x in zip(cols, blk.basis):
+                for r, img in derive.images(x, blk.subset).items():
+                    if img:
+                        pushed.setdefault(r, []).append((col, img))
+            for r in (r for r in derive.ops if r in pushed):
+                found = pushed[r]
                 target = tuple(sorted(blk.subset + (r,)))
                 if not blk.subset or r > blk.subset[-1]:
-                    basis = rref_basis(imgs)
+                    basis = rref_basis(img for _, img in found)
                     if basis:
                         if {wedge_weights[i] for vec in basis for i in vec} != {weight - 2 * (k + 1)}:
                             raise CksError("differential breaks the weight grading")
                         targets[target] = (rows, basis, {min(v): pos for pos, v in enumerate(basis)})
                         rows += len(basis)
-                offset, basis, pivots = targets.get(target, (0, (), {}))
+                if target not in targets:
+                    raise CksError("differential leaves the complex: no block for its target")
+                offset, basis, pivots = targets[target]
                 sign = _insertion_sign(blk.subset, r)
-                for col, img in zip(cols, imgs):
-                    if not img:
-                        continue
-                    if not basis:
-                        raise CksError("differential leaves the complex: no block for its target")
+                for col, img in found:
                     try:
                         coords = coords_in_rref(img, basis, pivots)
                     except HomologyError:

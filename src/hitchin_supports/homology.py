@@ -207,8 +207,8 @@ def coords_in_rref(
     pivots ``vec`` holds are visited.  The vector lies in the span exactly
     when nothing is left after subtracting them.  A visited basis vector whose
     lead is not 1 raises ``HomologyError``.  ``vec`` must have no zero
-    entry, as every caller's has (images of signed top cycles and
-    ``_derived_image`` columns); coordinates are non-zero.
+    entry, as every caller's has (images of signed top cycles and the CKS
+    images of ``cks._Derivations.images``); coordinates are non-zero.
     """
     residual = dict(vec)
     coords: dict[int, int] = {}

@@ -20,8 +20,9 @@ from hitchin_supports.cks import (
     picard_lefschetz,
     signed_edge_action,
     top_weight_action,
+    CksBlock,
+    CksPiece,
     WedgeBasis,
-    _derived_image,
     _direct_cks,
 )
 from hitchin_supports.complexes import cographic_complex
@@ -120,12 +121,15 @@ def test_rank_of_each_operator_is_at_most_one():
 def test_derivations_commute_on_wedge_two():
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     wedges = WedgeBasis(m.dimension, 2)
-    cols_a = picard_lefschetz(m, 0).columns
-    cols_b = picard_lefschetz(m, 3).columns
+    derive = cks_module._Derivations(wedges, {lab: picard_lefschetz(m, lab) for lab in (0, 3)})
+    products = 0
     for widx in range(0, len(wedges), 17):
-        ab = _derived_image(wedges, cols_a, {}, apply_derivation(wedges, cols_b, widx))
-        ba = _derived_image(wedges, cols_b, {}, apply_derivation(wedges, cols_a, widx))
+        once = derive.images({widx: 1})
+        ab = derive.images(once.get(3, {})).get(0, {})
+        ba = derive.images(once.get(0, {})).get(3, {})
         assert ab == ba
+        products += bool(ab)
+    assert products
 
 
 def test_picard_lefschetz_is_rebuilt_equal_and_build_cks_is_unchanged():
@@ -236,19 +240,26 @@ def test_cks_distinct_parts_top_weight():
     assert all(coh.degrees.get(k, 0) == 0 for k in coh.degrees if k > 3)
 
 
-def test_negative_edge_labels_give_the_same_complex_as_their_ranks():
-    # the assembly orders subsets by label, and labels may be negative: a
-    # graph with labels drawn from -20..19 has the complex of the graph whose
-    # labels are their ranks 0..m-1
+def _drawn_multigraphs():
+    # 60 seeded connected multigraphs on 2-4 vertices: a tree plus 1-3
+    # parallel edges, distinct labels drawn from -20..19, genera 0 or 1
     rng = random.Random(5)
-    negative_cycles = 0
     for _ in range(60):
         n = rng.randint(2, 4)
         ends = [(rng.randrange(v), v) for v in range(1, n)]
         ends += [rng.choice(ends) for _ in range(rng.randint(1, 3))]  # parallel edges
         labels = rng.sample(range(-20, 20), len(ends))
-        rank = {lab: i for i, lab in enumerate(sorted(labels))}
         genera = [rng.randint(0, 1) for _ in range(n)]
+        yield n, ends, labels, genera
+
+
+def test_negative_edge_labels_give_the_same_complex_as_their_ranks():
+    # the assembly orders subsets by label, and labels may be negative: a
+    # graph with labels drawn from -20..19 has the complex of the graph whose
+    # labels are their ranks 0..m-1
+    negative_cycles = 0
+    for n, ends, labels, genera in _drawn_multigraphs():
+        rank = {lab: i for i, lab in enumerate(sorted(labels))}
         drawn = model_from_graph(Multigraph(n, tuple((u, v, lab) for (u, v), lab in zip(ends, labels))), genera)
         ranked = model_from_graph(Multigraph(n, tuple((u, v, rank[lab]) for (u, v), lab in zip(ends, labels))), genera)
         negative_cycles += any(lab < 0 and drawn.cycles.columns[lab] for lab in labels)
@@ -474,37 +485,126 @@ def test_assembly_keeps_every_block_and_differential_entry_in_order():
 
 
 def test_assembly_derives_no_image_that_the_grading_forces_to_zero(monkeypatch):
-    # every edge operator lowers the ambient weight by 2, so a vector whose
-    # wedges all have weight below 2 has a zero image and is never pushed;
-    # inputs records the wedge weights of every vector _assemble hands to
-    # _derived_image (image_NI's calls are not counted)
+    # an edge operator reads only the Gr2 indices of its column v_r, so one
+    # derivation column is built per (Gr2 wedge, operator reading it) pair,
+    # and every operator lowers the ambient weight by 2, so a vector whose
+    # wedges all have weight below 2 is never pushed; inputs records the
+    # wedge weights of every vector _assemble pushes
+    columns = []
     inputs = []
     weights = []
-    real_assemble, real_image = cks_module._assemble, cks_module._derived_image
+    real_assemble, real_images, derive = cks_module._assemble, cks_module._Derivations.images, cks_module.apply_derivation
 
-    def assemble(ops, cache, wedges, wedge_weights, weight, start):
+    def assemble(derivations, wedge_weights, weight, start):
         weights.append(wedge_weights)
         try:
-            return real_assemble(ops, cache, wedges, wedge_weights, weight, start)
+            return real_assemble(derivations, wedge_weights, weight, start)
         finally:
             weights.pop()
 
-    def image(wedges, cols, cache, vec):
+    def images(self, vec, skip=()):
         if weights:
             inputs.append({weights[-1][w] for w in vec})
-        return real_image(wedges, cols, cache, vec)
+        return real_images(self, vec, skip)
+
+    def counting(wedges, cols, widx):
+        columns.append(widx)
+        return derive(wedges, cols, widx)
 
     monkeypatch.setattr(cks_module, "_assemble", assemble)
-    monkeypatch.setattr(cks_module, "_derived_image", image)
+    monkeypatch.setattr(cks_module._Derivations, "images", images)
+    monkeypatch.setattr(cks_module, "apply_derivation", counting)
     m = build_graded_model(HitchinPartition(30, (1, 1)))
     build_cks(m, 1)
-    # the delta Gr2 wedges of the weight-2 piece, once per edge operator
-    assert len(inputs) == m.delta * len(m.labels()) == 57 * 58
+    # the delta Gr2 wedges of the weight-2 piece, each pushed once; each is
+    # read by its chord and by the tree edge, whose cycle holds every chord
+    assert len(inputs) == m.delta == 57
+    assert len(columns) == 2 * m.delta == 114
     inputs.clear()
     for genus, parts, i in PINNED_CKS_TABLES:
         build_cks(build_graded_model(HitchinPartition(genus, parts)), i)
     assert inputs
     assert all(max(ws) >= 2 for ws in inputs)
+
+
+def _all_pairs_pieces(model, exterior_degree):
+    # the weight summands of wedge^i of the model by the all-pairs route:
+    # N_r x for every block I, every operator r outside I and every basis
+    # vector x, summed from apply_derivation columns with no skip, then
+    # reduced into the block of I + r as _assemble reduces it
+    wedges = WedgeBasis(model.dimension, exterior_degree)
+    weights = wedges.weights(model.index_weights())
+    ops = nilpotent_family(model)
+
+    def image(r, x):
+        out = {}
+        for widx, coeff in x.items():
+            for t, v in apply_derivation(wedges, ops[r].columns, widx).items():
+                out[t] = out.get(t, 0) + coeff * v
+        return {t: v for t, v in out.items() if v}
+
+    pieces = []
+    for w in sorted(set(weights)):
+        terms = {0: (CksBlock((), tuple({i: 1} for i, wi in enumerate(weights) if wi == w)),)}
+        mats = []
+        for k in range(w // 2):
+            targets, columns, rows = {}, [], 0
+            for blk in terms[k]:
+                cols = [{} for _ in blk.basis]
+                for r in ops:
+                    if r in blk.subset:
+                        continue
+                    imgs = [image(r, x) for x in blk.basis]
+                    target = tuple(sorted(blk.subset + (r,)))
+                    if not blk.subset or r > blk.subset[-1]:
+                        basis = homology.rref_basis(imgs)
+                        if basis:
+                            targets[target] = (rows, basis, {min(v): pos for pos, v in enumerate(basis)})
+                            rows += len(basis)
+                    offset, basis, pivots = targets.get(target, (0, (), {}))
+                    for col, img in zip(cols, imgs):
+                        if img:
+                            for pos, c in homology.coords_in_rref(img, basis, pivots).items():
+                                col[offset + pos] = cks_module._insertion_sign(blk.subset, r) * c
+                columns += cols
+            if not targets:
+                break
+            mats.append(SparseIntMatrix(rows, tuple(columns)))
+            terms[k + 1] = tuple(CksBlock(target, basis) for target, (_, basis, _) in targets.items())
+        pieces.append(CksPiece(w, terms, tuple(mats)))
+    return pieces
+
+
+def _assert_equal_to_the_all_pairs_route(model, i):
+    reduced = model.reduced
+    js = range(max(0, i - reduced.dimension), min(model.gr1_dim, i) + 1)
+    reference = [(j, piece) for j in js for piece in _all_pairs_pieces(reduced, i - j)]
+    built = [(j, piece) for j, _, piece in build_cks(model, i).pieces]
+    assert [(j, p.weight) for j, p in built] == [(j, p.weight) for j, p in reference]
+    for (_, piece), (_, expected) in zip(built, reference):
+        assert piece.terms == expected.terms
+        assert piece.differentials == expected.differentials
+
+
+@pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))
+def test_pushing_each_vector_through_its_readers_equals_the_all_pairs_route(genus, parts, i):
+    # _assemble skips every (vector, operator) pair in which the operator
+    # reads no index of the vector's wedges; the skipped images are zero
+    _assert_equal_to_the_all_pairs_route(build_graded_model(HitchinPartition(genus, parts)), i)
+
+
+def test_pushing_each_vector_through_its_readers_equals_the_all_pairs_route_on_multigraphs():
+    # loops are absent from dual graphs, so one is added to every fourth draw
+    loops = 0
+    for count, (n, ends, labels, genera) in enumerate(_drawn_multigraphs()):
+        edges = [(u, v, lab) for (u, v), lab in zip(ends, labels)]
+        if count % 4 == 0:
+            edges.append((0, 0, 20 + count))
+            loops += 1
+        model = model_from_graph(Multigraph(n, tuple(edges)), genera)
+        for i in range(1, min(4, model.dimension) + 1):
+            _assert_equal_to_the_all_pairs_route(model, i)
+    assert loops == 15
 
 
 @pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))
@@ -838,7 +938,7 @@ def test_top_weight_action_is_built_once_per_model(monkeypatch):
     assert m.reduced is m.reduced
     build_cks(m, 2)
     assert assembled
-    assert all(args[0] == nilpotent_family(m.reduced) for args in assembled)
+    assert all(args[0].ops == nilpotent_family(m.reduced) for args in assembled)
 
 
 def test_unknown_labels_and_bad_models_are_refused():
