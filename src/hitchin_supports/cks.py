@@ -10,10 +10,11 @@ The model is split into three blocks with fixed bases:
 
 The operator of an edge ``e`` kills ``W0`` and ``Gr1`` and sends a cycle ``t``
 to the pairing value against the dual edge functional times the class of that
-functional, so in the chord bases its only block is the rank-one outer product
-``v_e v_e^T`` with ``v_e = (c_j[e])_j``, the sparse column
-``CycleSpaceBasis.columns[e]`` that also gives the cographic masks; squaring
-the edge coefficient makes the matrix independent of the edge orientation.
+functional, so in the cycle basis and its dual its only block is the rank-one
+outer product ``v_e v_e^T`` with ``v_e = (c_j[e])_j``, the sparse column
+``CycleSpaceBasis.columns[e]`` that also gives the cographic masks (at most
+two entries on an edge of a parallel class past its first); squaring the
+edge coefficient makes the matrix independent of the edge orientation.
 On an exterior power the operators act as commuting derivations, and for a
 subset ``I`` of edges the complex
 
@@ -94,7 +95,8 @@ class GradedH1Model:
 
     ``cycles.columns[label]`` holds the sparse coordinates of the dual edge
     functional both as a functional on the cycle space (Gr2) and as a class
-    in graph cohomology (W0); the two coincide in the chord bases.
+    in graph cohomology (W0); the two coincide in the cycle basis and its
+    dual.
     """
 
     def __init__(self, graph: Multigraph, component_genera: tuple[int, ...], cycles: CycleSpaceBasis):

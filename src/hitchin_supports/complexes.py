@@ -9,8 +9,8 @@ up (a k-simplex corresponds to a cardinality-(k+1) edge subset).
 
 Both graph complexes are read off binary matroids (Oxley, *Matroid Theory*,
 sections 2.3 and 5.1).  The bond matroid M*(G) is represented over GF(2) by
-the cycle space: edge e gets the bit mask of the fundamental cycles of a
-spanning forest that contain it, read off its sparse column
+the cycle space: edge e gets the bit mask of the basis cycles of
+``cycle_space`` that contain it, read off its sparse column
 ``CycleSpaceBasis.columns[e]`` (the same columns give the CKS edge
 operators), so bridges get 0 and loops a bit of their own, and a subset is a
 cographic face exactly when its masks are linearly independent.  The cycle

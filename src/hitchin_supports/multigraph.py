@@ -1,5 +1,5 @@
 """Multigraphs with stable edge labels, dual graphs of spectral-curve strata,
-and spanning-forest cycle/cocycle bases.
+and a cycle basis with its transpose, read off a spanning forest.
 
 Vertices are integers ``0 .. vertex_count-1``.  Edges carry distinct integer
 labels that survive edge removal and doubling, so parallel edges and loops
@@ -138,15 +138,17 @@ class HitchinPartition:
 
 
 class CycleSpaceBasis(NamedTuple):
-    """Fundamental cycles of a lowest-label spanning forest.
+    """A Z-basis of the cycle space, one cycle per chord of a lowest-label
+    spanning forest.
 
-    ``cycles[j]`` is a signed edge-incidence vector (label -> coefficient) with
-    entry +1 on its defining chord ``chords[j]``.  The same numbers present the
-    cohomology of the graph: the class of the dual functional of edge ``e`` in
-    the chord-dual basis of H^1 is the column ``columns[e]``, the sparse
-    ``{j: cycles[j][e]}`` in increasing j with no zero entry (``{}`` for a
-    bridge).  ``columns`` is the transpose of ``cycles``, with every label
-    as a key.
+    ``cycles[j]`` is a signed edge-incidence vector (label -> coefficient)
+    with entry +1 on its defining chord ``chords[j]``, every entry +-1, and no
+    later chord, so on the chords the basis is unitriangular with 1 on the
+    diagonal.  The same numbers present the cohomology of the graph: the class
+    of the dual functional of edge ``e`` in the dual basis of H^1 is the
+    column ``columns[e]``, the sparse ``{j: cycles[j][e]}`` in increasing j
+    with no zero entry (``{}`` for a bridge).  ``columns`` is the transpose of
+    ``cycles``, with every label as a key.
     """
 
     forest: frozenset
@@ -212,24 +214,34 @@ def double_edges(
 
 
 def cycle_space(graph: Multigraph) -> CycleSpaceBasis:
-    """Fundamental cycles of the lowest-label greedy spanning forest.
+    """One cycle per chord of the lowest-label greedy spanning forest.
 
-    Each non-forest edge (chord) defines one cycle vector: +1 on the chord
-    under its canonical orientation, +-1 along the forest path closing it up.
-    Each forest component is rooted at its lowest vertex, and every other
-    vertex stores one step up: its depth, its parent, the forest edge to it,
-    and the sign of that edge walked towards the parent (+1 along the stored
-    ``u -> v`` orientation).  A chord ``u -> v`` is closed by the path from
-    ``v`` back to ``u``: the two ends climb, the deeper one first, until they
-    meet, with the steps from ``v``'s end taken at their sign and those from
-    ``u``'s end at the opposite one.  Every edge of the path is stepped over
-    exactly once, so each coefficient is written once and none is zero; the
-    same step writes it into the edge's column.
+    Each non-forest edge (chord) defines one cycle vector, +1 on the chord
+    under its canonical orientation.  In a parallel class ``e_1 < ... < e_m``
+    of non-loop edges every ``e_j`` with j >= 2 is a chord, closed by the edge
+    before it: both are stored ``u -> v``, so its cycle is ``e_j - e_(j-1)``.
+    Then ``e_j`` lies on the cycles of ``e_j`` and ``e_(j+1)`` only, where
+    closing every chord through the forest would put all ``m - 1`` of them on
+    ``e_1``.  A loop is its own cycle.  Every other chord is closed, at +-1,
+    along the forest path.  Each forest component is rooted at its lowest
+    vertex, and every other vertex stores one step up: its depth, its parent,
+    the forest edge to it, and the sign of that edge walked towards the
+    parent (+1 along the stored ``u -> v`` orientation).  A chord ``u -> v``
+    is closed by the path from ``v`` back to ``u``: the two ends climb, the
+    deeper one first, until they meet, with the steps from ``v``'s end taken
+    at their sign and those from ``u``'s end at the opposite one.  Every edge
+    of the path is stepped over exactly once, so each coefficient is written
+    once and none is zero; the same step writes it into the edge's column.
+    Each cycle holds its own chord and otherwise only forest edges or an
+    earlier chord, so the cycles are unitriangular on the chords and form a
+    Z-basis of H_1.
     """
     parent_uf = list(range(graph.vertex_count))
     by_label = {lab: (u, v) for u, v, lab in graph.edges}
     forest: list[int] = []
     chords: list[int] = []
+    previous: dict[int, int] = {}  # chord -> the edge before it in its parallel class
+    last: dict[tuple[int, int], int] = {}
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
     for lab in sorted(by_label):
         u, v = by_label[lab]
@@ -241,6 +253,9 @@ def cycle_space(graph: Multigraph) -> CycleSpaceBasis:
             adjacency[v].append((u, lab))
         else:
             chords.append(lab)
+            if u != v and (u, v) in last:
+                previous[lab] = last[(u, v)]
+        last[(u, v)] = lab
 
     up: dict[int, tuple[int, int, int, int]] = {}  # vertex -> (depth, parent, label, sign)
     for root in range(graph.vertex_count):
@@ -262,13 +277,18 @@ def cycle_space(graph: Multigraph) -> CycleSpaceBasis:
         u, v = by_label[lab]
         vec = {lab: 1}
         columns[lab][j] = 1
-        while v != u:
-            if up[v][0] >= up[u][0]:
-                _, v, edge, sign = up[v]
-            else:
-                _, u, edge, sign = up[u]
-                sign = -sign
-            vec[edge] = columns[edge][j] = sign
+        if lab in previous:
+            # both edges of a class are stored u -> v, so lab - previous is closed
+            edge = previous[lab]
+            vec[edge] = columns[edge][j] = -1
+        else:
+            while v != u:
+                if up[v][0] >= up[u][0]:
+                    _, v, edge, sign = up[v]
+                else:
+                    _, u, edge, sign = up[u]
+                    sign = -sign
+                vec[edge] = columns[edge][j] = sign
         cycles.append(vec)
     return CycleSpaceBasis(frozenset(forest), tuple(chords), tuple(cycles), columns)
 

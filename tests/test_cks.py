@@ -110,6 +110,17 @@ def test_operators_square_and_multiply_to_zero_on_model():
         assert a.matmul(b).is_zero()
 
 
+@pytest.mark.parametrize("genus", [2, 30, 600])
+def test_the_operators_of_a_parallel_class_have_4_delta_minus_2_entries(genus):
+    # the delta + 1 edges e_0 < ... < e_delta join the two parts, e_0 is the
+    # forest and chord e_j closes by e_(j-1), so e_0 and e_delta have one
+    # cycle entry each and the others two; N_e = v_e v_e^T has len(v_e)^2
+    # entries, 4 (delta - 1) + 2 in all
+    m = build_graded_model(HitchinPartition(genus, (1, 1)))
+    assert max(map(len, m.cycles.columns.values())) <= 2
+    assert sum(op.nnz for op in nilpotent_family(m).values()) == 4 * m.delta - 2
+
+
 def test_rank_of_each_operator_is_at_most_one():
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
     from hitchin_supports.homology import exact_rank
@@ -409,11 +420,11 @@ def test_block_basis_leads_are_one(genus, parts, i):
 
 
 def test_weight_summands_are_ranked_with_clearing(monkeypatch):
-    # g = 2, (1,1,1,1), wedge^3: 2,520 non-zero columns across all weight
+    # g = 2, (1,1,1,1), wedge^3: 2,517 non-zero columns across all weight
     # slices of d; clearing hands the rank routine fewer of them
     inst = build_cks(build_graded_model(HitchinPartition(2, (1, 1, 1, 1))), 3)
     slice_columns = sum(1 for _, _, piece in inst.pieces for d in piece.differentials for col in d.columns if col)
-    assert slice_columns == 2520
+    assert slice_columns == 2517
     ranked = []
     real = homology.exact_rank
 
@@ -431,7 +442,7 @@ def test_weight_summands_are_ranked_with_clearing(monkeypatch):
 
 # (calls, sha256) of every matrix handed to homology.exact_rank, entries in
 # order, while cks_cohomology ranks the complexes of PINNED_CKS_TABLES
-PINNED_RANK_INPUTS = (79, "6b624d4b65cabeacb0d9f0ff996adaf45aa40cb1c47c18ceae063a6155c8b9fc")
+PINNED_RANK_INPUTS = (79, "6317bf77e0746d9c9611e2de729734f17821ff529ab338ad297c3b9f56af1904")
 
 
 def test_the_rank_routine_receives_the_pinned_matrices(monkeypatch):
@@ -467,8 +478,8 @@ def _piece_digest(instances):
 # and of _direct_cks on g = 2, (2,1), wedge^3: exact_rank sees only the
 # columns that clearing keeps, so the rest of every piece is pinned here
 PINNED_CKS_OUTPUT = (
-    "3aaeb118b17bebf88aea9539130bc7c4bb60b22ee53b3fd6738e6b99669058c2",
-    "e78f5b452fbed9642ab8ed047b184fe5c90d6e15f665efbc98a01ac5e2c6f51b",
+    "4d054acd30fa98ebfe1121ccbc0d72b9c04599660095b14aca12ad7521b76817",
+    "705662fe94d9a675d03aa9e847403a7283bc2bb9b7bd93361c4a870fd1c97394",
 )
 
 
@@ -516,8 +527,8 @@ def test_assembly_derives_no_image_that_the_grading_forces_to_zero(monkeypatch):
     monkeypatch.setattr(cks_module, "apply_derivation", counting)
     m = build_graded_model(HitchinPartition(30, (1, 1)))
     build_cks(m, 1)
-    # the delta Gr2 wedges of the weight-2 piece, each pushed once; each is
-    # read by its chord and by the tree edge, whose cycle holds every chord
+    # the delta Gr2 wedges of the weight-2 piece, each pushed once; the
+    # cycle of chord j is e_j - e_(j-1), so index j is read by those two edges
     assert len(inputs) == m.delta == 57
     assert len(columns) == 2 * m.delta == 114
     inputs.clear()
@@ -863,7 +874,9 @@ def test_top_weight_action_on_a_delta_eight_stratum():
 
 def _cycle_space_determinant(model, action) -> Fraction:
     """det of the signed edge action on the cycle space, by elimination over Q
-    on its matrix in the fundamental-cycle basis."""
+    on its matrix in the cycle basis.  On the chords that basis is
+    unitriangular with 1 on the diagonal, so an image's coordinates come by
+    back-substitution over the chords in reverse order."""
     cycles = model.cycles
     rows = []
     for cyc in cycles.cycles:
@@ -871,7 +884,12 @@ def _cycle_space_determinant(model, action) -> Fraction:
         for lab, coeff in cyc.items():
             target, sign = action[lab]
             image[target] = image.get(target, 0) + sign * coeff
-        coords = [image.get(chord, 0) for chord in cycles.chords]
+        coords = [0] * cycles.rank
+        rest = dict(image)
+        for j in reversed(range(cycles.rank)):
+            coords[j] = c = rest.get(cycles.chords[j], 0)
+            for lab, v in cycles.cycles[j].items():
+                rest[lab] = rest.get(lab, 0) - c * v
         rebuilt = {}
         for c, basis_cycle in zip(coords, cycles.cycles):
             for lab, v in basis_cycle.items():

@@ -201,7 +201,8 @@ def test_cycle_space_k4_fundamental_cycles():
 def scattered_multigraphs(count: int, seed: int = 5):
     """Seeded multigraphs with loops, parallel edges, isolated vertices and
     several components, labelled by distinct integers drawn from 0..999 in
-    no particular order."""
+    no particular order.  A parallel copy is given in the reverse orientation
+    of the edge it copies; the constructor stores both as ``u <= v``."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randrange(1, 10)
@@ -212,19 +213,24 @@ def scattered_multigraphs(count: int, seed: int = 5):
             if roll < 0.15:
                 v = u
             elif roll < 0.4 and edges:
-                u, v, _ = rng.choice(edges)
+                v, u, _ = rng.choice(edges)
             else:
                 v = rng.randrange(n)
             edges.append((u, v, lab))
         yield Multigraph(n, tuple(edges))
 
 
-def test_cycle_space_is_the_fundamental_basis_of_the_lowest_label_forest():
+def test_cycle_space_closes_each_chord_through_the_forest_or_by_the_previous_edge_of_its_class():
+    # a class given in both orientations is stored u -> v, so each chord is
+    # closed by the edge before it with coefficient -1
+    basis = cycle_space(Multigraph(2, ((0, 1, 0), (1, 0, 1), (0, 1, 2))))
+    assert basis.cycles == ({1: 1, 0: -1}, {2: 1, 1: -1})
     graphs = list(scattered_multigraphs(300))
     assert sum(any(u == v for u, v, _ in g.edges) for g in graphs) > 100
     assert sum(len({(u, v) for u, v, _ in g.edges}) < g.edge_count for g in graphs) > 100
     assert sum(g.component_count() > 1 for g in graphs) > 100
     assert sum(any(g.component_count(without={lab}) > g.component_count() for *_, lab in g.edges) for g in graphs) > 100
+    closed_by_class = 0
     for g in graphs:
         by_label = {lab: (u, v) for u, v, lab in g.edges}
         # the greedy forest by brute force: an edge joins it when no lower
@@ -238,9 +244,13 @@ def test_cycle_space_is_the_fundamental_basis_of_the_lowest_label_forest():
         assert basis.forest == frozenset(forest), g.edges
         assert basis.chords == tuple(lab for lab in sorted(by_label) if lab not in basis.forest)
         for chord, cyc in zip(basis.chords, basis.cycles, strict=True):
+            u, v = by_label[chord]
+            lower = [lab for lab in by_label if lab < chord and by_label[lab] == (u, v)]
+            previous = {max(lower)} if lower and u != v else set()
             assert cyc[chord] == 1
-            assert set(cyc) <= basis.forest | {chord}
-            assert all(cyc.values())
+            assert set(cyc) <= basis.forest | {chord} | previous
+            assert set(cyc.values()) <= {1, -1}
+            closed_by_class += bool(previous)
             boundary = [0] * g.vertex_count
             for lab, coeff in cyc.items():
                 u, v = by_label[lab]
@@ -258,16 +268,19 @@ def test_cycle_space_is_the_fundamental_basis_of_the_lowest_label_forest():
             for j, cyc in enumerate(basis.cycles):
                 assert col.get(j, 0) == cyc.get(lab, 0)
         assert sum(map(len, basis.columns.values())) == sum(map(len, basis.cycles))
+    assert closed_by_class > 100
 
 
 def test_cycle_count_matches_delta_and_cycles_independent():
     for g in (complete_graph(4), parallel_graph(3), complete_graph(3), *scattered_multigraphs(300)):
         basis = cycle_space(g)
         assert basis.rank == delta_aff(g)
-        # each cycle holds its own chord with entry 1 and no other chord, so
-        # the cycles are independent
+        # on the chords the cycles are unitriangular with 1 on the diagonal:
+        # each holds its own chord with entry 1 and no later chord, so they
+        # are independent
         for i, chord in enumerate(basis.chords):
-            assert [cyc.get(chord, 0) for cyc in basis.cycles] == [int(i == j) for j in range(basis.rank)]
+            assert basis.cycles[i][chord] == 1
+            assert not any(cyc.get(chord, 0) for cyc in basis.cycles[:i])
 
 
 # ---------------------------------------------------------------------------
