@@ -369,15 +369,17 @@ def build_cks(
     """Assemble the complex of images with signed edge-operator differentials.
 
     The guards apply to wedge^i H, but only the pieces on wedge^m (W0 + W2),
-    m = i - j <= 2 delta, are assembled, once each on the reduced model.
+    m = i - j <= 2 delta, are assembled, once each on the reduced model,
+    whose edge operators are built once for all of them.
     """
     check_exterior(model.dimension, exterior_degree, wedge_limit)
     reduced = model.reduced
+    ops = nilpotent_family(reduced)
     low = max(0, exterior_degree - reduced.dimension)
     pieces = tuple(
         (j, comb(model.gr1_dim, j), piece)
         for j in range(low, min(model.gr1_dim, exterior_degree) + 1)
-        for piece in _weight_summands(reduced, exterior_degree - j)
+        for piece in _weight_summands(reduced, exterior_degree - j, ops)
     )
     return CKSComplexInstance(model, exterior_degree, pieces)
 
@@ -386,22 +388,25 @@ def _direct_cks(model: GradedH1Model, exterior_degree: int) -> CKSComplexInstanc
     """Reference for ``build_cks``: the complex assembled on the whole
     wedge^i H, as the sum of its weight summands (j = 0, multiplicity 1)."""
     check_exterior(model.dimension, exterior_degree, DEFAULT_WEDGE_LIMIT)
-    pieces = tuple((0, 1, piece) for piece in _weight_summands(model, exterior_degree))
+    pieces = tuple((0, 1, piece) for piece in _weight_summands(model, exterior_degree, nilpotent_family(model)))
     return CKSComplexInstance(model, exterior_degree, pieces)
 
 
-def _weight_summands(model: GradedH1Model, exterior_degree: int) -> tuple[CksPiece, ...]:
+def _weight_summands(
+    model: GradedH1Model, exterior_degree: int, ops: Mapping[int, SparseIntMatrix]
+) -> tuple[CksPiece, ...]:
     """The complex started from all of wedge^i of the model, one piece per
     ambient weight of the degree-0 wedges, in ascending weight, with one
-    ``_Derivations`` for all the pieces: the index t -> {r reading t} and the
-    per-wedge cache ``{wedge: {r: N_r(e_wedge)}}``, filled as the pieces need
-    columns and dropped on return."""
+    ``_Derivations`` of the model's ``nilpotent_family`` ``ops`` for all the
+    pieces: the index t -> {r reading t} and the per-wedge cache
+    ``{wedge: {r: N_r(e_wedge)}}``, filled as the pieces need columns and
+    dropped on return."""
     wedges = WedgeBasis(model.dimension, exterior_degree)
     weights = wedges.weights(model.index_weights())
     starts: dict[int, list[dict[int, int]]] = {}
     for idx, w in enumerate(weights):
         starts.setdefault(w, []).append({idx: 1})
-    derive = _Derivations(wedges, nilpotent_family(model))
+    derive = _Derivations(wedges, ops)
     return tuple(_assemble(derive, weights, w, tuple(starts[w])) for w in sorted(starts))
 
 

@@ -77,6 +77,9 @@ def _depth_first(
     vector is reduced against the earlier ones, so one pass in that order
     reduces a new vector.  Faces are listed depth first with children in
     increasing order, so each dimension comes out in lexicographic order.
+    A child is pushed only when it can grow: some cell may follow its last
+    (``below[e]`` is non-empty) and it is not both full (rank ``max_rank``)
+    and saturated (nullity ``max_nullity``), as no cell extends such a face.
     Raises as soon as more than ``face_limit`` non-empty faces have been listed.
     """
     levels: list[list[tuple[int, ...]]] = []
@@ -84,10 +87,13 @@ def _depth_first(
     stack = [((), (), range(len(vectors)))]
     while stack:
         face, basis, candidates = stack.pop()
-        full = len(basis) == max_rank
-        saturated = len(face) - len(basis) == max_nullity
-        if full and saturated:  # no cell can extend it
-            continue
+        rank = len(basis)
+        nullity = len(face) - rank
+        full = rank == max_rank
+        saturated = nullity == max_nullity
+        # whether a child of higher rank, or of higher nullity, can grow
+        rank_child_grows = not saturated or rank + 1 < max_rank
+        null_child_grows = not full or nullity + 1 < max_nullity
         if len(levels) == len(face):
             levels.append([])
         level = levels[len(face)]
@@ -101,16 +107,19 @@ def _depth_first(
                 if full:
                     continue
                 child_basis = basis + ((w & -w, w),)
+                grows = rank_child_grows
             elif saturated:
                 continue
             else:
                 child_basis = basis
+                grows = null_child_grows
             child = face + (e,)
             level.append(child)
             room -= 1
             if room < 0:
                 raise GraphError(f"complex has more than {face_limit} faces")
-            grown.append((child, child_basis, below[e]))
+            if grows and below[e]:
+                grown.append((child, child_basis, below[e]))
         stack += reversed(grown)
     return tuple(tuple(level) for level in levels if level)
 

@@ -29,12 +29,15 @@ is.
 ``exact_rank_int`` reduces the columns of a map from the last to the first;
 ``rref_basis`` back-substitutes the pivots of a span (the CKS blocks); and
 ``top_cycle_basis`` reduces the columns of the top boundary, extended by
-unit vectors, so that the kernel comes out in RREF.  ``_reduce`` consumes
-the fresh vectors each caller passes, so a column is copied once and that
-copy is updated in place at every step.  ``TopHomologyAction`` keys the top
-faces by their masks, so the image of a face under a permutation is one
-lookup and its orientation sign a popcount per cell; the facets below the
-top are the d-faces that no mask ``mask ^ (1 << i)`` of a (d+1)-face hits.
+unit vectors, so that the kernel comes out in RREF.  ``_reduce`` is
+copy-on-write: it changes no vector it is given, copies one just before
+its first cancellation (or to drop a zero entry), and stores an untouched
+residual with lead 1 as the pivot itself.  Under clearing most columns meet
+no pivot, so most are stored as they are or negated, with no copy to reduce.
+``TopHomologyAction`` keys the top faces by their masks, so the image of a
+face under a permutation is one lookup and its orientation sign a popcount
+per cell; the facets below the top are the d-faces that no mask
+``mask ^ (1 << i)`` of a (d+1)-face hits.
 The RREF bases that coordinates are read along (top-cycle bases, CKS block
 bases) have had lead entry 1 on every complex measured, so
 ``coords_in_rref`` reads a coordinate off a pivot without dividing, and a
@@ -139,35 +142,44 @@ def _cancel(vec: dict[int, int], at: int, pivot: Mapping[int, int]) -> None:
             del vec[k]
 
 
-def _reduce(vectors: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _reduce(vectors: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
     """The pivots ``{lead: pivot}`` of integer vectors, each vector reduced in
     turn at its lowest coordinate.
 
-    Each vector, which must have no zero entry, is cleared in place with
-    ``_cancel`` at its lowest coordinate while a pivot holds that coordinate,
-    so the vectors are consumed and callers pass fresh ones.  A non-zero
-    residual becomes the pivot there, content-normalized, so all arithmetic
-    stays in Z: a residual whose lead is +-1 has content 1, and a compact
-    copy of it is stored, negated at lead -1, with no gcd; any other goes
-    through ``normalize_int_vec``.  A pivot is a non-zero multiple of its own
-    vector plus a combination of the vectors that became pivots before it,
-    and it has no entry below its lead.  The number of pivots is the rank
-    over Q of the vectors.
+    Each vector is cleared with ``_cancel`` at its lowest coordinate while a
+    pivot holds that coordinate.  The vectors are never changed: one is
+    copied just before its first ``_cancel``, or at once, without its zero
+    entries, when it holds one, and the copy is updated in place from then
+    on.  A non-zero residual becomes the pivot there, content-normalized,
+    so all arithmetic stays in Z: a residual whose lead is +-1 has content 1
+    and is stored with no gcd, itself at lead 1 (the caller's own vector when
+    nothing was cancelled) and as a negated copy at lead -1; any other goes
+    through ``normalize_int_vec``.  So a stored pivot may be a caller's
+    vector, and nothing may write to a pivot.  A pivot is a non-zero multiple
+    of its own vector plus a combination of the vectors that became pivots
+    before it, and it has no entry below its lead.  The number of pivots is
+    the rank over Q of the vectors.
     """
     pivots: dict[int, dict[int, int]] = {}
     for vec in vectors:
+        owned = 0 in vec.values()
+        if owned:
+            vec = {k: v for k, v in vec.items() if v}
         while vec:
             lead = min(vec)
             pivot = pivots.get(lead)
             if pivot is None:
                 a = vec[lead]
                 if a == 1:
-                    pivots[lead] = dict(vec)
+                    pivots[lead] = vec
                 elif a == -1:
                     pivots[lead] = {k: -v for k, v in vec.items()}
                 else:
                     pivots[lead] = normalize_int_vec(vec)
                 break
+            if not owned:
+                vec = dict(vec)
+                owned = True
             _cancel(vec, lead, pivot)
     return pivots
 
@@ -177,19 +189,23 @@ def rref_basis(vectors: Iterable[Mapping[int, int]]) -> tuple[dict[int, int], ..
     by pivot (lowest index): integer-primitive, positive at its pivot, and
     zero at every other pivot.  The RREF of a span is unique.
 
-    Copies of the vectors, which must have no zero entry, are reduced by
-    ``_reduce``, as the CKS assembly reads its images again; then, from the
-    highest pivot down, each pivot is cleared at the higher pivots it holds
-    and normalized again.  The input vectors are not changed.
+    The vectors go to ``_reduce`` as they are (it changes none, and the CKS
+    assembly reads its images again); then, from the highest pivot down,
+    each pivot that holds a higher pivot is copied and cleared there, and
+    every pivot is normalized again into a new vector.  No input vector is
+    changed or returned.
     """
-    pivots = _reduce(map(dict, vectors))
+    pivots = _reduce(vectors)
     order = sorted(pivots)
     reduced: dict[int, dict[int, int]] = {}
     for lead in reversed(order):
         vec = pivots[lead]
-        for other in sorted(k for k in vec if k in reduced):
-            if other in vec:
-                _cancel(vec, other, reduced[other])
+        higher = sorted(k for k in vec if k in reduced)
+        if higher:
+            vec = dict(vec)
+            for other in higher:
+                if other in vec:
+                    _cancel(vec, other, reduced[other])
         reduced[lead] = normalize_int_vec(vec)
     return tuple(reduced[lead] for lead in order)
 
@@ -247,8 +263,8 @@ def exact_rank(m: SparseIntMatrix, pivots: dict[int, int] | None = None) -> int:
 def exact_rank_int(cols: Sequence[dict[int, int]], n_rows: int, pivots: dict[int, int] | None = None) -> int:
     """Rank over Q of integer columns: the number of pivots of ``_reduce`` on
     the columns from the last to the first, zero entries dropped, which is
-    exact at any size.  ``_reduce`` consumes the zero-filtered copies, so the
-    columns are not changed.  ``pivots``, when given, receives the lead row of
+    exact at any size.  The columns go to ``_reduce`` as they are, and it
+    changes none of them.  ``pivots``, when given, receives the lead row of
     each stored pivot with its lead there (positive, as the pivot is
     content-normalized); with the columns C that became pivots these rows R
     index a block m[R, C] whose integer determinant is non-zero (see
@@ -256,7 +272,7 @@ def exact_rank_int(cols: Sequence[dict[int, int]], n_rows: int, pivots: dict[int
     """
     if n_rows == 0:
         return 0
-    reduced = _reduce({k: v for k, v in col.items() if v} for col in reversed(cols))
+    reduced = _reduce(reversed(cols))
     if pivots is not None:
         pivots.update((lead, vec[lead]) for lead, vec in reduced.items())
     return len(reduced)
@@ -472,7 +488,9 @@ class TopHomologyAction:
     """Action of simplicial automorphisms on a fixed top-cycle basis.
 
     Only ∂_(top-1) and ∂_top are built (``_boundary_map``), and ∂∘∂ = 0 is
-    checked on that pair as ``boundary_complex`` checks each of its pairs.
+    checked on that pair as ``boundary_complex`` checks each of its pairs;
+    ∂_(top-1) is dropped once checked and ∂_top once the top cycles are
+    found, before the facets below the top are listed.
     ``matrix`` checks that a ground-set permutation is an automorphism on the
     facets only: a bijection of the ground set that maps every facet into the
     complex maps every face into it (faces lie in facets, and the complex is
@@ -490,7 +508,9 @@ class TopHomologyAction:
         masks = [[_face_mask(f, bit) for f in faces] for faces in levels]
         maps = [_boundary_map(levels, masks, bit, d) for d in range(max(top - 1, 0), top + 1)]
         _verify_square_zero(maps, None)
+        del maps[:-1]  # ∂_(top-1) is read by the check alone
         self.basis = top_cycle_basis(maps)
+        del maps
         self._pivots = {min(vec): i for i, vec in enumerate(self.basis)}
         # top faces as (cells, mask) in face order, and the index of each mask
         self._top_faces = list(zip(levels[top], masks[top])) if top >= 0 else []

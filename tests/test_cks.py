@@ -130,17 +130,23 @@ def test_rank_of_each_operator_is_at_most_one():
 
 
 def test_derivations_commute_on_wedge_two():
+    # every wedge of wedge^2 and wedge^3 against every pair of edge operators
     m = build_graded_model(HitchinPartition(2, (1, 1, 1)))
-    wedges = WedgeBasis(m.dimension, 2)
-    derive = cks_module._Derivations(wedges, {lab: picard_lefschetz(m, lab) for lab in (0, 3)})
-    products = 0
-    for widx in range(0, len(wedges), 17):
-        once = derive.images({widx: 1})
-        ab = derive.images(once.get(3, {})).get(0, {})
-        ba = derive.images(once.get(0, {})).get(3, {})
-        assert ab == ba
-        products += bool(ab)
-    assert products
+    pairs = list(itertools.combinations(m.labels(), 2))
+    counts = {}
+    for degree in (2, 3):
+        wedges = WedgeBasis(m.dimension, degree)
+        derive = cks_module._Derivations(wedges, nilpotent_family(m))
+        checked = products = 0
+        for widx in range(len(wedges)):
+            twice = {r: derive.images(img) for r, img in derive.images({widx: 1}).items()}
+            for a, b in pairs:
+                ab = twice.get(b, {}).get(a, {})
+                assert ab == twice.get(a, {}).get(b, {})
+                checked += 1
+                products += bool(ab)
+        counts[degree] = (checked, products)
+    assert counts == {2: (2850, 27), 3: (17100, 450)}
 
 
 def test_picard_lefschetz_is_rebuilt_equal_and_build_cks_is_unchanged():

@@ -649,6 +649,37 @@ def test_rank_rref_and_top_cycle_callers_keep_their_vectors():
         assert cc.boundaries == given
 
 
+def test_reduce_changes_no_vector_and_stores_an_untouched_unit_lead_itself():
+    rng = random.Random(73)
+    kinds = {"stored": 0, "negated": 0, "normalized": 0, "cancelled": 0}
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        vectors = _vectors_with_leads(rng, n)
+        given = copy.deepcopy(vectors)
+        pivots = homology._reduce(vectors)
+        assert vectors == given
+        for i, vec in enumerate(vectors):
+            lead = min(vec)
+            if lead in homology._reduce(given[:i]):  # a pivot holds its lead: cancelled there
+                kind = "cancelled"
+            else:
+                kind = {1: "stored", -1: "negated"}.get(vec[lead], "normalized")
+            kinds[kind] += 1
+            stored_at = [at for at, pivot in pivots.items() if pivot is vec]
+            assert stored_at == ([lead] if kind == "stored" else [])
+    assert min(kinds.values()) > 20, kinds
+
+
+def test_rref_basis_copies_a_pivot_before_back_substitution_and_returns_no_input():
+    first, second = {0: 1, 1: 1, 2: 1}, {1: 1, 2: -1}
+    pivots = homology._reduce([first, second])
+    assert pivots[0] is first and pivots[1] is second  # neither is cancelled in the reduction
+    basis = rref_basis([first, second])
+    assert basis == ({0: 1, 2: 2}, {1: 1, 2: -1})  # the first is cleared at pivot 1
+    assert (first, second) == ({0: 1, 1: 1, 2: 1}, {1: 1, 2: -1})
+    assert not any(b is v for b in basis for v in (first, second))
+
+
 # ---------------------------------------------------------------------------
 # induced maps on top homology
 # ---------------------------------------------------------------------------
