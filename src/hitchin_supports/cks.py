@@ -219,19 +219,29 @@ def apply_derivation(wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], widx
     return out
 
 
+def _readers(ops: Mapping[int, SparseIntMatrix]) -> dict[int, list[int]]:
+    """The index t -> [the r whose matrix ``ops[r]`` has a non-empty column
+    t], in ``ops`` order: one scan of every operator column, which every
+    exterior power of the model can share."""
+    readers: dict[int, list[int]] = {}
+    for r, op in ops.items():
+        for t in itertools.compress(itertools.count(), op.columns):
+            readers.setdefault(t, []).append(r)
+    return readers
+
+
 class _Derivations:
     """The derivation extensions of the operators ``ops`` on one exterior
-    power.  ``readers[t]`` lists the r whose matrix has a non-empty column t,
-    and ``cache[w]`` holds the non-empty columns N_r(e_w) of the r that read
-    an index of the wedge w, built by ``apply_derivation`` when a vector first
+    power.  ``readers`` is ``_readers(ops)``, built here unless given, and
+    ``cache[w]`` holds the non-empty columns N_r(e_w) of the r that read an
+    index of the wedge w, built by ``apply_derivation`` when a vector first
     holds w."""
 
-    def __init__(self, wedges: WedgeBasis, ops: Mapping[int, SparseIntMatrix]):
+    def __init__(
+        self, wedges: WedgeBasis, ops: Mapping[int, SparseIntMatrix], readers: Mapping[int, list[int]] | None = None
+    ):
         self.wedges, self.ops = wedges, ops
-        self.readers: dict[int, list[int]] = {}
-        for r, op in ops.items():
-            for t in itertools.compress(itertools.count(), op.columns):
-                self.readers.setdefault(t, []).append(r)
+        self.readers = _readers(ops) if readers is None else readers
         self.cache: dict[int, dict[int, dict[int, int]]] = {}
 
     def images(self, vec: Mapping[int, int], skip: Sequence[int] = ()) -> dict[int, dict[int, int]]:
@@ -370,16 +380,18 @@ def build_cks(
 
     The guards apply to wedge^i H, but only the pieces on wedge^m (W0 + W2),
     m = i - j <= 2 delta, are assembled, once each on the reduced model,
-    whose edge operators are built once for all of them.
+    whose edge operators and their readers (``_readers``) are built once for
+    all of them.
     """
     check_exterior(model.dimension, exterior_degree, wedge_limit)
     reduced = model.reduced
     ops = nilpotent_family(reduced)
+    readers = _readers(ops)
     low = max(0, exterior_degree - reduced.dimension)
     pieces = tuple(
         (j, comb(model.gr1_dim, j), piece)
         for j in range(low, min(model.gr1_dim, exterior_degree) + 1)
-        for piece in _weight_summands(reduced, exterior_degree - j, ops)
+        for piece in _weight_summands(reduced, exterior_degree - j, ops, readers)
     )
     return CKSComplexInstance(model, exterior_degree, pieces)
 
@@ -388,25 +400,29 @@ def _direct_cks(model: GradedH1Model, exterior_degree: int) -> CKSComplexInstanc
     """Reference for ``build_cks``: the complex assembled on the whole
     wedge^i H, as the sum of its weight summands (j = 0, multiplicity 1)."""
     check_exterior(model.dimension, exterior_degree, DEFAULT_WEDGE_LIMIT)
-    pieces = tuple((0, 1, piece) for piece in _weight_summands(model, exterior_degree, nilpotent_family(model)))
+    ops = nilpotent_family(model)
+    pieces = tuple((0, 1, piece) for piece in _weight_summands(model, exterior_degree, ops, _readers(ops)))
     return CKSComplexInstance(model, exterior_degree, pieces)
 
 
 def _weight_summands(
-    model: GradedH1Model, exterior_degree: int, ops: Mapping[int, SparseIntMatrix]
+    model: GradedH1Model,
+    exterior_degree: int,
+    ops: Mapping[int, SparseIntMatrix],
+    readers: Mapping[int, list[int]],
 ) -> tuple[CksPiece, ...]:
     """The complex started from all of wedge^i of the model, one piece per
     ambient weight of the degree-0 wedges, in ascending weight, with one
     ``_Derivations`` of the model's ``nilpotent_family`` ``ops`` for all the
-    pieces: the index t -> {r reading t} and the per-wedge cache
-    ``{wedge: {r: N_r(e_wedge)}}``, filled as the pieces need columns and
-    dropped on return."""
+    pieces: the caller's index ``readers`` = ``_readers(ops)`` and the
+    per-wedge cache ``{wedge: {r: N_r(e_wedge)}}``, filled as the pieces need
+    columns and dropped on return."""
     wedges = WedgeBasis(model.dimension, exterior_degree)
     weights = wedges.weights(model.index_weights())
     starts: dict[int, list[dict[int, int]]] = {}
     for idx, w in enumerate(weights):
         starts.setdefault(w, []).append({idx: 1})
-    derive = _Derivations(wedges, ops)
+    derive = _Derivations(wedges, ops, readers)
     return tuple(_assemble(derive, weights, w, tuple(starts[w])) for w in sorted(starts))
 
 

@@ -5,8 +5,9 @@ boundary matrices have entries +-1.  One fraction-free reduction over Z,
 ``_reduce``, gives every rank, kernel and RREF basis: each vector is reduced
 at its lowest coordinate against the pivots stored so far, and a non-zero
 residual is stored, content-normalized, as the pivot there; one whose lead
-is +-1 has content 1 and is stored with no gcd.  A rank is its number of
-pivots, exact at any size: no modulus, no random draw and no second pass.
+is +-1 has content 1 and is stored as it is, sign and all, and a vector is
+cleared against it with no gcd.  A rank is its number of pivots, exact at
+any size: no modulus, no random draw and no second pass.
 Everything here is reduced homology: the empty face is a cell in dimension
 -1, so the empty complex has Betti number 1 there and nowhere else.
 
@@ -14,17 +15,20 @@ Every complex of sparse maps goes to ``cleared_homology``, which ranks it
 with clearing (its docstring states the lemma) and returns its homology: the
 boundary maps from the top degree down, each CKS weight summand from d_0 up.
 
-Faces are keyed by their ground-set bit masks, written once in
-``_face_mask``.  ``_boundary_map`` builds ∂_d, finding the facet of a face
-without cell i as the one lookup ``mask ^ (1 << i)``: ``boundary_complex``
-calls it in every dimension, ``TopHomologyAction`` only for ∂_(top-1) and
-∂_top.  Both check each column of ∂_(d-1) ∂_d they build (all up to
-``VERIFY_LIMIT`` columns, 20 sampled above) as one integer sum: the ±1
-columns of ∂_(d-1) evaluated at 2**b, added with the column's signs.  With
-2**(b-1) above the column's length every coefficient is a balanced base-2**b
-digit, and balanced digits are unique (the lowest non-zero one survives
-modulo the next power of 2**b), so the sum is zero exactly when the column
-is.
+Faces are keyed by their ground-set bit masks.  ``_boundary_map`` builds
+∂_d, finding the facet of a face without cell i as the one lookup
+``mask ^ (1 << i)``: ``boundary_complex`` calls it in every dimension, in
+one pass, ``TopHomologyAction`` only for ∂_(top-1) and ∂_top.  Both check
+each column of ∂_(d-1) ∂_d they build (all up to ``VERIFY_LIMIT`` columns,
+20 sampled above) as one integer sum: the ±1 columns of ∂_(d-1) evaluated
+at 2**b, added with the column's signs.  With 2**(b-1) above the column's
+length every coefficient is a balanced base-2**b digit, and balanced digits
+are unique (the lowest non-zero one survives modulo the next power of
+2**b), so the sum is zero exactly when the column is.  ``boundary_complex``
+touches each entry once: it evaluates the columns of ∂_(d-1) as it writes
+them and sums them into each column of ∂_d as it writes that, and leaves
+only the sampled maps to ``_verify_square_zero``, which
+``TopHomologyAction`` calls on its pair.
 
 ``exact_rank_int`` reduces the columns of a map from the last to the first;
 ``rref_basis`` back-substitutes the pivots of a span (the CKS blocks); and
@@ -32,8 +36,12 @@ is.
 unit vectors, so that the kernel comes out in RREF.  ``_reduce`` is
 copy-on-write: it changes no vector it is given, copies one just before
 its first cancellation (or to drop a zero entry), and stores an untouched
-residual with lead 1 as the pivot itself.  Under clearing most columns meet
-no pivot, so most are stored as they are or negated, with no copy to reduce.
+residual with lead +-1 as the pivot itself.  Under clearing most columns
+meet no pivot, so most are stored as they are, with no copy to reduce.
+The bases lead positive whatever the signs of the pivots: ``rref_basis``
+normalizes every vector it returns, and a kernel vector of
+``top_cycle_basis`` leads with its own unit vector, which only the
+positive scales of ``_cancel`` touch.
 ``TopHomologyAction`` keys the top faces by their masks, so the image of a
 face under a permutation is one lookup and its orientation sign a popcount
 per cell; the facets below the top are the d-faces that no mask
@@ -123,17 +131,21 @@ def normalize_int_vec(vec: dict[int, int]) -> dict[int, int]:
 def _cancel(vec: dict[int, int], at: int, pivot: Mapping[int, int]) -> None:
     """Clear coordinate ``at`` of ``vec`` in place with a pivot vector.
 
-    ``vec`` becomes (b/g) vec - (a/g) pivot for a = vec[at], b = pivot[at],
-    g = gcd(a, b): it is scaled only when b/g is not 1, then (a/g) pivot is
-    subtracted entry by entry.  Old keys keep their places, new keys are
-    appended and zeros are dropped.
+    With a = vec[at] and b = pivot[at], ``vec`` becomes vec - (a b) pivot
+    when b is +-1 (b is its own inverse: no gcd and no scaling), and
+    (b/g) vec - (a/g) pivot for g = gcd(a, b) otherwise, scaled only when
+    b/g is not 1.  Old keys keep their places, new keys are appended and
+    zeros are dropped.
     """
     a, b = vec[at], pivot[at]
-    g = gcd(a, b)
-    scale, f = b // g, a // g
-    if scale != 1:
-        for k in vec:
-            vec[k] *= scale
+    if b == 1 or b == -1:
+        f = a * b
+    else:
+        g = gcd(a, b)
+        scale, f = b // g, a // g
+        if scale != 1:
+            for k in vec:
+                vec[k] *= scale
     for k, v in pivot.items():
         s = vec.get(k, 0) - f * v
         if s:
@@ -152,13 +164,13 @@ def _reduce(vectors: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
     entries, when it holds one, and the copy is updated in place from then
     on.  A non-zero residual becomes the pivot there, content-normalized,
     so all arithmetic stays in Z: a residual whose lead is +-1 has content 1
-    and is stored with no gcd, itself at lead 1 (the caller's own vector when
-    nothing was cancelled) and as a negated copy at lead -1; any other goes
-    through ``normalize_int_vec``.  So a stored pivot may be a caller's
-    vector, and nothing may write to a pivot.  A pivot is a non-zero multiple
-    of its own vector plus a combination of the vectors that became pivots
-    before it, and it has no entry below its lead.  The number of pivots is
-    the rank over Q of the vectors.
+    and is stored as it is, sign and all (the caller's own vector when
+    nothing was cancelled), and ``_cancel`` clears against it with no gcd;
+    any other goes through ``normalize_int_vec`` and leads positive.  So a
+    stored pivot may be a caller's vector, and nothing may write to a pivot.
+    A pivot is a non-zero multiple of its own vector plus a combination of
+    the vectors that became pivots before it, and it has no entry below its
+    lead.  The number of pivots is the rank over Q of the vectors.
     """
     pivots: dict[int, dict[int, int]] = {}
     for vec in vectors:
@@ -170,12 +182,7 @@ def _reduce(vectors: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
             pivot = pivots.get(lead)
             if pivot is None:
                 a = vec[lead]
-                if a == 1:
-                    pivots[lead] = vec
-                elif a == -1:
-                    pivots[lead] = {k: -v for k, v in vec.items()}
-                else:
-                    pivots[lead] = normalize_int_vec(vec)
+                pivots[lead] = vec if a == 1 or a == -1 else normalize_int_vec(vec)
                 break
             if not owned:
                 vec = dict(vec)
@@ -265,10 +272,10 @@ def exact_rank_int(cols: Sequence[dict[int, int]], n_rows: int, pivots: dict[int
     the columns from the last to the first, zero entries dropped, which is
     exact at any size.  The columns go to ``_reduce`` as they are, and it
     changes none of them.  ``pivots``, when given, receives the lead row of
-    each stored pivot with its lead there (positive, as the pivot is
-    content-normalized); with the columns C that became pivots these rows R
-    index a block m[R, C] whose integer determinant is non-zero (see
-    ``cleared_homology``).
+    each stored pivot with its lead there (+-1 as it was met, or positive,
+    as the pivot is then content-normalized); with the columns C that
+    became pivots these rows R index a block m[R, C] whose integer
+    determinant is non-zero (see ``cleared_homology``).
     """
     if n_rows == 0:
         return 0
@@ -300,7 +307,9 @@ def cleared_homology(dims: Sequence[int], maps: Sequence[SparseIntMatrix]) -> li
     columns lie in the span of the kept ones and the rank over Q is
     unchanged.  Each kept matrix is ranked by ``exact_rank``.  The lemma
     relies on the zero composites, which the callers check:
-    ``boundary_complex`` for ∂∘∂ and the CKS assembly for d∘d.
+    ``boundary_complex`` for ∂∘∂ (as it writes the maps, sampled above
+    ``VERIFY_LIMIT`` columns) and the CKS assembly for d∘d.  The lemma
+    needs s_j non-zero only, so a pivot stored with lead -1 serves as well.
     """
     ranks = [0]
     cleared: dict[int, int] = {}
@@ -353,41 +362,95 @@ def _face_mask(face: Iterable[int], bit: Sequence[int]) -> int:
     return sum(map(bit.__getitem__, face))
 
 
-def _boundary_map(levels: Sequence, masks: Sequence[Sequence[int]], bit: Sequence[int], d: int) -> SparseIntMatrix:
-    """∂_d of the complex whose d-faces are ``levels[d]``, with bit masks
-    ``masks[d]`` (``bit[i]`` the bit of cell ``i``); ∂_0 is the augmentation.
-    The facet of a face without cell ``i`` is one lookup of ``mask ^ bit[i]``
-    among the (d-1)-faces, a miss raises, and each column is filled in the
-    face's cell order with signs +1, -1, ....
+def _boundary_map(
+    faces: Sequence[Sequence[int]],
+    masks: Sequence[int],
+    index: Mapping[int, int],
+    bit: Sequence[int],
+    below: Sequence[int] | None = None,
+    b: int = 0,
+) -> tuple[SparseIntMatrix, list[int] | None]:
+    """The boundary map of one level of faces, with bit masks ``masks``
+    (``bit[i]`` the bit of cell ``i``), onto the level below, whose masks
+    ``index`` numbers (``{0: 0}``, the empty face, below the vertices: ∂_0
+    is the augmentation).  The facet of a face without cell ``i`` is one
+    lookup of ``mask ^ bit[i]``, a miss raises, and each column is filled in
+    the face's cell order with signs +1, -1, ....
+
+    ``below``, when given, holds each column of the map below evaluated at
+    2**b' (see ``_verify_square_zero``), and each column is checked as it is
+    written: the values of its rows, summed with its signs, must vanish.
+    The rows of a column are distinct, as distinct cells give distinct
+    masks, so the sum reads exactly the stored entries.  With ``b`` non-zero
+    the map comes with each column's value at 2**b, Σ_r v 2**(b r), for the
+    check of the map above; with ``b`` zero, with None.
     """
-    if d == 0:
-        return SparseIntMatrix(1, tuple({0: 1} for _ in levels[0]))
-    index = {m: j for j, m in enumerate(masks[d - 1])}
     columns = []
+    values = []
     try:
-        for face, mask in zip(levels[d], masks[d]):
-            col = {}
-            sign = 1
-            for i in face:
-                col[index[mask ^ bit[i]]] = sign
-                sign = -sign
-            columns.append(col)
+        if below is None and not b:
+            for face, mask in zip(faces, masks):
+                col = {}
+                sign = 1
+                for i in face:
+                    col[index[mask ^ bit[i]]] = sign
+                    sign = -sign
+                columns.append(col)
+        else:
+            # a table of zeros stands in for the check or the values not asked for
+            power = [1 << b * r for r in range(len(index))] if b else [0] * len(index)
+            if below is None:
+                below = [0] * len(index)
+            for face, mask in zip(faces, masks):
+                col = {}
+                sign = 1
+                total = x = 0
+                for i in face:
+                    r = index[mask ^ bit[i]]
+                    col[r] = sign
+                    if sign > 0:
+                        total += below[r]
+                        x += power[r]
+                    else:
+                        total -= below[r]
+                        x -= power[r]
+                    sign = -sign
+                columns.append(col)
+                if total:
+                    raise HomologyError("boundary squared is nonzero")
+                values.append(x)
     except KeyError:
         raise HomologyError("complex is not downward closed") from None
-    return SparseIntMatrix(len(index), tuple(columns))
+    return SparseIntMatrix(len(index), tuple(columns)), values if b else None
 
 
 def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> IntChainComplex:
     """Boundary matrices with alternating signs over the lexicographic face
-    order, one ``_boundary_map`` per dimension.  d(d(x)) = 0 is checked on
-    every column of a map with at most ``VERIFY_LIMIT`` columns and on 20
-    columns of a larger one drawn from ``rng`` (``_verify_square_zero``).
+    order, one ``_boundary_map`` per dimension in one pass that keeps the
+    bit masks of two levels alive.  d(d(x)) = 0 is checked on every column
+    of a map with at most ``VERIFY_LIMIT`` columns as the column is written,
+    from the columns of the map below evaluated as they were written; once
+    every map is built, each larger map is checked on 20 columns drawn from
+    ``rng`` (``_verify_square_zero``), in increasing dimension.
     """
+    levels = c.faces_by_dim
     bit = [1 << i for i in range(len(c.ground_set))]
-    masks = [[_face_mask(f, bit) for f in faces] for faces in c.faces_by_dim]
-    cc = IntChainComplex(tuple(_boundary_map(c.faces_by_dim, masks, bit, d) for d in range(len(masks))))
-    _verify_square_zero(cc.boundaries, rng)
-    return cc
+    maps = []
+    index = {0: 0}  # the empty face
+    below = None
+    for d, faces in enumerate(levels):
+        masks = [sum(map(bit.__getitem__, f)) for f in faces]
+        # ∂_d evaluated at 2**b for the check of ∂_(d+1), whose columns have d + 2 entries
+        b = (d + 2).bit_length() + 1 if d + 1 < len(levels) and len(levels[d + 1]) <= VERIFY_LIMIT else 0
+        m, below = _boundary_map(faces, masks, index, bit, below, b)
+        maps.append(m)
+        index = {mask: j for j, mask in enumerate(masks)}
+    sampled = [d for d in range(1, len(maps)) if maps[d].cols > VERIFY_LIMIT]
+    if sampled:
+        rng = rng or random.Random(17)
+        for d in sampled:
+            _verify_square_zero(maps[d - 1 : d + 1], rng)
+    return IntChainComplex(tuple(maps))
 
 
 def _verify_square_zero(maps: Sequence[SparseIntMatrix], rng: random.Random | None) -> None:
@@ -487,8 +550,9 @@ def top_cycle_basis(boundaries: Sequence[SparseIntMatrix]) -> list[dict[int, int
 class TopHomologyAction:
     """Action of simplicial automorphisms on a fixed top-cycle basis.
 
-    Only ∂_(top-1) and ∂_top are built (``_boundary_map``), and ∂∘∂ = 0 is
-    checked on that pair as ``boundary_complex`` checks each of its pairs;
+    Only ∂_(top-1) and ∂_top are built, by the ``_boundary_map`` of
+    ``boundary_complex``, and ∂∘∂ = 0 is checked on that pair by
+    ``_verify_square_zero`` on the columns ``boundary_complex`` checks;
     ∂_(top-1) is dropped once checked and ∂_top once the top cycles are
     found, before the facets below the top are listed.
     ``matrix`` checks that a ground-set permutation is an automorphism on the
@@ -506,7 +570,10 @@ class TopHomologyAction:
         self.top = top = len(levels) - 1
         bit = [1 << i for i in range(len(c.ground_set))]
         masks = [[_face_mask(f, bit) for f in faces] for faces in levels]
-        maps = [_boundary_map(levels, masks, bit, d) for d in range(max(top - 1, 0), top + 1)]
+        maps = [
+            _boundary_map(levels[d], masks[d], {m: j for j, m in enumerate(masks[d - 1])} if d else {0: 0}, bit)[0]
+            for d in range(max(top - 1, 0), top + 1)
+        ]
         _verify_square_zero(maps, None)
         del maps[:-1]  # ∂_(top-1) is read by the check alone
         self.basis = top_cycle_basis(maps)

@@ -22,7 +22,7 @@ from hitchin_supports.homology import (
     rref_basis,
     top_cycle_basis,
 )
-from hitchin_supports.multigraph import Multigraph
+from hitchin_supports.multigraph import HitchinPartition, Multigraph, build_dual_graph
 from hitchin_supports.selftest import random_connected_multigraph
 
 from conftest import complete_graph, entries, parallel_graph, record_rank_leads, transpose
@@ -404,6 +404,79 @@ def test_boundary_rejects_non_closed_complex():
         boundary_complex(bad)
 
 
+def _unchecked_maps(c: FaceComplex) -> list[SparseIntMatrix]:
+    """Every boundary map of ``c`` from ``_boundary_map`` with no check."""
+    bit = [1 << i for i in range(len(c.ground_set))]
+    maps, index = [], {0: 0}
+    for faces in c.faces_by_dim:
+        masks = [homology._face_mask(f, bit) for f in faces]
+        maps.append(homology._boundary_map(faces, masks, index, bit)[0])
+        index = {mask: j for j, mask in enumerate(masks)}
+    return maps
+
+
+def _first_two_cells_swapped(c: FaceComplex):
+    """``c`` with the first two cells of one face swapped, for every face of
+    dimension 1 and up in turn: the masks stay, and the signs of the first
+    two entries of the face's column trade places."""
+    for d, faces in enumerate(c.faces_by_dim[1:], 1):
+        for j, (a, b, *rest) in enumerate(faces):
+            swapped = faces[:j] + ((b, a, *rest),) + faces[j + 1 :]
+            yield FaceComplex(c.ground_set, c.faces_by_dim[:d] + (swapped,) + c.faces_by_dim[d + 1 :])
+
+
+def test_the_check_as_the_maps_are_written_raises_exactly_when_a_product_is_nonzero():
+    graph = random_connected_multigraph(random.Random(7), 8)
+    ends = [(min(u, v), max(u, v)) for u, v, _ in graph.edges]
+    assert any(u == v for u, v in ends) and any(ends.count(e) > 1 for e in ends if e[0] != e[1])
+    raised = passed = 0
+    for c in (cographic_complex(complete_graph(4)), cographic_complex(graph), triangle_boundary_complex()):
+        assert max(c.f_vector()) <= homology.VERIFY_LIMIT  # every column checked as written
+        assert boundary_complex(c).boundaries == tuple(_unchecked_maps(c))
+        for bad in _first_two_cells_swapped(c):
+            maps = _unchecked_maps(bad)
+            if all(lower.matmul(upper).is_zero() for lower, upper in zip(maps, maps[1:])):
+                assert boundary_complex(bad).boundaries == tuple(maps)
+                passed += 1
+            else:
+                with pytest.raises(HomologyError, match="boundary squared is nonzero"):
+                    boundary_complex(bad)
+                raised += 1
+    # a swap trades the signs of the face's first two entries: ∂_(d-1) ∂_d
+    # is non-zero at a face of three cells or more; an edge's column is only
+    # negated, which ∂_1 ∂_2 sees at every triangle on the edge and nothing
+    # sees on an edge in no triangle (the hollow triangle's three)
+    assert (raised, passed) == (119, 3)
+
+
+def test_boundary_complex_draws_20_columns_per_map_above_the_limit_in_increasing_dimension(monkeypatch):
+    # K_4 with every edge doubled: maps of 12, 66 and 220 columns, then five above the limit
+    c = cographic_complex(build_dual_graph(HitchinPartition(2, (1, 1, 1, 1))))
+    large = [m.cols for m in boundary_complex(c).boundaries if m.cols > homology.VERIFY_LIMIT]
+    assert large == [495, 792, 920, 768, 432]
+    received = []
+    real = homology._verify_square_zero
+
+    def recorded(maps, rng):
+        received.append(([m.cols for m in maps], rng, rng.getstate()))
+        real(maps, rng)
+
+    monkeypatch.setattr(homology, "_verify_square_zero", recorded)
+    rng = random.Random(5)
+    boundary_complex(c, rng)
+    expected = random.Random(5)
+    for n in large:
+        for _ in range(20):
+            expected.randrange(n)
+    assert rng.getstate() == expected.getstate()
+    assert [cols for cols, *_ in received] == [[220, 495], [495, 792], [792, 920], [920, 768], [768, 432]]
+    # without an rng, one Random(17) serves every sampled map
+    received.clear()
+    boundary_complex(c)
+    assert len({id(r) for _, r, _ in received}) == 1
+    assert received[0][2] == random.Random(17).getstate()
+
+
 # ---------------------------------------------------------------------------
 # reduced homology
 # ---------------------------------------------------------------------------
@@ -603,7 +676,7 @@ def _vectors_with_leads(rng: random.Random, n: int) -> list[dict[int, int]]:
     return vectors
 
 
-def test_reduce_stores_primitive_pivots_with_positive_leads_and_takes_no_gcd_at_a_unit_lead(monkeypatch):
+def test_reduce_stores_primitive_pivots_keeps_a_unit_lead_and_takes_no_gcd_there(monkeypatch):
     normalized = []
     normalize = homology.normalize_int_vec
 
@@ -612,23 +685,48 @@ def test_reduce_stores_primitive_pivots_with_positive_leads_and_takes_no_gcd_at_
         return normalize(vec)
 
     monkeypatch.setattr(homology, "normalize_int_vec", recording)
-    assert homology._reduce([{0: -1, 1: 2}]) == {0: {0: 1, 1: -2}}
+    assert homology._reduce([{0: -1, 1: 2}]) == {0: {0: -1, 1: 2}}
     assert homology._reduce([{0: -6, 2: 9}]) == {0: {0: 2, 2: -3}}
-    assert homology._reduce([{0: 1, 3: -4}, {0: 1, 1: -1, 3: -4}]) == {0: {0: 1, 3: -4}, 1: {1: 1}}
+    assert homology._reduce([{0: 1, 3: -4}, {0: 1, 1: -1, 3: -4}]) == {0: {0: 1, 3: -4}, 1: {1: -1}}
+    # cleared against a lead of -1: vec + 3 pivot, no scaling
+    assert homology._reduce([{0: -1, 2: 1}, {0: 3, 1: 1}]) == {0: {0: -1, 2: 1}, 1: {1: 1, 2: 3}}
     rng = random.Random(67)
-    leads = set()
+    leads, stored = set(), set()
     for _ in range(200):
         n = rng.randint(1, 8)
         vectors = _vectors_with_leads(rng, n)
         entries = {(r, c): v for c, vec in enumerate(vectors) for r, v in vec.items()}
         pivots = homology._reduce(copy.deepcopy(vectors))
         for lead, pivot in pivots.items():
-            assert min(pivot) == lead and pivot[lead] > 0
+            assert min(pivot) == lead and (pivot[lead] > 0 or pivot[lead] == -1)
             assert math.gcd(*pivot.values()) == 1 and 0 not in pivot.values()
+            stored.add(pivot[lead])
         assert len(pivots) == dense_rank(n, len(vectors), entries)
         leads.update(vec[min(vec)] for vec in vectors)
     assert leads == {1, -1, 2, -2, 6, -6}
+    assert {1, -1, 2} <= stored
     assert normalized and 1 not in normalized and -1 not in normalized
+
+
+def test_boundary_ranks_take_no_gcd_and_cancel_against_both_unit_leads(monkeypatch):
+    # every lead of a boundary map is +-1 (see the clearing test above), so
+    # _cancel clears with f = a b and normalize_int_vec is never reached
+    pivot_leads = []
+    cancel = homology._cancel
+
+    def recording(vec, at, pivot):
+        pivot_leads.append(pivot[at])
+        cancel(vec, at, pivot)
+
+    def refused(*args):
+        raise AssertionError("gcd taken")
+
+    monkeypatch.setattr(homology, "_cancel", recording)
+    monkeypatch.setattr(homology, "gcd", refused)
+    cc = boundary_complex(cographic_complex(complete_graph(5)))
+    assert [exact_rank(m) for m in cc.boundaries] == [1, 9, 36, 84, 121, 101]
+    assert len(top_cycle_basis(cc.boundaries)) == 24
+    assert set(pivot_leads) == {1, -1}
 
 
 def test_rank_rref_and_top_cycle_callers_keep_their_vectors():
@@ -651,7 +749,7 @@ def test_rank_rref_and_top_cycle_callers_keep_their_vectors():
 
 def test_reduce_changes_no_vector_and_stores_an_untouched_unit_lead_itself():
     rng = random.Random(73)
-    kinds = {"stored": 0, "negated": 0, "normalized": 0, "cancelled": 0}
+    kinds = {"lead 1": 0, "lead -1": 0, "normalized": 0, "cancelled": 0}
     for _ in range(80):
         n = rng.randint(1, 8)
         vectors = _vectors_with_leads(rng, n)
@@ -663,10 +761,10 @@ def test_reduce_changes_no_vector_and_stores_an_untouched_unit_lead_itself():
             if lead in homology._reduce(given[:i]):  # a pivot holds its lead: cancelled there
                 kind = "cancelled"
             else:
-                kind = {1: "stored", -1: "negated"}.get(vec[lead], "normalized")
+                kind = {1: "lead 1", -1: "lead -1"}.get(vec[lead], "normalized")
             kinds[kind] += 1
             stored_at = [at for at, pivot in pivots.items() if pivot is vec]
-            assert stored_at == ([lead] if kind == "stored" else [])
+            assert stored_at == ([lead] if kind in ("lead 1", "lead -1") else [])
     assert min(kinds.values()) > 20, kinds
 
 
