@@ -33,10 +33,12 @@ DEFAULT_FACE_LIMIT = 500_000
 
 
 class FaceComplex(NamedTuple):
-    """An abstract simplicial complex presented by an explicit face list."""
+    """An abstract simplicial complex presented by an explicit face list;
+    ``masks_by_dim[d][j]`` is the bit mask of ``faces_by_dim[d][j]``."""
 
     ground_set: tuple
     faces_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
+    masks_by_dim: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -63,8 +65,9 @@ class FaceComplex(NamedTuple):
 
 def _depth_first(
     below, vectors, face_limit: int, *, max_rank: int, max_nullity: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Enumerate the non-empty faces of a complex on ground cells 0..n-1.
+) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[tuple[int, ...], ...]]:
+    """Enumerate the non-empty faces of a complex on ground cells 0..n-1, and
+    their bit masks (a child's is its parent's OR the new cell's bit).
 
     ``below[i]`` lists, in increasing order, the cells that may follow cell
     ``i`` in a face; the faces start from the empty face with any cell.  Each
@@ -83,10 +86,11 @@ def _depth_first(
     Raises as soon as more than ``face_limit`` non-empty faces have been listed.
     """
     levels: list[list[tuple[int, ...]]] = []
+    mask_levels: list[list[int]] = []
     room = face_limit
-    stack = [((), (), range(len(vectors)))]
+    stack = [((), 0, (), range(len(vectors)))]
     while stack:
-        face, basis, candidates = stack.pop()
+        face, mask, basis, candidates = stack.pop()
         rank = len(basis)
         nullity = len(face) - rank
         full = rank == max_rank
@@ -96,7 +100,9 @@ def _depth_first(
         null_child_grows = not full or nullity + 1 < max_nullity
         if len(levels) == len(face):
             levels.append([])
+            mask_levels.append([])
         level = levels[len(face)]
+        level_masks = mask_levels[len(face)]
         grown = []
         for e in candidates:
             w = vectors[e]
@@ -114,14 +120,18 @@ def _depth_first(
                 child_basis = basis
                 grows = null_child_grows
             child = face + (e,)
+            child_mask = mask | 1 << e
             level.append(child)
+            level_masks.append(child_mask)
             room -= 1
             if room < 0:
                 raise GraphError(f"complex has more than {face_limit} faces")
             if grows and below[e]:
-                grown.append((child, child_basis, below[e]))
+                grown.append((child, child_mask, child_basis, below[e]))
         stack += reversed(grown)
-    return tuple(tuple(level) for level in levels if level)
+    if not levels[-1]:  # no face of the largest size had a child
+        del levels[-1], mask_levels[-1]
+    return tuple(map(tuple, levels)), tuple(map(tuple, mask_levels))
 
 
 def _refuse_above(face_limit: int, lower_bound: int) -> None:
@@ -149,8 +159,8 @@ def cographic_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -
     labels = graph.labels()
     basis = cycle_space(graph)
     vectors = [sum(1 << j for j in basis.columns[lab]) for lab in labels]
-    faces = _depth_first(_later(len(labels)), vectors, face_limit, max_rank=basis.rank, max_nullity=0)
-    return FaceComplex(labels, faces)
+    faces, masks = _depth_first(_later(len(labels)), vectors, face_limit, max_rank=basis.rank, max_nullity=0)
+    return FaceComplex(labels, faces, masks)
 
 
 def nonspanning_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT) -> FaceComplex:
@@ -168,8 +178,8 @@ def nonspanning_complex(graph: Multigraph, face_limit: int = DEFAULT_FACE_LIMIT)
     labels = graph.labels()
     vectors = [1 << u ^ 1 << v for u, v, _ in sorted(graph.edges, key=lambda e: e[2])]
     m = len(labels)
-    faces = _depth_first(_later(m), vectors, face_limit, max_rank=graph.vertex_count - 2, max_nullity=m)
-    return FaceComplex(labels, faces)
+    faces, masks = _depth_first(_later(m), vectors, face_limit, max_rank=graph.vertex_count - 2, max_nullity=m)
+    return FaceComplex(labels, faces, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +235,7 @@ def partition_order_complex(r: int, face_limit: int = DEFAULT_FACE_LIMIT) -> Fac
     proper = proper_partitions(r)
     labels = tuple(partition_label(p) for p in proper)
     n = len(proper)
-    return FaceComplex(labels, _depth_first(_coarser(proper), [0] * n, face_limit, max_rank=0, max_nullity=n))
+    return FaceComplex(labels, *_depth_first(_coarser(proper), [0] * n, face_limit, max_rank=0, max_nullity=n))
 
 
 def _coarser(proper: list) -> list[list[int]]:

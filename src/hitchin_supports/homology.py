@@ -15,20 +15,19 @@ Every complex of sparse maps goes to ``cleared_homology``, which ranks it
 with clearing (its docstring states the lemma) and returns its homology: the
 boundary maps from the top degree down, each CKS weight summand from d_0 up.
 
-Faces are keyed by their ground-set bit masks.  ``_boundary_map`` builds
-∂_d, finding the facet of a face without cell i as the one lookup
-``mask ^ (1 << i)``: ``boundary_complex`` calls it in every dimension, in
-one pass, ``TopHomologyAction`` only for ∂_(top-1) and ∂_top.  Both check
-each column of ∂_(d-1) ∂_d they build (all up to ``VERIFY_LIMIT`` columns,
-20 sampled above) as one integer sum: the ±1 columns of ∂_(d-1) evaluated
-at 2**b, added with the column's signs.  With 2**(b-1) above the column's
-length every coefficient is a balanced base-2**b digit, and balanced digits
-are unique (the lowest non-zero one survives modulo the next power of
-2**b), so the sum is zero exactly when the column is.  ``boundary_complex``
-touches each entry once: it evaluates the columns of ∂_(d-1) as it writes
-them and sums them into each column of ∂_d as it writes that, and leaves
-only the sampled maps to ``_verify_square_zero``, which
-``TopHomologyAction`` calls on its pair.
+Faces are keyed by the bit masks the enumerator wrote, ``masks_by_dim``.
+``_boundary_map`` builds ∂_d, finding the facet of a face without cell i as
+the one lookup ``mask ^ (1 << i)``: ``boundary_complex`` calls it in every
+dimension, in one pass, ``TopHomologyAction`` only for ∂_(top-1) and ∂_top.
+Both check each column of ∂_(d-1) ∂_d they build (all up to
+``VERIFY_LIMIT`` columns, 20 sampled above) as one integer sum: the ±1
+columns of ∂_(d-1) evaluated at 2**b, added with the column's signs.  With
+2**(b-1) above the column's length every coefficient is a balanced
+base-2**b digit, and balanced digits are unique (the lowest non-zero one
+survives modulo the next power of 2**b), so the sum is zero exactly when
+the column is.  ``boundary_complex`` touches each entry once, as it writes
+it; the sampled maps and the pair of ``TopHomologyAction`` go to
+``_verify_square_zero``, which evaluates each column on its own rows.
 
 ``exact_rank_int`` reduces the columns of a map from the last to the first;
 ``rref_basis`` back-substitutes the pivots of a span (the CKS blocks); and
@@ -377,13 +376,12 @@ def _boundary_map(
     lookup of ``mask ^ bit[i]``, a miss raises, and each column is filled in
     the face's cell order with signs +1, -1, ....
 
-    ``below``, when given, holds each column of the map below evaluated at
-    2**b' (see ``_verify_square_zero``), and each column is checked as it is
-    written: the values of its rows, summed with its signs, must vanish.
-    The rows of a column are distinct, as distinct cells give distinct
-    masks, so the sum reads exactly the stored entries.  With ``b`` non-zero
-    the map comes with each column's value at 2**b, Σ_r v 2**(b r), for the
-    check of the map above; with ``b`` zero, with None.
+    ``below``, when given, holds each column of the map below at 2**b',
+    Σ_r v 2**(b' r), and each column is checked as it is written: the values
+    of its rows, summed with its signs, must vanish.  The rows of a column
+    are distinct, as distinct cells give distinct masks, so the sum reads
+    exactly the stored entries.  With ``b`` non-zero the map comes with each
+    column's value at 2**b for the check of the map above; else with None.
     """
     columns = []
     values = []
@@ -426,25 +424,26 @@ def _boundary_map(
 
 def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> IntChainComplex:
     """Boundary matrices with alternating signs over the lexicographic face
-    order, one ``_boundary_map`` per dimension in one pass that keeps the
-    bit masks of two levels alive.  d(d(x)) = 0 is checked on every column
-    of a map with at most ``VERIFY_LIMIT`` columns as the column is written,
-    from the columns of the map below evaluated as they were written; once
-    every map is built, each larger map is checked on 20 columns drawn from
-    ``rng`` (``_verify_square_zero``), in increasing dimension.
+    order, one ``_boundary_map`` per dimension over ``c.masks_by_dim``, the
+    ``{mask: index}`` of a level built only when a map lies above it.
+    d(d(x)) = 0 is checked on every column of a map with at most
+    ``VERIFY_LIMIT`` columns as the column is written, from the columns of
+    the map below evaluated as they were written; once every map is built,
+    each larger map is checked on 20 columns drawn from ``rng``
+    (``_verify_square_zero``), in increasing dimension.
     """
     levels = c.faces_by_dim
     bit = [1 << i for i in range(len(c.ground_set))]
     maps = []
     index = {0: 0}  # the empty face
     below = None
-    for d, faces in enumerate(levels):
-        masks = [sum(map(bit.__getitem__, f)) for f in faces]
+    for d, (faces, masks) in enumerate(zip(levels, c.masks_by_dim)):
         # ∂_d evaluated at 2**b for the check of ∂_(d+1), whose columns have d + 2 entries
         b = (d + 2).bit_length() + 1 if d + 1 < len(levels) and len(levels[d + 1]) <= VERIFY_LIMIT else 0
         m, below = _boundary_map(faces, masks, index, bit, below, b)
         maps.append(m)
-        index = {mask: j for j, mask in enumerate(masks)}
+        if d + 1 < len(levels):
+            index = dict(zip(masks, range(len(masks))))
     sampled = [d for d in range(1, len(maps)) if maps[d].cols > VERIFY_LIMIT]
     if sampled:
         rng = rng or random.Random(17)
@@ -458,13 +457,14 @@ def _verify_square_zero(maps: Sequence[SparseIntMatrix], rng: random.Random | No
     column of a map with at most ``VERIFY_LIMIT`` columns and on 20 columns
     drawn from ``rng`` above that.
 
-    A checked column is evaluated at 2**b (Kronecker substitution): lower
-    column k becomes the int Σ_r v 2**(b r), built once per map when first
-    needed, and the column sums these ints with its signs.  Every entry must
-    be +-1, so each coefficient c_r of the product column has
-    |c_r| <= len(col) < 2**(b-1).  Were some c_r non-zero, the lowest one
-    would leave the sum non-zero modulo 2**(b (r+1)), so the sum vanishes
-    exactly when the column of ∂_(d-1) ∂_d does.
+    A checked column is evaluated on its own rows (Kronecker substitution):
+    the rows its lower columns reach get slots s(r) = 0, 1, ... as first met,
+    and it sums v w 2**(b s(r)) over its entries w at k and the entries v at
+    r of lower column k, b = len(col).bit_length() + 1.  Every entry must be
+    +-1, so each coefficient c_r of the product column has
+    |c_r| <= len(col) < 2**(b-1); were some c_r non-zero, the one of lowest
+    slot would leave the sum non-zero modulo 2**(b (s(r)+1)).  So the sum,
+    at most b (d+1) d bits for ∂_d, vanishes exactly when the column does.
     """
     rng = rng or random.Random(17)
     for d in range(1, len(maps)):
@@ -472,35 +472,23 @@ def _verify_square_zero(maps: Sequence[SparseIntMatrix], rng: random.Random | No
         if len(upper) > VERIFY_LIMIT:
             upper = tuple(upper[rng.randrange(len(upper))] for _ in range(20))
         lower = maps[d - 1].columns
-        b = max(map(len, upper), default=0).bit_length() + 1
-        at: list[int | None] = [None] * len(lower)  # lower column k evaluated at 2**b
         for col in upper:
+            b = len(col).bit_length() + 1
+            at: dict[int, int] = {}  # 2**(b s(r)) for each row r reached
             total = 0
             for k, w in col.items():
-                x = at[k]
-                if x is None:
-                    x = at[k] = _at_power_of_two(lower[k], b)
-                if w == 1:
-                    total += x
-                elif w == -1:
-                    total -= x
-                else:
+                if w != 1 and w != -1:
                     raise HomologyError(f"boundary entry {w} is not +-1")
+                for r, v in lower[k].items():
+                    x = at.get(r) or at.setdefault(r, 1 << b * len(at))
+                    if v == w:
+                        total += x
+                    elif v == -w:
+                        total -= x
+                    else:
+                        raise HomologyError(f"boundary entry {v} is not +-1")
             if total:
                 raise HomologyError("boundary squared is nonzero")
-
-
-def _at_power_of_two(col: Mapping[int, int], b: int) -> int:
-    """A column of +-1 entries as the int Σ_r v 2**(b r)."""
-    x = 0
-    for r, v in col.items():
-        if v == 1:
-            x += 1 << b * r
-        elif v == -1:
-            x -= 1 << b * r
-        else:
-            raise HomologyError(f"boundary entry {v} is not +-1")
-    return x
 
 
 def reduced_homology(cc: IntChainComplex, *, rng: object = None) -> HomologyProfile:
@@ -551,10 +539,11 @@ class TopHomologyAction:
     """Action of simplicial automorphisms on a fixed top-cycle basis.
 
     Only ∂_(top-1) and ∂_top are built, by the ``_boundary_map`` of
-    ``boundary_complex``, and ∂∘∂ = 0 is checked on that pair by
-    ``_verify_square_zero`` on the columns ``boundary_complex`` checks;
-    ∂_(top-1) is dropped once checked and ∂_top once the top cycles are
-    found, before the facets below the top are listed.
+    ``boundary_complex`` over the complex's ``masks_by_dim``, and ∂∘∂ = 0
+    is checked on that pair by ``_verify_square_zero`` on the columns
+    ``boundary_complex`` checks; ∂_(top-1) is dropped once checked and
+    ∂_top once the top cycles are found, before the facets below the top
+    are listed.
     ``matrix`` checks that a ground-set permutation is an automorphism on the
     facets only: a bijection of the ground set that maps every facet into the
     complex maps every face into it (faces lie in facets, and the complex is
@@ -569,7 +558,7 @@ class TopHomologyAction:
         levels = c.faces_by_dim
         self.top = top = len(levels) - 1
         bit = [1 << i for i in range(len(c.ground_set))]
-        masks = [[_face_mask(f, bit) for f in faces] for faces in levels]
+        masks = c.masks_by_dim
         maps = [
             _boundary_map(levels[d], masks[d], {m: j for j, m in enumerate(masks[d - 1])} if d else {0: 0}, bit)[0]
             for d in range(max(top - 1, 0), top + 1)

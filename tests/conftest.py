@@ -1,6 +1,7 @@
 import itertools
 
 from hitchin_supports import homology
+from hitchin_supports.complexes import FaceComplex
 from hitchin_supports.multigraph import Multigraph
 from hitchin_supports.symgroup import complete_graph  # noqa: F401  re-exported to the test modules
 
@@ -15,6 +16,13 @@ def inverse(p) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def face_complex(ground_set: tuple, faces_by_dim: tuple) -> FaceComplex:
+    """A hand-built ``FaceComplex``, each face's bit mask the sum of
+    ``1 << i`` over its cells, as the enumerator writes it."""
+    masks = tuple(tuple(sum(1 << i for i in face) for face in faces) for faces in faces_by_dim)
+    return FaceComplex(ground_set, faces_by_dim, masks)
 
 
 def entries(mat: homology.SparseIntMatrix) -> dict[tuple[int, int], int]:

@@ -6,7 +6,6 @@ import pytest
 
 from hitchin_supports import complexes
 from hitchin_supports.complexes import (
-    FaceComplex,
     _coarser,
     _depth_first,
     cographic_complex,
@@ -16,9 +15,9 @@ from hitchin_supports.complexes import (
     set_partitions,
 )
 from hitchin_supports.multigraph import GraphError, Multigraph, delta_aff
-from hitchin_supports.selftest import _subsets_where
+from hitchin_supports.selftest import _subsets_where, random_connected_multigraph
 
-from conftest import brute_face_sets, complete_graph, parallel_graph, refines
+from conftest import brute_face_sets, complete_graph, face_complex, parallel_graph, refines
 
 
 def faces_as_label_sets(c):
@@ -66,8 +65,8 @@ def test_cographic_max_face_size_is_delta():
 def test_a_complex_missing_a_facet_is_not_downward_closed():
     # the triangle's edges without the vertex 2 that two of them contain
     faces = (((0,), (1,)), ((0, 1), (0, 2), (1, 2)))
-    assert not FaceComplex((0, 1, 2), faces).verify_downward_closed()
-    assert FaceComplex((0, 1, 2), (faces[0] + ((2,),), faces[1])).verify_downward_closed()
+    assert not face_complex((0, 1, 2), faces).verify_downward_closed()
+    assert face_complex((0, 1, 2), (faces[0] + ((2,),), faces[1])).verify_downward_closed()
 
 
 def test_cographic_requires_connected():
@@ -319,6 +318,20 @@ def test_graph_complexes_equal_the_subset_scan():
             assert c.faces_by_dim == _subsets_where(graph, keeps), graph.edges
             for faces in c.faces_by_dim:
                 assert list(faces) == sorted(faces), graph.edges
+
+
+def test_every_builder_writes_the_bit_mask_of_each_face():
+    rng = random.Random(44)
+    graphs = [random_connected_multigraph(rng, 8) for _ in range(60)]
+    pairs = [[(u, v) for u, v, _ in g.edges if u != v] for g in graphs]
+    assert any(u == v for g in graphs for u, v, _ in g.edges)
+    assert any(len(set(p)) < len(p) for p in pairs)
+    complexes = [cographic_complex(complete_graph(5)), nonspanning_complex(complete_graph(5)), partition_order_complex(5)]
+    complexes += [cographic_complex(g) for g in graphs]
+    complexes += [nonspanning_complex(g) for g in graphs if g.vertex_count >= 2]
+    for c in complexes:
+        summed = tuple(tuple(sum(1 << i for i in face) for face in faces) for faces in c.faces_by_dim)
+        assert c.masks_by_dim == summed, c.faces_by_dim
 
 
 @pytest.mark.parametrize(

@@ -25,16 +25,16 @@ from hitchin_supports.homology import (
 from hitchin_supports.multigraph import HitchinPartition, Multigraph, build_dual_graph
 from hitchin_supports.selftest import random_connected_multigraph
 
-from conftest import complete_graph, entries, parallel_graph, record_rank_leads, transpose
+from conftest import complete_graph, entries, face_complex, parallel_graph, record_rank_leads, transpose
 
 
 def points_complex(n: int) -> FaceComplex:
-    return FaceComplex(tuple(range(n)), (tuple((i,) for i in range(n)),))
+    return face_complex(tuple(range(n)), (tuple((i,) for i in range(n)),))
 
 
 def triangle_boundary_complex() -> FaceComplex:
     # hollow triangle: 3 vertices, 3 edges
-    return FaceComplex(
+    return face_complex(
         (0, 1, 2),
         (
             ((0,), (1,), (2,)),
@@ -299,7 +299,7 @@ def test_square_zero_check_samples_from_the_rng_as_before():
     ground = tuple(range(30))
     triangles = tuple(itertools.combinations(range(5), 3))
     cc = boundary_complex(
-        FaceComplex(ground, (tuple((i,) for i in ground), tuple(itertools.combinations(ground, 2)), triangles))
+        face_complex(ground, (tuple((i,) for i in ground), tuple(itertools.combinations(ground, 2)), triangles))
     )
     assert [m.cols > homology.VERIFY_LIMIT for m in cc.boundaries] == [False, True, False]
     rng = random.Random(5)
@@ -379,6 +379,76 @@ def test_square_zero_check_rejects_an_entry_other_than_plus_or_minus_one(value):
     assert count == sum(m.nnz for m in cc.boundaries)
 
 
+def _k6_minus_an_edge_maps() -> tuple[SparseIntMatrix, ...]:
+    """The boundary maps of the cographic complex of K_6 minus an edge, the
+    large-complexes input."""
+    ends = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 1)]
+    graph = Multigraph(6, tuple((u, v, i) for i, (u, v) in enumerate(ends)))
+    return boundary_complex(cographic_complex(graph)).boundaries
+
+
+def _drawn_columns(maps, seed: int) -> list[tuple]:
+    """For each map above ``VERIFY_LIMIT``, in increasing dimension, its
+    dimension, the state of a copy of ``Random(seed)`` before its draws, and
+    the 20 columns it draws."""
+    rng = random.Random(seed)
+    drawn = []
+    for d, m in enumerate(maps):
+        if d and m.cols > homology.VERIFY_LIMIT:
+            state = rng.getstate()
+            drawn.append((d, state, [rng.randrange(m.cols) for _ in range(20)]))
+    return drawn
+
+
+def _check_pair(lower: SparseIntMatrix, upper: SparseIntMatrix, state) -> None:
+    rng = random.Random()
+    rng.setstate(state)
+    homology._verify_square_zero((lower, upper), rng)
+
+
+def test_the_check_on_drawn_columns_catches_every_flipped_entry():
+    maps = _k6_minus_an_edge_maps()
+    drawn = _drawn_columns(maps, 17)
+    assert [d for d, *_ in drawn] == [3, 4, 5, 6, 7, 8]
+    flips = 0
+    for d, state, js in drawn:
+        lower, upper = maps[d - 1 : d + 1]
+        for j in js:
+            col = upper.columns[j]
+            for k, w in col.items():
+                bad = SparseIntMatrix(upper.rows, upper.columns[:j] + ({**col, k: -w},) + upper.columns[j + 1 :])
+                with pytest.raises(HomologyError, match="boundary squared is nonzero"):
+                    _check_pair(lower, bad, state)
+                flips += 1
+    assert flips == sum(20 * (d + 1) for d, *_ in drawn)
+
+
+def test_the_check_on_drawn_columns_agrees_with_accumulation_when_a_reached_entry_moves_row():
+    maps = _k6_minus_an_edge_maps()
+    outcomes = []
+    for d, state, js in _drawn_columns(maps, 17):
+        lower, upper = maps[d - 1 : d + 1]
+        drawn = [upper.columns[j] for j in js]
+        for k in sorted({k for col in drawn for k in col}):
+            for r in lower.columns[k]:
+                columns = list(lower.columns)
+                columns[k] = _moved_to_another_row(columns[k], r, lower.rows)
+                bad = SparseIntMatrix(lower.rows, tuple(columns))
+                nonzero = False
+                for col in drawn:
+                    acc = {}
+                    for k2, w in col.items():
+                        for r2, v in columns[k2].items():
+                            acc[r2] = acc.get(r2, 0) + v * w
+                    nonzero = nonzero or any(acc.values())
+                try:
+                    _check_pair(bad, upper, state)
+                    outcomes.append(not nonzero)
+                except HomologyError as exc:
+                    outcomes.append(nonzero and str(exc) == "boundary squared is nonzero")
+    assert len(outcomes) > 1000 and all(outcomes)
+
+
 # sha256 of (rows, [list(col.items()) for col in columns]) over every
 # boundary map of cographic K_5, Π_5 and 40 seeded random multigraphs; the
 # rank reduction picks each lead as the lowest row, whatever the order of a
@@ -399,7 +469,7 @@ def test_boundary_matrices_keep_their_entries_and_column_order():
 
 
 def test_boundary_rejects_non_closed_complex():
-    bad = FaceComplex((0, 1), (((0,),), ((0, 1),)))
+    bad = face_complex((0, 1), (((0,),), ((0, 1),)))
     with pytest.raises(HomologyError):
         boundary_complex(bad)
 
@@ -422,7 +492,7 @@ def _first_two_cells_swapped(c: FaceComplex):
     for d, faces in enumerate(c.faces_by_dim[1:], 1):
         for j, (a, b, *rest) in enumerate(faces):
             swapped = faces[:j] + ((b, a, *rest),) + faces[j + 1 :]
-            yield FaceComplex(c.ground_set, c.faces_by_dim[:d] + (swapped,) + c.faces_by_dim[d + 1 :])
+            yield face_complex(c.ground_set, c.faces_by_dim[:d] + (swapped,) + c.faces_by_dim[d + 1 :])
 
 
 def test_the_check_as_the_maps_are_written_raises_exactly_when_a_product_is_nonzero():
@@ -499,13 +569,13 @@ def test_k4_cographic_concentrated_rank_six():
 
 
 def test_empty_complex_has_betti_minus_one():
-    empty = FaceComplex((), ())
+    empty = face_complex((), ())
     profile = reduced_homology(boundary_complex(empty))
     assert profile.betti == {-1: 1}
 
 
 def test_euler_characteristic_is_an_int_when_h_minus_one_is_nonzero():
-    profile = reduced_homology(boundary_complex(FaceComplex((), ())))
+    profile = reduced_homology(boundary_complex(face_complex((), ())))
     assert type(profile.euler) is int and profile.euler == -1
 
 
@@ -1080,7 +1150,7 @@ def test_face_table_equals_the_sort_sign_on_every_permutation_of_a_simplex(top):
     # the full simplex on 7 cells (one top face) and its boundary (seven top
     # faces): every permutation is an automorphism, not only vertex-induced ones
     cells = range(7)
-    c = FaceComplex(tuple(cells), tuple(tuple(itertools.combinations(cells, k)) for k in range(1, top + 1)))
+    c = face_complex(tuple(cells), tuple(tuple(itertools.combinations(cells, k)) for k in range(1, top + 1)))
     action = TopHomologyAction(c)
     faces = c.faces_by_dim[action.top]
     index = {f: i for i, f in enumerate(faces)}
@@ -1116,7 +1186,7 @@ def _closures_and_graph_complexes(rng):
     for _ in range(30):
         n = rng.randint(3, 6)
         facets = [tuple(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(1, 5))]
-        complexes.append(FaceComplex(tuple(range(n)), _closure(facets)))
+        complexes.append(face_complex(tuple(range(n)), _closure(facets)))
     for _ in range(15):
         complexes.append(cographic_complex(random_connected_multigraph(rng, 6)))
     complexes.append(partition_order_complex(4))
@@ -1177,7 +1247,7 @@ def test_action_rejects_a_complex_not_downward_closed_below_the_top_pair(missing
     # the closure of a tetrahedron less one vertex (dimension top - 3, which
     # neither built map reads) or one edge (read as a row of ∂_(top-1))
     levels = _closure([(0, 1, 2, 3)])
-    bad = FaceComplex((0, 1, 2, 3), tuple(tuple(f for f in faces if f != missing) for faces in levels))
+    bad = face_complex((0, 1, 2, 3), tuple(tuple(f for f in faces if f != missing) for faces in levels))
     assert sum(map(len, bad.faces_by_dim)) == 14
     with pytest.raises(HomologyError, match="not downward closed"):
         boundary_complex(bad)
@@ -1217,7 +1287,7 @@ def test_action_builds_only_the_top_pair_of_maps(monkeypatch):
 def test_lower_facet_sent_outside_is_rejected():
     # a triangle with two pendant edges; swapping 3 and 4 fixes the triangle
     # but sends the edges {2, 3} and {4, 5} outside the complex
-    c = FaceComplex(tuple(range(6)), _closure([(0, 1, 2), (2, 3), (4, 5)]))
+    c = face_complex(tuple(range(6)), _closure([(0, 1, 2), (2, 3), (4, 5)]))
     action = TopHomologyAction(c)
     swap = (0, 1, 2, 4, 3, 5)
     assert not _every_face_maps_into(c, swap)

@@ -111,7 +111,7 @@ def _record_cases():
         (SparseIntMatrix, {"rows": 2, "columns": ({0: 1}, {0: -2, 1: 3})}, _check_matrix),
         (IntChainComplex, _fields(chains, "boundaries"), _stored_as_given),
         (HomologyProfile, _fields(reduced_homology(chains), "betti euler"), _stored_as_given),
-        (FaceComplex, _fields(faces, "ground_set faces_by_dim"), _stored_as_given),
+        (FaceComplex, _fields(faces, "ground_set faces_by_dim masks_by_dim"), _stored_as_given),
         (CycleSpaceBasis, _fields(cycle_space(graph), "forest chords cycles columns"), _stored_as_given),
         (SupportReport, _fields(support_report(HitchinPartition(2, (2, 1))), SUPPORT_REPORT_FIELDS), _stored_as_given),
         (ProductClassFunction, _fields(restrict_to_young(character, (2, 1)), "alphas values"), _stored_as_given),
