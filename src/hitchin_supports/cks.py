@@ -219,29 +219,30 @@ def apply_derivation(wedges: WedgeBasis, cols: Sequence[Mapping[int, int]], widx
     return out
 
 
-def _readers(ops: Mapping[int, SparseIntMatrix]) -> dict[int, list[int]]:
-    """The index t -> [the r whose matrix ``ops[r]`` has a non-empty column
-    t], in ``ops`` order: one scan of every operator column, which every
-    exterior power of the model can share."""
+def _readers(model: GradedH1Model, labels: Iterable[int]) -> dict[int, list[int]]:
+    """The index t -> [the r of ``labels`` whose operator
+    ``picard_lefschetz(model, r)`` has a non-empty column t], in ``labels``
+    order, which every exterior power of the model can share.  That operator
+    fills exactly the columns gr2_offset + b for the b of the edge's cycle
+    column, so the index is read off ``model.cycles.columns``, with no scan
+    of an operator's columns."""
     readers: dict[int, list[int]] = {}
-    for r, op in ops.items():
-        for t in itertools.compress(itertools.count(), op.columns):
-            readers.setdefault(t, []).append(r)
+    offset, columns = model.gr2_offset, model.cycles.columns
+    for r in labels:
+        for b in columns[r]:
+            readers.setdefault(offset + b, []).append(r)
     return readers
 
 
 class _Derivations:
     """The derivation extensions of the operators ``ops`` on one exterior
-    power.  ``readers`` is ``_readers(ops)``, built here unless given, and
+    power.  ``readers`` is ``_readers`` of the model and ``ops``, and
     ``cache[w]`` holds the non-empty columns N_r(e_w) of the r that read an
     index of the wedge w, built by ``apply_derivation`` when a vector first
     holds w."""
 
-    def __init__(
-        self, wedges: WedgeBasis, ops: Mapping[int, SparseIntMatrix], readers: Mapping[int, list[int]] | None = None
-    ):
-        self.wedges, self.ops = wedges, ops
-        self.readers = _readers(ops) if readers is None else readers
+    def __init__(self, wedges: WedgeBasis, ops: Mapping[int, SparseIntMatrix], readers: Mapping[int, list[int]]):
+        self.wedges, self.ops, self.readers = wedges, ops, readers
         self.cache: dict[int, dict[int, dict[int, int]]] = {}
 
     def images(self, vec: Mapping[int, int], skip: Sequence[int] = ()) -> dict[int, dict[int, int]]:
@@ -283,7 +284,8 @@ def image_NI(model: GradedH1Model, subset: Iterable[int], exterior_degree: int) 
             raise GraphError(f"no such edge: {lab}")
     basis = tuple({i: 1} for i in range(len(wedges)))
     for lab in order:
-        derive = _Derivations(wedges, {lab: picard_lefschetz(model, lab)})
+        ops = {lab: picard_lefschetz(model, lab)}
+        derive = _Derivations(wedges, ops, _readers(model, ops))
         basis = rref_basis(derive.images(vec).get(lab, {}) for vec in basis)
         if not basis:
             return ()
@@ -386,7 +388,7 @@ def build_cks(
     check_exterior(model.dimension, exterior_degree, wedge_limit)
     reduced = model.reduced
     ops = nilpotent_family(reduced)
-    readers = _readers(ops)
+    readers = _readers(reduced, ops)
     low = max(0, exterior_degree - reduced.dimension)
     pieces = tuple(
         (j, comb(model.gr1_dim, j), piece)
@@ -401,7 +403,7 @@ def _direct_cks(model: GradedH1Model, exterior_degree: int) -> CKSComplexInstanc
     wedge^i H, as the sum of its weight summands (j = 0, multiplicity 1)."""
     check_exterior(model.dimension, exterior_degree, DEFAULT_WEDGE_LIMIT)
     ops = nilpotent_family(model)
-    pieces = tuple((0, 1, piece) for piece in _weight_summands(model, exterior_degree, ops, _readers(ops)))
+    pieces = tuple((0, 1, piece) for piece in _weight_summands(model, exterior_degree, ops, _readers(model, ops)))
     return CKSComplexInstance(model, exterior_degree, pieces)
 
 
@@ -414,7 +416,7 @@ def _weight_summands(
     """The complex started from all of wedge^i of the model, one piece per
     ambient weight of the degree-0 wedges, in ascending weight, with one
     ``_Derivations`` of the model's ``nilpotent_family`` ``ops`` for all the
-    pieces: the caller's index ``readers`` = ``_readers(ops)`` and the
+    pieces: the caller's index ``readers`` = ``_readers(model, ops)`` and the
     per-wedge cache ``{wedge: {r: N_r(e_wedge)}}``, filled as the pieces need
     columns and dropped on return."""
     wedges = WedgeBasis(model.dimension, exterior_degree)

@@ -25,8 +25,8 @@ columns of ∂_(d-1) evaluated at 2**b, added with the column's signs.  With
 2**(b-1) above the column's length every coefficient is a balanced
 base-2**b digit, and balanced digits are unique (the lowest non-zero one
 survives modulo the next power of 2**b), so the sum is zero exactly when
-the column is.  ``boundary_complex`` touches each entry once, as it writes
-it; the sampled maps and the pair of ``TopHomologyAction`` go to
+the column is.  A map of at most ``VERIFY_LIMIT`` columns is checked as it
+is written, each entry touched once; the sampled maps go to
 ``_verify_square_zero``, which evaluates each column on its own rows.
 
 ``exact_rank_int`` reduces the columns of a map from the last to the first;
@@ -42,9 +42,11 @@ normalizes every vector it returns, and a kernel vector of
 ``top_cycle_basis`` leads with its own unit vector, which only the
 positive scales of ``_cancel`` touch.
 ``TopHomologyAction`` keys the top faces by their masks, so the image of a
-face under a permutation is one lookup and its orientation sign a popcount
-per cell; the facets below the top are the d-faces that no mask
-``mask ^ (1 << i)`` of a (d+1)-face hits.
+face under a permutation is one lookup, and the orientation signs of all
+the top faces are the bits of one XOR of pair bitsets (the top faces that
+hold both cells of a pair), over the pairs the permutation inverts; the
+facets below the top are the d-faces that no mask ``mask ^ (1 << i)`` of a
+(d+1)-face hits.
 The RREF bases that coordinates are read along (top-cycle bases, CKS block
 bases) have had lead entry 1 on every complex measured, so
 ``coords_in_rref`` reads a coordinate off a pivot without dividing, and a
@@ -540,10 +542,14 @@ class TopHomologyAction:
 
     Only ∂_(top-1) and ∂_top are built, by the ``_boundary_map`` of
     ``boundary_complex`` over the complex's ``masks_by_dim``, and ∂∘∂ = 0
-    is checked on that pair by ``_verify_square_zero`` on the columns
-    ``boundary_complex`` checks; ∂_(top-1) is dropped once checked and
-    ∂_top once the top cycles are found, before the facets below the top
-    are listed.
+    is checked on that pair as ``boundary_complex`` checks it: on every
+    column of a ∂_top of at most ``VERIFY_LIMIT`` columns as it is written,
+    on 20 columns drawn from ``Random(17)`` by ``_verify_square_zero``
+    above; ∂_(top-1) is dropped once checked and ∂_top once the top cycles
+    are found.  Every basis vector must lead with 1, as ``coords_in_rref``
+    requires, which is checked once here.  For each pair of cells a < b
+    that some top face holds, ``_pairs`` keeps the bitset of the top faces
+    that hold both, which ``_face_table`` XORs into the faces' signs.
     ``matrix`` checks that a ground-set permutation is an automorphism on the
     facets only: a bijection of the ground set that maps every facet into the
     complex maps every face into it (faces lie in facets, and the complex is
@@ -557,20 +563,37 @@ class TopHomologyAction:
         self.complex = c
         levels = c.faces_by_dim
         self.top = top = len(levels) - 1
-        bit = [1 << i for i in range(len(c.ground_set))]
+        n = len(c.ground_set)
+        bit = [1 << i for i in range(n)]
         masks = c.masks_by_dim
-        maps = [
-            _boundary_map(levels[d], masks[d], {m: j for j, m in enumerate(masks[d - 1])} if d else {0: 0}, bit)[0]
-            for d in range(max(top - 1, 0), top + 1)
-        ]
-        _verify_square_zero(maps, None)
-        del maps[:-1]  # ∂_(top-1) is read by the check alone
+        # ∂_(top-1) evaluated at 2**b for the check of ∂_top as it is written
+        b = (top + 1).bit_length() + 1 if top > 0 and len(levels[top]) <= VERIFY_LIMIT else 0
+        maps, index, below = [], {0: 0}, None  # the empty face below the vertices
+        for d in range(max(top - 1, 0), top + 1):
+            if d:
+                index = {m: j for j, m in enumerate(masks[d - 1])}
+            m, below = _boundary_map(levels[d], masks[d], index, bit, below, b if d < top else 0)
+            maps.append(m)
+        if maps and maps[-1].cols > VERIFY_LIMIT:
+            _verify_square_zero(maps, None)
+        del maps[:-1], index  # ∂_(top-1) is read by the check alone
         self.basis = top_cycle_basis(maps)
         del maps
-        self._pivots = {min(vec): i for i, vec in enumerate(self.basis)}
-        # top faces as (cells, mask) in face order, and the index of each mask
-        self._top_faces = list(zip(levels[top], masks[top])) if top >= 0 else []
-        self._face_index = {mask: i for i, (_, mask) in enumerate(self._top_faces)}
+        self._pivots = {}
+        for i, vec in enumerate(self.basis):
+            lead = min(vec)
+            if vec[lead] != 1:
+                raise HomologyError(f"basis vector {i} has lead {vec[lead]}, not 1")
+            self._pivots[lead] = i
+        # the top faces in face order, and the index of each mask
+        self._top_faces = levels[top] if top >= 0 else ()
+        self._face_index = {mask: i for i, mask in enumerate(masks[top])} if top >= 0 else {}
+        # (a, b, the top faces that hold both cells) for each pair a < b of cells some top face holds
+        holds = [0] * n
+        for j, face in enumerate(self._top_faces):
+            for a in face:
+                holds[a] |= 1 << j
+        self._pairs = [(a, b, both) for a in range(n) for b in range(a + 1, n) if (both := holds[a] & holds[b])]
         self._lower_facets = []  # (facets of one dimension, the masks of all its faces) below the top
         for d in range(top):
             covered = {mask ^ bit[i] for face, mask in zip(levels[d + 1], masks[d + 1]) for i in face}
@@ -589,25 +612,29 @@ class TopHomologyAction:
         image of every facet below the top is found to be a face.
 
         The image of a face is looked up by its bit mask, the sum of
-        ``1 << perm[i]`` over its cells.  Its sign is the parity of the
-        inversions of ``perm`` on the face: ``later[a]`` masks the cells after
-        ``a`` that ``perm`` sends below ``perm[a]``, so the face's inversions
-        are the bits of ``mask & later[a]`` summed over its cells ``a``.
+        ``1 << perm[i]`` over its cells.  The sign of ``perm`` on a face F is
+        -1 raised to the number of pairs a < b in F with perm[a] > perm[b],
+        so the signs of all the top faces are the bits of one XOR: of the
+        bitsets of the top faces that hold both a and b, over the pairs that
+        ``perm`` inverts.  Bit j is the parity of the inversions on face j,
+        and a pair that no top face holds adds nothing.
         """
-        n = len(perm)
         image_bit = [1 << q for q in perm]
         for facets, face_masks in self._lower_facets:
             if any(_face_mask(face, image_bit) not in face_masks for face in facets):
                 raise HomologyError("permutation is not a simplicial automorphism")
-        later = [sum(1 << c for c in range(a + 1, n) if perm[c] < perm[a]) for a in range(n)]
+        odd = 0
+        for a, b, both in self._pairs:
+            if perm[a] > perm[b]:
+                odd ^= both
         face_index = self._face_index
         table = []
-        for face, mask in self._top_faces:
+        # bit j of odd as character j, with a 1 past the top to keep the zeros
+        for face, o in zip(self._top_faces, bin(odd | 1 << len(self._top_faces))[:2:-1]):
             image = face_index.get(_face_mask(face, image_bit))
             if image is None:
                 raise HomologyError("permutation is not a simplicial automorphism")
-            inversions = sum((mask & later[a]).bit_count() for a in face)
-            table.append((image, -1 if inversions & 1 else 1))
+            table.append((image, -1 if o == "1" else 1))
         return table
 
     def matrix(self, perm: Sequence[int]) -> SparseIntMatrix:
@@ -626,5 +653,11 @@ class TopHomologyAction:
         return SparseIntMatrix(len(self.basis), tuple(columns))
 
     def trace(self, perm: Sequence[int]) -> int:
+        """The trace of ``matrix(perm)``.  The identity's is the rank: it
+        sends every top face to itself with sign +1, so every basis vector
+        to itself, and the one check its matrix could fail, a basis lead
+        other than 1, is made once in ``__init__``."""
+        if tuple(perm) == tuple(range(len(self.complex.ground_set))):
+            return self.rank
         columns = self.matrix(perm).columns
         return sum(col.get(j, 0) for j, col in enumerate(columns))

@@ -136,7 +136,8 @@ def test_derivations_commute_on_wedge_two():
     counts = {}
     for degree in (2, 3):
         wedges = WedgeBasis(m.dimension, degree)
-        derive = cks_module._Derivations(wedges, nilpotent_family(m))
+        ops = nilpotent_family(m)
+        derive = cks_module._Derivations(wedges, ops, cks_module._readers(m, ops))
         checked = products = 0
         for widx in range(len(wedges)):
             twice = {r: derive.images(img) for r, img in derive.images({widx: 1}).items()}
@@ -405,6 +406,33 @@ def test_picard_lefschetz_is_the_dense_outer_product_of_the_cycle_coordinates(ge
             ]
             # the empty columns are one shared dict
             assert len({id(col) for col in op.columns if not col}) == 1
+
+
+def _scanned_readers(ops):
+    """Reference for ``cks._readers``: t -> [the r whose operator has a
+    non-empty column t], in ``ops`` order, by a scan of every column."""
+    readers = {}
+    for r, op in ops.items():
+        for t, col in enumerate(op.columns):
+            if col:
+                readers.setdefault(t, []).append(r)
+    return readers
+
+
+def test_readers_from_the_cycle_columns_equal_a_scan_of_every_operator():
+    # the PINNED_CKS_TABLES strata, whole and reduced, and a multigraph with
+    # a parallel class of three edges (4, 2, 7), a loop (5) and a bridge (6)
+    models = []
+    for genus, parts in sorted({(g, p) for g, p, _ in PINNED_CKS_TABLES}):
+        m = build_graded_model(HitchinPartition(genus, parts))
+        models += [m, m.reduced]
+    graph = Multigraph(4, ((0, 1, 4), (0, 1, 2), (0, 1, 7), (1, 2, 3), (2, 2, 5), (0, 2, 1), (2, 3, 6)))
+    models.append(model_from_graph(graph, (1, 0, 2, 0)))
+    for model in models:
+        ops = nilpotent_family(model)
+        assert cks_module._readers(model, ops) == _scanned_readers(ops)
+    # the bridge reads nothing; each list is in label order
+    assert cks_module._readers(models[-1], ops) == {10: [1, 2, 3], 11: [2, 4], 12: [5], 13: [4, 7]}
 
 
 @pytest.mark.parametrize("genus, parts, i", sorted(PINNED_CKS_TABLES))

@@ -1262,26 +1262,160 @@ def _entry_lists(maps):
 def test_action_builds_only_the_top_pair_of_maps(monkeypatch):
     path = cographic_complex(Multigraph(3, ((0, 1, 0), (1, 2, 1))))  # no faces: no map
     cases = [cographic_complex(complete_graph(5)), partition_order_complex(5), points_complex(2), path]
+    cases.append(cographic_complex(complete_graph(6)))  # ∂_top of 1,296 columns: sampled
     expected = [boundary_complex(c).boundaries[-2:] for c in cases]
-    assert [len(maps) for maps in expected] == [2, 2, 1, 0]
-    received = []
-    real = homology._verify_square_zero
+    assert [len(maps) for maps in expected] == [2, 2, 1, 0, 2]
+    assert [maps[-1].cols > homology.VERIFY_LIMIT for maps in expected if maps] == [False, False, False, True]
+    built, sampled = [], []
+    real_map, real_check = homology._boundary_map, homology._verify_square_zero
 
-    def recorded(maps, rng):
-        received.append(tuple(maps))
-        real(maps, rng)
+    def recorded_map(*args):
+        out = real_map(*args)
+        built.append(out[0])
+        return out
+
+    def recorded_check(maps, rng):
+        sampled.append((tuple(maps), rng))
+        real_check(maps, rng)
 
     def refused(*args, **kwargs):
         raise AssertionError("boundary_complex called")
 
-    monkeypatch.setattr(homology, "_verify_square_zero", recorded)
+    monkeypatch.setattr(homology, "_boundary_map", recorded_map)
+    monkeypatch.setattr(homology, "_verify_square_zero", recorded_check)
     monkeypatch.setattr(homology, "boundary_complex", refused)
     for c, maps in zip(cases, expected):
-        received.clear()
+        built.clear()
+        sampled.clear()
         action = TopHomologyAction(c)
         action.matrix(tuple(range(len(c.ground_set))))
-        assert len(received) == 1
-        assert _entry_lists(received[0]) == _entry_lists(maps)
+        assert _entry_lists(built) == _entry_lists(maps)
+        # a top map of at most VERIFY_LIMIT columns is checked as it is
+        # written; a larger one by the sampled check, from its Random(17)
+        if maps and maps[-1].cols > homology.VERIFY_LIMIT:
+            assert [(_entry_lists(m), rng) for m, rng in sampled] == [(_entry_lists(maps), None)]
+        else:
+            assert sampled == []
+
+
+@pytest.mark.parametrize("c", [cographic_complex(complete_graph(4)), partition_order_complex(5)], ids=["K4", "Pi5"])
+def test_action_checks_its_pair_as_it_is_written(c):
+    # two cells of one top face swapped: the mask stays and the signs of the
+    # column's first two entries trade places, so ∂_(top-1) ∂_top is non-zero
+    top = len(c.faces_by_dim) - 1
+    faces = c.faces_by_dim[top]
+    assert len(faces) <= homology.VERIFY_LIMIT and len(faces[0]) >= 3
+    TopHomologyAction(c)
+    for j, (a, b, *rest) in enumerate(faces):
+        swapped = faces[:j] + ((b, a, *rest),) + faces[j + 1 :]
+        bad = FaceComplex(c.ground_set, c.faces_by_dim[:top] + (swapped,), c.masks_by_dim)
+        with pytest.raises(HomologyError, match="boundary squared is nonzero"):
+            TopHomologyAction(bad)
+
+
+def _later_popcount_table(action, perm):
+    """Reference for ``_face_table``: each top face's image by its mask, and
+    its sign from ``later[a]``, the cells after ``a`` that ``perm`` sends
+    below ``perm[a]``, one popcount per cell of the face."""
+    n = len(perm)
+    image_bit = [1 << q for q in perm]
+    for facets, face_masks in action._lower_facets:
+        if any(homology._face_mask(face, image_bit) not in face_masks for face in facets):
+            raise HomologyError("permutation is not a simplicial automorphism")
+    later = [sum(1 << c for c in range(a + 1, n) if perm[c] < perm[a]) for a in range(n)]
+    table = []
+    for face, mask in zip(action._top_faces, action.complex.masks_by_dim[action.top]):
+        image = action._face_index.get(homology._face_mask(face, image_bit))
+        if image is None:
+            raise HomologyError("permutation is not a simplicial automorphism")
+        inversions = sum((mask & later[a]).bit_count() for a in face)
+        table.append((image, -1 if inversions & 1 else 1))
+    return table
+
+
+def _vertex_induced(r):
+    from hitchin_supports.symgroup import cell_permutation
+
+    g = complete_graph(r)
+    return cographic_complex(g), [cell_permutation(p, g) for p in itertools.permutations(range(r))]
+
+
+def _lattice_induced(r):
+    from hitchin_supports.symgroup import partition_cell_permutation
+
+    return partition_order_complex(r), [partition_cell_permutation(p, r) for p in itertools.permutations(range(r))]
+
+
+@pytest.mark.parametrize(
+    "build, r, signs",
+    # Π_4's cells are numbered by rank and every permutation keeps ranks, so
+    # it inverts no pair of a chain: every sign is +1
+    [(_vertex_induced, 4, {1, -1}), (_vertex_induced, 5, {1, -1}), (_lattice_induced, 4, {1})],
+    ids=["K4", "K5", "Pi4"],
+)
+def test_face_table_equals_the_later_popcount_formula_on_induced_automorphisms(build, r, signs):
+    c, perms = build(r)
+    action = TopHomologyAction(c)
+    seen = set()
+    for perm in perms:
+        table = action._face_table(perm)
+        assert table == _later_popcount_table(action, perm), perm
+        seen.update(sign for _, sign in table)
+    assert len(perms) == math.factorial(r) and seen == signs
+
+
+def test_face_table_equals_the_later_popcount_formula_with_cells_in_no_top_face():
+    # the triangle with two pendant edges: cells 3, 4, 5 lie in no top face,
+    # so no top face holds a pair (a, b) with b > 2; every permutation of the
+    # six cells either gives the reference's table or raises as it does
+    c = face_complex(tuple(range(6)), _closure([(0, 1, 2), (2, 3), (4, 5)]))
+    action = TopHomologyAction(c)
+    assert [(a, b) for a, b, _ in action._pairs] == [(0, 1), (0, 2), (1, 2)]
+    outcomes = []
+    for perm in itertools.permutations(range(6)):
+        try:
+            expected = _later_popcount_table(action, perm)
+        except HomologyError:
+            with pytest.raises(HomologyError, match="not a simplicial automorphism"):
+                action._face_table(perm)
+            outcomes.append(None)
+            continue
+        assert action._face_table(perm) == expected, perm
+        outcomes.append(expected[0][1])
+    assert (outcomes.count(1), outcomes.count(-1)) == (2, 2)
+
+
+def test_trace_of_the_identity_is_the_rank_and_the_diagonal_sum():
+    # two complexes that are not pure: the filled triangle with pendant edges
+    # and the hollow tetrahedron with a pendant edge
+    pendant = face_complex(tuple(range(6)), _closure([(0, 1, 2), (2, 3), (4, 5)]))
+    sphere = face_complex(tuple(range(5)), _closure([*itertools.combinations(range(4), 3), (3, 4)]))
+    path = cographic_complex(Multigraph(3, ((0, 1, 0), (1, 2, 1))))  # no faces
+    ranks = []
+    for c in (cographic_complex(complete_graph(4)), partition_order_complex(4), pendant, sphere, path):
+        action = TopHomologyAction(c)
+        identity = tuple(range(len(c.ground_set)))
+        diagonal = sum(col.get(j, 0) for j, col in enumerate(action.matrix(identity).columns))
+        assert action.trace(identity) == action.trace(list(identity)) == action.rank == diagonal
+        ranks.append(action.rank)
+        with pytest.raises(HomologyError, match="not a permutation of the cells"):
+            action.trace((0, 0))
+        with pytest.raises(HomologyError, match="not a permutation of the cells"):
+            action.trace(identity[:-1])
+    assert ranks == [6, 6, 0, 1, 1]
+
+
+def test_a_top_cycle_basis_lead_other_than_one_is_refused(monkeypatch):
+    c = cographic_complex(complete_graph(4))
+    real = homology.top_cycle_basis
+
+    def doubled_last(maps):
+        basis = real(maps)
+        return basis[:-1] + [{k: 2 * v for k, v in basis[-1].items()}]
+
+    monkeypatch.setattr(homology, "top_cycle_basis", doubled_last)
+    with pytest.raises(HomologyError, match="basis vector 5 has lead 2, not 1"):
+        TopHomologyAction(c)
 
 
 def test_lower_facet_sent_outside_is_rejected():
