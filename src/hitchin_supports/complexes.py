@@ -48,15 +48,6 @@ class FaceComplex(NamedTuple):
         """Face counts by dimension, starting with 1 for the empty face."""
         return (1,) + tuple(len(fs) for fs in self.faces_by_dim)
 
-    def verify_downward_closed(self) -> bool:
-        for d in range(1, len(self.faces_by_dim)):
-            below = set(self.faces_by_dim[d - 1])
-            for face in self.faces_by_dim[d]:
-                for i in range(len(face)):
-                    if face[:i] + face[i + 1 :] not in below:
-                        return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # face enumeration and the graph complexes

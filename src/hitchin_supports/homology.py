@@ -17,17 +17,18 @@ boundary maps from the top degree down, each CKS weight summand from d_0 up.
 
 Faces are keyed by the bit masks the enumerator wrote, ``masks_by_dim``.
 ``_boundary_map`` builds ∂_d, finding the facet of a face without cell i as
-the one lookup ``mask ^ (1 << i)``: ``boundary_complex`` calls it in every
-dimension, in one pass, ``TopHomologyAction`` only for ∂_(top-1) and ∂_top.
-Both check each column of ∂_(d-1) ∂_d they build (all up to
-``VERIFY_LIMIT`` columns, 20 sampled above) as one integer sum: the ±1
-columns of ∂_(d-1) evaluated at 2**b, added with the column's signs.  With
-2**(b-1) above the column's length every coefficient is a balanced
-base-2**b digit, and balanced digits are unique (the lowest non-zero one
-survives modulo the next power of 2**b), so the sum is zero exactly when
-the column is.  A map of at most ``VERIFY_LIMIT`` columns is checked as it
-is written, each entry touched once; the sampled maps go to
-``_verify_square_zero``, which evaluates each column on its own rows.
+the one lookup ``mask ^ (1 << i)``, and ``_boundary_maps`` calls it from a
+given dimension to the top, in one pass: ``boundary_complex`` from ∂_0,
+``TopHomologyAction`` from ∂_(top-1).  Each checked column of
+∂_(d-1) ∂_d (all up to ``VERIFY_LIMIT`` columns, 20 fixed, evenly spaced
+ones above) is one integer sum: the ±1 columns of ∂_(d-1) evaluated at
+2**b, added with the column's signs.  With 2**(b-1) above the
+column's length every coefficient is a balanced base-2**b digit, and
+balanced digits are unique (the lowest non-zero one survives modulo the
+next power of 2**b), so the sum is zero exactly when the column is.  A map
+of at most ``VERIFY_LIMIT`` columns is checked as it is written, each entry
+touched once; the larger maps go to ``_verify_square_zero``, which
+evaluates each column on its own rows.  Nothing here draws a random number.
 
 ``exact_rank_int`` reduces the columns of a map from the last to the first;
 ``rref_basis`` back-substitutes the pivots of a span (the CKS blocks); and
@@ -41,12 +42,11 @@ The bases lead positive whatever the signs of the pivots: ``rref_basis``
 normalizes every vector it returns, and a kernel vector of
 ``top_cycle_basis`` leads with its own unit vector, which only the
 positive scales of ``_cancel`` touch.
-``TopHomologyAction`` keys the top faces by their masks, so the image of a
-face under a permutation is one lookup, and the orientation signs of all
-the top faces are the bits of one XOR of pair bitsets (the top faces that
-hold both cells of a pair), over the pairs the permutation inverts; the
-facets below the top are the d-faces that no mask ``mask ^ (1 << i)`` of a
-(d+1)-face hits.
+``TopHomologyAction`` takes pure complexes only, and keys the top faces by
+their masks, so the image of a face under a permutation is one lookup, and
+the orientation signs of all the top faces are the bits of one XOR of pair
+bitsets (the top faces that hold both cells of a pair), over the pairs the
+permutation inverts.
 The RREF bases that coordinates are read along (top-cycle bases, CKS block
 bases) have had lead entry 1 on every complex measured, so
 ``coords_in_rref`` reads a coordinate off a pivot without dividing, and a
@@ -55,13 +55,12 @@ basis vector whose lead is not 1 is an error rather than a fraction.
 
 from __future__ import annotations
 
-import random
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import FaceComplex
 
-VERIFY_LIMIT = 400  # d o d checked on every column up to this many, on 20 samples above
+VERIFY_LIMIT = 400  # d o d checked on every column up to this many, on 20 fixed ones above
 
 
 class HomologyError(ValueError):
@@ -308,8 +307,8 @@ def cleared_homology(dims: Sequence[int], maps: Sequence[SparseIntMatrix]) -> li
     columns lie in the span of the kept ones and the rank over Q is
     unchanged.  Each kept matrix is ranked by ``exact_rank``.  The lemma
     relies on the zero composites, which the callers check:
-    ``boundary_complex`` for ∂∘∂ (as it writes the maps, sampled above
-    ``VERIFY_LIMIT`` columns) and the CKS assembly for d∘d.  The lemma
+    ``boundary_complex`` for ∂∘∂ (as it writes the maps, on 20 fixed
+    columns above ``VERIFY_LIMIT``) and the CKS assembly for d∘d.  The lemma
     needs s_j non-zero only, so a pivot stored with lead -1 serves as well.
     """
     ranks = [0]
@@ -424,40 +423,54 @@ def _boundary_map(
     return SparseIntMatrix(len(index), tuple(columns)), values if b else None
 
 
-def boundary_complex(c: FaceComplex, rng: random.Random | None = None) -> IntChainComplex:
-    """Boundary matrices with alternating signs over the lexicographic face
-    order, one ``_boundary_map`` per dimension over ``c.masks_by_dim``, the
-    ``{mask: index}`` of a level built only when a map lies above it.
-    d(d(x)) = 0 is checked on every column of a map with at most
-    ``VERIFY_LIMIT`` columns as the column is written, from the columns of
-    the map below evaluated as they were written; once every map is built,
-    each larger map is checked on 20 columns drawn from ``rng``
+def _boundary_maps(c: FaceComplex, first: int) -> list[SparseIntMatrix]:
+    """The boundary maps ∂_first, ..., ∂_top of ``c``, one ``_boundary_map``
+    per dimension over ``c.masks_by_dim``, the ``{mask: index}`` of a level
+    built only when a map lies above it (the empty face below the vertices).
+
+    d(d(x)) = 0 is checked on each map above ∂_first: on every column of a
+    map with at most ``VERIFY_LIMIT`` columns as the column is written, from
+    the columns of the map below evaluated as they were written; once every
+    map is built, each larger map on 20 fixed columns
     (``_verify_square_zero``), in increasing dimension.
     """
     levels = c.faces_by_dim
+    masks = c.masks_by_dim
     bit = [1 << i for i in range(len(c.ground_set))]
     maps = []
-    index = {0: 0}  # the empty face
+    index = dict(zip(masks[first - 1], range(len(masks[first - 1])))) if first else {0: 0}
     below = None
-    for d, (faces, masks) in enumerate(zip(levels, c.masks_by_dim)):
+    for d in range(first, len(levels)):
         # ∂_d evaluated at 2**b for the check of ∂_(d+1), whose columns have d + 2 entries
         b = (d + 2).bit_length() + 1 if d + 1 < len(levels) and len(levels[d + 1]) <= VERIFY_LIMIT else 0
-        m, below = _boundary_map(faces, masks, index, bit, below, b)
+        m, below = _boundary_map(levels[d], masks[d], index, bit, below, b)
         maps.append(m)
         if d + 1 < len(levels):
-            index = dict(zip(masks, range(len(masks))))
-    sampled = [d for d in range(1, len(maps)) if maps[d].cols > VERIFY_LIMIT]
-    if sampled:
-        rng = rng or random.Random(17)
-        for d in sampled:
-            _verify_square_zero(maps[d - 1 : d + 1], rng)
-    return IntChainComplex(tuple(maps))
+            index = dict(zip(masks[d], range(len(masks[d]))))
+    for d in range(1, len(maps)):
+        if maps[d].cols > VERIFY_LIMIT:
+            _verify_square_zero(maps[d - 1 : d + 1])
+    return maps
 
 
-def _verify_square_zero(maps: Sequence[SparseIntMatrix], rng: random.Random | None) -> None:
+def boundary_complex(c: FaceComplex, *, rng: object = None) -> IntChainComplex:
+    """Boundary matrices with alternating signs over the lexicographic face
+    order: ∂_0, ..., ∂_top by ``_boundary_maps``, each pair checked for
+    ∂∘∂ = 0 (every column up to ``VERIFY_LIMIT`` columns, 20 fixed ones
+    above).
+
+    ``rng`` is accepted and unused: the check draws nothing, but the
+    benchmark's ``run_op`` still passes one.  It goes when the benchmark
+    stops passing it.
+    """
+    return IntChainComplex(tuple(_boundary_maps(c, 0)))
+
+
+def _verify_square_zero(maps: Sequence[SparseIntMatrix]) -> None:
     """Check ∂_(d-1) ∂_d = 0 for consecutive ``maps`` ∂_(d-1), ∂_d on every
-    column of a map with at most ``VERIFY_LIMIT`` columns and on 20 columns
-    drawn from ``rng`` above that.
+    column of a map with at most ``VERIFY_LIMIT`` columns, and on the 20
+    evenly spaced, distinct columns j n // 20 (j = 0, ..., 19) of a map of
+    n columns above that.
 
     A checked column is evaluated on its own rows (Kronecker substitution):
     the rows its lower columns reach get slots s(r) = 0, 1, ... as first met,
@@ -468,11 +481,10 @@ def _verify_square_zero(maps: Sequence[SparseIntMatrix], rng: random.Random | No
     slot would leave the sum non-zero modulo 2**(b (s(r)+1)).  So the sum,
     at most b (d+1) d bits for ∂_d, vanishes exactly when the column does.
     """
-    rng = rng or random.Random(17)
     for d in range(1, len(maps)):
         upper = maps[d].columns
         if len(upper) > VERIFY_LIMIT:
-            upper = tuple(upper[rng.randrange(len(upper))] for _ in range(20))
+            upper = tuple(upper[j * len(upper) // 20] for j in range(20))
         lower = maps[d - 1].columns
         for col in upper:
             b = len(col).bit_length() + 1
@@ -538,25 +550,24 @@ def top_cycle_basis(boundaries: Sequence[SparseIntMatrix]) -> list[dict[int, int
 
 
 class TopHomologyAction:
-    """Action of simplicial automorphisms on a fixed top-cycle basis.
+    """Action of simplicial automorphisms on a fixed top-cycle basis of a
+    pure complex, every face in a top face: cographic complexes (matroid
+    complexes are pure; Björner 1992) and the order complexes of Π_r.
 
-    Only ∂_(top-1) and ∂_top are built, by the ``_boundary_map`` of
-    ``boundary_complex`` over the complex's ``masks_by_dim``, and ∂∘∂ = 0
-    is checked on that pair as ``boundary_complex`` checks it: on every
-    column of a ∂_top of at most ``VERIFY_LIMIT`` columns as it is written,
-    on 20 columns drawn from ``Random(17)`` by ``_verify_square_zero``
-    above; ∂_(top-1) is dropped once checked and ∂_top once the top cycles
-    are found.  Every basis vector must lead with 1, as ``coords_in_rref``
-    requires, which is checked once here.  For each pair of cells a < b
-    that some top face holds, ``_pairs`` keeps the bitset of the top faces
-    that hold both, which ``_face_table`` XORs into the faces' signs.
-    ``matrix`` checks that a ground-set permutation is an automorphism on the
-    facets only: a bijection of the ground set that maps every facet into the
-    complex maps every face into it (faces lie in facets, and the complex is
+    Only ∂_(top-1) and ∂_top are built, by ``_boundary_maps``, which checks
+    ∂∘∂ = 0 on that pair as ``boundary_complex`` does; ∂_(top-1) is
+    dropped once checked and ∂_top once the top cycles are found.  Every
+    basis vector must lead with 1, as ``coords_in_rref`` requires, which is
+    checked once here.  For each pair of cells a < b that some top face
+    holds, ``_pairs`` keeps the bitset of the top faces that hold both,
+    which ``_face_table`` XORs into the faces' signs.  Each level's masks
+    ``mask ^ bit[i]`` must be faces one level down ("not downward closed")
+    and must hit every face there ("not pure").  So ``matrix`` checks that
+    a ground-set permutation is an automorphism on the top faces only: a
+    bijection of the ground set that maps every top face into the complex
+    maps every face into it (faces lie in top faces, and the complex is
     downward closed), injectively, so onto the finite set of faces of each
-    size.  Top faces are checked as the face table is built; the facets below
-    the top, the d-faces that no mask ``mask ^ bit[i]`` of a (d+1)-face hits,
-    are listed once here, and a hit that is no d-face raises.
+    size.
     """
 
     def __init__(self, c: FaceComplex):
@@ -566,19 +577,8 @@ class TopHomologyAction:
         n = len(c.ground_set)
         bit = [1 << i for i in range(n)]
         masks = c.masks_by_dim
-        # ∂_(top-1) evaluated at 2**b for the check of ∂_top as it is written
-        b = (top + 1).bit_length() + 1 if top > 0 and len(levels[top]) <= VERIFY_LIMIT else 0
-        maps, index, below = [], {0: 0}, None  # the empty face below the vertices
-        for d in range(max(top - 1, 0), top + 1):
-            if d:
-                index = {m: j for j, m in enumerate(masks[d - 1])}
-            m, below = _boundary_map(levels[d], masks[d], index, bit, below, b if d < top else 0)
-            maps.append(m)
-        if maps and maps[-1].cols > VERIFY_LIMIT:
-            _verify_square_zero(maps, None)
-        del maps[:-1], index  # ∂_(top-1) is read by the check alone
-        self.basis = top_cycle_basis(maps)
-        del maps
+        # ∂_(top-1) is read by the check alone
+        self.basis = top_cycle_basis(_boundary_maps(c, max(top - 1, 0))[-1:])
         self._pivots = {}
         for i, vec in enumerate(self.basis):
             lead = min(vec)
@@ -594,22 +594,19 @@ class TopHomologyAction:
             for a in face:
                 holds[a] |= 1 << j
         self._pairs = [(a, b, both) for a in range(n) for b in range(a + 1, n) if (both := holds[a] & holds[b])]
-        self._lower_facets = []  # (facets of one dimension, the masks of all its faces) below the top
         for d in range(top):
             covered = {mask ^ bit[i] for face, mask in zip(levels[d + 1], masks[d + 1]) for i in face}
             if not covered.issubset(masks[d]):
                 raise HomologyError("complex is not downward closed")
-            facets = tuple(f for f, mask in zip(levels[d], masks[d]) if mask not in covered)
-            if facets:
-                self._lower_facets.append((facets, set(masks[d])))
+            if len(covered) < len(masks[d]):
+                raise HomologyError("complex is not pure")
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def _face_table(self, perm: Sequence[int]) -> list[tuple[int, int]]:
-        """Index and orientation sign of the image of each top face, once the
-        image of every facet below the top is found to be a face.
+        """Index and orientation sign of the image of each top face.
 
         The image of a face is looked up by its bit mask, the sum of
         ``1 << perm[i]`` over its cells.  The sign of ``perm`` on a face F is
@@ -620,9 +617,6 @@ class TopHomologyAction:
         and a pair that no top face holds adds nothing.
         """
         image_bit = [1 << q for q in perm]
-        for facets, face_masks in self._lower_facets:
-            if any(_face_mask(face, image_bit) not in face_masks for face in facets):
-                raise HomologyError("permutation is not a simplicial automorphism")
         odd = 0
         for a, b, both in self._pairs:
             if perm[a] > perm[b]:

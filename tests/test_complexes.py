@@ -14,6 +14,7 @@ from hitchin_supports.complexes import (
     proper_partitions,
     set_partitions,
 )
+from hitchin_supports.homology import HomologyError, boundary_complex
 from hitchin_supports.multigraph import GraphError, Multigraph, delta_aff
 from hitchin_supports.selftest import _subsets_where, random_connected_multigraph
 
@@ -65,8 +66,9 @@ def test_cographic_max_face_size_is_delta():
 def test_a_complex_missing_a_facet_is_not_downward_closed():
     # the triangle's edges without the vertex 2 that two of them contain
     faces = (((0,), (1,)), ((0, 1), (0, 2), (1, 2)))
-    assert not face_complex((0, 1, 2), faces).verify_downward_closed()
-    assert face_complex((0, 1, 2), (faces[0] + ((2,),), faces[1])).verify_downward_closed()
+    with pytest.raises(HomologyError, match="not downward closed"):
+        boundary_complex(face_complex((0, 1, 2), faces))
+    boundary_complex(face_complex((0, 1, 2), (faces[0] + ((2,),), faces[1])))
 
 
 def test_cographic_requires_connected():
@@ -77,7 +79,7 @@ def test_cographic_requires_connected():
 
 def test_cographic_downward_closed_and_sorted():
     c = cographic_complex(complete_graph(4))
-    assert c.verify_downward_closed()
+    boundary_complex(c)  # raises unless every facet of every face is a face
     for faces in c.faces_by_dim:
         assert list(faces) == sorted(faces)
 
@@ -101,7 +103,7 @@ def test_nonspanning_single_edge_graph():
 def test_nonspanning_k4_matches_brute_force():
     c = nonspanning_complex(complete_graph(4))
     assert faces_as_label_sets(c) == brute_face_sets(complete_graph(4), "nonspanning")
-    assert c.verify_downward_closed()
+    boundary_complex(c)  # raises unless every facet of every face is a face
 
 
 def test_cographic_nonspanning_complementarity():
@@ -152,7 +154,7 @@ def test_order_complex_r4():
         p, q = parts[c.ground_set[i]], parts[c.ground_set[j]]
         assert len(p) > len(q)
         assert refines(p, q)
-    assert c.verify_downward_closed()
+    boundary_complex(c)  # raises unless every facet of every face is a face
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])

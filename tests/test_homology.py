@@ -284,17 +284,17 @@ def _flipped_entries(cc: IntChainComplex):
 def test_square_zero_check_rejects_every_single_sign_flip():
     cc = boundary_complex(cographic_complex(complete_graph(4)))
     assert max(m.cols for m in cc.boundaries) <= homology.VERIFY_LIMIT
-    homology._verify_square_zero(cc.boundaries, None)
+    homology._verify_square_zero(cc.boundaries)
     count = 0
     for d, bad in _flipped_entries(cc):
         with pytest.raises(HomologyError, match="boundary squared"):
-            homology._verify_square_zero(bad.boundaries, None)
+            homology._verify_square_zero(bad.boundaries)
         count += 1
     assert count == sum(m.nnz for m in cc.boundaries)
 
 
-def test_square_zero_check_samples_from_the_rng_as_before():
-    # above VERIFY_LIMIT the check draws 20 columns per map from the rng
+def test_square_zero_check_reads_the_20_fixed_columns_above_the_limit():
+    # above VERIFY_LIMIT the check reads the columns j n // 20, j = 0 .. 19
     # the complete graph on 30 vertices and 10 of its triangles: 435 edges
     ground = tuple(range(30))
     triangles = tuple(itertools.combinations(range(5), 3))
@@ -302,14 +302,23 @@ def test_square_zero_check_samples_from_the_rng_as_before():
         face_complex(ground, (tuple((i,) for i in ground), tuple(itertools.combinations(ground, 2)), triangles))
     )
     assert [m.cols > homology.VERIFY_LIMIT for m in cc.boundaries] == [False, True, False]
-    rng = random.Random(5)
-    homology._verify_square_zero(cc.boundaries, rng)
-    expected = random.Random(5)
-    for m in cc.boundaries[1:]:
-        if m.cols > homology.VERIFY_LIMIT:
-            for _ in range(20):
-                expected.randrange(m.cols)
-    assert rng.random() == expected.random()
+    homology._verify_square_zero(cc.boundaries)
+    fixed = {j * 435 // 20 for j in range(20)}
+    assert len(fixed) == 20
+    # ∂_0 ∂_1 is the sum of a column's signs, so a flip in a read column of ∂_1 shows
+    lower, upper = cc.boundaries[:2]
+    caught = set()
+    for j, col in enumerate(upper.columns):
+        for k, w in col.items():
+            bad = SparseIntMatrix(upper.rows, upper.columns[:j] + ({**col, k: -w},) + upper.columns[j + 1 :])
+            try:
+                homology._verify_square_zero((lower, bad))
+            except HomologyError as exc:
+                assert str(exc) == "boundary squared is nonzero"
+                caught.add(j)
+            else:
+                assert j not in fixed, j
+    assert caught == fixed
 
 
 def _accumulated_square_is_zero(cc: IntChainComplex) -> bool:
@@ -330,10 +339,10 @@ def _caught_as_the_reference_says(cc: IntChainComplex) -> bool:
     """Run the check, which must raise exactly when the reference finds a
     non-zero column; return whether it raised."""
     if _accumulated_square_is_zero(cc):
-        homology._verify_square_zero(cc.boundaries, None)
+        homology._verify_square_zero(cc.boundaries)
         return False
     with pytest.raises(HomologyError, match="boundary squared"):
-        homology._verify_square_zero(cc.boundaries, None)
+        homology._verify_square_zero(cc.boundaries)
     return True
 
 
@@ -374,7 +383,7 @@ def test_square_zero_check_rejects_an_entry_other_than_plus_or_minus_one(value):
     count = 0
     for _, bad in _entry_mutations(cc, lambda col, r, rows: {**col, r: value}):
         with pytest.raises(HomologyError, match="not \\+-1"):
-            homology._verify_square_zero(bad.boundaries, None)
+            homology._verify_square_zero(bad.boundaries)
         count += 1
     assert count == sum(m.nnz for m in cc.boundaries)
 
@@ -387,46 +396,36 @@ def _k6_minus_an_edge_maps() -> tuple[SparseIntMatrix, ...]:
     return boundary_complex(cographic_complex(graph)).boundaries
 
 
-def _drawn_columns(maps, seed: int) -> list[tuple]:
+def _drawn_columns(maps) -> list[tuple]:
     """For each map above ``VERIFY_LIMIT``, in increasing dimension, its
-    dimension, the state of a copy of ``Random(seed)`` before its draws, and
-    the 20 columns it draws."""
-    rng = random.Random(seed)
-    drawn = []
-    for d, m in enumerate(maps):
-        if d and m.cols > homology.VERIFY_LIMIT:
-            state = rng.getstate()
-            drawn.append((d, state, [rng.randrange(m.cols) for _ in range(20)]))
-    return drawn
-
-
-def _check_pair(lower: SparseIntMatrix, upper: SparseIntMatrix, state) -> None:
-    rng = random.Random()
-    rng.setstate(state)
-    homology._verify_square_zero((lower, upper), rng)
+    dimension and the 20 columns j n // 20 that the check reads."""
+    large = [(d, m.cols) for d, m in enumerate(maps) if d and m.cols > homology.VERIFY_LIMIT]
+    return [(d, [j * n // 20 for j in range(20)]) for d, n in large]
 
 
 def test_the_check_on_drawn_columns_catches_every_flipped_entry():
     maps = _k6_minus_an_edge_maps()
-    drawn = _drawn_columns(maps, 17)
-    assert [d for d, *_ in drawn] == [3, 4, 5, 6, 7, 8]
+    drawn = _drawn_columns(maps)
+    assert [d for d, _ in drawn] == [3, 4, 5, 6, 7, 8]
+    homology._verify_square_zero(maps)
     flips = 0
-    for d, state, js in drawn:
+    for d, js in drawn:
         lower, upper = maps[d - 1 : d + 1]
+        assert len(set(js)) == 20
         for j in js:
             col = upper.columns[j]
             for k, w in col.items():
                 bad = SparseIntMatrix(upper.rows, upper.columns[:j] + ({**col, k: -w},) + upper.columns[j + 1 :])
                 with pytest.raises(HomologyError, match="boundary squared is nonzero"):
-                    _check_pair(lower, bad, state)
+                    homology._verify_square_zero((lower, bad))
                 flips += 1
-    assert flips == sum(20 * (d + 1) for d, *_ in drawn)
+    assert flips == sum(20 * (d + 1) for d, _ in drawn)
 
 
 def test_the_check_on_drawn_columns_agrees_with_accumulation_when_a_reached_entry_moves_row():
     maps = _k6_minus_an_edge_maps()
     outcomes = []
-    for d, state, js in _drawn_columns(maps, 17):
+    for d, js in _drawn_columns(maps):
         lower, upper = maps[d - 1 : d + 1]
         drawn = [upper.columns[j] for j in js]
         for k in sorted({k for col in drawn for k in col}):
@@ -442,7 +441,7 @@ def test_the_check_on_drawn_columns_agrees_with_accumulation_when_a_reached_entr
                             acc[r2] = acc.get(r2, 0) + v * w
                     nonzero = nonzero or any(acc.values())
                 try:
-                    _check_pair(bad, upper, state)
+                    homology._verify_square_zero((bad, upper))
                     outcomes.append(not nonzero)
                 except HomologyError as exc:
                     outcomes.append(nonzero and str(exc) == "boundary squared is nonzero")
@@ -522,29 +521,21 @@ def test_the_check_as_the_maps_are_written_raises_exactly_when_a_product_is_nonz
 def test_boundary_complex_draws_20_columns_per_map_above_the_limit_in_increasing_dimension(monkeypatch):
     # K_4 with every edge doubled: maps of 12, 66 and 220 columns, then five above the limit
     c = cographic_complex(build_dual_graph(HitchinPartition(2, (1, 1, 1, 1))))
-    large = [m.cols for m in boundary_complex(c).boundaries if m.cols > homology.VERIFY_LIMIT]
-    assert large == [495, 792, 920, 768, 432]
+    expected = boundary_complex(c).boundaries
+    assert [m.cols for m in expected if m.cols > homology.VERIFY_LIMIT] == [495, 792, 920, 768, 432]
     received = []
     real = homology._verify_square_zero
 
-    def recorded(maps, rng):
-        received.append(([m.cols for m in maps], rng, rng.getstate()))
-        real(maps, rng)
+    def recorded(maps):
+        received.append([m.cols for m in maps])
+        real(maps)
 
     monkeypatch.setattr(homology, "_verify_square_zero", recorded)
+    # the rng is accepted and unused: the columns are fixed, so none is drawn
     rng = random.Random(5)
-    boundary_complex(c, rng)
-    expected = random.Random(5)
-    for n in large:
-        for _ in range(20):
-            expected.randrange(n)
-    assert rng.getstate() == expected.getstate()
-    assert [cols for cols, *_ in received] == [[220, 495], [495, 792], [792, 920], [920, 768], [768, 432]]
-    # without an rng, one Random(17) serves every sampled map
-    received.clear()
-    boundary_complex(c)
-    assert len({id(r) for _, r, _ in received}) == 1
-    assert received[0][2] == random.Random(17).getstate()
+    assert boundary_complex(c, rng=rng).boundaries == expected
+    assert rng.getstate() == random.Random(5).getstate()
+    assert received == [[220, 495], [495, 792], [792, 920], [920, 768], [768, 432]]
 
 
 # ---------------------------------------------------------------------------
@@ -1193,11 +1184,21 @@ def _closures_and_graph_complexes(rng):
     return complexes
 
 
+def _is_pure(c) -> bool:
+    """Reference: every face lies in a top face."""
+    tops = [set(face) for face in c.faces_by_dim[-1]] if c.faces_by_dim else []
+    return all(any(set(face) <= top for top in tops) for faces in c.faces_by_dim for face in faces)
+
+
 def test_facet_check_agrees_with_the_check_on_every_face():
     rng = random.Random(23)
     complexes = _closures_and_graph_complexes(rng)
     outcomes = set()
     for c in complexes:
+        if not _is_pure(c):
+            with pytest.raises(HomologyError, match="not pure"):
+                TopHomologyAction(c)
+            continue
         action = TopHomologyAction(c)
         n = len(c.ground_set)
         for _ in range(8):
@@ -1214,30 +1215,18 @@ def test_facet_check_agrees_with_the_check_on_every_face():
     assert outcomes == {True, False}
 
 
-def _lower_facets_from_the_rows(c, cc):
-    """The facets below the top read off the rows of the full complex's maps
-    (the d-faces that are no row of ∂_(d+1)), with the bit masks of all the
-    d-faces."""
-    out = []
-    for d in range(cc.top_dim):
-        faces = c.faces_by_dim[d]
-        covered = {r for col in cc.boundaries[d + 1].columns for r in col}
-        if len(covered) < len(faces):
-            masks = {sum(1 << i for i in f) for f in faces}
-            out.append((tuple(f for i, f in enumerate(faces) if i not in covered), masks))
-    return out
-
-
 def test_the_two_map_action_equals_the_full_complex():
     complexes = [cographic_complex(complete_graph(5)), partition_order_complex(5)]
     complexes += _closures_and_graph_complexes(random.Random(23))
     assert len(complexes) == 48
     tops = set()
-    for c in complexes:
+    pure = [c for c in complexes if _is_pure(c)]
+    assert len(pure) == 39
+    for c in pure:
         action, cc = TopHomologyAction(c), boundary_complex(c)
         assert action.top == cc.top_dim
+        assert homology._boundary_maps(c, max(action.top - 1, 0)) == list(cc.boundaries[-2:]), c.faces_by_dim
         assert action.basis == top_cycle_basis(cc.boundaries), c.faces_by_dim
-        assert action._lower_facets == _lower_facets_from_the_rows(c, cc), c.faces_by_dim
         tops.add(min(cc.top_dim, 2))
     assert tops == {-1, 0, 1, 2}  # no map, ∂_0 alone, the pair onto ∂_0, and higher
 
@@ -1274,9 +1263,9 @@ def test_action_builds_only_the_top_pair_of_maps(monkeypatch):
         built.append(out[0])
         return out
 
-    def recorded_check(maps, rng):
-        sampled.append((tuple(maps), rng))
-        real_check(maps, rng)
+    def recorded_check(maps):
+        sampled.append(tuple(maps))
+        real_check(maps)
 
     def refused(*args, **kwargs):
         raise AssertionError("boundary_complex called")
@@ -1291,9 +1280,9 @@ def test_action_builds_only_the_top_pair_of_maps(monkeypatch):
         action.matrix(tuple(range(len(c.ground_set))))
         assert _entry_lists(built) == _entry_lists(maps)
         # a top map of at most VERIFY_LIMIT columns is checked as it is
-        # written; a larger one by the sampled check, from its Random(17)
+        # written; a larger one by the check on its 20 fixed columns
         if maps and maps[-1].cols > homology.VERIFY_LIMIT:
-            assert [(_entry_lists(m), rng) for m, rng in sampled] == [(_entry_lists(maps), None)]
+            assert [_entry_lists(m) for m in sampled] == [_entry_lists(maps)]
         else:
             assert sampled == []
 
@@ -1319,9 +1308,6 @@ def _later_popcount_table(action, perm):
     below ``perm[a]``, one popcount per cell of the face."""
     n = len(perm)
     image_bit = [1 << q for q in perm]
-    for facets, face_masks in action._lower_facets:
-        if any(homology._face_mask(face, image_bit) not in face_masks for face in facets):
-            raise HomologyError("permutation is not a simplicial automorphism")
     later = [sum(1 << c for c in range(a + 1, n) if perm[c] < perm[a]) for a in range(n)]
     table = []
     for face, mask in zip(action._top_faces, action.complex.masks_by_dim[action.top]):
@@ -1365,10 +1351,10 @@ def test_face_table_equals_the_later_popcount_formula_on_induced_automorphisms(b
 
 
 def test_face_table_equals_the_later_popcount_formula_with_cells_in_no_top_face():
-    # the triangle with two pendant edges: cells 3, 4, 5 lie in no top face,
-    # so no top face holds a pair (a, b) with b > 2; every permutation of the
+    # the triangle on cells 0, 1, 2 of six: cells 3, 4, 5 lie in no face, so
+    # no top face holds a pair (a, b) with b > 2; every permutation of the
     # six cells either gives the reference's table or raises as it does
-    c = face_complex(tuple(range(6)), _closure([(0, 1, 2), (2, 3), (4, 5)]))
+    c = face_complex(tuple(range(6)), _closure([(0, 1, 2)]))
     action = TopHomologyAction(c)
     assert [(a, b) for a, b, _ in action._pairs] == [(0, 1), (0, 2), (1, 2)]
     outcomes = []
@@ -1382,17 +1368,15 @@ def test_face_table_equals_the_later_popcount_formula_with_cells_in_no_top_face(
             continue
         assert action._face_table(perm) == expected, perm
         outcomes.append(expected[0][1])
-    assert (outcomes.count(1), outcomes.count(-1)) == (2, 2)
+    # the permutations that keep {0, 1, 2}, signed by their action on it
+    assert (outcomes.count(1), outcomes.count(-1)) == (18, 18)
 
 
 def test_trace_of_the_identity_is_the_rank_and_the_diagonal_sum():
-    # two complexes that are not pure: the filled triangle with pendant edges
-    # and the hollow tetrahedron with a pendant edge
-    pendant = face_complex(tuple(range(6)), _closure([(0, 1, 2), (2, 3), (4, 5)]))
-    sphere = face_complex(tuple(range(5)), _closure([*itertools.combinations(range(4), 3), (3, 4)]))
+    sphere = face_complex(tuple(range(4)), _closure(itertools.combinations(range(4), 3)))  # the hollow tetrahedron
     path = cographic_complex(Multigraph(3, ((0, 1, 0), (1, 2, 1))))  # no faces
     ranks = []
-    for c in (cographic_complex(complete_graph(4)), partition_order_complex(4), pendant, sphere, path):
+    for c in (cographic_complex(complete_graph(4)), partition_order_complex(4), sphere, path):
         action = TopHomologyAction(c)
         identity = tuple(range(len(c.ground_set)))
         diagonal = sum(col.get(j, 0) for j, col in enumerate(action.matrix(identity).columns))
@@ -1402,7 +1386,7 @@ def test_trace_of_the_identity_is_the_rank_and_the_diagonal_sum():
             action.trace((0, 0))
         with pytest.raises(HomologyError, match="not a permutation of the cells"):
             action.trace(identity[:-1])
-    assert ranks == [6, 6, 0, 1, 1]
+    assert ranks == [6, 6, 1, 1]
 
 
 def test_a_top_cycle_basis_lead_other_than_one_is_refused(monkeypatch):
@@ -1418,16 +1402,17 @@ def test_a_top_cycle_basis_lead_other_than_one_is_refused(monkeypatch):
         TopHomologyAction(c)
 
 
-def test_lower_facet_sent_outside_is_rejected():
-    # a triangle with two pendant edges; swapping 3 and 4 fixes the triangle
-    # but sends the edges {2, 3} and {4, 5} outside the complex
-    c = face_complex(tuple(range(6)), _closure([(0, 1, 2), (2, 3), (4, 5)]))
-    action = TopHomologyAction(c)
-    swap = (0, 1, 2, 4, 3, 5)
-    assert not _every_face_maps_into(c, swap)
-    with pytest.raises(HomologyError, match="not a simplicial automorphism"):
-        action.matrix(swap)
-    assert action.matrix((0, 1, 2, 3, 5, 4)) == SparseIntMatrix.identity(action.rank)
+def test_action_refuses_a_complex_that_is_not_pure():
+    # the filled triangle with two pendant edges, and the hollow tetrahedron
+    # with a pendant edge: each has a face in no face one level up, and
+    # each still has its boundary maps and Betti numbers
+    pendant = face_complex(tuple(range(6)), _closure([(0, 1, 2), (2, 3), (4, 5)]))
+    sphere = face_complex(tuple(range(5)), _closure([*itertools.combinations(range(4), 3), (3, 4)]))
+    for c, betti in ((pendant, {0: 1}), (sphere, {2: 1})):
+        assert not _is_pure(c)
+        assert reduced_homology(boundary_complex(c)).betti == betti
+        with pytest.raises(HomologyError, match="not pure"):
+            TopHomologyAction(c)
 
 
 def test_action_without_faces_is_the_identity():
